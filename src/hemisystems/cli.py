@@ -11,8 +11,8 @@ rank, the Gram matrix, the expected counts, and the generators of the
 orbit group; then one ``maximal`` line per member holding its RREF basis
 matrix in row-major serialization; then the mask; then ``end``.  The
 verifier rebuilds the whole geometry from the header and re-derives every
-member id from its matrix -- a certificate is a claim, not a proof, until
-re-checked.
+member id from the subspace its matrix spans, so any basis of a maximal is
+accepted -- a certificate is a claim, not a proof, until re-checked.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .gf import Field, field_make
 from .groups import w_vector_orbits
 from .hemi import Prepared, assemble, prepare, verify_hemisystem
 from .linform import (
-    Subspace,
+    format_matrices,
     format_matrix,
     mat_mul,
-    parse_matrix,
+    parse_matrices,
     standard_model,
     witt_index,
 )
@@ -116,8 +116,8 @@ def certificate_text(prep: Prepared, mask: int, member_ids: np.ndarray) -> str:
     lines.append(f"orbits {len(split.pairs)} {split.partition.n_orbits}")
     for g in prep.b.generators:
         lines.append(f"generator {format_matrix(F, g.mat)}")
-    for i in member_ids:
-        lines.append(f"maximal {format_matrix(F, prep.qm.maximal_bases[int(i)])}")
+    members = prep.qm.maximal_bases[np.asarray(member_ids, dtype=np.int64)]
+    lines += [f"maximal {s}" for s in format_matrices(F, members)]
     lines.append(f"mask {mask:x} {len(split.pairs)}")
     lines.append("end")
     return "\n".join(lines) + "\n"
@@ -135,9 +135,9 @@ class Certificate:
     degree: int
     m: int
     n_b: int
-    generators: list = dataclass_field(default_factory=list)
-    members: list = dataclass_field(default_factory=list)
-    mask: int = 0
+    generators: list
+    members: np.ndarray  # (N, d, 2d + 1) stack of the claimed members' bases
+    mask: int
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -180,50 +180,57 @@ def parse_certificate(text: str) -> Certificate:
         raise ParseError(f"rank {d} out of range")
     dim = 2 * d + 1
 
-    def matrix(token: str, rows: int, what: str) -> np.ndarray:
+    def matrices(tokens: list[str], rows: int, what: str) -> np.ndarray:
         try:
-            M = parse_matrix(F, token)
+            return parse_matrices(F, tokens, rows, dim)
         except ValueError as exc:
             raise ParseError(f"bad {what} matrix: {exc}") from None
-        if M.shape != (rows, dim):
-            raise ParseError(f"{what} matrix must be {rows}x{dim}, got {M.shape}")
-        return M
 
-    gram = matrix(split_line(3, "gram", 1)[0], dim, "gram")
+    gram = matrices(split_line(3, "gram", 1), dim, "gram")[0]
     np_s, nm_s = split_line(4, "counts", 2)
     num_points, num_maximals = as_int(np_s, "points"), as_int(nm_s, "maximals")
     degree = as_int(split_line(5, "degree", 1)[0], "degree")
     m_s, nb_s = split_line(6, "orbits", 2)
     m, n_b = as_int(m_s, "m"), as_int(nb_s, "n_b")
 
-    cert = Certificate(F, d, gram, num_points, num_maximals, degree, m, n_b)
+    def tagged(start: int, tag: str) -> tuple[int, list[str]]:
+        """The single field of each consecutive line from ``start`` with this tag."""
+        i = start
+        while i < len(lines) and lines[i].startswith(tag + " "):
+            i += 1
+        fields = " ".join(lines[start:i]).split()
+        if len(fields) != 2 * (i - start):
+            bad = next(j for j in range(start, i) if len(lines[j].split()) != 2)
+            raise ParseError(f"line {bad + 1}: {tag!r} takes 1 fields")
+        return i, fields[1::2]
 
-    i = 7
-    while i < len(lines) and lines[i].startswith("generator "):
-        cert.generators.append(matrix(split_line(i, "generator", 1)[0], dim, "generator"))
-        i += 1
-    while i < len(lines) and lines[i].startswith("maximal "):
-        cert.members.append(matrix(split_line(i, "maximal", 1)[0], d, "maximal"))
-        i += 1
-    if not cert.members:
+    i, gen_tokens = tagged(7, "generator")
+    generators = list(matrices(gen_tokens, dim, "generator"))
+    i, member_tokens = tagged(i, "maximal")
+    if not member_tokens:
         raise ParseError("certificate lists no maximals")
+    members = matrices(member_tokens, d, "maximal")
 
     mask_s, mbits_s = split_line(i, "mask", 2)
-    cert.mask = _parse_mask(mask_s)
+    mask = _parse_mask(mask_s)
     if as_int(mbits_s, "mask width") != m:
         raise ParseError("mask width disagrees with the orbits header")
-    if cert.mask >= 2**m:
+    if mask >= 2**m:
         raise ParseError(f"mask has more than {m} bits")
     i += 1
     split_line(i, "end", 0)
     if i + 1 != len(lines):
         raise ParseError("trailing lines after 'end'")
-    return cert
+    return Certificate(
+        F, d, gram, num_points, num_maximals, degree, m, n_b, generators, members, mask
+    )
 
 
 def check_certificate_header(cert: Certificate, qm: QuadricModel) -> None:
     """Raise ModelMismatch when the header disagrees with the geometry."""
     F = cert.field
+    if F != qm.field:
+        raise ModelMismatch(f"field header {F!r} differs from the model's {qm.field!r}")
     gram = qm.model.space.gram
     if not np.array_equal(cert.gram, gram):
         raise ModelMismatch("Gram header differs from the standard-basis form")
@@ -244,21 +251,18 @@ def check_certificate_header(cert: Certificate, qm: QuadricModel) -> None:
 
 
 def resolve_members(cert: Certificate, qm: QuadricModel):
-    """Re-derive member ids from their matrices.
+    """Re-derive member ids from the subspaces their matrices span.
 
     Returns (ids, None) on success or (None, reason) when some claimed
     member is not a maximal of the quadric or appears twice.
     """
-    ids = []
-    for idx, M in enumerate(cert.members):
-        try:
-            ids.append(qm.maximal_id(Subspace(cert.field, M)))
-        except ActionEscape:
-            return None, f"member {idx} is not a maximal of the quadric"
-    arr = np.asarray(ids, dtype=np.int64)
-    if np.unique(arr).size != arr.size:
+    try:
+        ids = qm.maximal_ids(cert.members)
+    except ActionEscape as exc:
+        return None, f"member {exc.index} is not a maximal of the quadric"
+    if np.unique(ids).size != ids.size:
         return None, "duplicate members"
-    return arr, None
+    return ids, None
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,8 @@ class Field:
         if k < 1:
             raise ValueError(f"extension degree k={k} must be >= 1")
         q = p**k
+        if q > 255:
+            raise ValueError(f"q={q} is too large: element tables are uint8, so q <= 255")
         if modulus is None:
             if k == 1:
                 modulus = (0, 1)

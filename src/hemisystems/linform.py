@@ -15,6 +15,8 @@ Witt index 1 and U = W-perp is elliptic of dimension 2d - 2.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 from .gf import Field
@@ -191,14 +193,64 @@ def all_vectors(q: int, length: int) -> np.ndarray:
     return np.indices((q,) * length, dtype=np.uint8).reshape(length, -1).T.copy()
 
 
+def _element_strings(F: Field) -> list[str]:
+    return [F.format_elt(a) for a in range(F.q)]
+
+
+def format_matrices(F: Field, stack: np.ndarray) -> list[str]:
+    """Serialize each matrix of an (N, rows, cols) stack: rows joined by ``|``,
+    entries by ``;``, elements as ``F.format_elt`` writes them."""
+    stack = np.asarray(stack, dtype=np.uint8)
+    N, rows, cols = stack.shape
+    # each cell is written with the separator that follows it: ';' inside a
+    # row, '|' after a row's last entry, nothing after the matrix's last entry
+    after = np.zeros((rows, cols), dtype=np.intp)
+    after[:, -1] = 1
+    after[-1, -1] = 2
+    cells = np.array(
+        [[s + sep for s in _element_strings(F)] for sep in (";", "|", "")], dtype=object
+    )[after, stack]
+    return ["".join(m) for m in cells.reshape(N, -1).tolist()]
+
+
+def _row_lengths(s: str) -> list[int]:
+    return [line.count(";") + 1 for line in s.split("|")]
+
+
+def parse_matrices(F: Field, tokens: list[str], rows: int, cols: int) -> np.ndarray:
+    """Parse serialized rows x cols matrices into an (N, rows, cols) stack.
+
+    Raises ValueError when a token is not a rows x cols grid or an element
+    does not parse.  Canonical element strings are looked up in a table;
+    any other string goes through ``F.parse_elt``.
+    """
+    if not tokens:
+        return np.zeros((0, rows, cols), dtype=np.uint8)
+    lines = "|".join(tokens).split("|")
+    row_seps = set(map(str.count, tokens, repeat("|")))
+    col_seps = set(map(str.count, lines, repeat(";")))
+    if row_seps != {rows - 1} or col_seps != {cols - 1}:
+        i, found = next(
+            (i, n) for i, n in enumerate(map(_row_lengths, tokens)) if n != [cols] * rows
+        )
+        what = "has ragged rows" if len(set(found)) > 1 else f"is {len(found)}x{found[0]}"
+        raise ValueError(f"matrix {i} {what}; expected {rows}x{cols}")
+    elts = ";".join(lines).split(";")
+    code = {s: a for a, s in enumerate(_element_strings(F))}
+    try:
+        flat = np.fromiter(map(code.__getitem__, elts), dtype=np.uint8, count=len(elts))
+    except KeyError:
+        flat = np.array([code[s] if s in code else F.parse_elt(s) for s in elts], dtype=np.uint8)
+    return flat.reshape(len(tokens), rows, cols)
+
+
 def format_matrix(F: Field, A: np.ndarray) -> str:
-    A = as_mat(A)
-    return "|".join(";".join(F.format_elt(int(a)) for a in row) for row in A)
+    return format_matrices(F, as_mat(A)[None])[0]
 
 
 def parse_matrix(F: Field, s: str) -> np.ndarray:
-    rows = [[F.parse_elt(t) for t in line.split(";")] for line in s.split("|")]
-    return as_mat(rows)
+    lines = s.split("|")
+    return parse_matrices(F, [s], len(lines), lines[0].count(";") + 1)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,15 @@ import numpy as np
 
 
 class ActionEscape(KeyError):
-    """A group element carried an object outside the enumerated universe."""
+    """A group element carried an object outside the enumerated universe.
+
+    ``index`` is the position of the first escaping object when a batch of
+    objects was resolved, and None otherwise.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)

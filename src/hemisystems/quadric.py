@@ -20,6 +20,7 @@ each point lies on t + 1 = prod_{i<d} (q^i + 1) maximals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -125,6 +126,12 @@ def _vector_codes(vecs: np.ndarray, q: int) -> np.ndarray:
     return vecs.astype(np.int64) @ pows
 
 
+def _row_keys(stack: np.ndarray) -> list[bytes]:
+    """The bytes of each matrix of a stack, for dict lookup."""
+    flat = np.ascontiguousarray(stack, dtype=np.uint8).reshape(len(stack), -1)
+    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
+
+
 class QuadricModel:
     """The full point-maximal geometry of a standard model, with incidence."""
 
@@ -137,12 +144,16 @@ class QuadricModel:
         q = F.q
         self.s1 = points_per_maximal(q, model.d)
         self.t1 = maximals_per_point(q, model.d)
-        assert self.t1 % 2 == 0
+        if self.t1 % 2:
+            raise RuntimeError(f"t + 1 = {self.t1} is odd")
         self.target_degree = self.t1 // 2
 
         self.points = enumerate_points(model)
         self.num_points = self.points.shape[0]
-        assert self.num_points == point_count(q, model.d)
+        if self.num_points != point_count(q, model.d):
+            raise RuntimeError(
+                f"enumerated {self.num_points} points, expected {point_count(q, model.d)}"
+            )
 
         # codes of every nonzero multiple of every point, for O(log) vector lookup
         mults = [F.mul_table[lam, self.points] for lam in range(1, q)]
@@ -154,17 +165,19 @@ class QuadricModel:
 
         self.maximal_bases = enumerate_maximals(model, self.points)
         self.num_maximals = self.maximal_bases.shape[0]
-        assert self.num_maximals == maximal_count(q, model.d)
+        if self.num_maximals != maximal_count(q, model.d):
+            raise RuntimeError(
+                f"enumerated {self.num_maximals} maximals, expected {maximal_count(q, model.d)}"
+            )
         self._check_totally_singular()
-        flat = np.ascontiguousarray(self.maximal_bases.reshape(self.num_maximals, -1))
-        blob = flat.tobytes()
-        w = flat.shape[1]
-        self.maximal_index = {blob[i * w:(i + 1) * w]: i for i in range(self.num_maximals)}
-        assert len(self.maximal_index) == self.num_maximals
+        self.maximal_index = dict(zip(_row_keys(self.maximal_bases), range(self.num_maximals)))
+        if len(self.maximal_index) != self.num_maximals:
+            raise RuntimeError("enumerated maximals are not distinct")
 
         self.maximal_points = self._build_incidence()
         degrees = np.bincount(self.maximal_points.ravel(), minlength=self.num_points)
-        assert (degrees == self.t1).all()
+        if (degrees != self.t1).any():
+            raise RuntimeError(f"some point does not lie on t + 1 = {self.t1} maximals")
         order = np.argsort(self.maximal_points.ravel(), kind="stable")
         self.point_maximals = np.repeat(
             np.arange(self.num_maximals, dtype=np.int64), self.s1
@@ -183,7 +196,8 @@ class QuadricModel:
                 pr = MUL[g[:, :, 0][:, :, None], chunk[:, :, 0][:, None, :]]
                 for t in range(1, self.dim):
                     pr = ADD[pr, MUL[g[:, :, t][:, :, None], chunk[:, :, t][:, None, :]]]
-            assert not pr.any()
+            if pr.any():
+                raise RuntimeError("an enumerated maximal is not totally singular")
 
     def _build_incidence(self) -> np.ndarray:
         F, q, d = self.field, self.field.q, self.d
@@ -205,7 +219,8 @@ class QuadricModel:
             pids = self._vec_pid[pos]
             pids.sort(axis=1)
             sel = pids[:, :: q - 1]
-            assert (np.repeat(sel, q - 1, axis=1) == pids).all()
+            if (np.repeat(sel, q - 1, axis=1) != pids).any():
+                raise RuntimeError("a maximal's span vectors do not fall into whole points")
             out[start:start + 4096] = sel
         return out
 
@@ -225,10 +240,31 @@ class QuadricModel:
         return Subspace(self.field, self.maximal_bases[i], reduced=True)
 
     def maximal_id(self, S: Subspace) -> int:
-        key = S.basis.tobytes()
-        if key not in self.maximal_index:
-            raise ActionEscape("subspace is not a maximal of the quadric")
-        return self.maximal_index[key]
+        return int(self.maximal_ids(S.basis[None])[0])
+
+    def maximal_ids(self, stack: np.ndarray) -> np.ndarray:
+        """Ids of the maximals spanned by the matrices of an (N, r, n) stack.
+
+        Any spanning set of a maximal resolves, whatever its row order or
+        scaling.  Raises ActionEscape, with ``index`` the first offending
+        matrix, when a matrix does not span a maximal of the quadric.
+        """
+        d = self.d
+        red, ranks = rref_batch(self.field, stack)
+        bad = ranks != d
+        ids = np.fromiter(
+            map(self.maximal_index.get, _row_keys(red[:, :d]), repeat(-1)),
+            dtype=np.int64,
+            count=len(red),
+        )
+        bad |= ids < 0
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ActionEscape(
+                f"matrix {i} (rank {ranks[i]}) does not span a maximal of the quadric",
+                index=i,
+            )
+        return ids
 
     # -- permutations induced by isometries
 
@@ -242,21 +278,7 @@ class QuadricModel:
         return self._vec_pid[pos].copy()
 
     def maximal_permutation(self, mat: np.ndarray) -> np.ndarray:
-        F = self.field
-        img = mat_mul_stack(F, self.maximal_bases, mat)
-        red, ranks = rref_batch(F, img)
-        assert (ranks == self.d).all()
-        flat = np.ascontiguousarray(red.reshape(self.num_maximals, -1))
-        blob = flat.tobytes()
-        w = flat.shape[1]
-        out = np.empty(self.num_maximals, dtype=np.int64)
-        index = self.maximal_index
-        try:
-            for i in range(self.num_maximals):
-                out[i] = index[blob[i * w:(i + 1) * w]]
-        except KeyError as exc:
-            raise ActionEscape("image of a maximal is not a maximal") from exc
-        return out
+        return self.maximal_ids(mat_mul_stack(self.field, self.maximal_bases, mat))
 
 
 def incidence(F: Field, point_vec, basis) -> bool:
@@ -310,7 +332,8 @@ def basis_normal_form(model: StandardModel, M: Subspace) -> MaximalBasisForm:
     if M.dim != d or not model.space.totally_singular(M.basis):
         raise NotMaximal("expected a totally singular subspace of dimension d")
     rows = M.basis.copy()
-    assert rows[0, 0] == 1 and not rows[1:, 0].any(), "maximal must project onto z"
+    if rows[0, 0] != 1 or rows[1:, 0].any():
+        raise RuntimeError("maximal must project onto z")
     ADD, MUL, NEG, INV = F.add_table, F.mul_table, F.neg_table, F.inv_table
     b1 = rows[0].copy()
     res = rows[1:].copy()
@@ -329,7 +352,8 @@ def basis_normal_form(model: StandardModel, M: Subspace) -> MaximalBasisForm:
             res[others] = ADD[res[others], MUL[NEG[res[others, col]][:, None], res[r][None, :]]]
         r += 1
     rank = r
-    assert rank >= 1, "residual rows must project onto <e0, f0>"
+    if rank < 1:
+        raise RuntimeError("residual rows must project onto <e0, f0>")
 
     def strip(v, cols):
         out = v.copy()
@@ -341,12 +365,14 @@ def basis_normal_form(model: StandardModel, M: Subspace) -> MaximalBasisForm:
         rest = res[2:]
         b1 = ADD[b1, MUL[NEG[b1[1]], b2]]
         b1 = ADD[b1, MUL[NEG[b1[2]], b3]]
-        assert not rest[:, :3].any()
+        if rest[:, :3].any():
+            raise RuntimeError("rows beyond the third must lie in U")
         u_parts = (strip(b1, (0,)), strip(b2, (1,)), strip(b3, (2,)), *rest)
         return MaximalBasisForm(1, None, None, u_parts)
     b2 = res[0]
     rest = res[1:]
-    assert not rest[:, :3].any()
+    if rest[:, :3].any():
+        raise RuntimeError("rows beyond the second must lie in U")
     if b2[1] != 0:
         mu = int(b2[2])
         b1 = ADD[b1, MUL[NEG[b1[1]], b2]]

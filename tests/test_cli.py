@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, certificate round trips, rejections."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -8,14 +9,19 @@ import sys
 import numpy as np
 import pytest
 
+from hemibench.workloads import RUNGS
 from hemisystems.cli import (
     CERT_MAGIC,
+    certificate_text,
     main,
     parse_certificate,
     resolve_members,
 )
+from hemisystems.gf import field_make
 from hemisystems.hemi import assemble, prepare
+from hemisystems.linform import Subspace, format_matrix, parse_matrix
 from conftest import model, qmodel  # noqa: F401 - shared cached fixtures
+from test_linform import reference_format
 
 
 def run(capsys, *argv):
@@ -123,14 +129,60 @@ def test_construct_stdout_emits_only_the_certificate(capsys):
     assert cert.mask == 3
 
 
+def rewrite_members(text, F, edit):
+    """The certificate with every member matrix M written as edit(M)."""
+    return "".join(
+        f"maximal {format_matrix(F, edit(parse_matrix(F, ln.split()[1])))}\n"
+        if ln.startswith("maximal ")
+        else ln + "\n"
+        for ln in text.splitlines()
+    )
+
+
 def test_construct_round_trip_is_identity_on_members(capsys, cert_pair):
     prep = prepare(model(3, 1, 2).field, 2)
+    F = prep.field
     for mask_hex, path in cert_pair.items():
-        cert = parse_certificate(path.read_text())
-        ids, reason = resolve_members(cert, prep.qm)
-        assert reason is None
+        text = path.read_text()
         expected = assemble(prep.report.split, int(mask_hex, 16))
-        assert np.array_equal(np.sort(ids), expected)
+        # members written as their RREF bases, or with rows swapped and scaled
+        for edit in (lambda M: M, lambda M: F.mul_table[2, M[::-1]]):
+            cert = parse_certificate(rewrite_members(text, F, edit))
+            ids, reason = resolve_members(cert, prep.qm)
+            assert reason is None
+            assert np.array_equal(np.sort(ids), expected)
+            one_by_one = [prep.qm.maximal_index[Subspace(F, M).basis.tobytes()] for M in cert.members]
+            assert ids.tolist() == one_by_one
+
+
+def per_member_certificate_text(prep, mask, ids):
+    """A certificate written one member and one element at a time."""
+    F, split, qm = prep.field, prep.report.split, prep.qm
+    lines = [
+        f"{CERT_MAGIC} 1",
+        f"field {F.p} {F.k} {','.join(str(c) for c in F.modulus)}",
+        f"rank {prep.model.d}",
+        f"gram {reference_format(F, prep.model.space.gram)}",
+        f"counts {qm.num_points} {qm.num_maximals}",
+        f"degree {qm.target_degree}",
+        f"orbits {len(split.pairs)} {split.partition.n_orbits}",
+    ]
+    lines += [f"generator {reference_format(F, g.mat)}" for g in prep.b.generators]
+    lines += [f"maximal {reference_format(F, qm.maximal_bases[int(i)])}" for i in ids]
+    lines += [f"mask {mask:x} {len(split.pairs)}", "end"]
+    return "\n".join(lines) + "\n"
+
+
+def test_certificate_bytes_are_unchanged():
+    rung = RUNGS["family-q3"]
+    prep = prepare(field_make(rung.p, rung.k), rung.d)
+    for mask, digest in zip((0, (1 << rung.m) - 1), rung.digests):
+        text = certificate_text(prep, mask, assemble(prep.report.split, mask))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    prep = prepare(field_make(3, 2), 2)
+    for mask in (0, 5):
+        ids = assemble(prep.report.split, mask)
+        assert certificate_text(prep, mask, ids) == per_member_certificate_text(prep, mask, ids)
 
 
 def test_construct_bad_mask_is_usage_error(capsys):
@@ -206,6 +258,24 @@ def test_verify_rejects_garbage_and_truncation(capsys, tmp_path, cert_pair):
 
     assert run(capsys, "verify", str(tmp_path / "missing.txt"))[0] == 2
 
+    # member matrices the parser must refuse: ragged rows, a non-integer
+    # token, and (over GF(9)) an element with one coefficient of two
+    nine = tmp_path / "nine.txt"
+    assert main(["construct", "--k", "2", "--out", str(nine)]) == 0
+    capsys.readouterr()
+    for source, old, new in (
+        (cert_pair["0"], "maximal 1;", "maximal 1|"),
+        (cert_pair["0"], "maximal 1;", "maximal x;"),
+        (nine, "maximal 1,0;", "maximal 1;"),
+    ):
+        text = source.read_text()
+        assert old in text
+        bad = tmp_path / "bad_member.txt"
+        bad.write_text(text.replace(old, new, 1))
+        rc, _, err = run(capsys, "verify", str(bad))
+        assert rc == 2, (old, new)
+        assert "maximal matrix" in err
+
 
 def test_verify_rejects_duplicate_member(capsys, tmp_path, cert_pair):
     text = cert_pair["0"].read_text()
@@ -220,13 +290,14 @@ def test_verify_rejects_duplicate_member(capsys, tmp_path, cert_pair):
 def test_verify_rejects_non_maximal_member(capsys, tmp_path, cert_pair):
     text = cert_pair["0"].read_text()
     lines = [ln for ln in text.splitlines() if ln.startswith("maximal ")]
-    rows = lines[0].split(" ", 1)[1].split("|")
-    degenerate = "maximal " + "|".join([rows[0], rows[0]])
-    bad = tmp_path / "notmax.txt"
-    bad.write_text(text.replace(lines[0], degenerate, 1))
-    rc, out, _ = run(capsys, "verify", str(bad))
-    assert rc == 1
-    assert "not a maximal" in out
+    for idx in (0, 3):
+        rows = lines[idx].split(" ", 1)[1].split("|")
+        degenerate = "maximal " + "|".join([rows[0], rows[0]])
+        bad = tmp_path / "notmax.txt"
+        bad.write_text(text.replace(lines[idx], degenerate, 1))
+        rc, out, _ = run(capsys, "verify", str(bad))
+        assert rc == 1
+        assert f"member {idx} is not a maximal" in out
 
 
 def test_verify_rejects_wrong_member_count(capsys, tmp_path, cert_pair):

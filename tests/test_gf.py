@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from hemisystems.cli import CERT_MAGIC, ParseError, main, parse_certificate
 from hemisystems.gf import (
     BUILTIN_ORDERS,
     DivisionByZero,
+    Field,
     NoBuiltinModulus,
     NotIrreducible,
     NotOddPrime,
@@ -45,6 +47,16 @@ def test_make_rejects():
         field_make(3, 2, (1, 0, 2))  # not monic
     with pytest.raises(NoBuiltinModulus):
         field_make(3, 5)
+
+
+def test_orders_beyond_uint8_tables_are_rejected(capsys):
+    with pytest.raises(ValueError, match="255"):
+        Field(257)
+    assert Field(251).add(128, 128) == 5  # the largest prime whose tables fit
+    with pytest.raises(ParseError):
+        parse_certificate(f"{CERT_MAGIC} 1\nfield 257 1 0,1\nrank 2\n")
+    assert main(["stats", "--p", "257"]) == 2
+    assert "255" in capsys.readouterr().err
 
 
 def test_builtin_moduli_deterministic():

@@ -334,10 +334,72 @@ def test_degenerate_restriction():
 # serialization
 
 
+def reference_format(F, A):
+    """The per-element serializer the stack formatter must match byte for byte."""
+    return "|".join(";".join(F.format_elt(int(a)) for a in row) for row in A)
+
+
+def reference_parse(F, s, shape=None):
+    """The per-element parser, with an optional shape check; the stack parser
+    must accept and reject exactly what it does."""
+    M = lf.as_mat([[F.parse_elt(t) for t in line.split(";")] for line in s.split("|")])
+    if shape is not None and M.shape != shape:
+        raise ValueError(f"shape {M.shape}")
+    return M
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args).tolist()
+    except ValueError:
+        return "rejected"
+
+
+PARITY_TOKENS = {
+    1: [
+        "1;2;0|0;1;2",  # canonical
+        "7;-1;0|0;+1;2",  # non-canonical integers read mod p
+        "1;2|0;1;2;0",  # ragged rows with the right element count
+        "1;2;0|0;1",  # ragged rows
+        "1;2;0;1|0;1;2;0",  # wrong column count
+        "1;2;0",  # wrong row count
+        "1;x;0|0;1;2",  # non-integer token
+        "1;;0|0;1;2",  # empty element
+        "1,0;2;0|0;1;2",  # wrong coefficient count
+    ],
+    2: [
+        "1,0;2,1;0,0|0,0;1,2;2,2",  # canonical
+        "1,3;2,1;0,0|0,0;1,2;2,2",  # non-canonical coefficient
+        "1;2,1;0,0|0,0;1,2;2,2",  # wrong coefficient count
+        "1,0,0;2,1;0,0|0,0;1,2;2,2",  # wrong coefficient count
+        "1,0;2,1|0,0;1,2;2,2;0,0",  # ragged rows
+        "1,0;a,1;0,0|0,0;1,2;2,2",  # non-integer token
+    ],
+}
+
+
 def test_matrix_serialization_roundtrip():
     for p, k in [(3, 1), (3, 2)]:
         F = field_make(p, k)
         rng = np.random.default_rng(9)
         A = rng.integers(0, F.q, size=(3, 5)).astype(np.uint8)
         s = lf.format_matrix(F, A)
+        assert s == reference_format(F, A)
         assert (lf.parse_matrix(F, s) == A).all()
+
+        stack = rng.integers(0, F.q, size=(6, 3, 5)).astype(np.uint8)
+        texts = lf.format_matrices(F, stack)
+        assert texts == [reference_format(F, M) for M in stack]
+        assert np.array_equal(lf.parse_matrices(F, texts, 3, 5), stack)
+        assert lf.parse_matrices(F, [], 3, 5).shape == (0, 3, 5)
+
+        tokens = PARITY_TOKENS[k]
+        for tok in tokens:
+            assert outcome(lf.parse_matrix, F, tok) == outcome(reference_parse, F, tok), tok
+        # a stack holds exactly when every token parses as a 2x3 matrix
+        good = outcome(reference_parse, F, tokens[0], (2, 3))
+        for tok in tokens:
+            want = outcome(reference_parse, F, tok, (2, 3))
+            expect = "rejected" if want == "rejected" else [good] * 3 + [want] + [good] * 3
+            got = outcome(lf.parse_matrices, F, [tokens[0]] * 3 + [tok] + [tokens[0]] * 3, 2, 3)
+            assert got == expect, tok

@@ -1,6 +1,10 @@
 """Point and maximal enumeration, incidence, and basis normal forms."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,44 @@ def test_point_and_maximal_lookup_round_trip():
         qm.maximal_id(Subspace(F, np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], np.uint8)))
     with pytest.raises(ActionEscape):
         qm.maximal_id(Subspace(F, np.array([[0, 0, 1, 0, 0]], np.uint8)))
+
+    # a stack resolves whatever basis each maximal is written in
+    ids = np.arange(qm.num_maximals)
+    assert np.array_equal(qm.maximal_ids(qm.maximal_bases), ids)
+    other = F.mul_table[2, qm.maximal_bases[:, ::-1]]  # rows swapped and scaled
+    assert np.array_equal(qm.maximal_ids(other), ids)
+    z_e0 = np.eye(5, dtype=np.uint8)[None, :2]
+    bad = np.concatenate([qm.maximal_bases[:3], z_e0, qm.maximal_bases[:2, :1].repeat(2, 1)])
+    with pytest.raises(ActionEscape) as exc:
+        qm.maximal_ids(bad)  # matrices 3 (not singular) and 4, 5 (rank 1) span no maximal
+    assert exc.value.index == 3
+    with pytest.raises(ActionEscape) as exc:
+        qm.maximal_ids(bad[4:])
+    assert exc.value.index == 0
+    spill = np.concatenate([qm.maximal_bases[:1], np.eye(5, dtype=np.uint8)[None, 1:2]], 1)
+    with pytest.raises(ActionEscape):
+        qm.maximal_ids(spill)  # rank 3 > d, though its first two RREF rows are a maximal
+
+
+def test_maximal_ids_rank_check_survives_optimize():
+    code = (
+        "import numpy as np\n"
+        "from hemisystems.gf import field_make\n"
+        "from hemisystems.linform import standard_model\n"
+        "from hemisystems.orbits import ActionEscape\n"
+        "from hemisystems.quadric import QuadricModel\n"
+        "qm = QuadricModel(standard_model(field_make(3), 2))\n"
+        "stack = qm.maximal_bases[:3].copy()\n"
+        "stack[1, 1] = stack[1, 0]\n"
+        "try:\n"
+        "    qm.maximal_ids(stack)\n"
+        "except ActionEscape as exc:\n"
+        "    print('raised', exc.index)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["raised", "1"]
 
 
 @pytest.mark.parametrize("p,k,d", SMALL)
