@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field, field_make
-from .groups import w_vector_orbits
+from .groups import embed_w_block, w_vector_orbits
 from .hemi import Prepared, assemble, prepare, verify_hemisystem
 from .linform import (
     format_matrices,
@@ -114,8 +114,8 @@ def certificate_text(prep: Prepared, mask: int, member_ids: np.ndarray) -> str:
     lines.append(f"counts {prep.qm.num_points} {prep.qm.num_maximals}")
     lines.append(f"degree {prep.qm.target_degree}")
     lines.append(f"orbits {len(split.pairs)} {split.partition.n_orbits}")
-    for g in prep.b.generators:
-        lines.append(f"generator {format_matrix(F, g.mat)}")
+    gens = embed_w_block(F, prep.b.generators, prep.model.dim)
+    lines += [f"generator {s}" for s in format_matrices(F, gens)]
     members = prep.qm.maximal_bases[np.asarray(member_ids, dtype=np.int64)]
     lines += [f"maximal {s}" for s in format_matrices(F, members)]
     lines.append(f"mask {mask:x} {len(split.pairs)}")
@@ -479,6 +479,12 @@ def cmd_verify(cfg: RunConfig, qm: QuadricModel | None = None) -> int:
 # selftest
 
 
+def _require(ok, what: str) -> None:
+    """Raise AssertionError unless ok; unlike assert, this also runs under python -O."""
+    if not ok:
+        raise AssertionError(what)
+
+
 def _selftest_checks(cfg: RunConfig):
     """Yield (name, callable) pairs in the canonical order.
 
@@ -498,14 +504,14 @@ def _selftest_checks(cfg: RunConfig):
         idx = np.arange(q, dtype=np.intp)
         A, M = F.add_table.astype(np.intp), F.mul_table.astype(np.intp)
         a, b, c = idx[:, None, None], idx[None, :, None], idx[None, None, :]
-        assert np.array_equal(A, A.T) and np.array_equal(M, M.T)
-        assert np.array_equal(A[0], idx) and np.array_equal(M[1], idx)
-        assert (M[0] == 0).all()
-        assert np.array_equal(A[A[a, b], c], A[a, A[b, c]])
-        assert np.array_equal(M[M[a, b], c], M[a, M[b, c]])
-        assert np.array_equal(M[a, A[b, c]], A[M[a, b], M[a, c]])
-        assert all(F.add(x, F.neg(x)) == 0 for x in range(q))
-        assert all(F.mul(x, F.inv(x)) == 1 for x in range(1, q))
+        _require(np.array_equal(A, A.T) and np.array_equal(M, M.T), "tables are not symmetric")
+        _require(np.array_equal(A[0], idx) and np.array_equal(M[1], idx), "0 or 1 is not neutral")
+        _require((M[0] == 0).all(), "0 is not absorbing")
+        _require(np.array_equal(A[A[a, b], c], A[a, A[b, c]]), "addition is not associative")
+        _require(np.array_equal(M[M[a, b], c], M[a, M[b, c]]), "multiplication is not associative")
+        _require(np.array_equal(M[a, A[b, c]], A[M[a, b], M[a, c]]), "distributivity fails")
+        _require(all(F.add(x, F.neg(x)) == 0 for x in range(q)), "x + (-x) != 0")
+        _require(all(F.mul(x, F.inv(x)) == 1 for x in range(1, q)), "x * x^-1 != 1")
         return f"GF({q}) axioms hold over all {q ** 3} triples"
 
     def polarization() -> str:
@@ -517,10 +523,11 @@ def _selftest_checks(cfg: RunConfig):
         for u, v in zip(U, V):
             lhs = sp.beta(u, v)
             rhs = F.add(sp.kappa(F.add_table[u, v]), F.neg(F.add(sp.kappa(u), sp.kappa(v))))
-            assert lhs == rhs
+            _require(lhs == rhs, f"polarization fails at u={u.tolist()}, v={v.tolist()}")
         for lam in range(q):
             for v in V[:16]:
-                assert sp.kappa(F.mul_table[lam, v]) == F.mul(F.mul(lam, lam), sp.kappa(v))
+                scaled = sp.kappa(F.mul_table[lam, v])
+                _require(scaled == F.mul(F.mul(lam, lam), sp.kappa(v)), f"k({lam}v) != {lam}^2k(v)")
         return "beta(u,v) = k(u+v) - k(u) - k(v) and k(lv) = l^2 k(v) on samples"
 
     def witt_indices() -> str:
@@ -528,17 +535,17 @@ def _selftest_checks(cfg: RunConfig):
         wv = witt_index(model.space)
         ww = witt_index(model.w_space)
         wu = witt_index(model.u_space)
-        assert wv == cfg.d and ww == 1 and wu == cfg.d - 2
+        _require(wv == cfg.d and ww == 1 and wu == cfg.d - 2, f"V:{wv} W:{ww} U:{wu}")
         return f"V:{wv} W:{ww} U:{wu}"
 
     def counts() -> str:
         qm = prep().qm
         q = F.q
-        assert qm.num_points == point_count(q, cfg.d)
-        assert qm.num_maximals == maximal_count(q, cfg.d)
+        _require(qm.num_points == point_count(q, cfg.d), f"{qm.num_points} points")
+        _require(qm.num_maximals == maximal_count(q, cfg.d), f"{qm.num_maximals} maximals")
         degs = np.bincount(qm.maximal_points.ravel(), minlength=qm.num_points)
-        assert (degs == qm.t1).all()
-        assert qm.maximal_points.shape[1] == qm.s1
+        _require((degs == qm.t1).all(), f"a point is not on t+1={qm.t1} maximals")
+        _require(qm.maximal_points.shape[1] == qm.s1, f"a maximal does not hold s+1={qm.s1} points")
         return (
             f"{qm.num_points} points, {qm.num_maximals} maximals, "
             f"s+1={qm.s1}, t+1={qm.t1}"
@@ -548,28 +555,29 @@ def _selftest_checks(cfg: RunConfig):
         part = w_vector_orbits(prep().model, prep().b)
         sizes = sorted(int(s) for s in part.sizes)
         half = (F.q**2 - 1) // 2
-        assert part.n_orbits == 2 and sizes == [half, half]
+        _require(part.n_orbits == 2 and sizes == [half, half], f"orbit sizes {sizes}")
         return f"two orbits of size {half} on nonzero singular W-vectors"
 
     def group_orders() -> str:
         q = F.q
-        rep = prep().report
-        assert rep.b_order == q * (q**2 - 1) // 2
-        assert rep.a_order == q * (q**2 - 1)
-        return f"|B| = {rep.b_order}, |A| = {rep.a_order}"
+        b, a = prep().b.order, prep().a.order
+        _require(b == q * (q**2 - 1) // 2 and a == q * (q**2 - 1), f"|B| = {b}, |A| = {a}")
+        return f"|B| = {b}, |A| = {a}"
 
     def tau_properties() -> str:
         rep = prep().report
-        assert rep.tau_involution and rep.tau_outside_b and rep.b_normal_in_a
+        ok = rep.tau_involution and rep.tau_outside_b and rep.b_normal_in_a
+        _require(ok, f"involution {rep.tau_involution}, outside B {rep.tau_outside_b}, "
+                 f"normalizes B {rep.b_normal_in_a}")
         return "tau^2 = 1, tau outside B, tau normalizes B"
 
     def ab_conditions() -> str:
         rep = prep().report
-        assert rep.index_two and rep.point_orbits_match
-        assert rep.orbit_pairing_complete
-        assert rep.n_b_maximal_orbits == 2 * rep.n_a_maximal_orbits
+        _require(rep.index_two, f"|A| = {rep.a_order} is not 2|B|")
+        _require(rep.point_orbits_match and rep.orbit_pairing_complete, str(rep.witness))
+        _require(rep.n_b_maximal_orbits == 2 * rep.n_a_maximal_orbits, "n_b != 2 n_a")
         m = len(rep.split.pairs)
-        assert rep.n_a_maximal_orbits == m
+        _require(rep.n_a_maximal_orbits == m, f"{rep.n_a_maximal_orbits} A-orbits, {m} pairs")
         return (
             f"index 2, shared point orbits, {rep.n_b_maximal_orbits} B-orbits "
             f"pair into {m} A-orbits"
@@ -582,9 +590,9 @@ def _selftest_checks(cfg: RunConfig):
         cert = parse_certificate(text)
         check_certificate_header(cert, pr.qm)
         back, reason = resolve_members(cert, pr.qm)
-        assert reason is None and np.array_equal(np.sort(back), np.sort(ids))
+        _require(reason is None and np.array_equal(np.sort(back), np.sort(ids)), f"{reason}")
         verdict = verify_hemisystem(pr.qm, back)
-        assert verdict.ok
+        _require(verdict.ok, f"degree histogram {_histogram_text(verdict.histogram)}")
         return f"mask 0 certificate of {ids.size} maximals round-trips and verifies"
 
     yield "field-axioms", field_axioms

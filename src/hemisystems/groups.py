@@ -6,10 +6,18 @@ binary quadratics, and a change of basis carries it onto the W block of the
 standard Gram matrix.  The image is Omega(W), of order q(q^2 - 1)/2, and the
 reflection in z extends it to an index-two overgroup.
 
-All matrices act on row vectors from the right, so (g * h) means "g first".
+Both groups fix U = W-perp pointwise, so they are held as uint8 stacks of
+3x3 blocks on W and closed once, a whole frontier of products at a time.
+A block is embedded into the model's dimension 2d + 1 only where the full
+matrix is needed: to resolve the action on points and maximals, and to
+write the generator lines of a certificate.
+
+All matrices act on row vectors from the right, so g @ h means "g first".
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +30,7 @@ from .linform import (
     mat_det,
     mat_inv,
     mat_mul,
+    mat_mul_stack,
 )
 from .orbits import ActionEscape, OrbitPartition, partition
 
@@ -38,117 +47,87 @@ class NoIsometry(ValueError):
     """The two quadratic spaces are not similar."""
 
 
-class GroupElement:
-    """An invertible matrix over a fixed field, hashable by its entries."""
+@dataclass(frozen=True, eq=False)
+class MatrixGroup:
+    """A finite matrix group held as uint8 stacks of its generators and elements.
 
-    __slots__ = ("field", "mat", "key")
+    ``elements`` is sorted by the bytes of each matrix, which makes
+    membership a binary search over the whole stack at once.
+    """
 
-    def __init__(self, field: Field, mat):
-        M = np.array(mat, dtype=np.uint8, order="C")
-        M.setflags(write=False)
-        self.field = field
-        self.mat = M
-        self.key = M.tobytes()
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.field, mat_mul(self.field, self.mat, other.mat))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(self.field, mat_inv(self.field, self.mat))
-
-    def is_identity(self) -> bool:
-        return np.array_equal(self.mat, identity(self.mat.shape[0]))
-
-    def order(self) -> int:
-        n, acc = 1, self
-        while not acc.is_identity():
-            acc, n = acc * self, n + 1
-            if n > self.field.q ** self.mat.shape[0] ** 2:
-                raise GenerationFailure("element order runaway")
-        return n
-
-    def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"GroupElement({self.mat.tolist()})"
-
-
-class GeneratedGroup:
-    """A finite matrix group held as an explicit element list."""
-
-    def __init__(self, field: Field, generators, elements):
-        self.field = field
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._keys = {g.key for g in self.elements}
+    generators: np.ndarray  # (g, n, n)
+    elements: np.ndarray  # (N, n, n)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
-    def __len__(self):
-        return len(self.elements)
+    def contains(self, mats) -> np.ndarray:
+        """Membership of each matrix of a stack of r x r matrices, r >= n.
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, g: GroupElement) -> bool:
-        return g.key in self._keys
-
-
-def mulclose(field: Field, generators, limit: int) -> GeneratedGroup:
-    """Close a generator list under multiplication; the identity is included."""
-    gens = list(generators)
-    n = gens[0].mat.shape[0]
-    ident = GroupElement(field, identity(n))
-    elements = {ident.key: ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for f in frontier:
-            for g in gens:
-                h = f * g
-                if h.key not in elements:
-                    elements[h.key] = h
-                    fresh.append(h)
-                    if len(elements) > limit:
-                        raise GenerationFailure(
-                            f"closure exceeded {limit} elements"
-                        )
-        frontier = fresh
-    return GeneratedGroup(field, gens, elements.values())
+        A matrix larger than the elements is a member when it is the identity
+        outside its leading n x n block and that block is an element.
+        """
+        M = np.asarray(mats, dtype=np.uint8)
+        n, r = self.elements.shape[-1], M.shape[-1]
+        flat = M.reshape(-1, r, r)
+        rest = flat.copy()
+        rest[:, :n, :n] = identity(n)
+        found = _member(_keys(self.elements), _keys(flat[:, :n, :n]))
+        return (found & (rest == identity(r)).all(axis=(1, 2))).reshape(M.shape[:-2])
 
 
-def sl2_generators(field: Field) -> list[GroupElement]:
+def _keys(stack: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row or matrix; key order is lexicographic on entries."""
+    flat = np.ascontiguousarray(stack).reshape(stack.shape[0], -1)
+    return flat.view(f"V{flat.shape[1]}").ravel()
+
+
+def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in a sorted, nonempty key array."""
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return sorted_keys[pos] == keys
+
+
+def close(field: Field, gens, limit: int) -> MatrixGroup:
+    """The group generated by a stack of matrices; the identity is included.
+
+    Each round multiplies the newest elements by every generator on the
+    right and keeps the products not met before.  Raises GenerationFailure
+    once a round has found more than ``limit`` elements.
+    """
+    gens = np.array(gens, dtype=np.uint8)
+    n = gens.shape[-1]
+    frontier = identity(n)[None]
+    known = _keys(frontier).copy()
+    while frontier.shape[0]:
+        products = np.concatenate([mat_mul_stack(field, frontier, g) for g in gens])
+        keys, first = np.unique(_keys(products), return_index=True)
+        fresh = ~_member(known, keys)
+        frontier = products[first[fresh]]
+        known = np.sort(np.concatenate([known, keys[fresh]]))
+        if known.size > limit:
+            raise GenerationFailure(f"closure exceeded {limit} elements")
+    elements = known.view(np.uint8).reshape(-1, n, n)
+    gens.setflags(write=False)
+    elements.setflags(write=False)
+    return MatrixGroup(gens, elements)
+
+
+def sl2_generators(field: Field) -> np.ndarray:
     """Transvections over a characteristic basis, plus the Weyl rotation."""
     F = field
     one, neg1 = 1, F.neg(1)
     gens = []
     for i in range(F.k):
         alpha = F.p**i  # the i-th power basis element
-        gens.append(GroupElement(F, [[one, alpha], [0, one]]))
-        gens.append(GroupElement(F, [[one, 0], [alpha, one]]))
-    gens.append(GroupElement(F, [[0, one], [neg1, 0]]))
-    return gens
+        gens.append([[one, alpha], [0, one]])
+        gens.append([[one, 0], [alpha, one]])
+    gens.append([[0, one], [neg1, 0]])
+    return np.array(gens, dtype=np.uint8)
 
 
-def special_linear_group(field: Field) -> GeneratedGroup:
-    """All of SL2(q), checked against its known order q(q^2 - 1)."""
-    F = field
-    expected = F.q * (F.q**2 - 1)
-    group = mulclose(F, sl2_generators(F), limit=expected)
-    if group.order != expected:
-        raise GenerationFailure(
-            f"SL2({F.q}) closed at {group.order}, expected {expected}"
-        )
-    return group
-
-
-def sym_square(field: Field, g: GroupElement | np.ndarray) -> np.ndarray:
+def sym_square(field: Field, g: np.ndarray) -> np.ndarray:
     """Matrix of g on coefficient rows (a, b, c) of binary quadratics.
 
     The row of f(x, y) = ax^2 + bxy + cy^2 maps to the coefficient row of
@@ -157,7 +136,7 @@ def sym_square(field: Field, g: GroupElement | np.ndarray) -> np.ndarray:
     a determinant-one matrix preserves the discriminant b^2 - 4ac.
     """
     F = field
-    M = g.mat if isinstance(g, GroupElement) else np.asarray(g, dtype=np.uint8)
+    M = np.asarray(g, dtype=np.uint8)
     if mat_det(F, M) != 1:
         raise NotUnimodular("symmetric square requires determinant one")
     # entries of the inverse, explicit for a determinant-one 2x2 matrix
@@ -231,7 +210,8 @@ def _diagonalize(space: QuadraticSpace) -> tuple[np.ndarray, np.ndarray]:
         if F.is_square(rem):
             x, y = cand, F.sqrt(rem)
             break
-    assert x is not None, "1/nu is always a sum of two squares"
+    if x is None:
+        raise RuntimeError(f"1/nu is not a sum of two squares in GF({F.q})")
     while True:
         bad = np.nonzero(norms == nu)[0]
         if bad.size < 2:
@@ -247,7 +227,8 @@ def _diagonalize(space: QuadraticSpace) -> tuple[np.ndarray, np.ndarray]:
         rows[[i, n - 1]] = rows[[n - 1, i]]
         norms[[i, n - 1]] = norms[[n - 1, i]]
     check = mat_mul(F, mat_mul(F, rows, J), rows.T)
-    assert np.array_equal(check, np.diag(norms))
+    if not np.array_equal(check, np.diag(norms)):
+        raise RuntimeError("diagonalization does not reach a diagonal Gram matrix")
     return rows, norms
 
 
@@ -274,58 +255,58 @@ def witt_isometry(to_space: QuadraticSpace, from_space: QuadraticSpace):
         T = mat_mul(F, mat_inv(F, ct2), cf)
         c = nu
     lhs = mat_mul(F, mat_mul(F, T, from_space.gram), T.T)
-    assert np.array_equal(lhs, F.mul_table[c, to_space.gram])
+    if not np.array_equal(lhs, F.mul_table[c, to_space.gram]):
+        raise RuntimeError("T does not carry the source form onto c times the target")
     return T, c
 
 
 def embed_w_block(field: Field, block: np.ndarray, dim: int) -> np.ndarray:
-    """Extend a 3x3 matrix on W by the identity on U."""
-    M = identity(dim)
-    M[:3, :3] = block
+    """Extend a 3x3 block on W, or a stack of them, by the identity on U.
+
+    A matrix that already has dimension ``dim`` is returned as it is.
+    """
+    block = np.asarray(block, dtype=np.uint8)
+    if block.shape[-1] == dim:
+        return block
+    M = np.empty(block.shape[:-2] + (dim, dim), dtype=np.uint8)
+    M[...] = identity(dim)
+    M[..., :3, :3] = block
     return M
 
 
-def omega_w(model: StandardModel) -> GeneratedGroup:
-    """Omega(W) embedded in the full model: the symmetric-square image of SL2.
+def omega_w(model: StandardModel) -> MatrixGroup:
+    """Omega(W) as 3x3 blocks on W: the symmetric-square image of SL2.
 
-    The kernel {I, -I} halves the order, so the result has q(q^2 - 1)/2
-    elements, all fixing U pointwise.
+    The generators of SL2 are carried through the symmetric square onto the
+    W block and closed there.  The kernel {I, -I} halves the order, so the
+    result has q(q^2 - 1)/2 elements.
     """
     F = model.field
-    sl2 = special_linear_group(F)
     disc = QuadraticSpace(F, discriminant_gram(F))
     T, _ = witt_isometry(model.w_space, disc)
     Tinv = mat_inv(F, T)
-    n = model.dim
-
-    def carry(g: GroupElement) -> np.ndarray:
-        h = mat_mul(F, mat_mul(F, T, sym_square(F, g)), Tinv)
-        return embed_w_block(F, h, n)
-
-    elements = {}
-    for g in sl2:
-        e = GroupElement(F, carry(g))
-        elements.setdefault(e.key, e)
+    gens = [mat_mul(F, mat_mul(F, T, sym_square(F, g)), Tinv) for g in sl2_generators(F)]
     expected = F.q * (F.q**2 - 1) // 2
-    if len(elements) != expected:
-        raise GenerationFailure(
-            f"Omega(W) closed at {len(elements)}, expected {expected}"
-        )
-    gens = [GroupElement(F, carry(g)) for g in sl2.generators]
-    return GeneratedGroup(F, gens, elements.values())
+    group = close(F, gens, limit=expected)
+    if group.order != expected:
+        raise GenerationFailure(f"Omega(W) closed at {group.order}, expected {expected}")
+    return group
 
 
-def tau(model: StandardModel) -> GroupElement:
-    """The reflection of W negating z, extended by the identity on U."""
-    F = model.field
-    M = identity(model.dim)
-    M[0, 0] = F.neg(1)
-    return GroupElement(F, M)
+def tau(model: StandardModel) -> np.ndarray:
+    """The reflection of W negating z, as its 3x3 block on W."""
+    M = identity(3)
+    M[0, 0] = model.field.neg(1)
+    return M
 
 
-def group_a(model: StandardModel, b: GeneratedGroup, t: GroupElement) -> GeneratedGroup:
-    """The extension <B, tau>, which must close at twice the order of B."""
-    group = mulclose(model.field, list(b.generators) + [t], limit=2 * b.order)
+def group_a(model: StandardModel, b: MatrixGroup, t: np.ndarray) -> MatrixGroup:
+    """The extension <B, tau>, which must close at twice the order of B.
+
+    A tau of the model's full dimension is closed with B's generators embedded.
+    """
+    gens = np.concatenate([embed_w_block(model.field, b.generators, t.shape[-1]), t[None]])
+    group = close(model.field, gens, limit=2 * b.order)
     if group.order != 2 * b.order:
         raise GenerationFailure(
             f"<B, tau> closed at {group.order}, expected {2 * b.order}"
@@ -341,16 +322,15 @@ def w_singular_vectors(model: StandardModel) -> np.ndarray:
     return vecs[space.kappa_batch(vecs) == 0]
 
 
-def w_vector_orbits(model: StandardModel, group: GeneratedGroup) -> OrbitPartition:
-    """Orbits of the group's W blocks on nonzero singular vectors of W."""
+def w_vector_orbits(model: StandardModel, group: MatrixGroup) -> OrbitPartition:
+    """Orbits of a group of W blocks on nonzero singular vectors of W."""
     F = model.field
     vecs = w_singular_vectors(model)
-    index = {vecs[i].tobytes(): i for i in range(vecs.shape[0])}
+    keys = _keys(vecs)  # ascending, as the vectors are
     perms = []
     for g in group.generators:
-        img = mat_mul(F, vecs, g.mat[:3, :3])
-        try:
-            perms.append(np.array([index[row.tobytes()] for row in img]))
-        except KeyError as exc:
-            raise ActionEscape("image left the singular vectors of W") from exc
+        img = _keys(mat_mul(F, vecs, g))
+        if not _member(keys, img).all():
+            raise ActionEscape("image left the singular vectors of W")
+        perms.append(np.searchsorted(keys, img))
     return partition(vecs.shape[0], perms)

@@ -20,15 +20,14 @@ import numpy as np
 
 from .gf import Field
 from .groups import (
-    GeneratedGroup,
     GenerationFailure,
-    GroupElement,
+    MatrixGroup,
+    embed_w_block,
     group_a,
-    mulclose,
     omega_w,
     tau,
 )
-from .linform import StandardModel, standard_model
+from .linform import StandardModel, identity, mat_inv, mat_mul, standard_model
 from .orbits import OrbitPartition, partition, tau_image_of_orbit
 from .quadric import QuadricModel
 
@@ -71,11 +70,14 @@ class ActionBundle:
     a_maximal_part: OrbitPartition
 
 
-def resolve_actions(qm: QuadricModel, b: GeneratedGroup, t: GroupElement) -> ActionBundle:
-    bp = tuple(qm.point_permutation(g.mat) for g in b.generators)
-    bm = tuple(qm.maximal_permutation(g.mat) for g in b.generators)
-    tp = qm.point_permutation(t.mat)
-    tm = qm.maximal_permutation(t.mat)
+def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBundle:
+    """Point and maximal permutations of B's generators and of tau (a W block or full)."""
+    gens = embed_w_block(qm.field, b.generators, qm.model.dim)
+    tv = embed_w_block(qm.field, t, qm.model.dim)
+    bp = tuple(qm.point_permutation(g) for g in gens)
+    bm = tuple(qm.maximal_permutation(g) for g in gens)
+    tp = qm.point_permutation(tv)
+    tm = qm.maximal_permutation(tv)
     return ActionBundle(
         b_point_perms=bp,
         b_maximal_perms=bm,
@@ -125,35 +127,40 @@ class ABReport:
 
 def ab_check(
     qm: QuadricModel,
-    b: GeneratedGroup,
-    t: GroupElement,
+    b: MatrixGroup,
+    t: np.ndarray,
     actions: ActionBundle | None = None,
+    a: MatrixGroup | None = None,
 ) -> ABReport:
-    """Test every hypothesis of the two-group construction, exhaustively."""
+    """Test every hypothesis of the two-group construction; tau is a W block or full.
+
+    Normality is tested on B's generators, since tau B tau^-1 inside B is an
+    equality for finite B.  |A| comes from ``a``, or else from group_a.
+    """
     F = qm.field
     witness = None
 
-    tau_outside_b = t not in b
-    tau_involution = (t * t).is_identity()
+    tau_outside_b = not b.contains(t)
+    tau_involution = np.array_equal(mat_mul(F, t, t), identity(t.shape[0]))
 
-    t_inv = t.inverse()
-    b_normal = True
-    for g in b:
-        if (t * g * t_inv) not in b:
-            b_normal = False
-            witness = f"conjugate of a B element left B: {g.mat.tolist()}"
-            break
+    t_inv = mat_inv(F, t)
+    gens = embed_w_block(F, b.generators, t.shape[0])
+    conj = np.stack([mat_mul(F, mat_mul(F, t, g), t_inv) for g in gens])
+    left = np.flatnonzero(~b.contains(conj))
+    b_normal = left.size == 0
+    if not b_normal:
+        i = int(left[0])
+        witness = f"conjugate of B generator {i} left B: {b.generators[i].tolist()}"
 
     a_order = b.order
     index_two = False
     if tau_outside_b and b_normal:
         try:
-            a = mulclose(F, list(b.generators) + [t], limit=2 * b.order)
-            a_order = a.order
+            a_order = (a if a is not None else group_a(qm.model, b, t)).order
             index_two = a_order == 2 * b.order
         except GenerationFailure:
             a_order = -1
-            witness = witness or "closure of <B, tau> exceeded twice the order of B"
+            witness = "closure of <B, tau> exceeded twice the order of B"
 
     acts = actions if actions is not None else resolve_actions(qm, b, t)
 
@@ -322,9 +329,9 @@ class Prepared:
     field: Field
     model: StandardModel
     qm: QuadricModel
-    b: GeneratedGroup
-    tau_elt: GroupElement
-    a: GeneratedGroup
+    b: MatrixGroup
+    tau_elt: np.ndarray
+    a: MatrixGroup
     actions: ActionBundle
     report: ABReport
 
@@ -337,7 +344,7 @@ def prepare(field: Field, d: int) -> Prepared:
     t = tau(m)
     a = group_a(m, b, t)
     actions = resolve_actions(qm, b, t)
-    report = ab_check(qm, b, t, actions)
+    report = ab_check(qm, b, t, actions, a)
     return Prepared(
         field=field, model=m, qm=qm, b=b, tau_elt=t, a=a, actions=actions, report=report
     )

@@ -79,11 +79,6 @@ def row_dots(F: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     return acc
 
 
-def scale_rows(F: Field, s: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Multiply row i of A by scalar s[i]."""
-    return F.mul_table[np.asarray(s, dtype=np.uint8)[:, None], A]
-
-
 def rref(F: Field, rows) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form; returns (matrix without zero rows, pivots)."""
     A = as_mat(rows).copy()
@@ -355,26 +350,6 @@ class QuadraticSpace:
 # Witt decomposition
 
 
-def _anisotropic_vector(space: QuadraticSpace):
-    """A vector with kappa != 0 in a nondegenerate space, or None if dim 0."""
-    G = space.gram
-    n = space.dim
-    if n == 0:
-        return None
-    dg = np.nonzero(G.diagonal())[0]
-    if dg.size:
-        v = np.zeros(n, dtype=np.uint8)
-        v[dg[0]] = 1
-        return v
-    rows, cols = np.nonzero(G)
-    i, j = int(rows[0]), int(cols[0])
-    v = np.zeros(n, dtype=np.uint8)
-    v[i] = 1
-    v[j] = 1
-    # beta(v, v) = 2 G[i, j] != 0 since the diagonal vanishes
-    return v
-
-
 def _find_singular_vector(space: QuadraticSpace):
     """A nonzero singular vector, or None in an anisotropic space."""
     vecs = all_vectors(space.field.q, space.dim)
@@ -425,11 +400,13 @@ def classify_type(space: QuadraticSpace, S: Subspace | None = None) -> str:
     dim = space.dim if S is None else S.dim
     w = witt_index(space, S)
     if dim % 2 == 1:
-        assert w == (dim - 1) // 2
+        if w != (dim - 1) // 2:
+            raise RuntimeError(f"odd dimension {dim} with Witt index {w}")
         return "parabolic"
     if w == dim // 2:
         return "hyperbolic"
-    assert w == dim // 2 - 1
+    if w != dim // 2 - 1:
+        raise RuntimeError(f"even dimension {dim} with Witt index {w}")
     return "elliptic"
 
 
@@ -479,15 +456,19 @@ class StandardModel:
     def _check(self):
         F, sp = self.field, self.space
         half = F.inv(F.add(1, 1))
-        assert sp.kappa(self.basis_vector(0)) == half
-        assert sp.beta(self.basis_vector(1), self.basis_vector(2)) == 1
         # <x, y> block is anisotropic: only the zero vector is singular
         plane = all_vectors(F.q, 2)
         kp = QuadraticSpace(F, sp.gram[3:5, 3:5]).kappa_batch(plane)
-        assert (kp[1:] != 0).all()
-        assert self.space.perp(self.w_subspace) == self.u_subspace
-        assert witt_index(self.w_space) == 1
-        assert witt_index(self.u_space) == self.d - 2
+        for ok, what in (
+            (sp.kappa(self.basis_vector(0)) == half, "kappa(z) != 1/2"),
+            (sp.beta(self.basis_vector(1), self.basis_vector(2)) == 1, "beta(e0, f0) != 1"),
+            ((kp[1:] != 0).all(), "the plane <x, y> has a singular vector"),
+            (self.space.perp(self.w_subspace) == self.u_subspace, "W-perp is not U"),
+            (witt_index(self.w_space) == 1, "W does not have Witt index 1"),
+            (witt_index(self.u_space) == self.d - 2, f"U does not have Witt index {self.d - 2}"),
+        ):
+            if not ok:
+                raise RuntimeError(f"standard model for d={self.d}: {what}")
 
     def basis_vector(self, i: int) -> np.ndarray:
         v = np.zeros(self.dim, dtype=np.uint8)

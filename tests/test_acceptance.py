@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import element_orders
 from hemisystems.cli import (
     certificate_text,
     check_certificate_header,
@@ -135,7 +136,8 @@ def test_03_group_orders_and_a4_structure():
         assert pr.a.order == q * (q**2 - 1)
         assert pr.report.b_order == pr.b.order
         assert pr.report.a_order == pr.a.order
-    orders = sorted(g.order() for g in _prep(3, 1, 2).b)
+    pr = _prep(3, 1, 2)
+    orders = sorted(element_orders(pr.field, pr.b.elements).tolist())
     assert orders == [1] + [2] * 3 + [3] * 8
     assert 6 not in orders
 
@@ -150,7 +152,7 @@ def test_04_w_singular_orbit_split_and_norm_class_transitivity():
         index = {vecs[i].tobytes(): i for i in range(vecs.shape[0])}
         perms = []
         for g in pr.b.generators:
-            img = mat_mul(F, vecs, g.mat[:3, :3])
+            img = mat_mul(F, vecs, g)
             perms.append(np.array([index[row.tobytes()] for row in img]))
         part = partition(vecs.shape[0], perms)
         norms = wsp.kappa_batch(vecs)

@@ -3,8 +3,10 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hemisystems.cli import (
     resolve_members,
 )
 from hemisystems.gf import field_make
+from hemisystems.groups import embed_w_block
 from hemisystems.hemi import assemble, prepare
 from hemisystems.linform import Subspace, format_matrix, parse_matrix
 from conftest import model, qmodel  # noqa: F401 - shared cached fixtures
@@ -167,7 +170,8 @@ def per_member_certificate_text(prep, mask, ids):
         f"degree {qm.target_degree}",
         f"orbits {len(split.pairs)} {split.partition.n_orbits}",
     ]
-    lines += [f"generator {reference_format(F, g.mat)}" for g in prep.b.generators]
+    dim = prep.model.dim
+    lines += [f"generator {reference_format(F, embed_w_block(F, g, dim))}" for g in prep.b.generators]
     lines += [f"maximal {reference_format(F, qm.maximal_bases[int(i)])}" for i in ids]
     lines += [f"mask {mask:x} {len(split.pairs)}", "end"]
     return "\n".join(lines) + "\n"
@@ -345,6 +349,22 @@ def test_selftest_text_reports_one_line_per_check(capsys):
     assert rc == 0
     assert sum(1 for ln in out.splitlines() if ln.startswith("pass ")) == 9
     assert "selftest passed" in out
+
+
+def test_selftest_reports_a_corrupt_field_under_optimize():
+    code = (
+        "import sys\n"
+        "from hemisystems import cli\n"
+        "from hemisystems.gf import field_make\n"
+        "field_make(3).add_table[1, 1] = 0\n"
+        "sys.exit(cli.main(['selftest']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stdout.splitlines()[0].startswith("FAIL field-axioms: AssertionError: ")
 
 
 # ---------------------------------------------------------------------------

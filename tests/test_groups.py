@@ -1,32 +1,27 @@
 """Group constructions: SL2, its symmetric square, Omega(W), and <B, tau>."""
 
-import itertools
-
 import numpy as np
 import pytest
 
-from conftest import model
+from conftest import element_orders, model, stack_mul
 from hemisystems.gf import field_make
 from hemisystems.groups import (
     GenerationFailure,
-    GeneratedGroup,
-    GroupElement,
     NoIsometry,
     NotUnimodular,
+    close,
     discriminant_gram,
     embed_w_block,
     group_a,
-    mulclose,
     omega_w,
     sl2_generators,
-    special_linear_group,
     sym_square,
     tau,
     w_singular_vectors,
     w_vector_orbits,
     witt_isometry,
 )
-from hemisystems.linform import QuadraticSpace, identity, mat_det, mat_mul
+from hemisystems.linform import QuadraticSpace, identity, mat_det, mat_inv, mat_mul
 from hemisystems.quadric import QuadricModel
 
 CONFIGS = [(3, 1), (5, 1), (7, 1), (3, 2)]
@@ -36,43 +31,70 @@ def fields():
     return [field_make(p, k) for p, k in CONFIGS]
 
 
+def sl2(F):
+    """All of SL2(q), closed from its generators."""
+    return close(F, sl2_generators(F), limit=F.q * (F.q**2 - 1)).elements
+
+
 def test_sl2_orders():
     for F in fields():
-        group = special_linear_group(F)
+        gens = sl2_generators(F)
+        group = close(F, gens, limit=F.q * (F.q**2 - 1))
         assert group.order == F.q * (F.q**2 - 1)
-        for g in group.generators:
-            assert mat_det(F, g.mat) == 1
+        assert np.array_equal(group.generators, gens)
+        for g in gens:
+            assert mat_det(F, g) == 1
 
 
 def test_element_orders():
     F = field_make(5)
     up, lo, weyl = sl2_generators(F)[:3]
-    assert up.order() == F.p
-    assert weyl.order() == 4
-    assert (weyl * weyl).mat.tolist() == [[4, 0], [0, 4]]  # -I
+    assert element_orders(F, np.stack([up, lo, weyl])).tolist() == [F.p, F.p, 4]
+    assert mat_mul(F, weyl, weyl).tolist() == [[4, 0], [0, 4]]  # -I
 
 
-def test_mulclose_limit():
+def test_close_limit():
     F = field_make(3)
     with pytest.raises(GenerationFailure):
-        mulclose(F, sl2_generators(F), limit=10)
+        close(F, sl2_generators(F), limit=10)
+    assert close(F, sl2_generators(F), limit=24).order == 24
+    with pytest.raises(GenerationFailure):
+        close(F, sl2_generators(F), limit=23)
+
+
+def test_close_holds_distinct_sorted_elements_and_membership():
+    F = field_make(3, 2)
+    group = close(F, sl2_generators(F), limit=720)
+    flat = group.elements.reshape(group.order, -1)
+    assert np.unique(flat, axis=0).shape[0] == group.order
+    assert np.array_equal(np.unique(flat, axis=0), flat)
+    assert group.contains(identity(2))
+    assert group.contains(group.elements).all()
+    # diag(-1, 1) has determinant -1
+    assert not group.contains(np.array([[F.neg(1), 0], [0, 1]], dtype=np.uint8))
+    # a larger matrix is a member only when it is the identity off the block
+    big = embed_w_block(F, group.elements[:5], 3) if False else None
+    wide = np.tile(identity(4), (3, 1, 1))
+    wide[:, :2, :2] = group.elements[-3:]
+    assert group.contains(wide).all()
+    wide[1, 3, 0] = 1
+    assert group.contains(wide).tolist() == [True, False, True]
 
 
 def test_sym_square_multiplicative():
     F = field_make(3)
-    sl2 = special_linear_group(F)
-    for g in sl2:
-        for h in sl2:
-            lhs = sym_square(F, g * h)
+    elems = sl2(F)
+    for g in elems:
+        for h in elems:
+            lhs = sym_square(F, mat_mul(F, g, h))
             rhs = mat_mul(F, sym_square(F, g), sym_square(F, h))
             assert np.array_equal(lhs, rhs)
     for F in (field_make(5), field_make(3, 2)):
         rng = np.random.default_rng(3)
-        sl2 = special_linear_group(F)
-        elems = list(sl2)
+        elems = sl2(F)
         for _ in range(60):
             g, h = (elems[rng.integers(len(elems))] for _ in range(2))
-            lhs = sym_square(F, g * h)
+            lhs = sym_square(F, mat_mul(F, g, h))
             assert np.array_equal(lhs, mat_mul(F, sym_square(F, g), sym_square(F, h)))
 
 
@@ -81,11 +103,11 @@ def test_sym_square_kernel_and_det():
     neg = F.neg(1)
     ident = identity(3)
     kernel = []
-    for g in special_linear_group(F):
+    for g in sl2(F):
         S = sym_square(F, g)
         assert mat_det(F, S) == 1
         if np.array_equal(S, ident):
-            kernel.append(g.mat.tolist())
+            kernel.append(g.tolist())
     assert sorted(kernel) == sorted(
         [[[1, 0], [0, 1]], [[neg, 0], [0, neg]]]
     )
@@ -94,7 +116,7 @@ def test_sym_square_kernel_and_det():
 def test_sym_square_preserves_discriminant_form():
     for F in (field_make(3), field_make(5)):
         J = discriminant_gram(F)
-        for g in special_linear_group(F):
+        for g in sl2(F):
             S = sym_square(F, g)
             assert np.array_equal(mat_mul(F, mat_mul(F, S, J), S.T), J)
 
@@ -154,7 +176,17 @@ def brute_force_orthogonal_w(F, gram):
     else:  # pragma: no cover - only prime fields are brute forced
         raise NotImplementedError
     keep = (prod == gram[None, :, :].astype(np.int64)).all(axis=(1, 2))
-    return [GroupElement(F, m) for m in mats[keep]]
+    return mats[keep]
+
+
+def commutators(F, X, i, j):
+    """g^-1 h^-1 g h for g = X[i] and h = X[j], over two index arrays."""
+    inv = np.stack([mat_inv(F, g) for g in X])
+    return stack_mul(F, stack_mul(F, stack_mul(F, inv[i], inv[j]), X[i]), X[j])
+
+
+def all_pairs(n):
+    return np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
 
 
 def test_omega_w_is_derived_subgroup_of_orthogonal_group():
@@ -165,15 +197,9 @@ def test_omega_w_is_derived_subgroup_of_orthogonal_group():
     m = model(p, k, 2)
     ortho = brute_force_orthogonal_w(F, m.w_space.gram)
     assert len(ortho) == 48
-    commutators = {}
-    for g in ortho:
-        for h in ortho:
-            c = g.inverse() * h.inverse() * g * h
-            commutators.setdefault(c.key, c)
-    derived = mulclose(F, list(commutators.values()), limit=48)
-    b = omega_w(m)
-    b_blocks = {GroupElement(F, g.mat[:3, :3]).key for g in b}
-    assert {g.key for g in derived} == b_blocks
+    comms = np.unique(commutators(F, ortho, *all_pairs(len(ortho))), axis=0)
+    derived = close(F, comms, limit=48)
+    assert np.array_equal(derived.elements, omega_w(m).elements)
 
 
 @pytest.mark.parametrize("p,k,order", [(3, 1, 12), (5, 1, 60), (7, 1, 168), (3, 2, 360)])
@@ -182,22 +208,23 @@ def test_omega_w_orders(p, k, order):
     m = model(p, k, 2)
     b = omega_w(m)
     assert b.order == order
+    assert b.elements.shape == (order, 3, 3)
     n = m.dim
-    for g in b:
-        assert mat_det(F, g.mat) == 1
-        assert np.array_equal(g.mat[3:, :], identity(n)[3:, :])
-        assert not g.mat[:3, 3:].any()
-        blk = g.mat[:3, :3]
-        J = m.w_space.gram
-        assert np.array_equal(mat_mul(F, mat_mul(F, blk, J), blk.T), J)
+    full = embed_w_block(F, b.elements, n)
+    for g in full:
+        assert mat_det(F, g) == 1
+        assert np.array_equal(g[3:, :], identity(n)[3:, :])
+        assert not g[:3, 3:].any()
+    J = m.w_space.gram
+    assert (stack_mul(F, stack_mul(F, b.elements, J), b.elements.transpose(0, 2, 1)) == J).all()
 
 
 def test_omega_w_preserves_full_gram():
     m = model(3, 1, 3)
     F = m.field
     J = m.space.gram
-    for g in omega_w(m):
-        assert np.array_equal(mat_mul(F, mat_mul(F, g.mat, J), g.mat.T), J)
+    full = embed_w_block(F, omega_w(m).elements, m.dim)
+    assert (stack_mul(F, stack_mul(F, full, J), full.transpose(0, 2, 1)) == J).all()
 
 
 @pytest.mark.parametrize("p,k", CONFIGS)
@@ -205,12 +232,15 @@ def test_tau_properties(p, k):
     F = field_make(p, k)
     m = model(p, k, 2)
     t = tau(m)
-    assert (t * t).is_identity()
-    assert mat_det(F, t.mat) == F.neg(1)
+    assert t.shape == (3, 3)
+    assert np.array_equal(mat_mul(F, t, t), identity(3))
+    tv = embed_w_block(F, t, m.dim)
+    assert mat_det(F, tv) == F.neg(1)
     J = m.space.gram
-    assert np.array_equal(mat_mul(F, mat_mul(F, t.mat, J), t.mat.T), J)
+    assert np.array_equal(mat_mul(F, mat_mul(F, tv, J), tv.T), J)
     b = omega_w(m)
-    assert t not in b
+    assert not b.contains(t)
+    assert not b.contains(tv)
 
 
 @pytest.mark.parametrize("p,k", CONFIGS)
@@ -221,32 +251,32 @@ def test_group_a_structure(p, k):
     t = tau(m)
     a = group_a(m, b, t)
     assert a.order == 2 * b.order
-    assert all(g in a for g in b)
-    assert t in a
-    plus = {g.key for g in a if mat_det(F, g.mat) == 1}
-    assert plus == {g.key for g in b}
+    assert a.contains(b.elements).all()
+    assert a.contains(t)
+    plus = np.array([mat_det(F, g) == 1 for g in a.elements])
+    assert np.array_equal(a.elements[plus], b.elements)
+    assert not b.contains(a.elements[~plus]).any()
 
 
 def test_no_order_six_at_q3():
     # <B, tau> at q = 3 is a 24-element group with element orders 1,2,3,4 only
     m = model(3, 1, 2)
     a = group_a(m, omega_w(m), tau(m))
-    orders = {g.order() for g in a}
-    assert orders == {1, 2, 3, 4}
+    assert set(element_orders(m.field, a.elements).tolist()) == {1, 2, 3, 4}
 
 
 def test_right_action_composition():
     m = model(3, 1, 2)
+    F = m.field
     qm = QuadricModel(m)
-    b = omega_w(m)
-    elems = list(b)
+    elems = embed_w_block(F, omega_w(m).elements, m.dim)
     rng = np.random.default_rng(5)
     for _ in range(10):
         g, h = (elems[rng.integers(len(elems))] for _ in range(2))
-        pg, ph = qm.point_permutation(g.mat), qm.point_permutation(h.mat)
-        assert np.array_equal(qm.point_permutation((g * h).mat), ph[pg])
-        mg, mh = qm.maximal_permutation(g.mat), qm.maximal_permutation(h.mat)
-        assert np.array_equal(qm.maximal_permutation((g * h).mat), mh[mg])
+        pg, ph = qm.point_permutation(g), qm.point_permutation(h)
+        assert np.array_equal(qm.point_permutation(mat_mul(F, g, h)), ph[pg])
+        mg, mh = qm.maximal_permutation(g), qm.maximal_permutation(h)
+        assert np.array_equal(qm.maximal_permutation(mat_mul(F, g, h)), mh[mg])
 
 
 @pytest.mark.parametrize("p,k", CONFIGS)
@@ -289,16 +319,15 @@ def test_full_orthogonal_group_on_w_singular_orbits_q3():
     vecs = w_singular_vectors(m)
     index = {vecs[i].tobytes(): i for i in range(vecs.shape[0])}
     part = w_vector_orbits(m, b)
-    b_blocks = [g.mat[:3, :3] for g in b]
     ortho = brute_force_orthogonal_w(F, m.w_space.gram)
     assert len(ortho) == 48
     counts = {(1, "preserve"): 0, (1, "swap"): 0, (2, "preserve"): 0, (2, "swap"): 0}
     for g in ortho:
-        behavior = _orbit_pair_behavior(F, vecs, index, part, g.mat)
-        for blk in b_blocks[:4]:
-            same = _orbit_pair_behavior(F, vecs, index, part, mat_mul(F, blk, g.mat))
+        behavior = _orbit_pair_behavior(F, vecs, index, part, g)
+        for blk in b.elements[:4]:
+            same = _orbit_pair_behavior(F, vecs, index, part, mat_mul(F, blk, g))
             assert same == behavior
-        counts[(mat_det(F, g.mat), behavior)] += 1
+        counts[(mat_det(F, g), behavior)] += 1
     # dets at q = 3: 1 and 2 = -1; twelve elements in each of the four cells
     assert counts == {(1, "preserve"): 12, (1, "swap"): 12, (2, "preserve"): 12, (2, "swap"): 12}
 
@@ -315,7 +344,7 @@ def test_tau_coset_acts_consistently_on_w_singular_orbits(p, k):
     index = {vecs[i].tobytes(): i for i in range(vecs.shape[0])}
     part = w_vector_orbits(m, b)
     behaviors = {
-        _orbit_pair_behavior(F, vecs, index, part, (g * t).mat[:3, :3]) for g in b
+        _orbit_pair_behavior(F, vecs, index, part, g) for g in stack_mul(F, b.elements, t)
     }
     assert len(behaviors) == 1
 
@@ -324,19 +353,15 @@ def test_tau_coset_acts_consistently_on_w_singular_orbits(p, k):
 def test_commutators_of_a_lie_in_b(p, k):
     m = model(p, k, 2)
     b = omega_w(m)
-    a = group_a(m, b, tau(m))
-    for g in a:
-        for h in a:
-            assert (g.inverse() * h.inverse() * g * h) in b
+    a = group_a(m, b, tau(m)).elements
+    assert b.contains(commutators(m.field, a, *all_pairs(len(a)))).all()
 
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 2)])
 def test_commutators_of_a_lie_in_b_sampled(p, k):
     m = model(p, k, 2)
     b = omega_w(m)
-    a = group_a(m, b, tau(m))
-    elems = list(a)
+    a = group_a(m, b, tau(m)).elements
     rng = np.random.default_rng(9)
-    for _ in range(400):
-        g, h = (elems[rng.integers(len(elems))] for _ in range(2))
-        assert (g.inverse() * h.inverse() * g * h) in b
+    i, j = rng.integers(len(a), size=(2, 400))
+    assert b.contains(commutators(m.field, a, i, j)).all()

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import qmodel
+from hemisystems import groups
 from hemisystems.gf import field_make
-from hemisystems.groups import GroupElement, omega_w, tau
 from hemisystems.hemi import (
     MaskLength,
     TooManyOrbits,
@@ -16,7 +16,7 @@ from hemisystems.hemi import (
     prepare,
     verify_hemisystem,
 )
-from hemisystems.linform import identity
+from hemisystems.linform import identity, mat_mul
 
 CONFIGS = [(3, 1, 2), (5, 1, 2), (3, 1, 3)]
 
@@ -50,20 +50,64 @@ def test_ab_hypotheses_hold(p, k, d):
 
 def test_ab_check_rejects_identity_as_tau():
     pr = prep(3, 1, 2)
-    ident = GroupElement(pr.field, identity(pr.model.dim))
-    r = ab_check(pr.qm, pr.b, ident)
-    assert not r.ok
-    assert not r.tau_outside_b
+    for ident in (identity(3), identity(pr.model.dim)):
+        r = ab_check(pr.qm, pr.b, ident)
+        assert not r.ok
+        assert not r.tau_outside_b
 
 
 def test_ab_check_rejects_b_element_as_tau():
     pr = prep(3, 1, 2)
-    g = next(e for e in pr.b if not e.is_identity())
+    g = next(e for e in pr.b.elements if not (e == identity(3)).all())
     r = ab_check(pr.qm, pr.b, g)
     assert not r.ok
     assert not r.tau_outside_b
     assert not r.orbit_pairing_complete
     assert "fixed by tau" in r.witness
+
+
+def test_ab_check_tests_normality_on_generators():
+    # swapping z and x is an isometry of V, since beta(z, z) = beta(x, x) = 1,
+    # but it does not preserve W, so it conjugates some generator out of B
+    pr = prep(3, 1, 2)
+    swap = identity(pr.model.dim)
+    swap[[0, 3]] = swap[[3, 0]]
+    J = pr.model.space.gram
+    assert np.array_equal(mat_mul(pr.field, mat_mul(pr.field, swap, J), swap.T), J)
+    r = ab_check(pr.qm, pr.b, swap)
+    assert r.tau_outside_b and r.tau_involution
+    assert not r.b_normal_in_a
+    assert not r.ok
+    assert r.witness.startswith("conjugate of B generator ")
+    i = int(r.witness.split()[4])
+    assert str(pr.b.generators[i].tolist()) in r.witness
+
+
+def test_ab_check_takes_the_order_of_a_from_group_a():
+    pr = prep(3, 1, 2)
+    assert ab_check(pr.qm, pr.b, pr.tau_elt, pr.actions).a_order == pr.a.order
+    # negating U commutes with B: A = B x <tau> has index two, but tau
+    # fixes a B-orbit of maximals, so the orbits do not pair up
+    neg_u = identity(pr.model.dim)
+    neg_u[3:, 3:] *= pr.field.neg(1)
+    r = ab_check(pr.qm, pr.b, neg_u)
+    assert r.tau_outside_b and r.tau_involution and r.b_normal_in_a
+    assert r.index_two and r.a_order == 2 * pr.b.order
+    assert not r.ok and "fixed by tau" in r.witness
+
+
+def test_prepare_closes_b_and_a_once_each(monkeypatch):
+    limits = []
+    close = groups.close
+
+    def counted(F, gens, limit):
+        limits.append(limit)
+        return close(F, gens, limit)
+
+    monkeypatch.setattr(groups, "close", counted)
+    pr = prepare(field_make(3), 2)
+    assert limits == [12, 24]
+    assert pr.report.ok and pr.report.a_order == pr.a.order == 24
 
 
 @pytest.mark.parametrize("p,k,d", CONFIGS)
