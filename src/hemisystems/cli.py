@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -70,7 +71,6 @@ class RunConfig:
     out: str = "-"
     format: str = "text"
     cap: int = 2**16
-    jobs: int = 1
     path: str | None = None
 
     def make_field(self) -> Field:
@@ -83,11 +83,10 @@ def _parse_mask(text: str) -> int:
         s = s[2:]
     if not s:
         raise ParseError("mask is empty")
-    try:
-        value = int(s, 16)
-    except ValueError:
-        raise ParseError(f"mask {text!r} is not hexadecimal") from None
-    return value
+    # int(s, 16) alone would also take a sign and underscores
+    if not re.fullmatch("[0-9a-f]+", s):
+        raise ParseError(f"mask {text!r} is not hexadecimal")
+    return int(s, 16)
 
 
 def _parse_modulus(text: str) -> tuple:
@@ -382,7 +381,7 @@ def cmd_construct(cfg: RunConfig) -> int:
     if not rep.ok:
         raise VerificationFailed(f"orbit-splitting hypotheses failed: {rep.witness}")
     ids = assemble(rep.split, mask)
-    verdict = verify_hemisystem(prep.qm, ids, jobs=cfg.jobs)
+    verdict = verify_hemisystem(prep.qm, ids)
     if not verdict.ok:
         raise VerificationFailed(
             f"assembled set failed verification; histogram "
@@ -444,7 +443,7 @@ def cmd_verify(cfg: RunConfig, qm: QuadricModel | None = None) -> int:
         }
         _emit(cfg, payload, [f"rejected: {reason}"])
         return 1
-    verdict = verify_hemisystem(qm, ids, slow=cfg.jobs > 1, jobs=cfg.jobs)
+    verdict = verify_hemisystem(qm, ids)
     payload = {
         "command": "verify",
         "ok": verdict.ok,
@@ -652,7 +651,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--d", type=int, default=2, help="rank of the quadric (>= 2)")
     common.add_argument("--format", choices=("text", "structured"), default="text")
     common.add_argument("--cap", type=int, default=2**16, help="listing/enumeration cap")
-    common.add_argument("--jobs", type=int, default=1, help="worker threads for verification")
 
     parser = _Parser(prog="hemisystems", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -692,13 +690,10 @@ def main(argv=None) -> int:
             out=getattr(ns, "out", "-"),
             format=ns.format,
             cap=ns.cap,
-            jobs=ns.jobs,
             path=getattr(ns, "path", None),
         )
         if cfg.d < 2:
             raise ParseError(f"rank d={cfg.d} must be >= 2")
-        if cfg.jobs < 1:
-            raise ParseError("jobs must be >= 1")
         return _COMMANDS[ns.command](cfg)
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,11 +26,13 @@ from .linform import (
     QuadraticSpace,
     StandardModel,
     all_vectors,
+    byte_keys,
     identity,
     mat_det,
     mat_inv,
     mat_mul,
     mat_mul_stack,
+    search_keys,
 )
 from .orbits import ActionEscape, OrbitPartition, partition
 
@@ -73,20 +75,8 @@ class MatrixGroup:
         flat = M.reshape(-1, r, r)
         rest = flat.copy()
         rest[:, :n, :n] = identity(n)
-        found = _member(_keys(self.elements), _keys(flat[:, :n, :n]))
+        _, found = search_keys(byte_keys(self.elements), byte_keys(flat[:, :n, :n]))
         return (found & (rest == identity(r)).all(axis=(1, 2))).reshape(M.shape[:-2])
-
-
-def _keys(stack: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per row or matrix; key order is lexicographic on entries."""
-    flat = np.ascontiguousarray(stack).reshape(stack.shape[0], -1)
-    return flat.view(f"V{flat.shape[1]}").ravel()
-
-
-def _member(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether each key occurs in a sorted, nonempty key array."""
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
-    return sorted_keys[pos] == keys
 
 
 def close(field: Field, gens, limit: int) -> MatrixGroup:
@@ -99,11 +89,11 @@ def close(field: Field, gens, limit: int) -> MatrixGroup:
     gens = np.array(gens, dtype=np.uint8)
     n = gens.shape[-1]
     frontier = identity(n)[None]
-    known = _keys(frontier).copy()
+    known = byte_keys(frontier).copy()
     while frontier.shape[0]:
         products = np.concatenate([mat_mul_stack(field, frontier, g) for g in gens])
-        keys, first = np.unique(_keys(products), return_index=True)
-        fresh = ~_member(known, keys)
+        keys, first = np.unique(byte_keys(products), return_index=True)
+        fresh = ~search_keys(known, keys)[1]
         frontier = products[first[fresh]]
         known = np.sort(np.concatenate([known, keys[fresh]]))
         if known.size > limit:
@@ -326,11 +316,11 @@ def w_vector_orbits(model: StandardModel, group: MatrixGroup) -> OrbitPartition:
     """Orbits of a group of W blocks on nonzero singular vectors of W."""
     F = model.field
     vecs = w_singular_vectors(model)
-    keys = _keys(vecs)  # ascending, as the vectors are
+    keys = byte_keys(vecs)  # ascending, as the vectors are
     perms = []
     for g in group.generators:
-        img = _keys(mat_mul(F, vecs, g))
-        if not _member(keys, img).all():
+        pos, found = search_keys(keys, byte_keys(mat_mul(F, vecs, g)))
+        if not found.all():
             raise ActionEscape("image left the singular vectors of W")
-        perms.append(np.searchsorted(keys, img))
+        perms.append(pos)
     return partition(vecs.shape[0], perms)

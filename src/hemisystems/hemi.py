@@ -8,12 +8,12 @@ one of the 2^m choices, where m is the number of pairs.
 
 Verification is independent of the construction: it recounts the degree of
 every point against the chosen maximals, either through the incidence index
-or, on the slow path, by reducing every point against every chosen basis.
+or, on the slow path, by testing every point for orthogonality to every
+chosen basis, one chunked matrix product that does not read the index.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,38 +256,32 @@ class VerificationReport:
     method: str
 
 
-def _degrees_by_reduction(qm: QuadricModel, ids: np.ndarray, jobs: int) -> np.ndarray:
-    """Point degrees without the incidence index: reduce points by bases."""
+def _degrees_by_orthogonality(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
+    """Point degrees without the incidence index.
+
+    A singular point P lies on a maximal M exactly when P J M^T = 0: P is
+    then in M-perp, and M-perp / M is anisotropic, so P is in M.
+    """
     F = qm.field
-    ADD, MUL, NEG = F.add_table, F.mul_table, F.neg_table
-    pts = qm.points
-
-    def count_chunk(chunk: np.ndarray) -> np.ndarray:
-        local = np.zeros(qm.num_points, dtype=np.int64)
-        for mid in chunk:
-            basis = qm.maximal_bases[mid]
-            R = pts.copy()
-            for row in basis:
-                pivot = int(np.argmax(row != 0))
-                factors = R[:, pivot]
-                R = ADD[R, MUL[NEG[factors][:, None], row[None, :]]]
-            local += ~R.any(axis=1)
-        return local
-
-    if jobs <= 1:
-        return count_chunk(ids)
-    chunks = np.array_split(ids, jobs * 4)
+    pj = mat_mul(F, qm.points, qm.model.space.gram)
     degrees = np.zeros(qm.num_points, dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for part_counts in pool.map(count_chunk, [c for c in chunks if c.size]):
-            degrees += part_counts
+    for start in range(0, ids.size, 64):  # small chunks bound the product's memory
+        bases = qm.maximal_bases[ids[start:start + 64]]
+        rows = bases.reshape(-1, qm.dim)
+        prods = mat_mul(F, pj, rows.T).reshape(qm.num_points, len(bases), qm.d)
+        degrees += (prods == 0).all(axis=2).sum(axis=1)
     return degrees
 
 
 def verify_hemisystem(
     qm: QuadricModel, ids, slow: bool = False, jobs: int = 1
 ) -> VerificationReport:
-    """Recount every point degree over the given member ids."""
+    """Recount every point degree over the given member ids.
+
+    The recount reads the incidence index, or with ``slow`` tests every
+    point for orthogonality to every member basis, which does not use the
+    index.  ``jobs`` selects nothing; it is accepted for existing callers.
+    """
     arr = np.asarray(ids, dtype=np.int64)
     if arr.ndim != 1:
         raise UnknownMaximalId("member ids must form a flat list")
@@ -297,8 +291,8 @@ def verify_hemisystem(
         raise UnknownMaximalId("duplicate member id")
 
     if slow:
-        degrees = _degrees_by_reduction(qm, arr, jobs)
-        method = "reduction"
+        degrees = _degrees_by_orthogonality(qm, arr)
+        method = "orthogonal"
     else:
         degrees = np.bincount(
             qm.maximal_points[arr].ravel(), minlength=qm.num_points

@@ -188,6 +188,22 @@ def all_vectors(q: int, length: int) -> np.ndarray:
     return np.indices((q,) * length, dtype=np.uint8).reshape(length, -1).T.copy()
 
 
+def byte_keys(stack: np.ndarray) -> np.ndarray:
+    """One opaque byte-string key per row or matrix; key order is lexicographic on entries."""
+    flat = np.ascontiguousarray(stack, dtype=np.uint8).reshape(len(stack), -1)
+    return flat.view(f"V{flat.shape[1]}").ravel()
+
+
+def search_keys(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of each key in a sorted, nonempty key array, and whether it is there.
+
+    Keys must have the length of the sorted keys; where a key is absent its
+    position is meaningless.
+    """
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
+    return pos, sorted_keys[pos] == keys
+
+
 def _element_strings(F: Field) -> list[str]:
     return [F.format_elt(a) for a in range(F.q)]
 

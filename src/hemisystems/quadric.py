@@ -1,10 +1,14 @@
 """Points and maximal totally singular subspaces of the quadric kappa = 0.
 
 Points are the projective singular points, each kept as its unit vector
-(first nonzero coordinate scaled to 1) and ordered by the integer code of
-that vector read as base-q digits, most significant coordinate first.
-Maximals (totally singular d-subspaces) are kept as RREF bases and ordered
-row-major lexicographically.
+(first nonzero coordinate scaled to 1) and ordered lexicographically, which
+is the order of the vector read as base-q digits.  Maximals (totally
+singular d-subspaces) are kept as RREF bases and ordered row-major
+lexicographically.  Both orders are the order of the byte keys of the
+rows (``linform.byte_keys``), so every lookup is one binary search: a vector
+is scaled to its unit multiple and searched among the points, and a
+spanning set of a maximal is reduced to its RREF basis and searched among
+the maximals.
 
 Enumeration is depth-first extension with the reduced basis as the
 deduplicator: a totally singular S in RREF extends only by singular points
@@ -12,15 +16,15 @@ whose leading coordinate lies beyond the last pivot of S.  Every extension
 then stacks into an RREF matrix whose leading rows are exactly S, so each
 subspace is produced exactly once, from its unique RREF-prefix parent.
 
-The incidence index between points and maximals is built eagerly and checked
-for regularity: each maximal carries s + 1 = (q^d - 1)/(q - 1) points and
-each point lies on t + 1 = prod_{i<d} (q^i + 1) maximals.
+The incidence index between points and maximals is built eagerly, from the
+s + 1 = (q^d - 1)/(q - 1) combinations of each basis whose first nonzero
+coefficient is 1, and checked for regularity: each point lies on
+t + 1 = prod_{i<d} (q^i + 1) maximals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -29,10 +33,12 @@ from .linform import (
     StandardModel,
     Subspace,
     all_vectors,
+    byte_keys,
     mat_mul,
     mat_mul_stack,
     reduce_vector,
     rref_batch,
+    search_keys,
 )
 from .orbits import ActionEscape
 
@@ -118,18 +124,14 @@ def enumerate_maximals(model: StandardModel, points: np.ndarray | None = None) -
     return np.ascontiguousarray(bases[order])
 
 
-def _vector_codes(vecs: np.ndarray, q: int) -> np.ndarray:
-    n = vecs.shape[1]
-    if q**n >= 2**62:
-        raise ValueError("coordinate codes would overflow")
-    pows = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return vecs.astype(np.int64) @ pows
+def _units(F: Field, vecs: np.ndarray) -> np.ndarray:
+    """Each row scaled so that its first nonzero entry is 1; zero rows stay zero."""
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    return F.mul_table[F.inv_table[lead][:, None], vecs]
 
 
-def _row_keys(stack: np.ndarray) -> list[bytes]:
-    """The bytes of each matrix of a stack, for dict lookup."""
-    flat = np.ascontiguousarray(stack, dtype=np.uint8).reshape(len(stack), -1)
-    return flat.view(np.dtype((np.void, flat.shape[1]))).ravel().tolist()
+def _strictly_sorted(keys: np.ndarray) -> bool:
+    return np.array_equal(np.unique(keys), keys)
 
 
 class QuadricModel:
@@ -154,14 +156,8 @@ class QuadricModel:
             raise RuntimeError(
                 f"enumerated {self.num_points} points, expected {point_count(q, model.d)}"
             )
-
-        # codes of every nonzero multiple of every point, for O(log) vector lookup
-        mults = [F.mul_table[lam, self.points] for lam in range(1, q)]
-        codes = np.concatenate([_vector_codes(m, q) for m in mults])
-        pids = np.tile(np.arange(self.num_points, dtype=np.int64), q - 1)
-        order = np.argsort(codes)
-        self._vec_codes = codes[order]
-        self._vec_pid = pids[order]
+        if not _strictly_sorted(byte_keys(self.points)):
+            raise RuntimeError("enumerated points are not strictly sorted")
 
         self.maximal_bases = enumerate_maximals(model, self.points)
         self.num_maximals = self.maximal_bases.shape[0]
@@ -170,9 +166,8 @@ class QuadricModel:
                 f"enumerated {self.num_maximals} maximals, expected {maximal_count(q, model.d)}"
             )
         self._check_totally_singular()
-        self.maximal_index = dict(zip(_row_keys(self.maximal_bases), range(self.num_maximals)))
-        if len(self.maximal_index) != self.num_maximals:
-            raise RuntimeError("enumerated maximals are not distinct")
+        if not _strictly_sorted(byte_keys(self.maximal_bases)):
+            raise RuntimeError("enumerated maximals are not strictly sorted")
 
         self.maximal_points = self._build_incidence()
         degrees = np.bincount(self.maximal_points.ravel(), minlength=self.num_points)
@@ -200,28 +195,24 @@ class QuadricModel:
                 raise RuntimeError("an enumerated maximal is not totally singular")
 
     def _build_incidence(self) -> np.ndarray:
-        F, q, d = self.field, self.field.q, self.d
-        combos = all_vectors(q, d)[1:]
+        # the combinations whose first nonzero coefficient is 1 span each
+        # point of a maximal once, and on an RREF basis they are already
+        # unit vectors: the first nonzero entry sits in a pivot column
+        F, d, n = self.field, self.d, self.dim
+        combos = all_vectors(F.q, d)[1:]
+        combos = combos[(_units(F, combos) == combos).all(axis=1)]
+        keys = byte_keys(self.points)
         out = np.empty((self.num_maximals, self.s1), dtype=np.int64)
-        MUL, ADD = F.mul_table, F.add_table
         for start in range(0, self.num_maximals, 4096):
             chunk = self.maximal_bases[start:start + 4096]
-            if F.k == 1:
-                span = (combos.astype(np.int64)[None, :, :] @ chunk.astype(np.int64)) % F.p
-            else:
-                span = MUL[combos[:, 0][None, :, None], chunk[:, 0][:, None, :]]
-                for t in range(1, d):
-                    span = ADD[span, MUL[combos[:, t][None, :, None], chunk[:, t][:, None, :]]]
-            codes = span.astype(np.int64) @ (q ** np.arange(self.dim - 1, -1, -1, dtype=np.int64))
-            pos = np.searchsorted(self._vec_codes, codes)
-            if (pos >= self._vec_codes.size).any() or (self._vec_codes[pos] != codes).any():
+            rows = chunk.transpose(1, 0, 2).reshape(d, -1)
+            span = mat_mul(F, combos, rows).reshape(self.s1, len(chunk), n).transpose(1, 0, 2)
+            pids, found = search_keys(keys, byte_keys(span.reshape(-1, n)))
+            if not found.all():
                 raise RuntimeError("maximal contains a vector outside the point set")
-            pids = self._vec_pid[pos]
+            pids = pids.reshape(len(chunk), self.s1)
             pids.sort(axis=1)
-            sel = pids[:, :: q - 1]
-            if (np.repeat(sel, q - 1, axis=1) != pids).any():
-                raise RuntimeError("a maximal's span vectors do not fall into whole points")
-            out[start:start + 4096] = sel
+            out[start:start + 4096] = pids
         return out
 
     # -- lookups
@@ -229,12 +220,19 @@ class QuadricModel:
     def point_vector(self, i: int) -> np.ndarray:
         return self.points[i]
 
-    def point_id(self, v) -> int:
-        code = _vector_codes(np.asarray(v, dtype=np.uint8).reshape(1, -1), self.field.q)
-        pos = np.searchsorted(self._vec_codes, code)
-        if pos[0] >= self._vec_codes.size or self._vec_codes[pos[0]] != code[0]:
+    def point_ids(self, vecs: np.ndarray) -> np.ndarray:
+        """Ids of the points spanned by the rows of an (N, n) stack.
+
+        Raises ActionEscape when a row is zero or not singular.
+        """
+        units = _units(self.field, np.asarray(vecs, dtype=np.uint8))
+        pids, found = search_keys(byte_keys(self.points), byte_keys(units))
+        if not found.all():
             raise ActionEscape("vector is not a singular point of the quadric")
-        return int(self._vec_pid[pos[0]])
+        return pids
+
+    def point_id(self, v) -> int:
+        return int(self.point_ids(np.asarray(v, dtype=np.uint8).reshape(1, -1))[0])
 
     def maximal_subspace(self, i: int) -> Subspace:
         return Subspace(self.field, self.maximal_bases[i], reduced=True)
@@ -251,13 +249,10 @@ class QuadricModel:
         """
         d = self.d
         red, ranks = rref_batch(self.field, stack)
-        bad = ranks != d
-        ids = np.fromiter(
-            map(self.maximal_index.get, _row_keys(red[:, :d]), repeat(-1)),
-            dtype=np.int64,
-            count=len(red),
-        )
-        bad |= ids < 0
+        if red.shape[1] < d:
+            raise ActionEscape(f"matrix 0 has fewer than {d} rows", index=0)
+        ids, found = search_keys(byte_keys(self.maximal_bases), byte_keys(red[:, :d]))
+        bad = (ranks != d) | ~found
         if bad.any():
             i = int(np.argmax(bad))
             raise ActionEscape(
@@ -269,13 +264,7 @@ class QuadricModel:
     # -- permutations induced by isometries
 
     def point_permutation(self, mat: np.ndarray) -> np.ndarray:
-        F, q = self.field, self.field.q
-        img = mat_mul(F, self.points, mat)
-        codes = _vector_codes(img, q)
-        pos = np.searchsorted(self._vec_codes, codes)
-        if (pos >= self._vec_codes.size).any() or (self._vec_codes[pos] != codes).any():
-            raise ActionEscape("image of a point is not a point")
-        return self._vec_pid[pos].copy()
+        return self.point_ids(mat_mul(self.field, self.points, mat))
 
     def maximal_permutation(self, mat: np.ndarray) -> np.ndarray:
         return self.maximal_ids(mat_mul_stack(self.field, self.maximal_bases, mat))

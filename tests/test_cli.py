@@ -154,8 +154,12 @@ def test_construct_round_trip_is_identity_on_members(capsys, cert_pair):
             ids, reason = resolve_members(cert, prep.qm)
             assert reason is None
             assert np.array_equal(np.sort(ids), expected)
-            one_by_one = [prep.qm.maximal_index[Subspace(F, M).basis.tobytes()] for M in cert.members]
-            assert ids.tolist() == one_by_one
+            bases = prep.qm.maximal_bases
+            one_by_one = [
+                np.flatnonzero((bases == Subspace(F, M).basis).all(axis=(1, 2))).tolist()
+                for M in cert.members
+            ]
+            assert [[i] for i in ids.tolist()] == one_by_one
 
 
 def per_member_certificate_text(prep, mask, ids):
@@ -193,7 +197,10 @@ def test_construct_bad_mask_is_usage_error(capsys):
     rc, _, err = run(capsys, "construct", "--mask", "ff")
     assert rc == 2
     assert "3 bits" in err
-    assert run(capsys, "construct", "--mask", "zz")[0] == 2
+    for mask in ("zz", "+5", "-1", "0_5", "0x-1", "0x"):
+        rc, out, err = run(capsys, "construct", f"--mask={mask}")
+        assert rc == 2, mask
+        assert out == "" and "mask" in err
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +213,24 @@ def test_verify_accepts_fresh_certificate(capsys, cert_pair):
     assert "verified" in out
 
 
-def test_verify_slow_path_via_jobs(capsys, cert_pair):
-    rc, doc, _ = structured(capsys, "verify", str(cert_pair["7"]), "--jobs", "3")
+def test_jobs_flag_is_usage_error(capsys, cert_pair):
+    rc, doc, _ = structured(capsys, "verify", str(cert_pair["7"]))
     assert rc == 0
-    assert doc["method"] == "reduction"
+    assert doc["method"] == "index"
     assert doc["histogram"] == [[2, 40]]
+    assert run(capsys, "verify", str(cert_pair["7"]), "--jobs", "3")[0] == 2
+    assert run(capsys, "construct", "--jobs", "2")[0] == 2
+
+
+def test_verify_rejects_a_signed_or_separated_mask(capsys, tmp_path, cert_pair):
+    text = cert_pair["7"].read_text()
+    assert "\nmask 7 3\n" in text
+    for mask in ("-1", "+7", "0_7"):
+        bad = tmp_path / "mask.txt"
+        bad.write_text(text.replace("\nmask 7 3\n", f"\nmask {mask} 3\n"))
+        rc, out, err = run(capsys, "verify", str(bad))
+        assert rc == 2, mask
+        assert "not hexadecimal" in err
 
 
 def test_verify_reads_stdin(capsys, monkeypatch, cert_pair):

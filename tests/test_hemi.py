@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import qmodel
+from conftest import model, qmodel
 from hemisystems import groups
 from hemisystems.gf import field_make
 from hemisystems.hemi import (
@@ -17,6 +17,7 @@ from hemisystems.hemi import (
     verify_hemisystem,
 )
 from hemisystems.linform import identity, mat_mul
+from hemisystems.quadric import QuadricModel
 
 CONFIGS = [(3, 1, 2), (5, 1, 2), (3, 1, 3)]
 
@@ -157,14 +158,29 @@ def test_verify_accepts_constructed_sets(p, k, d):
 
 
 def test_verify_slow_path_matches_fast_path():
-    pr = prep(3, 1, 2)
-    ids = assemble(pr.report.split, 5)
-    fast = verify_hemisystem(pr.qm, ids)
-    slow = verify_hemisystem(pr.qm, ids, slow=True)
-    threaded = verify_hemisystem(pr.qm, ids, slow=True, jobs=3)
-    assert fast.ok and slow.ok and threaded.ok
-    assert fast.histogram == slow.histogram == threaded.histogram
-    assert slow.method == "reduction" and fast.method == "index"
+    for p, k, d in ((3, 1, 2), (3, 2, 2), (3, 1, 3)):
+        pr = prep(p, k, d)
+        ids = assemble(pr.report.split, 5)
+        fast = verify_hemisystem(pr.qm, ids)
+        slow = verify_hemisystem(pr.qm, ids, slow=True)
+        assert fast.ok and slow.ok
+        assert fast.histogram == slow.histogram
+        assert slow.method == "orthogonal" and fast.method == "index"
+        # a set that is not a hemisystem gets the same degrees on both paths
+        half = ids[: ids.size // 2]
+        assert (
+            verify_hemisystem(pr.qm, half, slow=True).histogram
+            == verify_hemisystem(pr.qm, half).histogram
+        )
+
+
+def test_slow_path_does_not_read_the_incidence_index():
+    qm = QuadricModel(model(3, 1, 2))  # a private model: its index is corrupted below
+    ids = assemble(prep(3, 1, 2).report.split, 0)
+    qm.maximal_points = np.roll(qm.maximal_points, 1, axis=0)
+    assert not verify_hemisystem(qm, ids).ok
+    slow = verify_hemisystem(qm, ids, slow=True)
+    assert slow.ok and slow.histogram == ((qm.target_degree, qm.num_points),)
 
 
 def test_verify_rejects_wrong_sets():

@@ -154,6 +154,18 @@ def test_incidence_full_oracle_3_2():
 
 
 @pytest.mark.parametrize("p,k,d", ALL_DESK)
+def test_incidence_is_orthogonality(p, k, d):
+    # a singular point lies on a maximal M exactly when it is orthogonal to
+    # M, since M-perp / M is anisotropic
+    qm = qmodel(p, k, d)
+    F = qm.field
+    pj = mat_mul(F, qm.points, qm.model.space.gram)
+    for mid in range(qm.num_maximals):
+        on = ~mat_mul(F, pj, qm.maximal_bases[mid].T).any(axis=1)
+        assert np.array_equal(np.flatnonzero(on), qm.maximal_points[mid])
+
+
+@pytest.mark.parametrize("p,k,d", ALL_DESK)
 def test_incidence_structure(p, k, d):
     qm = qmodel(p, k, d)
     assert qm.maximal_points.shape == (qm.num_maximals, qm.s1)
@@ -172,25 +184,31 @@ def test_incidence_structure(p, k, d):
 
 
 def test_point_and_maximal_lookup_round_trip():
-    qm = qmodel(3, 1, 2)
-    F = qm.field
-    for pid in range(qm.num_points):
-        assert qm.point_id(qm.points[pid]) == pid
-        assert qm.point_id(F.mul_table[2, qm.points[pid]]) == pid
-    for mid in range(qm.num_maximals):
-        assert qm.maximal_id(qm.maximal_subspace(mid)) == mid
-    with pytest.raises(ActionEscape):
-        qm.point_id(np.array([1, 0, 0, 0, 0], dtype=np.uint8))  # z is anisotropic
-    with pytest.raises(ActionEscape):
-        qm.maximal_id(Subspace(F, np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], np.uint8)))
-    with pytest.raises(ActionEscape):
-        qm.maximal_id(Subspace(F, np.array([[0, 0, 1, 0, 0]], np.uint8)))
+    for p, k in ((3, 1), (3, 2)):
+        qm = qmodel(p, k, 2)
+        F = qm.field
+        for lam in range(1, F.q):
+            scaled = F.mul_table[lam, qm.points]
+            assert [qm.point_id(v) for v in scaled] == list(range(qm.num_points))
+        for mid in range(qm.num_maximals):
+            assert qm.maximal_id(qm.maximal_subspace(mid)) == mid
+        with pytest.raises(ActionEscape):
+            qm.point_id(np.zeros(5, dtype=np.uint8))
+        with pytest.raises(ActionEscape):
+            qm.point_id(np.array([1, 0, 0, 0, 0], dtype=np.uint8))  # z is anisotropic
+        with pytest.raises(ActionEscape):
+            qm.maximal_id(Subspace(F, np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], np.uint8)))
+        with pytest.raises(ActionEscape):
+            qm.maximal_id(Subspace(F, np.array([[0, 0, 1, 0, 0]], np.uint8)))  # one row
 
-    # a stack resolves whatever basis each maximal is written in
-    ids = np.arange(qm.num_maximals)
-    assert np.array_equal(qm.maximal_ids(qm.maximal_bases), ids)
-    other = F.mul_table[2, qm.maximal_bases[:, ::-1]]  # rows swapped and scaled
-    assert np.array_equal(qm.maximal_ids(other), ids)
+        # a stack resolves whatever basis each maximal is written in
+        ids = np.arange(qm.num_maximals)
+        assert np.array_equal(qm.maximal_ids(qm.maximal_bases), ids)
+        for lam in range(1, F.q):
+            other = F.mul_table[lam, qm.maximal_bases[:, ::-1]]  # rows swapped and scaled
+            assert np.array_equal(qm.maximal_ids(other), ids)
+
+    qm = qmodel(3, 1, 2)  # the rejections below are written over GF(3)
     z_e0 = np.eye(5, dtype=np.uint8)[None, :2]
     bad = np.concatenate([qm.maximal_bases[:3], z_e0, qm.maximal_bases[:2, :1].repeat(2, 1)])
     with pytest.raises(ActionEscape) as exc:
