@@ -10,11 +10,12 @@ is scaled to its unit multiple and searched among the points, and a
 spanning set of a maximal is reduced to its RREF basis and searched among
 the maximals.
 
-Enumeration is depth-first extension with the reduced basis as the
-deduplicator: a totally singular S in RREF extends only by singular points
-whose leading coordinate lies beyond the last pivot of S.  Every extension
-then stacks into an RREF matrix whose leading rows are exactly S, so each
-subspace is produced exactly once, from its unique RREF-prefix parent.
+Enumeration follows the rank recursion.  The standard space is the conic
+<z, x, y> with the hyperbolic pairs (e0, f0), (e1, f1), ... added in order,
+and the points and maximals of V + <e, f> are built in closed form from
+those of V (``enumerate_points``, ``enumerate_maximals``), which gives the
+counts (q^(2r) - 1)/(q - 1) and N(r) = (1 + q^r) N(r - 1) without search.
+One RREF and one sort at the end put them in canonical order.
 
 The incidence index between points and maximals is built eagerly, from the
 s + 1 = (q^d - 1)/(q - 1) combinations of each basis whose first nonzero
@@ -24,6 +25,7 @@ t + 1 = prod_{i<d} (q^i + 1) maximals.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,59 +71,161 @@ def maximals_per_point(q: int, d: int) -> int:
     return out
 
 
+def _rank_steps(model: StandardModel) -> tuple[list[int], list[tuple[int, int]]]:
+    """Columns of the conic <z, x, y> and of the hyperbolic pairs (e_i, f_i), in order.
+
+    Raises RuntimeError unless beta(e_i, f_i) = 1 and each pair is
+    orthogonal to everything else, which the recursion relies on.
+    """
+    names = model.basis_names
+    J = model.space.gram
+    pairs = [(names.index(f"e{i}"), names.index(f"f{i}")) for i in range(model.d - 1)]
+    for e, f in pairs:
+        if (J[[e, f]] != np.eye(len(J), dtype=J.dtype)[[f, e]]).any():
+            raise RuntimeError(f"({names[e]}, {names[f]}) is not a hyperbolic pair")
+    return [names.index(c) for c in ("z", "x", "y")], pairs
+
+
+def _gram_pairing(model: StandardModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column each row of the Gram matrix pairs with, its entry there and its inverse.
+
+    Every row of the standard Gram matrix has one nonzero, so
+    beta(u, v) = sum_c u[c] g[c] v[partner[c]].
+    """
+    F, J = model.field, model.space.gram
+    if ((J != 0).sum(axis=1) != 1).any():
+        raise RuntimeError("a row of the Gram matrix has more than one nonzero")
+    partner = np.argmax(J != 0, axis=1)
+    g = J[np.arange(len(J)), partner]
+    return partner, g, F.inv_table[g]
+
+
+def _kappa(F: Field, pairing, V: np.ndarray) -> np.ndarray:
+    """kappa of every row of a (..., n) stack, one table lookup per coordinate."""
+    partner, g, _ = pairing
+    ADD, MUL = F.add_table, F.mul_table
+    terms = MUL[MUL[V, g], V[..., partner]]
+    acc = terms[..., 0]
+    for c in range(1, V.shape[-1]):
+        acc = ADD[acc, terms[..., c]]
+    return MUL[F.inv(F.add(1, 1)), acc]
+
+
+def _dual(F: Field, pairing, Y: np.ndarray) -> np.ndarray:
+    """The vectors w with beta(w, v) = y . v for each row y of a (..., n) stack."""
+    partner, _, ginv = pairing
+    return F.mul_table[Y[..., partner], ginv]
+
+
+def _products(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Matrix products A[i] @ B[i] of two broadcast stacks (..., a, b) x (..., b, c)."""
+    ADD, MUL = F.add_table, F.mul_table
+    acc = MUL[A[..., :, 0, None], B[..., 0, None, :]]
+    for t in range(1, A.shape[-1]):
+        acc = ADD[acc, MUL[A[..., :, t, None], B[..., t, None, :]]]
+    return acc
+
+
+def _lex_sorted(stack: np.ndarray) -> np.ndarray:
+    flat = stack.reshape(len(stack), -1)
+    return np.ascontiguousarray(stack[np.lexsort(flat.T[::-1])])
+
+
+def _conic_points(F: Field, pairing, cols: list[int], n: int) -> np.ndarray:
+    """The q + 1 singular points (1, x, y) of the conic on the columns (z, x, y)."""
+    pts = np.zeros((F.q * F.q, n), dtype=np.uint8)
+    pts[:, cols[0]] = 1
+    pts[:, cols[1:]] = all_vectors(F.q, 2)
+    return pts[_kappa(F, pairing, pts) == 0]
+
+
 def enumerate_points(model: StandardModel) -> np.ndarray:
-    """All singular projective points as unit vectors, in canonical order."""
+    """All singular projective points as unit vectors, in canonical order.
+
+    The conic <z, x, y> has the q + 1 points (1, x, y) with kappa = 0.  A
+    point of V + <e, f> is f + x - kappa(x) e for any x in V, x + b e for a
+    point x of V and any b, or e itself.
+    """
     F, n = model.field, model.dim
     q = F.q
-    blocks = []
-    for j in range(n - 1, -1, -1):
-        tails = all_vectors(q, n - 1 - j)
-        vecs = np.zeros((tails.shape[0], n), dtype=np.uint8)
-        vecs[:, j] = 1
-        vecs[:, j + 1:] = tails
-        keep = model.space.kappa_batch(vecs) == 0
-        blocks.append(vecs[keep])
-    return np.concatenate(blocks, axis=0)
+    pairing = _gram_pairing(model)
+    cols, pairs = _rank_steps(model)
+    pts = _conic_points(F, pairing, cols, n)
+    for e, f in pairs:
+        tops = np.zeros((q ** len(cols), n), dtype=np.uint8)
+        tops[:, cols] = all_vectors(q, len(cols))
+        tops[:, f] = 1
+        tops[:, e] = F.neg_table[_kappa(F, pairing, tops)]
+        lifts = np.repeat(pts, q, axis=0)
+        lifts[:, e] = np.tile(np.arange(q, dtype=np.uint8), len(pts))
+        pts = np.concatenate([tops, lifts, np.eye(1, n, e, dtype=np.uint8)])
+        cols += [e, f]
+    return _lex_sorted(_units(F, pts))
 
 
-def enumerate_maximals(model: StandardModel, points: np.ndarray | None = None) -> np.ndarray:
-    """All totally singular d-subspaces as an (N, d, n) stack of RREF bases."""
+def enumerate_maximals(model: StandardModel) -> np.ndarray:
+    """All totally singular d-subspaces as an (N, d, n) stack of RREF bases.
+
+    The maximals of rank 1 are the points of the conic <z, x, y>.  A
+    maximal of V + <e, f> is either <e> + K for a maximal K of V, or
+    {k + lam(k) e : k in K} + <f + w - kappa(w) e> for a maximal K of V, a
+    functional lam on K and w in V with beta(w, k) = -lam(k) on K; w is
+    fixed modulo K up to t u, where u is any vector of K-perp outside K.
+    That is N(r) = (1 + q^r) N(r - 1) maximals at rank r.  Every basis
+    carries columns where its rows are the identity, from which the duals
+    of K and u follow in closed form; one RREF and one sort at the end give
+    the canonical order.
+    """
     F, n, d = model.field, model.dim, model.d
-    J = model.space.gram
-    pts = enumerate_points(model) if points is None else points
-    piv = np.argmax(pts != 0, axis=1)
-    cand, cand_piv, cand_bj = [], [], []
-    for lead in range(n):
-        sel = piv > lead
-        cand.append(pts[sel])
-        cand_piv.append(piv[sel])
-        cand_bj.append(mat_mul(F, pts[sel], J) if sel.any() else np.zeros((0, n), np.uint8))
-    bases = pts[:, None, :]
-    last = piv
-    for depth in range(1, d):
-        chunks, chunk_piv = [], []
-        for i in range(bases.shape[0]):
-            lead = int(last[i])
-            pool = cand[lead]
-            if not pool.shape[0]:
-                continue
-            S = bases[i]
-            # the child [S; v] must be the RREF of the subspace it spans, so v
-            # is orthogonal to S and S is already zero in v's pivot column
-            prods = mat_mul(F, cand_bj[lead], S.T)
-            ok = ~(prods != 0).any(axis=1)
-            ok &= ~(S[:, cand_piv[lead]] != 0).any(axis=0)
-            if not ok.any():
-                continue
-            V = pool[ok]
-            top = np.broadcast_to(S, (V.shape[0],) + S.shape)
-            chunks.append(np.concatenate([top, V[:, None, :]], axis=1))
-            chunk_piv.append(cand_piv[lead][ok])
-        bases = np.concatenate(chunks, axis=0)
-        last = np.concatenate(chunk_piv)
-    flat = bases.reshape(bases.shape[0], -1)
-    order = np.lexsort(flat.T[::-1])
-    return np.ascontiguousarray(bases[order])
+    q = F.q
+    ADD, NEG = F.add_table, F.neg_table
+    pairing = _gram_pairing(model)
+    cols, pairs = _rank_steps(model)
+    bases = _conic_points(F, pairing, cols, n)[:, None, :]
+    piv = np.full((len(bases), 1), cols[0])
+    for e, f in pairs:
+        N, r, L = bases.shape[0], bases.shape[1] + 1, len(cols)
+        parent = np.arange(N)[:, None]
+        # K is the identity on its pivot columns p_i, so dual(unit(p_i)) is
+        # dual to K, and y_j = unit(j) - sum_i K[i, j] unit(p_i) over the
+        # columns j of V are orthogonal to K: their duals span K-perp in V
+        W = np.zeros((N, r - 1, n), dtype=np.uint8)
+        W[parent, np.arange(r - 1), piv] = 1
+        Y = np.zeros((N, L, n), dtype=np.uint8)
+        Y[parent[:, :, None], np.arange(L)[:, None], piv[:, None, :]] = NEG[
+            bases[:, :, cols].transpose(0, 2, 1)
+        ]
+        Y[:, np.arange(L), cols] = ADD[Y[:, np.arange(L), cols], 1]
+        perp = _dual(F, pairing, Y)
+        outside = _kappa(F, pairing, perp) != 0
+        if not outside.any(axis=1).all():
+            raise RuntimeError("a maximal has no anisotropic vector in its perp")
+        u = perp[np.arange(N), np.argmax(outside, axis=1)]
+        D = np.concatenate([_dual(F, pairing, W), u[:, None]], axis=1)
+        # reduce modulo K, so that every child has the identity on K's pivots
+        at_piv = np.take_along_axis(D, piv[:, None, :], axis=2)
+        D = ADD[D, _products(F, NEG[at_piv], bases)]
+        # child (lam, t): rows k_i + lam_i e and f + w - kappa(w) e,
+        # where w = -sum_i lam_i w_i + t u
+        coef = all_vectors(q, r)
+        lam = coef[:, :-1]
+        w = _products(F, np.concatenate([NEG[lam], coef[:, -1:]], axis=1)[None], D)
+        w[..., e] = NEG[_kappa(F, pairing, w)]
+        w[..., f] = 1
+        top = np.repeat(bases[:, None], len(coef), axis=1)
+        top[..., e] = lam
+        lifted = np.concatenate([top, w[:, :, None]], axis=2).reshape(-1, r, n)
+        e_row = np.broadcast_to(np.eye(1, n, e, dtype=np.uint8), (N, 1, n))
+        bases = np.concatenate([np.concatenate([bases, e_row], axis=1), lifted])
+        piv = np.concatenate([
+            np.concatenate([piv, np.full((N, 1), e)], axis=1),
+            np.repeat(np.concatenate([piv, np.full((N, 1), f)], axis=1), len(coef), axis=0),
+        ])
+        cols += [e, f]
+    red, ranks = rref_batch(F, bases)
+    if (ranks != d).any():
+        raise RuntimeError("an enumerated maximal does not have rank d")
+    return _lex_sorted(red)
 
 
 def _units(F: Field, vecs: np.ndarray) -> np.ndarray:
@@ -132,6 +236,25 @@ def _units(F: Field, vecs: np.ndarray) -> np.ndarray:
 
 def _strictly_sorted(keys: np.ndarray) -> bool:
     return np.array_equal(np.unique(keys), keys)
+
+
+def _physical_memory() -> int | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _require_memory(q: int, d: int, n: int) -> None:
+    """Raise ValueError when the bases and the incidence index cannot fit in memory."""
+    N = maximal_count(q, d)
+    need = N * d * n + N * points_per_maximal(q, d) * 8
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"q = {q}, d = {d} has {N} maximals; their bases and incidence index "
+            f"need {need} bytes, more than the {have} bytes of physical memory"
+        )
 
 
 class QuadricModel:
@@ -149,6 +272,7 @@ class QuadricModel:
         if self.t1 % 2:
             raise RuntimeError(f"t + 1 = {self.t1} is odd")
         self.target_degree = self.t1 // 2
+        _require_memory(q, model.d, model.dim)
 
         self.points = enumerate_points(model)
         self.num_points = self.points.shape[0]
@@ -159,7 +283,7 @@ class QuadricModel:
         if not _strictly_sorted(byte_keys(self.points)):
             raise RuntimeError("enumerated points are not strictly sorted")
 
-        self.maximal_bases = enumerate_maximals(model, self.points)
+        self.maximal_bases = enumerate_maximals(model)
         self.num_maximals = self.maximal_bases.shape[0]
         if self.num_maximals != maximal_count(q, model.d):
             raise RuntimeError(
@@ -173,10 +297,6 @@ class QuadricModel:
         degrees = np.bincount(self.maximal_points.ravel(), minlength=self.num_points)
         if (degrees != self.t1).any():
             raise RuntimeError(f"some point does not lie on t + 1 = {self.t1} maximals")
-        order = np.argsort(self.maximal_points.ravel(), kind="stable")
-        self.point_maximals = np.repeat(
-            np.arange(self.num_maximals, dtype=np.int64), self.s1
-        )[order].reshape(self.num_points, self.t1)
 
     def _check_totally_singular(self):
         # restricted Gram (basis J basis^T) must vanish entrywise, chunked

@@ -1,12 +1,12 @@
-"""Shared, session-cached geometry builders and matrix-stack helpers for the tests."""
+"""Shared, session-cached geometry builders, matrix-stack helpers and oracles for the tests."""
 
 import functools
 
 import numpy as np
 
 from hemisystems.gf import field_make
-from hemisystems.linform import StandardModel, standard_model
-from hemisystems.quadric import QuadricModel
+from hemisystems.linform import StandardModel, mat_mul, standard_model
+from hemisystems.quadric import QuadricModel, enumerate_points
 
 
 @functools.lru_cache(maxsize=None)
@@ -42,3 +42,49 @@ def element_orders(F, X):
         if n > F.q ** X.shape[-1]:
             raise RuntimeError("element order runaway")
     return orders
+
+
+def search_maximals(model: StandardModel, points: np.ndarray | None = None) -> np.ndarray:
+    """Oracle for ``quadric.enumerate_maximals``: depth-first search over RREF prefixes.
+
+    A totally singular S in RREF extends only by singular points whose
+    leading coordinate lies beyond the last pivot of S, so every subspace is
+    produced once, from its RREF-prefix parent; every candidate is tested
+    against every partial basis.
+    """
+    F, n, d = model.field, model.dim, model.d
+    J = model.space.gram
+    pts = enumerate_points(model) if points is None else points
+    piv = np.argmax(pts != 0, axis=1)
+    cand, cand_piv, cand_bj = [], [], []
+    for lead in range(n):
+        sel = piv > lead
+        cand.append(pts[sel])
+        cand_piv.append(piv[sel])
+        cand_bj.append(mat_mul(F, pts[sel], J) if sel.any() else np.zeros((0, n), np.uint8))
+    bases = pts[:, None, :]
+    last = piv
+    for depth in range(1, d):
+        chunks, chunk_piv = [], []
+        for i in range(bases.shape[0]):
+            lead = int(last[i])
+            pool = cand[lead]
+            if not pool.shape[0]:
+                continue
+            S = bases[i]
+            # the child [S; v] must be the RREF of the subspace it spans, so v
+            # is orthogonal to S and S is already zero in v's pivot column
+            prods = mat_mul(F, cand_bj[lead], S.T)
+            ok = ~(prods != 0).any(axis=1)
+            ok &= ~(S[:, cand_piv[lead]] != 0).any(axis=0)
+            if not ok.any():
+                continue
+            V = pool[ok]
+            top = np.broadcast_to(S, (V.shape[0],) + S.shape)
+            chunks.append(np.concatenate([top, V[:, None, :]], axis=1))
+            chunk_piv.append(cand_piv[lead][ok])
+        bases = np.concatenate(chunks, axis=0)
+        last = np.concatenate(chunk_piv)
+    flat = bases.reshape(bases.shape[0], -1)
+    order = np.lexsort(flat.T[::-1])
+    return np.ascontiguousarray(bases[order])

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,16 @@ def test_stats_rejects_even_characteristic(capsys):
 def test_stats_rejects_rank_one(capsys):
     rc, _, err = run(capsys, "stats", "--d", "1")
     assert rc == 2
+
+
+def test_stats_rejects_a_geometry_too_large_for_memory(capsys):
+    # (3,7) has 3.6e13 maximals; the closed-form size check fails before any
+    # enumeration, with the number of bytes in the message
+    start = time.perf_counter()
+    rc, _, err = run(capsys, "stats", "--p", "3", "--d", "7")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert "316727719855769600 bytes" in err
 
 
 def test_orbits_pairing_table(capsys):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import model, qmodel
+from conftest import model, qmodel, search_maximals
 from hemisystems.gf import field_make
 from hemisystems.linform import Subspace, identity, mat_mul, rref
 from hemisystems.orbits import ActionEscape
@@ -27,8 +27,14 @@ from hemisystems.quadric import (
     z_projection_nontrivial,
 )
 
-SMALL = [(3, 1, 2), (5, 1, 2), (3, 1, 3)]
+SMALL = [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)]
 ALL_DESK = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (3, 1, 3)]
+
+
+def point_maximals(qm):
+    """The transpose of the incidence index: the sorted maximal ids on each point."""
+    order = np.argsort(qm.maximal_points.ravel(), kind="stable")
+    return (order // qm.s1).reshape(qm.num_points, qm.t1)
 
 
 def naive_points(m):
@@ -102,6 +108,14 @@ def test_maximals_match_pair_oracle(p, k):
 
 
 @pytest.mark.parametrize("p,k,d", ALL_DESK)
+def test_maximals_match_search_oracle(p, k, d):
+    # the rank recursion gives the bases, and the order, of the search over
+    # RREF prefixes
+    m = model(p, k, d)
+    assert np.array_equal(enumerate_maximals(m), search_maximals(m))
+
+
+@pytest.mark.parametrize("p,k,d", ALL_DESK)
 def test_canonical_order_and_determinism(p, k, d):
     m = model(p, k, d)
     q = m.field.q
@@ -149,8 +163,9 @@ def test_incidence_full_oracle_3_2():
     assert (inc.sum(axis=1) == qm.t1).all()
     for mid in range(qm.num_maximals):
         assert np.array_equal(np.nonzero(inc[:, mid])[0], qm.maximal_points[mid])
+    pm = point_maximals(qm)
     for pid in range(qm.num_points):
-        assert np.array_equal(np.nonzero(inc[pid])[0], qm.point_maximals[pid])
+        assert np.array_equal(np.nonzero(inc[pid])[0], pm[pid])
 
 
 @pytest.mark.parametrize("p,k,d", ALL_DESK)
@@ -169,9 +184,10 @@ def test_incidence_is_orthogonality(p, k, d):
 def test_incidence_structure(p, k, d):
     qm = qmodel(p, k, d)
     assert qm.maximal_points.shape == (qm.num_maximals, qm.s1)
-    assert qm.point_maximals.shape == (qm.num_points, qm.t1)
+    pm = point_maximals(qm)
+    assert pm.shape == (qm.num_points, qm.t1)
     assert (np.diff(qm.maximal_points, axis=1) > 0).all()
-    assert (np.diff(qm.point_maximals, axis=1) > 0).all()
+    assert (np.diff(pm, axis=1) > 0).all()
     rng = np.random.default_rng(11)
     for mid in rng.choice(qm.num_maximals, size=10, replace=False):
         row = qm.maximal_points[mid]
@@ -180,7 +196,7 @@ def test_incidence_structure(p, k, d):
         outside = np.setdiff1d(np.arange(qm.num_points), row)[:3]
         for pid in outside:
             assert not incidence(qm.field, qm.points[pid], qm.maximal_bases[mid])
-        assert (qm.point_maximals[row] == mid).any(axis=1).all()
+        assert (pm[row] == mid).any(axis=1).all()
 
 
 def test_point_and_maximal_lookup_round_trip():
