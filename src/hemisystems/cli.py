@@ -31,13 +31,12 @@ from .hemi import Prepared, assemble, prepare, verify_hemisystem
 from .linform import (
     format_matrices,
     format_matrix,
-    mat_mul,
     parse_matrices,
     standard_model,
     witt_index,
 )
 from .orbits import ActionEscape
-from .quadric import QuadricModel, maximal_count, point_count
+from .quadric import QuadricModel, maximal_count, point_count, require_memory
 
 CERT_MAGIC = "hemisystem-certificate"
 CERT_VERSION = 1
@@ -134,7 +133,7 @@ class Certificate:
     degree: int
     m: int
     n_b: int
-    generators: list
+    generators: np.ndarray  # (g, 2d + 1, 2d + 1) stack of the orbit group's generators
     members: np.ndarray  # (N, d, 2d + 1) stack of the claimed members' bases
     mask: int
 
@@ -204,7 +203,7 @@ def parse_certificate(text: str) -> Certificate:
         return i, fields[1::2]
 
     i, gen_tokens = tagged(7, "generator")
-    generators = list(matrices(gen_tokens, dim, "generator"))
+    generators = matrices(gen_tokens, dim, "generator")
     i, member_tokens = tagged(i, "maximal")
     if not member_tokens:
         raise ParseError("certificate lists no maximals")
@@ -244,9 +243,9 @@ def check_certificate_header(cert: Certificate, qm: QuadricModel) -> None:
         )
     if cert.n_b != 2 * cert.m:
         raise ModelMismatch("orbits header violates n_b = 2m")
-    for idx, M in enumerate(cert.generators):
-        if not np.array_equal(mat_mul(F, mat_mul(F, M, gram), M.T), gram):
-            raise ModelMismatch(f"generator {idx} is not an isometry of the form")
+    moved = (qm.model.space.restrict_gram(cert.generators) != gram).any(axis=(1, 2))
+    if moved.any():
+        raise ModelMismatch(f"generator {np.argmax(moved)} is not an isometry of the form")
 
 
 def resolve_members(cert: Certificate, qm: QuadricModel):
@@ -430,6 +429,7 @@ def cmd_verify(cfg: RunConfig, qm: QuadricModel | None = None) -> int:
             raise ParseError(f"cannot read certificate: {exc}") from None
     cert = parse_certificate(text)
     if qm is None:
+        require_memory(cert.field.q, cert.d)
         qm = QuadricModel(standard_model(cert.field, cert.d))
     check_certificate_header(cert, qm)
     ids, reason = resolve_members(cert, qm)
@@ -694,6 +694,8 @@ def main(argv=None) -> int:
         )
         if cfg.d < 2:
             raise ParseError(f"rank d={cfg.d} must be >= 2")
+        if cfg.cap < 0:
+            raise ParseError(f"--cap {cfg.cap} must be >= 0")
         return _COMMANDS[ns.command](cfg)
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

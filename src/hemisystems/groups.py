@@ -31,7 +31,6 @@ from .linform import (
     mat_det,
     mat_inv,
     mat_mul,
-    mat_mul_stack,
     search_keys,
 )
 from .orbits import ActionEscape, OrbitPartition, partition
@@ -91,7 +90,7 @@ def close(field: Field, gens, limit: int) -> MatrixGroup:
     frontier = identity(n)[None]
     known = byte_keys(frontier).copy()
     while frontier.shape[0]:
-        products = np.concatenate([mat_mul_stack(field, frontier, g) for g in gens])
+        products = mat_mul(field, frontier, gens[:, None]).reshape(-1, n, n)
         keys, first = np.unique(byte_keys(products), return_index=True)
         fresh = ~search_keys(known, keys)[1]
         frontier = products[first[fresh]]
@@ -154,18 +153,12 @@ def discriminant_gram(field: Field) -> np.ndarray:
 
 def _diagonalize(space: QuadraticSpace) -> tuple[np.ndarray, np.ndarray]:
     """Rows C with C J C^T diagonal, every entry 1 except a possible final nu."""
-    F, J = space.field, space.gram
-    n = J.shape[0]
+    F, n = space.field, space.dim
     nu = F.first_nonsquare
     rows = identity(n)
-
-    def beta(u, v):
-        return int(mat_mul(F, mat_mul(F, u.reshape(1, -1), J), v.reshape(-1, 1))[0, 0])
-
     norms = np.zeros(n, dtype=np.uint8)
     for i in range(n):
-        sub = rows[i:]
-        G = mat_mul(F, mat_mul(F, sub, J), sub.T)
+        G = space.restrict_gram(rows[i:])
         diag = np.nonzero(np.diagonal(G))[0]
         if diag.size:
             t = int(diag[0])
@@ -180,7 +173,7 @@ def _diagonalize(space: QuadraticSpace) -> tuple[np.ndarray, np.ndarray]:
         if t:
             rows[[i, i + t]] = rows[[i + t, i]]
         v = rows[i].copy()
-        s = beta(v, v)
+        s = space.beta(v, v)
         if F.is_square(s):
             v = F.mul_table[F.inv(F.sqrt(s)), v]
             norms[i] = 1
@@ -190,7 +183,7 @@ def _diagonalize(space: QuadraticSpace) -> tuple[np.ndarray, np.ndarray]:
         rows[i] = v
         d = int(norms[i])
         for j in range(i + 1, n):
-            coef = F.div(beta(rows[j], v), d)
+            coef = F.div(space.beta(rows[j], v), d)
             rows[j] = F.add_table[rows[j], F.mul_table[F.neg(coef), v]]
 
     # fuse pairs of nu-norm rows into pairs of norm-one rows
@@ -216,8 +209,7 @@ def _diagonalize(space: QuadraticSpace) -> tuple[np.ndarray, np.ndarray]:
         i = int(bad[0])
         rows[[i, n - 1]] = rows[[n - 1, i]]
         norms[[i, n - 1]] = norms[[n - 1, i]]
-    check = mat_mul(F, mat_mul(F, rows, J), rows.T)
-    if not np.array_equal(check, np.diag(norms)):
+    if not np.array_equal(space.restrict_gram(rows), np.diag(norms)):
         raise RuntimeError("diagonalization does not reach a diagonal Gram matrix")
     return rows, norms
 
@@ -244,8 +236,7 @@ def witt_isometry(to_space: QuadraticSpace, from_space: QuadraticSpace):
             raise NoIsometry("forms are not similar")
         T = mat_mul(F, mat_inv(F, ct2), cf)
         c = nu
-    lhs = mat_mul(F, mat_mul(F, T, from_space.gram), T.T)
-    if not np.array_equal(lhs, F.mul_table[c, to_space.gram]):
+    if not np.array_equal(from_space.restrict_gram(T), F.mul_table[c, to_space.gram]):
         raise RuntimeError("T does not carry the source form onto c times the target")
     return T, c
 
@@ -275,7 +266,8 @@ def omega_w(model: StandardModel) -> MatrixGroup:
     disc = QuadraticSpace(F, discriminant_gram(F))
     T, _ = witt_isometry(model.w_space, disc)
     Tinv = mat_inv(F, T)
-    gens = [mat_mul(F, mat_mul(F, T, sym_square(F, g)), Tinv) for g in sl2_generators(F)]
+    squares = np.stack([sym_square(F, g) for g in sl2_generators(F)])
+    gens = mat_mul(F, mat_mul(F, T, squares), Tinv)
     expected = F.q * (F.q**2 - 1) // 2
     group = close(F, gens, limit=expected)
     if group.order != expected:
@@ -317,10 +309,8 @@ def w_vector_orbits(model: StandardModel, group: MatrixGroup) -> OrbitPartition:
     F = model.field
     vecs = w_singular_vectors(model)
     keys = byte_keys(vecs)  # ascending, as the vectors are
-    perms = []
-    for g in group.generators:
-        pos, found = search_keys(keys, byte_keys(mat_mul(F, vecs, g)))
-        if not found.all():
-            raise ActionEscape("image left the singular vectors of W")
-        perms.append(pos)
-    return partition(vecs.shape[0], perms)
+    images = mat_mul(F, vecs, group.generators)
+    pos, found = search_keys(keys, byte_keys(images.reshape(-1, vecs.shape[1])))
+    if not found.all():
+        raise ActionEscape("image left the singular vectors of W")
+    return partition(vecs.shape[0], list(pos.reshape(len(images), -1)))

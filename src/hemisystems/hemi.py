@@ -29,7 +29,7 @@ from .groups import (
 )
 from .linform import StandardModel, identity, mat_inv, mat_mul, standard_model
 from .orbits import OrbitPartition, partition, tau_image_of_orbit
-from .quadric import QuadricModel
+from .quadric import QuadricModel, require_memory
 
 
 class MaskLength(ValueError):
@@ -145,7 +145,7 @@ def ab_check(
 
     t_inv = mat_inv(F, t)
     gens = embed_w_block(F, b.generators, t.shape[0])
-    conj = np.stack([mat_mul(F, mat_mul(F, t, g), t_inv) for g in gens])
+    conj = mat_mul(F, mat_mul(F, t, gens), t_inv)
     left = np.flatnonzero(~b.contains(conj))
     b_normal = left.size == 0
     if not b_normal:
@@ -332,6 +332,7 @@ class Prepared:
 
 def prepare(field: Field, d: int) -> Prepared:
     """Build the model, both groups, their actions, and the AB report."""
+    require_memory(field.q, d)
     m = standard_model(field, d)
     qm = QuadricModel(m)
     b = omega_w(m)

@@ -44,38 +44,17 @@ def identity(n: int) -> np.ndarray:
 
 
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of encoded matrices; shapes (m, n) x (n, r) -> (m, r)."""
+    """Product of encoded matrices, broadcast over leading axes like ``@``.
+
+    Shapes (..., m, n) x (..., n, r) -> (..., m, r): one matrix or a stack
+    on either side.  This is the package's one GF(q) matrix product.
+    """
     if F.k == 1:
         return ((A.astype(np.int64) @ B.astype(np.int64)) % F.p).astype(np.uint8)
     ADD, MUL = F.add_table, F.mul_table
-    acc = MUL[A[:, 0][:, None], B[0][None, :]]
-    for t in range(1, A.shape[1]):
-        acc = ADD[acc, MUL[A[:, t][:, None], B[t][None, :]]]
-    return acc
-
-
-def mat_mul_stack(F: Field, stack: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Apply (n, r) matrix B on the right of every matrix in an (N, m, n) stack."""
-    N, m, n = stack.shape
-    return mat_mul(F, stack.reshape(N * m, n), B).reshape(N, m, -1)
-
-
-def vec_mat(F: Field, v: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return mat_mul(F, v.reshape(1, -1), B)[0]
-
-
-def dot(F: Field, u: np.ndarray, v: np.ndarray) -> int:
-    return int(mat_mul(F, u.reshape(1, -1), v.reshape(-1, 1))[0, 0])
-
-
-def row_dots(F: Field, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Componentwise row dot products of two (N, n) stacks."""
-    if F.k == 1:
-        return ((U.astype(np.int64) * V.astype(np.int64)).sum(axis=1) % F.p).astype(np.uint8)
-    ADD, MUL = F.add_table, F.mul_table
-    acc = MUL[U[:, 0], V[:, 0]]
-    for t in range(1, U.shape[1]):
-        acc = ADD[acc, MUL[U[:, t], V[:, t]]]
+    acc = MUL[A[..., :, 0, None], B[..., 0, None, :]]
+    for t in range(1, A.shape[-1]):
+        acc = ADD[acc, MUL[A[..., :, t, None], B[..., t, None, :]]]
     return acc
 
 
@@ -338,21 +317,20 @@ class QuadraticSpace:
 
     def beta(self, u, v) -> int:
         F = self.field
-        u = np.asarray(u, dtype=np.uint8)
-        v = np.asarray(v, dtype=np.uint8)
-        return dot(F, vec_mat(F, u, self.gram), v)
+        u = np.asarray(u, dtype=np.uint8).reshape(1, -1)
+        v = np.asarray(v, dtype=np.uint8).reshape(-1, 1)
+        return int(mat_mul(F, mat_mul(F, u, self.gram), v)[0, 0])
 
     def kappa(self, v) -> int:
         return self.field.mul(self._half, self.beta(v, v))
 
     def kappa_batch(self, V: np.ndarray) -> np.ndarray:
-        F = self.field
-        W = mat_mul(F, V, self.gram)
-        return F.mul_table[self._half, row_dots(F, W, V)]
+        return self.field.mul_table[self._half, self.restrict_gram(V[:, None, :])[:, 0, 0]]
 
     def restrict_gram(self, basis: np.ndarray) -> np.ndarray:
+        """B J B^T for one basis B, or for each basis of a (..., m, n) stack."""
         B = as_mat(basis)
-        return mat_mul(self.field, mat_mul(self.field, B, self.gram), B.T)
+        return mat_mul(self.field, mat_mul(self.field, B, self.gram), np.swapaxes(B, -1, -2))
 
     def perp(self, S: Subspace) -> Subspace:
         rows = nullspace(self.field, mat_mul(self.field, S.basis, self.gram))

@@ -37,7 +37,6 @@ from .linform import (
     all_vectors,
     byte_keys,
     mat_mul,
-    mat_mul_stack,
     reduce_vector,
     rref_batch,
     search_keys,
@@ -115,15 +114,6 @@ def _dual(F: Field, pairing, Y: np.ndarray) -> np.ndarray:
     """The vectors w with beta(w, v) = y . v for each row y of a (..., n) stack."""
     partner, _, ginv = pairing
     return F.mul_table[Y[..., partner], ginv]
-
-
-def _products(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Matrix products A[i] @ B[i] of two broadcast stacks (..., a, b) x (..., b, c)."""
-    ADD, MUL = F.add_table, F.mul_table
-    acc = MUL[A[..., :, 0, None], B[..., 0, None, :]]
-    for t in range(1, A.shape[-1]):
-        acc = ADD[acc, MUL[A[..., :, t, None], B[..., t, None, :]]]
-    return acc
 
 
 def _lex_sorted(stack: np.ndarray) -> np.ndarray:
@@ -204,12 +194,12 @@ def enumerate_maximals(model: StandardModel) -> np.ndarray:
         D = np.concatenate([_dual(F, pairing, W), u[:, None]], axis=1)
         # reduce modulo K, so that every child has the identity on K's pivots
         at_piv = np.take_along_axis(D, piv[:, None, :], axis=2)
-        D = ADD[D, _products(F, NEG[at_piv], bases)]
+        D = ADD[D, mat_mul(F, NEG[at_piv], bases)]
         # child (lam, t): rows k_i + lam_i e and f + w - kappa(w) e,
         # where w = -sum_i lam_i w_i + t u
         coef = all_vectors(q, r)
         lam = coef[:, :-1]
-        w = _products(F, np.concatenate([NEG[lam], coef[:, -1:]], axis=1)[None], D)
+        w = mat_mul(F, np.concatenate([NEG[lam], coef[:, -1:]], axis=1), D)
         w[..., e] = NEG[_kappa(F, pairing, w)]
         w[..., f] = 1
         top = np.repeat(bases[:, None], len(coef), axis=1)
@@ -245,10 +235,14 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _require_memory(q: int, d: int, n: int) -> None:
-    """Raise ValueError when the bases and the incidence index cannot fit in memory."""
+def require_memory(q: int, d: int) -> None:
+    """Raise ValueError when the bases and the incidence index cannot fit in memory.
+
+    Closed forms only, so callers run it before building the standard model,
+    whose Witt-index check scans all q^(2d - 2) vectors of U.
+    """
     N = maximal_count(q, d)
-    need = N * d * n + N * points_per_maximal(q, d) * 8
+    need = N * d * (2 * d + 1) + N * points_per_maximal(q, d) * 8
     have = _physical_memory()
     if have is not None and need > have:
         raise ValueError(
@@ -272,7 +266,7 @@ class QuadricModel:
         if self.t1 % 2:
             raise RuntimeError(f"t + 1 = {self.t1} is odd")
         self.target_degree = self.t1 // 2
-        _require_memory(q, model.d, model.dim)
+        require_memory(q, model.d)
 
         self.points = enumerate_points(model)
         self.num_points = self.points.shape[0]
@@ -299,19 +293,10 @@ class QuadricModel:
             raise RuntimeError(f"some point does not lie on t + 1 = {self.t1} maximals")
 
     def _check_totally_singular(self):
-        # restricted Gram (basis J basis^T) must vanish entrywise, chunked
-        F, B = self.field, self.maximal_bases
+        # the restricted Gram matrix B J B^T must vanish, chunked to bound memory
+        B = self.maximal_bases
         for start in range(0, self.num_maximals, 8192):
-            chunk = B[start:start + 8192]
-            g = mat_mul_stack(F, chunk, self.model.space.gram)
-            if F.k == 1:
-                pr = (g.astype(np.int64) @ chunk.astype(np.int64).transpose(0, 2, 1)) % F.p
-            else:
-                MUL, ADD = F.mul_table, F.add_table
-                pr = MUL[g[:, :, 0][:, :, None], chunk[:, :, 0][:, None, :]]
-                for t in range(1, self.dim):
-                    pr = ADD[pr, MUL[g[:, :, t][:, :, None], chunk[:, :, t][:, None, :]]]
-            if pr.any():
+            if self.model.space.restrict_gram(B[start:start + 8192]).any():
                 raise RuntimeError("an enumerated maximal is not totally singular")
 
     def _build_incidence(self) -> np.ndarray:
@@ -325,8 +310,7 @@ class QuadricModel:
         out = np.empty((self.num_maximals, self.s1), dtype=np.int64)
         for start in range(0, self.num_maximals, 4096):
             chunk = self.maximal_bases[start:start + 4096]
-            rows = chunk.transpose(1, 0, 2).reshape(d, -1)
-            span = mat_mul(F, combos, rows).reshape(self.s1, len(chunk), n).transpose(1, 0, 2)
+            span = mat_mul(F, combos, chunk)
             pids, found = search_keys(keys, byte_keys(span.reshape(-1, n)))
             if not found.all():
                 raise RuntimeError("maximal contains a vector outside the point set")
@@ -387,7 +371,7 @@ class QuadricModel:
         return self.point_ids(mat_mul(self.field, self.points, mat))
 
     def maximal_permutation(self, mat: np.ndarray) -> np.ndarray:
-        return self.maximal_ids(mat_mul_stack(self.field, self.maximal_bases, mat))
+        return self.maximal_ids(mat_mul(self.field, self.maximal_bases, mat))
 
 
 def incidence(F: Field, point_vec, basis) -> bool:

@@ -98,13 +98,41 @@ def test_stats_rejects_rank_one(capsys):
 
 
 def test_stats_rejects_a_geometry_too_large_for_memory(capsys):
-    # (3,7) has 3.6e13 maximals; the closed-form size check fails before any
-    # enumeration, with the number of bytes in the message
+    # (3,7) has 3.6e13 maximals; the closed-form size check fails before the
+    # standard model is built, whose Witt-index check alone scans the 3^16
+    # vectors of U at d = 9, and the message carries the number of bytes
+    for d, need in ((7, "316727719855769600"), (9, "364764832225735692567756800")):
+        start = time.perf_counter()
+        rc, _, err = run(capsys, "stats", "--p", "3", "--d", str(d))
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2
+        assert f"{need} bytes" in err
+
+
+def test_verify_rejects_a_geometry_too_large_for_memory(capsys, tmp_path):
+    # the header alone sets the geometry, so the size check runs before the
+    # standard model of rank 9 is built
+    F = field_make(3)
+    cert = tmp_path / "rank9.txt"
+    cert.write_text(
+        "\n".join([
+            f"{CERT_MAGIC} 1",
+            "field 3 1 0,1",
+            "rank 9",
+            f"gram {format_matrix(F, np.eye(19, dtype=np.uint8))}",
+            "counts 1 1",
+            "degree 1",
+            "orbits 1 2",
+            f"maximal {format_matrix(F, np.eye(9, 19, dtype=np.uint8))}",
+            "mask 0 1",
+            "end",
+        ]) + "\n"
+    )
     start = time.perf_counter()
-    rc, _, err = run(capsys, "stats", "--p", "3", "--d", "7")
+    rc, _, err = run(capsys, "verify", str(cert))
     assert time.perf_counter() - start < 1.0
     assert rc == 2
-    assert "316727719855769600 bytes" in err
+    assert "364764832225735692567756800 bytes" in err
 
 
 def test_orbits_pairing_table(capsys):
@@ -117,6 +145,17 @@ def test_orbits_pairing_table(capsys):
     assert sorted(r["size"] for r in doc["pairs"]) == [4, 4, 12]
     seen = [oid for r in doc["pairs"] for oid in (r["low"], r["high"])]
     assert sorted(seen) == list(range(6))
+
+
+def test_orbits_cap_bounds_the_listing(capsys):
+    rc, out, _ = run(capsys, "orbits", "--cap", "0")
+    assert rc == 0
+    assert "pair 0:" not in out
+    assert "(3 more pairs beyond --cap)" in out
+    rc, out, err = run(capsys, "orbits", "--cap", "-1")
+    assert rc == 2
+    assert out == ""
+    assert "--cap -1" in err
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -276,6 +315,22 @@ def test_verify_rejects_edited_gram_header(capsys, tmp_path, cert_pair):
     rc, _, err = run(capsys, "verify", str(bad))
     assert rc == 2
     assert "Gram" in err
+
+
+def test_verify_rejects_a_generator_that_is_not_an_isometry(capsys, tmp_path, cert_pair):
+    # every generator line is checked as one stack; the reason names the
+    # first generator whose product B J B^T is not J
+    text = cert_pair["0"].read_text()
+    lines = [ln for ln in text.splitlines() if ln.startswith("generator ")]
+    assert len(lines) == 3
+    F = field_make(3)
+    g = parse_matrix(F, lines[1].split(" ", 1)[1])
+    g[1, 1] = F.add(int(g[1, 1]), 1)
+    bad = tmp_path / "badgen.txt"
+    bad.write_text(text.replace(lines[1], f"generator {format_matrix(F, g)}", 1))
+    rc, _, err = run(capsys, "verify", str(bad))
+    assert rc == 2
+    assert "generator 1 is not an isometry" in err
 
 
 def test_verify_rejects_garbage_and_truncation(capsys, tmp_path, cert_pair):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import element_orders, model, stack_mul
+from conftest import element_orders, model
 from hemisystems.gf import field_make
 from hemisystems.groups import (
     GenerationFailure,
@@ -170,19 +170,14 @@ def brute_force_orthogonal_w(F, gram):
     from hemisystems.linform import all_vectors
 
     mats = all_vectors(F.q, 9).reshape(-1, 3, 3)
-    MJ = mat_mul(F, mats.reshape(-1, 3), gram).reshape(-1, 3, 3)
-    if F.k == 1:
-        prod = (MJ.astype(np.int64) @ mats.astype(np.int64).transpose(0, 2, 1)) % F.p
-    else:  # pragma: no cover - only prime fields are brute forced
-        raise NotImplementedError
-    keep = (prod == gram[None, :, :].astype(np.int64)).all(axis=(1, 2))
+    keep = (QuadraticSpace(F, gram).restrict_gram(mats) == gram).all(axis=(1, 2))
     return mats[keep]
 
 
 def commutators(F, X, i, j):
     """g^-1 h^-1 g h for g = X[i] and h = X[j], over two index arrays."""
     inv = np.stack([mat_inv(F, g) for g in X])
-    return stack_mul(F, stack_mul(F, stack_mul(F, inv[i], inv[j]), X[i]), X[j])
+    return mat_mul(F, mat_mul(F, mat_mul(F, inv[i], inv[j]), X[i]), X[j])
 
 
 def all_pairs(n):
@@ -216,15 +211,14 @@ def test_omega_w_orders(p, k, order):
         assert np.array_equal(g[3:, :], identity(n)[3:, :])
         assert not g[:3, 3:].any()
     J = m.w_space.gram
-    assert (stack_mul(F, stack_mul(F, b.elements, J), b.elements.transpose(0, 2, 1)) == J).all()
+    assert (m.w_space.restrict_gram(b.elements) == J).all()
 
 
 def test_omega_w_preserves_full_gram():
     m = model(3, 1, 3)
     F = m.field
-    J = m.space.gram
     full = embed_w_block(F, omega_w(m).elements, m.dim)
-    assert (stack_mul(F, stack_mul(F, full, J), full.transpose(0, 2, 1)) == J).all()
+    assert (m.space.restrict_gram(full) == m.space.gram).all()
 
 
 @pytest.mark.parametrize("p,k", CONFIGS)
@@ -344,7 +338,7 @@ def test_tau_coset_acts_consistently_on_w_singular_orbits(p, k):
     index = {vecs[i].tobytes(): i for i in range(vecs.shape[0])}
     part = w_vector_orbits(m, b)
     behaviors = {
-        _orbit_pair_behavior(F, vecs, index, part, g) for g in stack_mul(F, b.elements, t)
+        _orbit_pair_behavior(F, vecs, index, part, g) for g in mat_mul(F, b.elements, t)
     }
     assert len(behaviors) == 1
 

@@ -40,15 +40,51 @@ def naive_mat_mul(F, A, B):
 # matrix arithmetic
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2)])
+@pytest.mark.parametrize("p,k", [(3, 1), (7, 1), (3, 2), (3, 3), (251, 1)])
 def test_mat_mul_against_naive(p, k):
     F = field_make(p, k)
     rng = np.random.default_rng(1)
+
+    def mats(*shape):
+        return rng.integers(0, F.q, size=shape).astype(np.uint8)
+
     for _ in range(25):
         m, n, r = rng.integers(1, 6, size=3)
-        A = rng.integers(0, F.q, size=(m, n)).astype(np.uint8)
-        B = rng.integers(0, F.q, size=(n, r)).astype(np.uint8)
+        A, B = mats(m, n), mats(n, r)
         assert (mat_mul(F, A, B) == naive_mat_mul(F, A, B)).all()
+    # broadcast over leading axes, each product checked matrix by matrix
+    for _ in range(4):
+        N, g, m, n, r = rng.integers(1, 5, size=5)
+        A, B = mats(N, m, n), mats(n, r)
+        C = mat_mul(F, A, B)
+        assert C.shape == (N, m, r)
+        assert all((C[i] == naive_mat_mul(F, A[i], B)).all() for i in range(N))
+        A, B = mats(m, n), mats(g, n, r)
+        C = mat_mul(F, A, B)
+        assert C.shape == (g, m, r)
+        assert all((C[j] == naive_mat_mul(F, A, B[j])).all() for j in range(g))
+        A, B = mats(1, N, m, n), mats(g, 1, n, r)
+        C = mat_mul(F, A, B)
+        assert C.shape == (g, N, m, r)
+        assert all(
+            (C[j, i] == naive_mat_mul(F, A[0, i], B[j, 0])).all()
+            for j in range(g)
+            for i in range(N)
+        )
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])
+def test_restrict_gram_of_a_stack_is_per_matrix(p, k):
+    F = field_make(p, k)
+    sp = standard_model(F, 3).space
+    rng = np.random.default_rng(5)
+    stack = rng.integers(0, F.q, size=(2, 6, 3, sp.dim)).astype(np.uint8)
+    G = sp.restrict_gram(stack)
+    assert G.shape == (2, 6, 3, 3)
+    for j, i in itertools.product(range(2), range(6)):
+        B = stack[j, i]
+        assert (G[j, i] == naive_mat_mul(F, naive_mat_mul(F, B, sp.gram), B.T)).all()
+        assert (G[j, i] == sp.restrict_gram(B)).all()
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])
@@ -221,8 +257,8 @@ def test_polarization_exhaustive_3_2():
     kap = sp.kappa_batch(vecs)
     for ui, u in enumerate(vecs):
         lhs = sp.kappa_batch(F.add_table[u[None, :], vecs])
-        bu = lf.vec_mat(F, u, sp.gram)
-        bet = mat_mul(F, vecs, bu.reshape(-1, 1))[:, 0]
+        bu = mat_mul(F, u[None], sp.gram)
+        bet = mat_mul(F, vecs, bu.T)[:, 0]
         rhs = F.add_table[F.add_table[kap, int(kap[ui])], bet]
         assert (lhs == rhs).all()
 

@@ -1,4 +1,5 @@
-"""Source-tree rules: invariant checks that survive ``python -O``, and docs that match the CLI."""
+"""Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
+product, and docs that match the CLI."""
 
 import argparse
 import ast
@@ -21,6 +22,31 @@ def test_no_assert_statements_in_the_package():
     ]
     assert sorted(SRC.glob("*.py")), f"no sources under {SRC}"
     assert found == []
+
+
+def test_only_mat_mul_branches_on_the_extension_degree():
+    # linform.mat_mul is the one GF(q) matrix product, so outside the field
+    # itself no other code forks on F.k (k == 1 against k > 1)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "gf.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                is_def = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                owner[child] = node.name if is_def else owner.get(node)
+        found += [
+            f"{path.name}:{owner[node]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Compare)
+            and any(
+                isinstance(x, ast.Attribute) and x.attr == "k"
+                for x in (node.left, *node.comparators)
+            )
+        ]
+    assert found == ["linform.py:mat_mul"]
 
 
 def test_readme_names_only_flags_the_cli_accepts():
