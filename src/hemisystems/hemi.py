@@ -9,7 +9,11 @@ one of the 2^m choices, where m is the number of pairs.
 Verification is independent of the construction: it recounts the degree of
 every point against the chosen maximals, either through the incidence index
 or, on the slow path, by testing every point for orthogonality to every
-chosen basis, one chunked matrix product that does not read the index.
+chosen basis, one chunked matrix product that does not read the index.  The
+generators act on maximals through the same index, which only proposes each
+image; the images of the maximal's basis rows confirm it.  Unconfirmed, a
+corrupted index would build a wrong set that the index recount, reading the
+same corruption, could approve; confirmed, it raises ActionEscape instead.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ class ActionBundle:
 
 
 def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBundle:
-    """Point and maximal permutations of B's generators and of tau (a W block or full)."""
+    """Point and maximal permutations of B's generators and of tau (a W block or full),
+    and the orbits of B and A, by union-find over the permutations."""
     gens = embed_w_block(qm.field, b.generators, qm.model.dim)
     tv = embed_w_block(qm.field, t, qm.model.dim)
     bp = tuple(qm.point_permutation(g) for g in gens)

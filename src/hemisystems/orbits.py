@@ -1,8 +1,9 @@
 """Orbit partitions of an id-indexed universe under integer permutations.
 
-Group actions are resolved to permutations of object ids once, so orbit
-closure is breadth-first search over int arrays and never touches matrices.
-Orbit ids are deterministic: orbits are numbered by their least member.
+Group actions are resolved to permutations of object ids once, so orbits
+are the connected components of the generators' edges (i, p[i]), found by a
+vectorised union-find over int arrays that never touches matrices.  Orbit
+ids are deterministic: orbits are numbered by their least member.
 """
 
 from __future__ import annotations
@@ -48,30 +49,39 @@ def check_permutation(n: int, perm: np.ndarray) -> np.ndarray:
 
 
 def partition(n: int, perms) -> OrbitPartition:
-    """Partition ids 0..n-1 into orbits under the group generated by perms."""
+    """Partition ids 0..n-1 into orbits under the group generated by perms.
+
+    Union-find over the edges (i, p[i]): for each generator in turn, hook the
+    larger root of every unjoined edge under the smaller, then compress by
+    pointer jumping; repeat until every edge joins equal labels.  A root is
+    never hooked under a larger id, so each label ends as the least member
+    of its orbit.  Taking one generator at a time keeps the work arrays at n
+    entries.
+    """
     perms = [check_permutation(n, p) for p in perms]
-    orbit_of = np.full(n, -1, dtype=np.int64)
-    members = []
-    for seed in range(n):
-        if orbit_of[seed] >= 0:
-            continue
-        oid = len(members)
-        orbit_of[seed] = oid
-        frontier = np.array([seed], dtype=np.int64)
-        acc = [frontier]
-        while frontier.size:
-            if perms:
-                imgs = np.unique(np.concatenate([p[frontier] for p in perms]))
-                frontier = imgs[orbit_of[imgs] < 0]
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-            orbit_of[frontier] = oid
-            if frontier.size:
-                acc.append(frontier)
-        members.append(np.sort(np.concatenate(acc)))
-    reps = np.array([m[0] for m in members], dtype=np.int64)
-    sizes = np.array([m.size for m in members], dtype=np.int64)
-    return OrbitPartition(n, orbit_of, tuple(members), reps, sizes)
+    label = np.arange(n, dtype=np.int64)
+    joined = False
+    while not joined:
+        joined = True
+        for p in perms:
+            b = label[p]
+            open_ = label != b
+            if not open_.any():
+                continue
+            joined = False
+            a, b = label[open_], b[open_]
+            np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+            while True:
+                up = label[label]
+                if np.array_equal(up, label):
+                    break
+                label = up
+    reps, orbit_of = np.unique(label, return_inverse=True)
+    sizes = np.bincount(orbit_of, minlength=reps.size)
+    order = np.argsort(orbit_of, kind="stable")
+    ends = np.cumsum(sizes).tolist()
+    members = tuple(order[s:e] for s, e in zip([0] + ends[:-1], ends))
+    return OrbitPartition(n, orbit_of, members, reps, sizes)
 
 
 def tau_image_of_orbit(part: OrbitPartition, orbit_id: int, tau_perm: np.ndarray) -> int:

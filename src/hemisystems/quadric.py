@@ -20,7 +20,14 @@ One RREF and one sort at the end put them in canonical order.
 The incidence index between points and maximals is built eagerly, from the
 s + 1 = (q^d - 1)/(q - 1) combinations of each basis whose first nonzero
 coefficient is 1, and checked for regularity: each point lies on
-t + 1 = prod_{i<d} (q^i + 1) maximals.
+t + 1 = prod_{i<d} (q^i + 1) maximals.  It holds int32 point ids, as do the
+point ids of the basis rows.
+
+An isometry acts on maximals through the index: the images of a maximal's
+points give the RREF rows of its image, so no image basis is reduced.  The
+index only proposes each image; the images of the maximal's own basis rows
+must expand on the proposed rows, which does not read the index, or the
+action raises ActionEscape.
 """
 
 from __future__ import annotations
@@ -236,13 +243,17 @@ def _physical_memory() -> int | None:
 
 
 def require_memory(q: int, d: int) -> None:
-    """Raise ValueError when the bases and the incidence index cannot fit in memory.
+    """Raise ValueError when the ids overflow int32 or the geometry cannot fit in memory.
 
-    Closed forms only, so callers run it before building the standard model,
-    whose Witt-index check scans all q^(2d - 2) vectors of U.
+    The bases take N·d·n bytes, and the incidence index and the point ids
+    of the basis rows 4 bytes per id.  Closed forms only, so callers run it
+    before building the standard model, whose Witt-index check scans all
+    q^(2d - 2) vectors of U.
     """
-    N = maximal_count(q, d)
-    need = N * d * (2 * d + 1) + N * points_per_maximal(q, d) * 8
+    P, N = point_count(q, d), maximal_count(q, d)
+    if P >= 2**31:
+        raise ValueError(f"q = {q}, d = {d} has {P} points; their ids do not fit in int32")
+    need = N * d * (2 * d + 1) + 4 * N * (points_per_maximal(q, d) + d)
     have = _physical_memory()
     if have is not None and need > have:
         raise ValueError(
@@ -288,6 +299,9 @@ class QuadricModel:
             raise RuntimeError("enumerated maximals are not strictly sorted")
 
         self.maximal_points = self._build_incidence()
+        self.basis_points = self.point_ids(
+            self.maximal_bases.reshape(-1, self.dim)
+        ).astype(np.int32).reshape(self.num_maximals, self.d)
         degrees = np.bincount(self.maximal_points.ravel(), minlength=self.num_points)
         if (degrees != self.t1).any():
             raise RuntimeError(f"some point does not lie on t + 1 = {self.t1} maximals")
@@ -307,7 +321,7 @@ class QuadricModel:
         combos = all_vectors(F.q, d)[1:]
         combos = combos[(_units(F, combos) == combos).all(axis=1)]
         keys = byte_keys(self.points)
-        out = np.empty((self.num_maximals, self.s1), dtype=np.int64)
+        out = np.empty((self.num_maximals, self.s1), dtype=np.int32)
         for start in range(0, self.num_maximals, 4096):
             chunk = self.maximal_bases[start:start + 4096]
             span = mat_mul(F, combos, chunk)
@@ -371,7 +385,53 @@ class QuadricModel:
         return self.point_ids(mat_mul(self.field, self.points, mat))
 
     def maximal_permutation(self, mat: np.ndarray) -> np.ndarray:
-        return self.maximal_ids(mat_mul(self.field, self.maximal_bases, mat))
+        """Ids of the images of every maximal, read off the incidence index.
+
+        The RREF rows of an image g(M) are points, and the row with pivot c
+        is the least point of g(M) whose leading column is c.  The leading
+        column never rises as the point id grows, so the rows are the first
+        ids of the d runs of equal leading column among the sorted images
+        of M's points.  The index only proposes the image: each is confirmed
+        when the images of M's own basis rows are their expansions on the
+        proposed rows, which reads the bases and not the index.  Raises
+        ActionEscape, with ``index`` the first offending maximal, when a
+        point escapes or an image is not confirmed.
+        """
+        F, d, n = self.field, self.d, self.dim
+        pi = self.point_permutation(mat).astype(np.int32)
+        lead = np.argmax(self.points != 0, axis=1).astype(np.uint8)
+        keys = byte_keys(self.maximal_bases)
+        out = np.empty(self.num_maximals, dtype=np.int64)
+        # np.take gathers rows several times faster than fancy indexing here
+        for start in range(0, self.num_maximals, 4096):
+            img = np.take(pi, self.maximal_points[start:start + 4096])
+            img.sort(axis=1)
+            img_lead = np.take(lead, img)
+            first = np.ones(img.shape, dtype=bool)
+            first[:, 1:] = img_lead[:, 1:] != img_lead[:, :-1]
+            bad = first.sum(axis=1) != d
+            if bad.any():
+                i = start + int(np.argmax(bad))
+                raise ActionEscape(
+                    f"the image of maximal {i} has no RREF basis of {d} points", index=i
+                )
+            rows = img[first].reshape(-1, d)[:, ::-1]
+            piv = img_lead[first].reshape(-1, d)[:, ::-1]
+            basis = np.take(self.points, rows, axis=0)
+            ids, found = search_keys(keys, byte_keys(basis))
+            # v_i = sum_j v_i[c_j] R_j for every image v_i of a basis row of M,
+            # where R_j is the proposed row with pivot c_j
+            vid = np.take(pi, self.basis_points[start:start + 4096])
+            coef = np.take(self.points, vid.astype(np.int64)[:, :, None] * n + piv[:, None, :])
+            v = np.take(self.points, vid, axis=0)
+            ok = found & (mat_mul(F, coef, basis) == v).all(axis=(1, 2))
+            if not ok.all():
+                i = start + int(np.argmax(~ok))
+                raise ActionEscape(
+                    f"the image of maximal {i} is not confirmed by its basis", index=i
+                )
+            out[start:start + 4096] = ids
+        return out
 
 
 def incidence(F: Field, point_vec, basis) -> bool:

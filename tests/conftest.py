@@ -6,6 +6,7 @@ import numpy as np
 
 from hemisystems.gf import field_make
 from hemisystems.linform import StandardModel, mat_mul, standard_model
+from hemisystems.orbits import OrbitPartition, check_permutation
 from hemisystems.quadric import QuadricModel, enumerate_points
 
 
@@ -76,3 +77,39 @@ def search_maximals(model: StandardModel, points: np.ndarray | None = None) -> n
     flat = bases.reshape(bases.shape[0], -1)
     order = np.lexsort(flat.T[::-1])
     return np.ascontiguousarray(bases[order])
+
+
+def rref_maximal_permutation(qm: QuadricModel, mat: np.ndarray) -> np.ndarray:
+    """Oracle for ``QuadricModel.maximal_permutation``: reduce every image basis.
+
+    Multiplies all N bases by the matrix and resolves each product by its
+    RREF, without reading the incidence index.
+    """
+    return qm.maximal_ids(mat_mul(qm.field, qm.maximal_bases, mat))
+
+
+def bfs_partition(n: int, perms) -> OrbitPartition:
+    """Oracle for ``orbits.partition``: breadth-first search from each unseen id."""
+    perms = [check_permutation(n, p) for p in perms]
+    orbit_of = np.full(n, -1, dtype=np.int64)
+    members = []
+    for seed in range(n):
+        if orbit_of[seed] >= 0:
+            continue
+        oid = len(members)
+        orbit_of[seed] = oid
+        frontier = np.array([seed], dtype=np.int64)
+        acc = [frontier]
+        while frontier.size:
+            if perms:
+                imgs = np.unique(np.concatenate([p[frontier] for p in perms]))
+                frontier = imgs[orbit_of[imgs] < 0]
+            else:
+                frontier = np.empty(0, dtype=np.int64)
+            orbit_of[frontier] = oid
+            if frontier.size:
+                acc.append(frontier)
+        members.append(np.sort(np.concatenate(acc)))
+    reps = np.array([m[0] for m in members], dtype=np.int64)
+    sizes = np.array([m.size for m in members], dtype=np.int64)
+    return OrbitPartition(n, orbit_of, tuple(members), reps, sizes)

@@ -101,7 +101,7 @@ def test_stats_rejects_a_geometry_too_large_for_memory(capsys):
     # (3,7) has 3.6e13 maximals; the closed-form size check fails before the
     # standard model is built, whose Witt-index check alone scans the 3^16
     # vectors of U at d = 9, and the message carries the number of bytes
-    for d, need in ((7, "316727719855769600"), (9, "364764832225735692567756800")):
+    for d, need in ((7, "161245155153152000"), (9, "182944133335081396349747200")):
         start = time.perf_counter()
         rc, _, err = run(capsys, "stats", "--p", "3", "--d", str(d))
         assert time.perf_counter() - start < 1.0
@@ -132,7 +132,7 @@ def test_verify_rejects_a_geometry_too_large_for_memory(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", str(cert))
     assert time.perf_counter() - start < 1.0
     assert rc == 2
-    assert "364764832225735692567756800 bytes" in err
+    assert "182944133335081396349747200 bytes" in err
 
 
 def test_orbits_pairing_table(capsys):

@@ -1,8 +1,11 @@
 """Orbit partition machinery on integer permutations."""
 
+import time
+
 import numpy as np
 import pytest
 
+from conftest import bfs_partition
 from hemisystems.gf import field_make
 from hemisystems.linform import identity, standard_model
 from hemisystems.orbits import (
@@ -39,6 +42,52 @@ def test_identity_and_empty_generators():
         assert part.n_orbits == 5
         assert part.sizes.tolist() == [1] * 5
         assert part.orbit_of.tolist() == list(range(5))
+        assert [m.tolist() for m in part.members] == [[i] for i in range(5)]
+    empty = partition(0, [])
+    assert empty.n_orbits == 0 and empty.members == ()
+    assert empty.orbit_of.size == empty.reps.size == empty.sizes.size == 0
+
+
+def random_generators(rng, n):
+    """A few permutations of n ids, each either random or moving only a few ids."""
+    gens = []
+    for _ in range(int(rng.integers(0, 4))):
+        perm = np.arange(n)
+        if rng.random() < 0.5:
+            moved = rng.choice(n, size=int(rng.integers(0, min(n, 4) + 1)), replace=False)
+            perm[moved] = rng.permutation(moved)
+        else:
+            perm = rng.permutation(n)
+        gens.append(perm)
+    return gens
+
+
+def test_partition_matches_breadth_first_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(250):
+        n = int(rng.integers(0, 80))
+        gens = random_generators(rng, n)
+        got, want = partition(n, gens), bfs_partition(n, gens)
+        assert got.n == want.n
+        for name in ("orbit_of", "reps", "sizes"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+        assert len(got.members) == len(want.members)
+        for x, y in zip(got.members, want.members):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def test_partition_of_a_long_scrambled_cycle_is_fast():
+    # min-label propagation needs as many rounds as the cycle is long;
+    # hooking roots and jumping pointers need few
+    n = 200_000
+    order = np.random.default_rng(5).permutation(n)
+    cycle = np.empty(n, dtype=np.int64)
+    cycle[order] = np.roll(order, -1)
+    start = time.perf_counter()
+    part = partition(n, [cycle])
+    assert time.perf_counter() - start < 1.0
+    assert part.n_orbits == 1 and np.array_equal(part.members[0], np.arange(n))
 
 
 def test_partition_is_consistent():

@@ -9,13 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import model, qmodel, search_maximals
+from conftest import model, qmodel, rref_maximal_permutation, search_maximals
 from hemisystems.gf import field_make
+from hemisystems.groups import embed_w_block, omega_w, tau
 from hemisystems.linform import Subspace, identity, mat_mul, rref
 from hemisystems.orbits import ActionEscape
 from hemisystems.quadric import (
     MaximalBasisForm,
     NotMaximal,
+    QuadricModel,
     basis_normal_form,
     enumerate_maximals,
     enumerate_points,
@@ -24,6 +26,7 @@ from hemisystems.quadric import (
     maximals_per_point,
     point_count,
     points_per_maximal,
+    require_memory,
     z_projection_nontrivial,
 )
 
@@ -274,6 +277,63 @@ def test_permutations_respect_incidence(p, k, d):
     for mid in range(qm.num_maximals):
         image = np.sort(pperm[qm.maximal_points[mid]])
         assert np.array_equal(image, qm.maximal_points[mperm[mid]])
+
+
+def action_matrices(qm):
+    """B's generators and tau, embedded in the dimension of the model."""
+    F, n = qm.field, qm.dim
+    gens = embed_w_block(F, omega_w(qm.model).generators, n)
+    return [*gens, embed_w_block(F, tau(qm.model), n)]
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (5, 2, 2), (3, 1, 3)])
+def test_maximal_permutation_matches_rref_oracle(p, k, d):
+    qm = qmodel(p, k, d)
+    for g in action_matrices(qm):
+        perm = qm.maximal_permutation(g)
+        assert perm.dtype == np.int64
+        assert np.array_equal(perm, rref_maximal_permutation(qm, g))
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_a_corrupted_index_never_yields_a_wrong_permutation(p, k, d):
+    qm = QuadricModel(model(p, k, d))  # a private model: its index is corrupted below
+    qm.maximal_points = np.roll(qm.maximal_points, 1, axis=0)
+    for g in [identity(qm.dim), *action_matrices(qm)]:
+        try:
+            perm = qm.maximal_permutation(g)
+        except ActionEscape:
+            continue
+        assert np.array_equal(perm, rref_maximal_permutation(qm, g))
+
+
+def test_shear_and_singular_matrix_escape():
+    qm = qmodel(3, 1, 2)
+    shear = identity(qm.dim)
+    shear[0, 1] = 1  # z -> z + e0 is not an isometry
+    singular = identity(qm.dim)
+    singular[1] = 0  # the singular point e0 goes to zero
+    for g in (shear, singular):
+        with pytest.raises(ActionEscape):
+            qm.maximal_permutation(g)
+        with pytest.raises(ActionEscape):
+            rref_maximal_permutation(qm, g)
+
+
+@pytest.mark.parametrize("p,k,d", SMALL)
+def test_index_ids_are_int32(p, k, d):
+    qm = qmodel(p, k, d)
+    assert qm.maximal_points.dtype == np.int32
+    assert qm.basis_points.dtype == np.int32
+    assert qm.basis_points.shape == (qm.num_maximals, qm.d)
+    rows = qm.maximal_bases.reshape(-1, qm.dim)
+    assert np.array_equal(qm.basis_points.ravel(), [qm.point_id(v) for v in rows])
+
+
+def test_point_ids_beyond_int32_are_rejected():
+    assert point_count(3, 11) >= 2**31 > point_count(3, 10)
+    with pytest.raises(ValueError, match="int32"):
+        require_memory(3, 11)
 
 
 @pytest.mark.parametrize("p,k,d", SMALL)

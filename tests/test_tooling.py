@@ -1,12 +1,14 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
-product, and docs that match the CLI."""
+product, docs that match the CLI, and the calls the benchmark traces."""
 
 import argparse
 import ast
 import re
 from pathlib import Path
 
+from hemisystems import hemi
 from hemisystems.cli import build_parser
+from hemisystems.gf import field_make
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hemisystems"
 
@@ -67,3 +69,23 @@ def test_readme_names_only_flags_the_cli_accepts():
     }
     assert "--format" in named
     assert sorted(named - accepted) == []
+
+
+def test_prepare_makes_every_call_the_benchmark_traces(monkeypatch):
+    # the traced benchmark run wraps these names; a call made under another
+    # name would leave its span at 0 without any error
+    monkeypatch.syspath_prepend(str(SRC.parent.parent))
+    from hemibench.workloads import INNER_CALLS
+
+    calls = {}
+    for owner, name, _ in INNER_CALLS:
+        fn = getattr(owner, name)
+
+        def counted(*args, _fn=fn, _key=(owner, name), **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    hemi.prepare(field_make(3), 2)
+    assert INNER_CALLS
+    assert [(o, n) for o, n, _ in INNER_CALLS if not calls.get((o, n))] == []
