@@ -32,6 +32,7 @@ from .linform import (
     mat_inv,
     mat_mul,
     search_keys,
+    vector_codes,
 )
 from .orbits import ActionEscape, OrbitPartition, partition
 
@@ -308,9 +309,9 @@ def w_vector_orbits(model: StandardModel, group: MatrixGroup) -> OrbitPartition:
     """Orbits of a group of W blocks on nonzero singular vectors of W."""
     F = model.field
     vecs = w_singular_vectors(model)
-    keys = byte_keys(vecs)  # ascending, as the vectors are
+    codes = vector_codes(F.q, vecs)  # ascending, as the vectors are
     images = mat_mul(F, vecs, group.generators)
-    pos, found = search_keys(keys, byte_keys(images.reshape(-1, vecs.shape[1])))
+    pos, found = search_keys(codes, vector_codes(F.q, images))
     if not found.all():
         raise ActionEscape("image left the singular vectors of W")
-    return partition(vecs.shape[0], list(pos.reshape(len(images), -1)))
+    return partition(vecs.shape[0], list(pos))

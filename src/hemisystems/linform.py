@@ -47,10 +47,18 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of encoded matrices, broadcast over leading axes like ``@``.
 
     Shapes (..., m, n) x (..., n, r) -> (..., m, r): one matrix or a stack
-    on either side.  This is the package's one GF(q) matrix product.
+    on either side.  This is the package's one GF(q) matrix product.  Over a
+    prime field it multiplies in int32 and raises ValueError, before any
+    product, when the inner dimension n could overflow it.
     """
     if F.k == 1:
-        return ((A.astype(np.int64) @ B.astype(np.int64)) % F.p).astype(np.uint8)
+        # int32 sums stay exact while inner · (p - 1)^2 < 2^31
+        inner = A.shape[-1]
+        if inner * (F.p - 1) ** 2 >= 2**31:
+            raise ValueError(f"an inner dimension of {inner} overflows int32 over GF({F.p})")
+        C = A.astype(np.int32) @ B.astype(np.int32)
+        C %= F.p
+        return C.astype(np.uint8)
     ADD, MUL = F.add_table, F.mul_table
     acc = MUL[A[..., :, 0, None], B[..., 0, None, :]]
     for t in range(1, A.shape[-1]):
@@ -167,8 +175,24 @@ def all_vectors(q: int, length: int) -> np.ndarray:
     return np.indices((q,) * length, dtype=np.uint8).reshape(length, -1).T.copy()
 
 
+def vector_codes(q: int, vecs: np.ndarray) -> np.ndarray:
+    """Each row of a (..., n) stack read as base-q digits, as int64.
+
+    Code order is lexicographic order.  Codes are exact while q^n < 2^63.
+    """
+    code = vecs[..., 0].astype(np.int64)
+    for c in range(1, vecs.shape[-1]):
+        code *= q
+        code += vecs[..., c]
+    return code
+
+
 def byte_keys(stack: np.ndarray) -> np.ndarray:
-    """One opaque byte-string key per row or matrix; key order is lexicographic on entries."""
+    """One opaque byte-string key per matrix; key order is lexicographic on entries.
+
+    Keys matrices (maximal bases, group elements); vectors are keyed by
+    ``vector_codes``.
+    """
     flat = np.ascontiguousarray(stack, dtype=np.uint8).reshape(len(stack), -1)
     return flat.view(f"V{flat.shape[1]}").ravel()
 
@@ -176,8 +200,8 @@ def byte_keys(stack: np.ndarray) -> np.ndarray:
 def search_keys(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of each key in a sorted, nonempty key array, and whether it is there.
 
-    Keys must have the length of the sorted keys; where a key is absent its
-    position is meaningless.
+    Keys are vector codes or byte keys of the sorted keys' length; where a
+    key is absent its position is meaningless.
     """
     pos = np.minimum(np.searchsorted(sorted_keys, keys), sorted_keys.size - 1)
     return pos, sorted_keys[pos] == keys

@@ -2,13 +2,15 @@
 
 Points are the projective singular points, each kept as its unit vector
 (first nonzero coordinate scaled to 1) and ordered lexicographically, which
-is the order of the vector read as base-q digits.  Maximals (totally
-singular d-subspaces) are kept as RREF bases and ordered row-major
-lexicographically.  Both orders are the order of the byte keys of the
-rows (``linform.byte_keys``), so every lookup is one binary search: a vector
-is scaled to its unit multiple and searched among the points, and a
-spanning set of a maximal is reduced to its RREF basis and searched among
-the maximals.
+is the order of their point codes: the vector read as base-q digits
+(``linform.vector_codes``), strictly increasing with the point id.
+Maximals (totally singular d-subspaces) are kept as RREF bases and ordered
+row-major lexicographically, the order of their byte keys
+(``linform.byte_keys``).  So every lookup is one binary search: a vector is
+scaled to its unit multiple and its code searched among the point codes,
+and a spanning set of a maximal is reduced to its RREF basis and searched
+among the maximals.  The codes fit in int64: ``require_memory`` keeps the
+point count below 2^31, which for q <= 255 leaves q^(2d + 1) < 2^47.
 
 Enumeration follows the rank recursion.  The standard space is the conic
 <z, x, y> with the hyperbolic pairs (e0, f0), (e1, f1), ... added in order,
@@ -47,6 +49,7 @@ from .linform import (
     reduce_vector,
     rref_batch,
     search_keys,
+    vector_codes,
 )
 from .orbits import ActionEscape
 
@@ -231,10 +234,6 @@ def _units(F: Field, vecs: np.ndarray) -> np.ndarray:
     return F.mul_table[F.inv_table[lead][:, None], vecs]
 
 
-def _strictly_sorted(keys: np.ndarray) -> bool:
-    return np.array_equal(np.unique(keys), keys)
-
-
 def _physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -285,7 +284,8 @@ class QuadricModel:
             raise RuntimeError(
                 f"enumerated {self.num_points} points, expected {point_count(q, model.d)}"
             )
-        if not _strictly_sorted(byte_keys(self.points)):
+        self.point_codes = vector_codes(q, self.points)
+        if not (np.diff(self.point_codes) > 0).all():
             raise RuntimeError("enumerated points are not strictly sorted")
 
         self.maximal_bases = enumerate_maximals(model)
@@ -295,7 +295,8 @@ class QuadricModel:
                 f"enumerated {self.num_maximals} maximals, expected {maximal_count(q, model.d)}"
             )
         self._check_totally_singular()
-        if not _strictly_sorted(byte_keys(self.maximal_bases)):
+        keys = byte_keys(self.maximal_bases)
+        if not np.array_equal(np.unique(keys), keys):
             raise RuntimeError("enumerated maximals are not strictly sorted")
 
         self.maximal_points = self._build_incidence()
@@ -317,18 +318,16 @@ class QuadricModel:
         # the combinations whose first nonzero coefficient is 1 span each
         # point of a maximal once, and on an RREF basis they are already
         # unit vectors: the first nonzero entry sits in a pivot column
-        F, d, n = self.field, self.d, self.dim
+        F, d = self.field, self.d
         combos = all_vectors(F.q, d)[1:]
         combos = combos[(_units(F, combos) == combos).all(axis=1)]
-        keys = byte_keys(self.points)
         out = np.empty((self.num_maximals, self.s1), dtype=np.int32)
         for start in range(0, self.num_maximals, 4096):
             chunk = self.maximal_bases[start:start + 4096]
             span = mat_mul(F, combos, chunk)
-            pids, found = search_keys(keys, byte_keys(span.reshape(-1, n)))
+            pids, found = search_keys(self.point_codes, vector_codes(F.q, span))
             if not found.all():
                 raise RuntimeError("maximal contains a vector outside the point set")
-            pids = pids.reshape(len(chunk), self.s1)
             pids.sort(axis=1)
             out[start:start + 4096] = pids
         return out
@@ -344,7 +343,7 @@ class QuadricModel:
         Raises ActionEscape when a row is zero or not singular.
         """
         units = _units(self.field, np.asarray(vecs, dtype=np.uint8))
-        pids, found = search_keys(byte_keys(self.points), byte_keys(units))
+        pids, found = search_keys(self.point_codes, vector_codes(self.field.q, units))
         if not found.all():
             raise ActionEscape("vector is not a singular point of the quadric")
         return pids
@@ -384,7 +383,9 @@ class QuadricModel:
     def point_permutation(self, mat: np.ndarray) -> np.ndarray:
         return self.point_ids(mat_mul(self.field, self.points, mat))
 
-    def maximal_permutation(self, mat: np.ndarray) -> np.ndarray:
+    def maximal_permutation(
+        self, mat: np.ndarray, point_perm: np.ndarray | None = None
+    ) -> np.ndarray:
         """Ids of the images of every maximal, read off the incidence index.
 
         The RREF rows of an image g(M) are points, and the row with pivot c
@@ -396,9 +397,16 @@ class QuadricModel:
         proposed rows, which reads the bases and not the index.  Raises
         ActionEscape, with ``index`` the first offending maximal, when a
         point escapes or an image is not confirmed.
+
+        ``point_perm``, when given, must be ``point_permutation(mat)``: a
+        caller that already holds it saves computing it again.  The
+        confirmation reads the points and bases through it, so it guards
+        against a corrupted index either way.
         """
         F, d, n = self.field, self.d, self.dim
-        pi = self.point_permutation(mat).astype(np.int32)
+        if point_perm is None:
+            point_perm = self.point_permutation(mat)
+        pi = point_perm.astype(np.int32)
         lead = np.argmax(self.points != 0, axis=1).astype(np.uint8)
         keys = byte_keys(self.maximal_bases)
         out = np.empty(self.num_maximals, dtype=np.int64)

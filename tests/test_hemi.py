@@ -30,6 +30,22 @@ def prep(p, k, d):
     return _prepared[(p, k, d)]
 
 
+def test_prepare_makes_each_point_permutation_once(monkeypatch):
+    # resolve_actions hands each generator's point permutation to
+    # maximal_permutation instead of letting it compute the same one again
+    made = []
+    real = QuadricModel.point_permutation
+
+    def counted(self, mat):
+        made.append(mat)
+        return real(self, mat)
+
+    monkeypatch.setattr(QuadricModel, "point_permutation", counted)
+    pr = prepare(field_make(3), 2)
+    assert len(made) == len(pr.b.generators) + 1
+    assert pr.report.ok
+
+
 @pytest.mark.parametrize("p,k,d", CONFIGS)
 def test_ab_hypotheses_hold(p, k, d):
     pr = prep(p, k, d)

@@ -5,6 +5,7 @@ import pytest
 
 from hemisystems.gf import field_make
 from hemisystems import linform as lf
+from hemisystems.quadric import point_count
 from hemisystems.linform import (
     BadRank,
     DegenerateRestriction,
@@ -71,6 +72,32 @@ def test_mat_mul_against_naive(p, k):
             for j in range(g)
             for i in range(N)
         )
+
+
+class _Unread(np.ndarray):
+    def astype(self, *args, **kwargs):
+        raise AssertionError("the product was computed")
+
+
+def test_mat_mul_is_exact_up_to_the_int32_bound():
+    # every entry p - 1 makes each inner sum as large as it can be
+    F = field_make(251)
+    bound = (2**31 - 1) // 250**2
+    # the widest product the package makes is over the ambient dimension
+    # 2d + 1; ranks stop where point ids leave int32, latest at q = 3
+    widest = 2 * max(d for d in range(2, 40) if point_count(3, d) < 2**31) + 1
+    assert widest == 21 < bound == 34359
+    for n in (widest, bound):
+        A = np.full((2, n), 250, dtype=np.uint8)
+        B = np.full((n, 3), 250, dtype=np.uint8)
+        oracle = sum(int(a) * int(b) for a, b in zip(A[0], B[:, 0])) % 251
+        assert (mat_mul(F, A, B) == oracle).all()
+        assert (mat_mul(F, A[None], B[None]) == oracle).all()
+    # one past the bound raises before either side is cast, let alone multiplied
+    A = np.full((1, bound + 1), 250, dtype=np.uint8).view(_Unread)
+    B = np.full((bound + 1, 1), 250, dtype=np.uint8).view(_Unread)
+    with pytest.raises(ValueError, match="int32"):
+        mat_mul(F, A, B)
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])

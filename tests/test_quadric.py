@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from conftest import model, qmodel, rref_maximal_permutation, search_maximals
+from hemisystems import quadric
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block, omega_w, tau
-from hemisystems.linform import Subspace, identity, mat_mul, rref
+from hemisystems.linform import Subspace, all_vectors, identity, mat_mul, rref
 from hemisystems.orbits import ActionEscape
 from hemisystems.quadric import (
     MaximalBasisForm,
@@ -128,6 +129,9 @@ def test_canonical_order_and_determinism(p, k, d):
     pows = q ** np.arange(m.dim - 1, -1, -1, dtype=np.int64)
     codes = pts.astype(np.int64) @ pows
     assert (np.diff(codes) > 0).all()
+    # a point's code is its lex rank among all q^n coordinate tuples
+    assert np.array_equal(all_vectors(q, m.dim)[codes], pts)
+    assert np.array_equal(qmodel(p, k, d).point_codes, codes)
     maxs = enumerate_maximals(m)
     assert np.array_equal(maxs, enumerate_maximals(m))
     blobs = [maxs[i].tobytes() for i in range(maxs.shape[0])]
@@ -293,6 +297,7 @@ def test_maximal_permutation_matches_rref_oracle(p, k, d):
         perm = qm.maximal_permutation(g)
         assert perm.dtype == np.int64
         assert np.array_equal(perm, rref_maximal_permutation(qm, g))
+        assert np.array_equal(qm.maximal_permutation(g, qm.point_permutation(g)), perm)
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
@@ -300,11 +305,14 @@ def test_a_corrupted_index_never_yields_a_wrong_permutation(p, k, d):
     qm = QuadricModel(model(p, k, d))  # a private model: its index is corrupted below
     qm.maximal_points = np.roll(qm.maximal_points, 1, axis=0)
     for g in [identity(qm.dim), *action_matrices(qm)]:
-        try:
-            perm = qm.maximal_permutation(g)
-        except ActionEscape:
-            continue
-        assert np.array_equal(perm, rref_maximal_permutation(qm, g))
+        # with the point permutation computed inside, and passed in as
+        # resolve_actions passes it
+        for point_perm in (None, qm.point_permutation(g)):
+            try:
+                perm = qm.maximal_permutation(g, point_perm)
+            except ActionEscape:
+                continue
+            assert np.array_equal(perm, rref_maximal_permutation(qm, g))
 
 
 def test_shear_and_singular_matrix_escape():
@@ -334,6 +342,26 @@ def test_point_ids_beyond_int32_are_rejected():
     assert point_count(3, 11) >= 2**31 > point_count(3, 10)
     with pytest.raises(ValueError, match="int32"):
         require_memory(3, 11)
+
+
+def test_point_codes_fit_in_int64_at_every_accepted_rank(monkeypatch):
+    # require_memory bounds the point ids, not the codes: with no memory
+    # bound, every rank it accepts must still keep q^(2d + 1), above every
+    # code, below 2^63; P < 2^31 even keeps it under 2^31 q^2 <= 2^47
+    monkeypatch.setattr(quadric, "_physical_memory", lambda: None)
+    primes = [p for p in range(3, 256) if all(p % f for f in range(2, p))]
+    qs = sorted({p**k for p in primes for k in range(1, 6) if p**k <= 255})
+    assert qs[:6] == [3, 5, 7, 9, 11, 13] and qs[-2:] == [243, 251]
+    for q in qs:
+        d = 2
+        while True:
+            try:
+                require_memory(q, d)
+            except ValueError:
+                break
+            assert q ** (2 * d + 1) < 2**47 < 2**63
+            d += 1
+        assert d > 2, f"q = {q} accepts no rank"
 
 
 @pytest.mark.parametrize("p,k,d", SMALL)
