@@ -80,9 +80,9 @@ def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBu
     gens = embed_w_block(qm.field, b.generators, qm.model.dim)
     tv = embed_w_block(qm.field, t, qm.model.dim)
     bp = tuple(qm.point_permutation(g) for g in gens)
-    bm = tuple(qm.maximal_permutation(g, p) for g, p in zip(gens, bp))
+    bm = tuple(qm.maximal_permutation(p) for p in bp)
     tp = qm.point_permutation(tv)
-    tm = qm.maximal_permutation(tv, tp)
+    tm = qm.maximal_permutation(tp)
     return ActionBundle(
         b_point_perms=bp,
         b_maximal_perms=bm,

@@ -383,10 +383,9 @@ class QuadricModel:
     def point_permutation(self, mat: np.ndarray) -> np.ndarray:
         return self.point_ids(mat_mul(self.field, self.points, mat))
 
-    def maximal_permutation(
-        self, mat: np.ndarray, point_perm: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Ids of the images of every maximal, read off the incidence index.
+    def maximal_permutation(self, point_perm: np.ndarray) -> np.ndarray:
+        """Ids of the images of every maximal under an isometry, given the
+        isometry's ``point_permutation``, read off the incidence index.
 
         The RREF rows of an image g(M) are points, and the row with pivot c
         is the least point of g(M) whose leading column is c.  The leading
@@ -394,18 +393,11 @@ class QuadricModel:
         ids of the d runs of equal leading column among the sorted images
         of M's points.  The index only proposes the image: each is confirmed
         when the images of M's own basis rows are their expansions on the
-        proposed rows, which reads the bases and not the index.  Raises
-        ActionEscape, with ``index`` the first offending maximal, when a
-        point escapes or an image is not confirmed.
-
-        ``point_perm``, when given, must be ``point_permutation(mat)``: a
-        caller that already holds it saves computing it again.  The
-        confirmation reads the points and bases through it, so it guards
-        against a corrupted index either way.
+        proposed rows, which reads the points and bases through the
+        permutation and not the index.  Raises ActionEscape, with ``index``
+        the first offending maximal, when an image is not confirmed.
         """
         F, d, n = self.field, self.d, self.dim
-        if point_perm is None:
-            point_perm = self.point_permutation(mat)
         pi = point_perm.astype(np.int32)
         lead = np.argmax(self.points != 0, axis=1).astype(np.uint8)
         keys = byte_keys(self.maximal_bases)

@@ -269,8 +269,9 @@ def test_right_action_composition():
         g, h = (elems[rng.integers(len(elems))] for _ in range(2))
         pg, ph = qm.point_permutation(g), qm.point_permutation(h)
         assert np.array_equal(qm.point_permutation(mat_mul(F, g, h)), ph[pg])
-        mg, mh = qm.maximal_permutation(g), qm.maximal_permutation(h)
-        assert np.array_equal(qm.maximal_permutation(mat_mul(F, g, h)), mh[mg])
+        mg, mh = qm.maximal_permutation(pg), qm.maximal_permutation(ph)
+        gh = qm.point_permutation(mat_mul(F, g, h))
+        assert np.array_equal(qm.maximal_permutation(gh), mh[mg])
 
 
 @pytest.mark.parametrize("p,k", CONFIGS)

@@ -31,8 +31,8 @@ def prep(p, k, d):
 
 
 def test_prepare_makes_each_point_permutation_once(monkeypatch):
-    # resolve_actions hands each generator's point permutation to
-    # maximal_permutation instead of letting it compute the same one again
+    # resolve_actions derives each generator's maximal permutation from the
+    # point permutation it already made, not from a second one
     made = []
     real = QuadricModel.point_permutation
 

@@ -270,12 +270,13 @@ def test_maximal_ids_rank_check_survives_optimize():
 def test_permutations_respect_incidence(p, k, d):
     qm = qmodel(p, k, d)
     n = qm.dim
-    assert np.array_equal(qm.point_permutation(identity(n)), np.arange(qm.num_points))
-    assert np.array_equal(qm.maximal_permutation(identity(n)), np.arange(qm.num_maximals))
+    ident = qm.point_permutation(identity(n))
+    assert np.array_equal(ident, np.arange(qm.num_points))
+    assert np.array_equal(qm.maximal_permutation(ident), np.arange(qm.num_maximals))
     swap = identity(n)
     swap[[1, 2]] = swap[[2, 1]]
     pperm = qm.point_permutation(swap)
-    mperm = qm.maximal_permutation(swap)
+    mperm = qm.maximal_permutation(pperm)
     assert np.array_equal(pperm[pperm], np.arange(qm.num_points))
     assert np.array_equal(mperm[mperm], np.arange(qm.num_maximals))
     for mid in range(qm.num_maximals):
@@ -294,10 +295,9 @@ def action_matrices(qm):
 def test_maximal_permutation_matches_rref_oracle(p, k, d):
     qm = qmodel(p, k, d)
     for g in action_matrices(qm):
-        perm = qm.maximal_permutation(g)
+        perm = qm.maximal_permutation(qm.point_permutation(g))
         assert perm.dtype == np.int64
         assert np.array_equal(perm, rref_maximal_permutation(qm, g))
-        assert np.array_equal(qm.maximal_permutation(g, qm.point_permutation(g)), perm)
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
@@ -305,14 +305,11 @@ def test_a_corrupted_index_never_yields_a_wrong_permutation(p, k, d):
     qm = QuadricModel(model(p, k, d))  # a private model: its index is corrupted below
     qm.maximal_points = np.roll(qm.maximal_points, 1, axis=0)
     for g in [identity(qm.dim), *action_matrices(qm)]:
-        # with the point permutation computed inside, and passed in as
-        # resolve_actions passes it
-        for point_perm in (None, qm.point_permutation(g)):
-            try:
-                perm = qm.maximal_permutation(g, point_perm)
-            except ActionEscape:
-                continue
-            assert np.array_equal(perm, rref_maximal_permutation(qm, g))
+        try:
+            perm = qm.maximal_permutation(qm.point_permutation(g))
+        except ActionEscape:
+            continue
+        assert np.array_equal(perm, rref_maximal_permutation(qm, g))
 
 
 def test_shear_and_singular_matrix_escape():
@@ -323,7 +320,7 @@ def test_shear_and_singular_matrix_escape():
     singular[1] = 0  # the singular point e0 goes to zero
     for g in (shear, singular):
         with pytest.raises(ActionEscape):
-            qm.maximal_permutation(g)
+            qm.maximal_permutation(qm.point_permutation(g))
         with pytest.raises(ActionEscape):
             rref_maximal_permutation(qm, g)
 
