@@ -36,7 +36,7 @@ from .linform import (
     witt_index,
 )
 from .orbits import ActionEscape
-from .quadric import QuadricModel, maximal_count, point_count, require_memory
+from .quadric import QuadricModel, maximal_count, point_count
 
 CERT_MAGIC = "hemisystem-certificate"
 CERT_VERSION = 1
@@ -405,8 +405,11 @@ def cmd_construct(cfg: RunConfig) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    with open(cfg.out, "w", encoding="ascii") as fh:
-        fh.write(text)
+    try:
+        with open(cfg.out, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write certificate: {exc}") from None
     _emit(
         cfg,
         summary,
@@ -418,7 +421,7 @@ def cmd_construct(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig, qm: QuadricModel | None = None) -> int:
+def cmd_verify(cfg: RunConfig) -> int:
     if cfg.path in (None, "-"):
         text = sys.stdin.read()
     else:
@@ -428,9 +431,7 @@ def cmd_verify(cfg: RunConfig, qm: QuadricModel | None = None) -> int:
         except OSError as exc:
             raise ParseError(f"cannot read certificate: {exc}") from None
     cert = parse_certificate(text)
-    if qm is None:
-        require_memory(cert.field.q, cert.d)
-        qm = QuadricModel(standard_model(cert.field, cert.d))
+    qm = QuadricModel(standard_model(cert.field, cert.d))
     check_certificate_header(cert, qm)
     ids, reason = resolve_members(cert, qm)
     if ids is None:

@@ -33,7 +33,7 @@ from .groups import (
 )
 from .linform import StandardModel, identity, mat_inv, mat_mul, standard_model
 from .orbits import OrbitPartition, partition, tau_image_of_orbit
-from .quadric import QuadricModel, require_memory
+from .quadric import QuadricModel
 
 
 class MaskLength(ValueError):
@@ -62,11 +62,9 @@ class OrbitSplit:
 
 @dataclass(frozen=True)
 class ActionBundle:
-    """Generator actions resolved to permutations, with their partitions."""
+    """Maximal permutations of B's generators and of tau, with the orbits of B and A."""
 
-    b_point_perms: tuple
     b_maximal_perms: tuple
-    tau_point_perm: np.ndarray
     tau_maximal_perm: np.ndarray
     b_point_part: OrbitPartition
     b_maximal_part: OrbitPartition
@@ -84,9 +82,7 @@ def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBu
     tp = qm.point_permutation(tv)
     tm = qm.maximal_permutation(tp)
     return ActionBundle(
-        b_point_perms=bp,
         b_maximal_perms=bm,
-        tau_point_perm=tp,
         tau_maximal_perm=tm,
         b_point_part=partition(qm.num_points, list(bp)),
         b_maximal_part=partition(qm.num_maximals, list(bm)),
@@ -337,7 +333,6 @@ class Prepared:
 
 def prepare(field: Field, d: int) -> Prepared:
     """Build the model, both groups, their actions, and the AB report."""
-    require_memory(field.q, d)
     m = standard_model(field, d)
     qm = QuadricModel(m)
     b = omega_w(m)

@@ -13,7 +13,8 @@ among the maximals.  The codes fit in int64: ``require_memory`` keeps the
 point count below 2^31, which for q <= 255 leaves q^(2d + 1) < 2^47.
 
 Enumeration follows the rank recursion.  The standard space is the conic
-<z, x, y> with the hyperbolic pairs (e0, f0), (e1, f1), ... added in order,
+<z, x, y> with the hyperbolic pairs (e0, f0), (e1, f1), ... added in order
+(``StandardModel.conic`` and ``StandardModel.pairs``),
 and the points and maximals of V + <e, f> are built in closed form from
 those of V (``enumerate_points``, ``enumerate_maximals``), which gives the
 counts (q^(2r) - 1)/(q - 1) and N(r) = (1 + q^r) N(r - 1) without search.
@@ -80,37 +81,9 @@ def maximals_per_point(q: int, d: int) -> int:
     return out
 
 
-def _rank_steps(model: StandardModel) -> tuple[list[int], list[tuple[int, int]]]:
-    """Columns of the conic <z, x, y> and of the hyperbolic pairs (e_i, f_i), in order.
-
-    Raises RuntimeError unless beta(e_i, f_i) = 1 and each pair is
-    orthogonal to everything else, which the recursion relies on.
-    """
-    names = model.basis_names
-    J = model.space.gram
-    pairs = [(names.index(f"e{i}"), names.index(f"f{i}")) for i in range(model.d - 1)]
-    for e, f in pairs:
-        if (J[[e, f]] != np.eye(len(J), dtype=J.dtype)[[f, e]]).any():
-            raise RuntimeError(f"({names[e]}, {names[f]}) is not a hyperbolic pair")
-    return [names.index(c) for c in ("z", "x", "y")], pairs
-
-
-def _gram_pairing(model: StandardModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The column each row of the Gram matrix pairs with, its entry there and its inverse.
-
-    Every row of the standard Gram matrix has one nonzero, so
-    beta(u, v) = sum_c u[c] g[c] v[partner[c]].
-    """
-    F, J = model.field, model.space.gram
-    if ((J != 0).sum(axis=1) != 1).any():
-        raise RuntimeError("a row of the Gram matrix has more than one nonzero")
-    partner = np.argmax(J != 0, axis=1)
-    g = J[np.arange(len(J)), partner]
-    return partner, g, F.inv_table[g]
-
-
 def _kappa(F: Field, pairing, V: np.ndarray) -> np.ndarray:
-    """kappa of every row of a (..., n) stack, one table lookup per coordinate."""
+    """kappa of every row of a (..., n) stack through ``StandardModel.pairing``,
+    one table lookup per coordinate."""
     partner, g, _ = pairing
     ADD, MUL = F.add_table, F.mul_table
     terms = MUL[MUL[V, g], V[..., partner]]
@@ -146,12 +119,11 @@ def enumerate_points(model: StandardModel) -> np.ndarray:
     point of V + <e, f> is f + x - kappa(x) e for any x in V, x + b e for a
     point x of V and any b, or e itself.
     """
-    F, n = model.field, model.dim
+    F, n, pairing = model.field, model.dim, model.pairing
     q = F.q
-    pairing = _gram_pairing(model)
-    cols, pairs = _rank_steps(model)
+    cols = list(model.conic)
     pts = _conic_points(F, pairing, cols, n)
-    for e, f in pairs:
+    for e, f in model.pairs:
         tops = np.zeros((q ** len(cols), n), dtype=np.uint8)
         tops[:, cols] = all_vectors(q, len(cols))
         tops[:, f] = 1
@@ -176,14 +148,13 @@ def enumerate_maximals(model: StandardModel) -> np.ndarray:
     of K and u follow in closed form; one RREF and one sort at the end give
     the canonical order.
     """
-    F, n, d = model.field, model.dim, model.d
+    F, n, d, pairing = model.field, model.dim, model.d, model.pairing
     q = F.q
     ADD, NEG = F.add_table, F.neg_table
-    pairing = _gram_pairing(model)
-    cols, pairs = _rank_steps(model)
+    cols = list(model.conic)
     bases = _conic_points(F, pairing, cols, n)[:, None, :]
     piv = np.full((len(bases), 1), cols[0])
-    for e, f in pairs:
+    for e, f in model.pairs:
         N, r, L = bases.shape[0], bases.shape[1] + 1, len(cols)
         parent = np.arange(N)[:, None]
         # K is the identity on its pivot columns p_i, so dual(unit(p_i)) is
@@ -245,13 +216,13 @@ def require_memory(q: int, d: int) -> None:
     """Raise ValueError when the ids overflow int32 or the geometry cannot fit in memory.
 
     The bases take N·d·n bytes, and the incidence index and the point ids
-    of the basis rows 4 bytes per id.  Closed forms only, so callers run it
-    before building the standard model, whose Witt-index check scans all
-    q^(2d - 2) vectors of U.
+    of the basis rows 4 bytes per id.  Closed forms only, so QuadricModel
+    runs it before enumerating anything.
     """
-    P, N = point_count(q, d), maximal_count(q, d)
+    P = point_count(q, d)
     if P >= 2**31:
         raise ValueError(f"q = {q}, d = {d} has {P} points; their ids do not fit in int32")
+    N = maximal_count(q, d)
     need = N * d * (2 * d + 1) + 4 * N * (points_per_maximal(q, d) + d)
     have = _physical_memory()
     if have is not None and need > have:
@@ -271,12 +242,12 @@ class QuadricModel:
         self.d = model.d
         self.dim = model.dim
         q = F.q
+        require_memory(q, model.d)
         self.s1 = points_per_maximal(q, model.d)
         self.t1 = maximals_per_point(q, model.d)
         if self.t1 % 2:
             raise RuntimeError(f"t + 1 = {self.t1} is odd")
         self.target_degree = self.t1 // 2
-        require_memory(q, model.d)
 
         self.points = enumerate_points(model)
         self.num_points = self.points.shape[0]
@@ -333,9 +304,6 @@ class QuadricModel:
         return out
 
     # -- lookups
-
-    def point_vector(self, i: int) -> np.ndarray:
-        return self.points[i]
 
     def point_ids(self, vecs: np.ndarray) -> np.ndarray:
         """Ids of the points spanned by the rows of an (N, n) stack.

@@ -98,9 +98,9 @@ def test_stats_rejects_rank_one(capsys):
 
 
 def test_stats_rejects_a_geometry_too_large_for_memory(capsys):
-    # (3,7) has 3.6e13 maximals; the closed-form size check fails before the
-    # standard model is built, whose Witt-index check alone scans the 3^16
-    # vectors of U at d = 9, and the message carries the number of bytes
+    # (3,7) has 3.6e13 maximals; the closed-form size check in QuadricModel
+    # fails before anything is enumerated, and the message carries the number
+    # of bytes
     for d, need in ((7, "161245155153152000"), (9, "182944133335081396349747200")):
         start = time.perf_counter()
         rc, _, err = run(capsys, "stats", "--p", "3", "--d", str(d))
@@ -110,8 +110,8 @@ def test_stats_rejects_a_geometry_too_large_for_memory(capsys):
 
 
 def test_verify_rejects_a_geometry_too_large_for_memory(capsys, tmp_path):
-    # the header alone sets the geometry, so the size check runs before the
-    # standard model of rank 9 is built
+    # the header alone sets the geometry, so the size check refuses it before
+    # any member is read
     F = field_make(3)
     cert = tmp_path / "rank9.txt"
     cert.write_text(
@@ -133,6 +133,15 @@ def test_verify_rejects_a_geometry_too_large_for_memory(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
     assert rc == 2
     assert "182944133335081396349747200 bytes" in err
+
+
+def test_construct_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-dir" / "cert.txt"
+    rc, out, err = run(capsys, "construct", "--out", str(missing))
+    assert rc == 2
+    assert out == ""
+    assert "cannot write certificate" in err
+    assert not missing.parent.exists()
 
 
 def test_orbits_pairing_table(capsys):

@@ -1,9 +1,12 @@
+import functools
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
 
-from hemisystems.gf import field_make
+from hemisystems.gf import Field, field_make
 from hemisystems import linform as lf
 from hemisystems.quadric import point_count
 from hemisystems.linform import (
@@ -258,6 +261,44 @@ def test_standard_model_gram_3_2():
         standard_model(F, 1)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_standard_model_layout_matches_gram_and_names(d):
+    F = field_make(5)
+    M = standard_model(F, d)
+    names, G = M.basis_names, M.space.gram
+    assert [names[c] for c in M.conic] == ["z", "x", "y"]
+    assert [(names[e], names[f]) for e, f in M.pairs] == [(f"e{i}", f"f{i}") for i in range(d - 1)]
+    assert sorted(M.conic + sum(M.pairs, ())) == list(range(M.dim))
+    partner, g, ginv = M.pairing
+    assert all(partner[c] == c for c in M.conic)
+    assert all(partner[e] == f and partner[f] == e for e, f in M.pairs)
+    for c in range(M.dim):
+        assert np.flatnonzero(G[c]).tolist() == [partner[c]]
+        assert G[c, partner[c]] == g[c] and F.mul(int(g[c]), int(ginv[c])) == 1
+    rng = np.random.default_rng(d)
+    U, V = rng.integers(0, 5, size=(2, 20, M.dim)).astype(np.uint8)
+    for u, v in zip(U, V):
+        terms = F.mul_table[F.mul_table[u, g], v[partner]]
+        assert M.space.beta(u, v) == functools.reduce(F.add, terms.tolist(), 0)
+
+
+def test_standard_model_rejects_an_isotropic_plane(monkeypatch):
+    # W having Witt index 1 and U having d - 2 follow from the layout only
+    # because <x, y> = diag(1, -nu) is anisotropic; with nu a square it is not
+    monkeypatch.setattr(Field, "first_nonsquare", property(lambda F: 1))
+    with pytest.raises(RuntimeError, match="plane <x, y>"):
+        standard_model(field_make(7), 3)
+
+
+def test_standard_model_builds_at_rank_nine_in_under_a_second():
+    # the model scans no vectors, so QuadricModel alone guards the memory of
+    # a geometry as large as (3,9) and still refuses it at once
+    start = time.perf_counter()
+    M = standard_model(field_make(3), 9)
+    assert time.perf_counter() - start < 1.0
+    assert M.dim == 19 and len(M.pairs) == 8
+
+
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (3, 1, 3), (3, 1, 4)])
 def test_standard_model_form_values(p, k, d):
     F = field_make(p, k)
@@ -301,12 +342,19 @@ def test_kappa_scales_by_squares():
         assert sp.kappa(scaled) == F.mul(F.mul(lam, lam), sp.kappa(v))
 
 
+def w_and_u(M):
+    """W = <z, e0, f0> and U = <x, y, e1, f1, ...> of a standard model, from its basis vectors."""
+    eye = lf.identity(M.dim)
+    return Subspace(M.field, eye[:3], reduced=True), Subspace(M.field, eye[3:], reduced=True)
+
+
 def test_perp():
     F = field_make(3)
     M = standard_model(F, 2)
     sp = M.space
-    assert sp.perp(M.w_subspace) == M.u_subspace
-    assert sp.perp(M.u_subspace) == M.w_subspace
+    W, U = w_and_u(M)
+    assert sp.perp(W) == U
+    assert sp.perp(U) == W
     rng = np.random.default_rng(8)
     for _ in range(40):
         rows = rng.integers(0, 3, size=(2, 5)).astype(np.uint8)
@@ -364,15 +412,21 @@ def test_witt_index_against_oracle(p):
     full = Subspace(F, lf.identity(5), reduced=True)
     assert witt_index(sp) == 2
     assert oracle_max_ts_dim(sp, full.basis) == 2
-    assert witt_index(sp, M.w_subspace) == 1
-    assert oracle_max_ts_dim(sp, M.w_subspace.basis) == 1
-    assert witt_index(sp, M.u_subspace) == 0
-    assert oracle_max_ts_dim(sp, M.u_subspace.basis) == 0
+    W, U = w_and_u(M)
+    assert witt_index(sp, W) == 1
+    assert oracle_max_ts_dim(sp, W.basis) == 1
+    assert witt_index(sp, U) == 0
+    assert oracle_max_ts_dim(sp, U.basis) == 0
 
 
-@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (5, 1, 2), (7, 1, 2), (9, 0, 2), (3, 1, 3), (3, 1, 4)])
+@pytest.mark.parametrize(
+    "p,k,d",
+    [(3, 1, 2), (5, 1, 2), (7, 1, 2), (9, 0, 2), (25, 0, 2), (3, 1, 3), (5, 1, 3), (3, 1, 4)],
+)
 def test_witt_index_blocks(p, k, d):
-    F = field_make(3, 2) if k == 0 else field_make(p, k)
+    # the standard model infers these indices from its layout; here they are
+    # computed, on every benchmark rung. k = 0 marks p as the square of a prime
+    F = field_make(math.isqrt(p), 2) if k == 0 else field_make(p, k)
     M = standard_model(F, d)
     assert witt_index(M.space) == d
     assert classify_type(M.space) == "parabolic"

@@ -1,5 +1,6 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
-product, docs that match the CLI, and the calls the benchmark traces."""
+product, one memory guard, docs that match the CLI, and the calls the benchmark
+traces."""
 
 import argparse
 import ast
@@ -49,6 +50,20 @@ def test_only_mat_mul_branches_on_the_extension_degree():
             )
         ]
     assert found == ["linform.py:mat_mul"]
+
+
+def test_only_quadric_model_calls_require_memory():
+    # the standard model does no exponential work, so the memory and id guard
+    # runs in one place: in QuadricModel, before anything is enumerated
+    found = [
+        f"{path.name}:{getattr(top, 'name', '<module>')}"
+        for path in sorted(SRC.glob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "require_memory"
+    ]
+    assert found == ["quadric.py:QuadricModel"]
 
 
 def test_readme_names_only_flags_the_cli_accepts():
