@@ -36,7 +36,7 @@ from .linform import (
     witt_index,
 )
 from .orbits import ActionEscape
-from .quadric import QuadricModel, maximal_count, point_count
+from .quadric import QuadricModel, maximal_count, point_count, require_memory
 
 CERT_MAGIC = "hemisystem-certificate"
 CERT_VERSION = 1
@@ -431,6 +431,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         except OSError as exc:
             raise ParseError(f"cannot read certificate: {exc}") from None
     cert = parse_certificate(text)
+    require_memory(cert.field.q, cert.d)
     qm = QuadricModel(standard_model(cert.field, cert.d))
     check_certificate_header(cert, qm)
     ids, reason = resolve_members(cert, qm)

@@ -7,10 +7,12 @@ standard Gram matrix.  The image is Omega(W), of order q(q^2 - 1)/2, and the
 reflection in z extends it to an index-two overgroup.
 
 Both groups fix U = W-perp pointwise, so they are held as uint8 stacks of
-3x3 blocks on W and closed once, a whole frontier of products at a time.
-A block is embedded into the model's dimension 2d + 1 only where the full
-matrix is needed: to resolve the action on points and maximals, and to
-write the generator lines of a certificate.
+3x3 blocks on W.  B is closed once, a whole frontier of products at a
+time; A is not closed but built as the union of B and the coset tau B,
+once tau is seen to normalize B with tau^2 in B.  A block is embedded
+into the model's dimension 2d + 1 only where the full matrix is needed:
+to resolve the action on points and maximals, and to write the generator
+lines of a certificate.
 
 All matrices act on row vectors from the right, so g @ h means "g first".
 """
@@ -284,17 +286,35 @@ def tau(model: StandardModel) -> np.ndarray:
 
 
 def group_a(model: StandardModel, b: MatrixGroup, t: np.ndarray) -> MatrixGroup:
-    """The extension <B, tau>, which must close at twice the order of B.
+    """The extension <B, tau> as the union of B and tau B, of twice the order of B.
 
-    A tau of the model's full dimension is closed with B's generators embedded.
+    When tau normalizes B and tau^2 lies in B, the union of B and tau B is
+    closed under products, so it is <B, tau> and the index of B is 1 or 2;
+    it is 2 exactly when tau is outside B.  Normality is checked on B's generators,
+    since tau B tau^-1 inside B is an equality for finite B.  A tau of the
+    model's full dimension is applied to B's elements embedded.  Raises
+    GenerationFailure when a check fails or the union does not have 2|B|
+    elements.
     """
-    gens = np.concatenate([embed_w_block(model.field, b.generators, t.shape[-1]), t[None]])
-    group = close(model.field, gens, limit=2 * b.order)
-    if group.order != 2 * b.order:
+    F = model.field
+    n = t.shape[-1]
+    gens = embed_w_block(F, b.generators, n)
+    conj = mat_mul(F, mat_mul(F, t, gens), mat_inv(F, t))
+    if not b.contains(conj).all():
+        raise GenerationFailure("tau does not normalize B")
+    if not b.contains(mat_mul(F, t, t)):
+        raise GenerationFailure("tau^2 is not in B")
+    elements = embed_w_block(F, b.elements, n)
+    keys = np.unique(byte_keys(np.concatenate([elements, mat_mul(F, t, elements)])))
+    if keys.size != 2 * b.order:
         raise GenerationFailure(
-            f"<B, tau> closed at {group.order}, expected {2 * b.order}"
+            f"B and tau B have {keys.size} elements together, expected {2 * b.order}"
         )
-    return group
+    gens = np.concatenate([gens, t[None]])
+    elements = keys.view(np.uint8).reshape(-1, n, n)
+    gens.setflags(write=False)
+    elements.setflags(write=False)
+    return MatrixGroup(gens, elements)
 
 
 def w_singular_vectors(model: StandardModel) -> np.ndarray:

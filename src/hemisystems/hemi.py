@@ -33,7 +33,7 @@ from .groups import (
 )
 from .linform import StandardModel, identity, mat_inv, mat_mul, standard_model
 from .orbits import OrbitPartition, partition, tau_image_of_orbit
-from .quadric import QuadricModel
+from .quadric import QuadricModel, require_memory
 
 
 class MaskLength(ValueError):
@@ -136,7 +136,8 @@ def ab_check(
     """Test every hypothesis of the two-group construction; tau is a W block or full.
 
     Normality is tested on B's generators, since tau B tau^-1 inside B is an
-    equality for finite B.  |A| comes from ``a``, or else from group_a.
+    equality for finite B.  |A| comes from ``a``, or else from group_a,
+    which builds A as B and the coset tau B without closing it.
     """
     F = qm.field
     witness = None
@@ -159,9 +160,9 @@ def ab_check(
         try:
             a_order = (a if a is not None else group_a(qm.model, b, t)).order
             index_two = a_order == 2 * b.order
-        except GenerationFailure:
+        except GenerationFailure as exc:
             a_order = -1
-            witness = "closure of <B, tau> exceeded twice the order of B"
+            witness = f"<B, tau> is not B and tau B: {exc}"
 
     acts = actions if actions is not None else resolve_actions(qm, b, t)
 
@@ -266,8 +267,10 @@ def _degrees_by_orthogonality(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
     F = qm.field
     pj = mat_mul(F, qm.points, qm.model.space.gram)
     degrees = np.zeros(qm.num_points, dtype=np.int64)
-    for start in range(0, ids.size, 64):  # small chunks bound the product's memory
-        bases = qm.maximal_bases[ids[start:start + 64]]
+    # small chunks bound the product's memory: over GF(p^k) each entry takes
+    # 12 bytes while it is formed (index, its intp copy in np.take, term, sum)
+    for start in range(0, ids.size, 16):
+        bases = qm.maximal_bases[ids[start:start + 16]]
         rows = bases.reshape(-1, qm.dim)
         prods = mat_mul(F, pj, rows.T).reshape(qm.num_points, len(bases), qm.d)
         degrees += (prods == 0).all(axis=2).sum(axis=1)
@@ -333,6 +336,7 @@ class Prepared:
 
 def prepare(field: Field, d: int) -> Prepared:
     """Build the model, both groups, their actions, and the AB report."""
+    require_memory(field.q, d)
     m = standard_model(field, d)
     qm = QuadricModel(m)
     b = omega_w(m)

@@ -49,7 +49,10 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Shapes (..., m, n) x (..., n, r) -> (..., m, r): one matrix or a stack
     on either side.  This is the package's one GF(q) matrix product.  Over a
     prime field it multiplies in int32 and raises ValueError, before any
-    product, when the inner dimension n could overflow it.
+    product, when the inner dimension n could overflow it.  Over an
+    extension field each of the n terms is one gather from the flattened
+    multiplication table and one from the flattened addition table, at the
+    uint16 index a·q + b < q^2 <= 65,025.
     """
     if F.k == 1:
         # int32 sums stay exact while inner · (p - 1)^2 < 2^31
@@ -59,10 +62,20 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         C = A.astype(np.int32) @ B.astype(np.int32)
         C %= F.p
         return C.astype(np.uint8)
-    ADD, MUL = F.add_table, F.mul_table
-    acc = MUL[A[..., :, 0, None], B[..., 0, None, :]]
+    q = F.q
+    ADD, MUL = F.add_table.ravel(), F.mul_table.ravel()
+    Aq = A.astype(np.uint16) * q
+    shape = np.broadcast_shapes(A.shape[:-1] + (1,), B.shape[:-2] + (1, B.shape[-1]))
+    idx = np.empty(shape, dtype=np.uint16)
+    np.add(Aq[..., :, 0, None], B[..., 0, None, :], out=idx)
+    acc = np.take(MUL, idx)
+    term = np.empty(shape, dtype=np.uint8)
     for t in range(1, A.shape[-1]):
-        acc = ADD[acc, MUL[A[..., :, t, None], B[..., t, None, :]]]
+        np.add(Aq[..., :, t, None], B[..., t, None, :], out=idx)
+        np.take(MUL, idx, out=term, mode="clip")
+        np.multiply(acc, q, out=idx, dtype=np.uint16)
+        idx += term
+        np.take(ADD, idx, out=acc, mode="clip")
     return acc
 
 
@@ -178,6 +191,7 @@ def all_vectors(q: int, length: int) -> np.ndarray:
 def vector_codes(q: int, vecs: np.ndarray) -> np.ndarray:
     """Each row of a (..., n) stack read as base-q digits, as int64.
 
+    The digits are field elements, or point ids with q the point count.
     Code order is lexicographic order.  Codes are exact while q^n < 2^63.
     """
     code = vecs[..., 0].astype(np.int64)
@@ -190,8 +204,8 @@ def vector_codes(q: int, vecs: np.ndarray) -> np.ndarray:
 def byte_keys(stack: np.ndarray) -> np.ndarray:
     """One opaque byte-string key per matrix; key order is lexicographic on entries.
 
-    Keys matrices (maximal bases, group elements); vectors are keyed by
-    ``vector_codes``.
+    Keys group elements; vectors are keyed by ``vector_codes``, and
+    maximals by the codes of their rows' point ids.
     """
     flat = np.ascontiguousarray(stack, dtype=np.uint8).reshape(len(stack), -1)
     return flat.view(f"V{flat.shape[1]}").ravel()

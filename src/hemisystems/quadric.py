@@ -5,12 +5,16 @@ Points are the projective singular points, each kept as its unit vector
 is the order of their point codes: the vector read as base-q digits
 (``linform.vector_codes``), strictly increasing with the point id.
 Maximals (totally singular d-subspaces) are kept as RREF bases and ordered
-row-major lexicographically, the order of their byte keys
-(``linform.byte_keys``).  So every lookup is one binary search: a vector is
-scaled to its unit multiple and its code searched among the point codes,
-and a spanning set of a maximal is reduced to its RREF basis and searched
-among the maximals.  The codes fit in int64: ``require_memory`` keeps the
-point count below 2^31, which for q <= 255 leaves q^(2d + 1) < 2^47.
+row-major lexicographically.  The rows of an RREF basis are unit vectors,
+so that order is the order of the tuples of their point ids, read as
+base-P digits for P points: the maximal codes, strictly increasing with
+the maximal id.  So every lookup is a binary search over int64 codes: a
+vector is scaled to its unit multiple and its code searched among the
+point codes, and a spanning set of a maximal is reduced to its RREF basis,
+whose rows are looked up as points and whose code is searched among the
+maximal codes.  The codes fit in int64: ``require_memory`` keeps the point
+count below 2^31, which for q <= 255 leaves q^(2d + 1) < 2^47, and refuses
+ranks where P^d reaches 2^63.
 
 Enumeration follows the rank recursion.  The standard space is the conic
 <z, x, y> with the hyperbolic pairs (e0, f0), (e1, f1), ... added in order
@@ -45,7 +49,6 @@ from .linform import (
     StandardModel,
     Subspace,
     all_vectors,
-    byte_keys,
     mat_mul,
     reduce_vector,
     rref_batch,
@@ -213,11 +216,13 @@ def _physical_memory() -> int | None:
 
 
 def require_memory(q: int, d: int) -> None:
-    """Raise ValueError when the ids overflow int32 or the geometry cannot fit in memory.
+    """Raise ValueError when the ids or codes overflow or the geometry cannot fit in memory.
 
-    The bases take N·d·n bytes, and the incidence index and the point ids
-    of the basis rows 4 bytes per id.  Closed forms only, so QuadricModel
-    runs it before enumerating anything.
+    Point ids are int32 and maximal codes, d point ids read as base-P
+    digits, int64.  The bases take N·d·n bytes, and the incidence index and
+    the point ids of the basis rows 4 bytes per id.  Closed forms only, so
+    ``hemi.prepare`` and the ``verify`` command run it before they build the
+    standard model, and QuadricModel before it enumerates anything.
     """
     P = point_count(q, d)
     if P >= 2**31:
@@ -229,6 +234,11 @@ def require_memory(q: int, d: int) -> None:
         raise ValueError(
             f"q = {q}, d = {d} has {N} maximals; their bases and incidence index "
             f"need {need} bytes, more than the {have} bytes of physical memory"
+        )
+    if P**d >= 2**63:
+        raise ValueError(
+            f"q = {q}, d = {d} has {P} points; the maximal codes, {d} point ids "
+            f"read as base-{P} digits, overflow int64"
         )
 
 
@@ -266,14 +276,14 @@ class QuadricModel:
                 f"enumerated {self.num_maximals} maximals, expected {maximal_count(q, model.d)}"
             )
         self._check_totally_singular()
-        keys = byte_keys(self.maximal_bases)
-        if not np.array_equal(np.unique(keys), keys):
-            raise RuntimeError("enumerated maximals are not strictly sorted")
-
-        self.maximal_points = self._build_incidence()
         self.basis_points = self.point_ids(
             self.maximal_bases.reshape(-1, self.dim)
         ).astype(np.int32).reshape(self.num_maximals, self.d)
+        self.maximal_codes = vector_codes(self.num_points, self.basis_points)
+        if not (np.diff(self.maximal_codes) > 0).all():
+            raise RuntimeError("enumerated maximals are not strictly sorted")
+
+        self.maximal_points = self._build_incidence()
         degrees = np.bincount(self.maximal_points.ravel(), minlength=self.num_points)
         if (degrees != self.t1).any():
             raise RuntimeError(f"some point does not lie on t + 1 = {self.t1} maximals")
@@ -293,14 +303,14 @@ class QuadricModel:
         combos = all_vectors(F.q, d)[1:]
         combos = combos[(_units(F, combos) == combos).all(axis=1)]
         out = np.empty((self.num_maximals, self.s1), dtype=np.int32)
-        for start in range(0, self.num_maximals, 4096):
-            chunk = self.maximal_bases[start:start + 4096]
+        for start in range(0, self.num_maximals, 1024):
+            chunk = self.maximal_bases[start:start + 1024]
             span = mat_mul(F, combos, chunk)
             pids, found = search_keys(self.point_codes, vector_codes(F.q, span))
             if not found.all():
                 raise RuntimeError("maximal contains a vector outside the point set")
             pids.sort(axis=1)
-            out[start:start + 4096] = pids
+            out[start:start + 1024] = pids
         return out
 
     # -- lookups
@@ -336,8 +346,10 @@ class QuadricModel:
         red, ranks = rref_batch(self.field, stack)
         if red.shape[1] < d:
             raise ActionEscape(f"matrix 0 has fewer than {d} rows", index=0)
-        ids, found = search_keys(byte_keys(self.maximal_bases), byte_keys(red[:, :d]))
-        bad = (ranks != d) | ~found
+        # the leading d RREF rows are unit vectors, or zero when the rank is short
+        pids, is_point = search_keys(self.point_codes, vector_codes(self.field.q, red[:, :d]))
+        ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids))
+        bad = (ranks != d) | ~is_point.all(axis=1) | ~found
         if bad.any():
             i = int(np.argmax(bad))
             raise ActionEscape(
@@ -368,7 +380,6 @@ class QuadricModel:
         F, d, n = self.field, self.d, self.dim
         pi = point_perm.astype(np.int32)
         lead = np.argmax(self.points != 0, axis=1).astype(np.uint8)
-        keys = byte_keys(self.maximal_bases)
         out = np.empty(self.num_maximals, dtype=np.int64)
         # np.take gathers rows several times faster than fancy indexing here
         for start in range(0, self.num_maximals, 4096):
@@ -385,8 +396,8 @@ class QuadricModel:
                 )
             rows = img[first].reshape(-1, d)[:, ::-1]
             piv = img_lead[first].reshape(-1, d)[:, ::-1]
+            ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, rows))
             basis = np.take(self.points, rows, axis=0)
-            ids, found = search_keys(keys, byte_keys(basis))
             # v_i = sum_j v_i[c_j] R_j for every image v_i of a basis row of M,
             # where R_j is the proposed row with pivot c_j
             vid = np.take(pi, self.basis_points[start:start + 4096])

@@ -135,6 +135,27 @@ def test_verify_rejects_a_geometry_too_large_for_memory(capsys, tmp_path):
     assert "182944133335081396349747200 bytes" in err
 
 
+def test_an_absurd_rank_is_refused_before_the_standard_model_is_built():
+    # the guard is closed-form, so stats exits before it builds the dense
+    # 6001 x 6001 Gram matrix of rank 3000; ru_maxrss is in KiB on Linux
+    code = (
+        "import resource, subprocess, sys\n"
+        "run = subprocess.run([sys.executable, '-m', 'hemisystems.cli', 'stats', '--d', '3000'],"
+        " capture_output=True, text=True)\n"
+        "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "print(run.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert run.returncode == 0, run.stderr
+    status, err = run.stdout.split("\n", 1)
+    rc, max_rss_kib = map(int, status.split())
+    assert rc == 2 and "int32" in err
+    assert max_rss_kib < 80 * 1024
+
+
 def test_construct_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
     missing = tmp_path / "no-such-dir" / "cert.txt"
     rc, out, err = run(capsys, "construct", "--out", str(missing))

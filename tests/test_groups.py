@@ -252,6 +252,43 @@ def test_group_a_structure(p, k):
     assert not b.contains(a.elements[~plus]).any()
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 2)])
+def test_group_a_is_the_closure_of_b_and_tau(p, k):
+    m = model(p, k, 2)
+    b, t = omega_w(m), tau(m)
+    a = group_a(m, b, t)
+    closed = close(m.field, np.concatenate([b.generators, t[None]]), limit=2 * b.order)
+    assert a.order == closed.order == 2 * b.order
+    assert np.array_equal(a.elements, closed.elements)
+    assert np.array_equal(a.generators, np.concatenate([b.generators, t[None]]))
+
+
+def test_group_a_at_the_model_dimension_embeds_b():
+    # negating U commutes with B, so <B, -1_U> is B x <-1_U>, of index two
+    m = model(3, 1, 2)
+    b = omega_w(m)
+    neg_u = identity(m.dim)
+    neg_u[3:, 3:] *= m.field.neg(1)
+    a = group_a(m, b, neg_u)
+    assert a.order == 2 * b.order and a.elements.shape[1:] == (m.dim, m.dim)
+    assert a.contains(neg_u) and a.contains(embed_w_block(m.field, b.elements, m.dim)).all()
+
+
+def test_group_a_refuses_a_tau_that_gives_no_index_two_extension():
+    m = model(5, 1, 2)
+    F, b = m.field, omega_w(m)
+    shear = identity(3)
+    shear[0, 1] = 1
+    with pytest.raises(GenerationFailure, match="normalize"):
+        group_a(m, b, shear)
+    # a scalar commutes with B, but its square -1 has determinant -1
+    with pytest.raises(GenerationFailure, match="tau\\^2"):
+        group_a(m, b, F.mul_table[2, identity(3)])
+    # tau inside B: tau B is B again
+    with pytest.raises(GenerationFailure, match=f"expected {2 * b.order}"):
+        group_a(m, b, b.generators[0])
+
+
 def test_no_order_six_at_q3():
     # <B, tau> at q = 3 is a 24-element group with element orders 1,2,3,4 only
     m = model(3, 1, 2)

@@ -77,6 +77,27 @@ def test_mat_mul_against_naive(p, k):
         )
 
 
+# GF(243) has no built-in modulus; x^5 + 2x + 1 is irreducible over GF(3)
+@pytest.mark.parametrize("p,k,modulus", [(5, 3, None), (3, 5, (1, 2, 0, 0, 0, 1))])
+def test_extension_product_reaches_the_top_of_the_flat_tables(p, k, modulus):
+    # over GF(p^k) each term is gathered from the flattened tables at
+    # a·q + b; entries q - 1 at the same inner position on both sides reach
+    # the last entry q^2 - 1, which at q = 243 is 65,024, just inside uint16
+    F = field_make(p, k, modulus)
+    q, n = F.q, 21  # 2d + 1 at the largest rank, the widest product the package makes
+    rng = np.random.default_rng(3)
+    A = rng.integers(0, q, size=(3, 4, n)).astype(np.uint8)
+    B = rng.integers(0, q, size=(3, n, 2)).astype(np.uint8)
+    A[..., 0], B[:, 0, :], A[0, 0, -1] = q - 1, q - 1, q - 1
+    C = mat_mul(F, A, B[0])  # stack x matrix
+    assert all((C[i] == naive_mat_mul(F, A[i], B[0])).all() for i in range(3))
+    C = mat_mul(F, A[0], B)  # matrix x stack
+    assert all((C[j] == naive_mat_mul(F, A[0], B[j])).all() for j in range(3))
+    C = mat_mul(F, A, B)  # stack x stack
+    assert C.shape == (3, 4, 2) and C.dtype == np.uint8
+    assert all((C[i] == naive_mat_mul(F, A[i], B[i])).all() for i in range(3))
+
+
 class _Unread(np.ndarray):
     def astype(self, *args, **kwargs):
         raise AssertionError("the product was computed")

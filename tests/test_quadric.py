@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,22 @@ def test_point_and_maximal_lookup_round_trip():
     spill = np.concatenate([qm.maximal_bases[:1], np.eye(5, dtype=np.uint8)[None, 1:2]], 1)
     with pytest.raises(ActionEscape):
         qm.maximal_ids(spill)  # rank 3 > d, though its first two RREF rows are a maximal
+    e0_f0 = np.eye(5, dtype=np.uint8)[None, 1:3]  # two singular points, not a singular line
+    with pytest.raises(ActionEscape) as exc:
+        qm.maximal_ids(np.concatenate([qm.maximal_bases[:2], e0_f0, z_e0]))
+    assert exc.value.index == 2
+
+
+@pytest.mark.parametrize("p,k,d", SMALL)
+def test_maximal_codes_are_the_basis_point_ids_as_digits(p, k, d):
+    qm = qmodel(p, k, d)
+    P = qm.num_points
+    assert qm.maximal_codes.dtype == np.int64
+    assert (np.diff(qm.maximal_codes) > 0).all()
+    ids = [qm.point_ids(basis).tolist() for basis in qm.maximal_bases]
+    assert qm.maximal_codes.tolist() == [
+        sum(pid * P ** (d - 1 - i) for i, pid in enumerate(row)) for row in ids
+    ]
 
 
 def test_maximal_ids_rank_check_survives_optimize():
@@ -304,6 +321,8 @@ def test_maximal_permutation_matches_rref_oracle(p, k, d):
 def test_a_corrupted_index_never_yields_a_wrong_permutation(p, k, d):
     qm = QuadricModel(model(p, k, d))  # a private model: its index is corrupted below
     qm.maximal_points = np.roll(qm.maximal_points, 1, axis=0)
+    with pytest.raises(ActionEscape):
+        qm.maximal_permutation(qm.point_permutation(identity(qm.dim)))
     for g in [identity(qm.dim), *action_matrices(qm)]:
         try:
             perm = qm.maximal_permutation(qm.point_permutation(g))
@@ -339,6 +358,26 @@ def test_point_ids_beyond_int32_are_rejected():
     assert point_count(3, 11) >= 2**31 > point_count(3, 10)
     with pytest.raises(ValueError, match="int32"):
         require_memory(3, 11)
+
+
+def test_maximal_codes_beyond_int64_are_refused_up_front(monkeypatch):
+    # (3,5) and (5,4) are the ranks needing under 16 GiB whose P^d reaches
+    # 2^63; with memory to spare they are refused by their codes, from
+    # closed forms alone
+    monkeypatch.setattr(quadric, "_physical_memory", lambda: 2**34)
+    assert point_count(5, 4) ** 4 >= 2**63 > point_count(3, 4) ** 4
+    assert point_count(3, 5) ** 5 >= 2**63
+    tracemalloc.start()
+    try:
+        for q, d in ((5, 4), (3, 5)):
+            with pytest.raises(ValueError, match="overflow int64"):
+                require_memory(q, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    require_memory(3, 4)
+    require_memory(7, 3)
 
 
 def test_point_codes_fit_in_int64_at_every_accepted_rank(monkeypatch):

@@ -1,6 +1,6 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
-product, one memory guard, docs that match the CLI, and the calls the benchmark
-traces."""
+product, one memory guard that runs before every standard model, docs that match
+the CLI, and the calls the benchmark traces."""
 
 import argparse
 import ast
@@ -52,18 +52,26 @@ def test_only_mat_mul_branches_on_the_extension_degree():
     assert found == ["linform.py:mat_mul"]
 
 
-def test_only_quadric_model_calls_require_memory():
-    # the standard model does no exponential work, so the memory and id guard
-    # runs in one place: in QuadricModel, before anything is enumerated
-    found = [
-        f"{path.name}:{getattr(top, 'name', '<module>')}"
-        for path in sorted(SRC.glob("*.py"))
-        for top in ast.parse(path.read_text(), filename=str(path)).body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "require_memory"
-    ]
-    assert found == ["quadric.py:QuadricModel"]
+def test_require_memory_runs_before_every_standard_model():
+    # the standard model builds a dense (2d+1)^2 Gram matrix, so each
+    # function that builds one runs the closed-form guard first, and
+    # QuadricModel runs it before it enumerates anything; no one else does
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                name = isinstance(node, ast.Call) and getattr(
+                    node.func, "id", getattr(node.func, "attr", None)
+                )
+                if name in ("require_memory", "standard_model"):
+                    owner = f"{path.name}:{getattr(top, 'name', '<module>')}"
+                    calls.setdefault(owner, []).append((node.lineno, name))
+    order = {owner: [name for _, name in sorted(found)] for owner, found in calls.items()}
+    assert order == {
+        "cli.py:cmd_verify": ["require_memory", "standard_model"],
+        "hemi.py:prepare": ["require_memory", "standard_model"],
+        "quadric.py:QuadricModel": ["require_memory"],
+    }
 
 
 def test_readme_names_only_flags_the_cli_accepts():
