@@ -9,13 +9,16 @@ order: the prime subfield comes first as 0, 1, ..., p-1.
 All arithmetic is table driven.  A Field instance precomputes dense q x q
 numpy tables for addition and multiplication plus unary tables for negation,
 inversion and square roots, so scalar operations and bulk numpy gathers give
-identical results.  For k = 1 the encoding coincides with integers mod p.
+identical results.  GF(p)[x]/(f) is linear algebra over GF(p): multiplication
+by x is the companion matrix C of the monic modulus f, so each element
+b = sum b_i x^i acts on the rows of base-p digits as sum b_i C^i, and the
+product table is the digit rows times these action matrices, for k = 1 as
+for k > 1.  f is irreducible exactly when that ring has no zero divisors, so
+the table itself checks a supplied modulus and picks the built-in one, the
+least irreducible by encoding.
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
 
 import numpy as np
 
@@ -51,68 +54,43 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over GF(p), coefficients little-endian by degree
+def _order(p: int, k: int) -> int:
+    """q = p^k, once p is an odd prime and q fits the uint8 tables.
+
+    Sizes are checked before primality and before p^k is formed, so a huge
+    p or k is refused at once: with p >= 3, q <= 255 needs k <= 5.
+    """
+    too_large = f"q={p}^{k} is too large: element tables are uint8, so q <= 255"
+    if p > 255:
+        raise ValueError(too_large)
+    if p == 2 or not _is_prime(p):
+        raise NotOddPrime(f"p={p} is not an odd prime")
+    if k < 1:
+        raise ValueError(f"extension degree k={k} must be >= 1")
+    if k > 5 or p**k > 255:
+        raise ValueError(too_large)
+    return p**k
 
 
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a = a[:-1]
-    return a
+def _mul_table(p: int, digits: np.ndarray, modulus: tuple) -> np.ndarray:
+    """The (q, q) product table of GF(p)[x]/(modulus) over encoded elements.
 
-
-def _poly_mul(p, a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod(p, a, b):
-    b = _poly_trim(list(b))
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    quo = [0] * max(len(a) - len(b) + 1, 0)
-    while len(_poly_trim(a)) >= len(b):
-        a = _poly_trim(a)
-        shift = len(a) - len(b)
-        factor = a[-1] * inv_lead % p
-        quo[shift] = factor
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * bi) % p
-    return quo, _poly_trim(a)
-
-
-def _poly_is_irreducible(p, f):
-    """Trial division by every monic polynomial of degree 1..deg(f)//2."""
-    f = _poly_trim(list(f))
-    deg = len(f) - 1
-    if deg < 1:
-        return False
-    for g_deg in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=g_deg):
-            g = list(tail) + [1]
-            _, rem = _poly_divmod(p, f, g)
-            if not rem:
-                return False
-    return True
-
-
-def _builtin_modulus(p, k):
-    """Smallest monic irreducible of degree k, by encoded coefficient order."""
-    for code in range(p**k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        cand = tuple(coeffs) + (1,)
-        if _poly_is_irreducible(p, cand):
-            return cand
-    raise NotIrreducible(f"no irreducible of degree {k} over GF({p})")
+    With C the companion matrix of the modulus, a row of digits times C is
+    the digits of that element times x.  So the action matrix of b, whose
+    row i holds the digits of b * x^i, is sum_j b_j C^j, and a * b is the
+    digit row of a times that matrix.
+    """
+    k = digits.shape[1]
+    comp = np.zeros((k, k), dtype=np.int64)
+    comp[np.arange(k - 1), np.arange(1, k)] = 1
+    comp[k - 1] = np.negative(modulus[:k]) % p
+    action = np.empty((len(digits), k, k), dtype=np.int64)
+    action[:, 0] = digits
+    for i in range(1, k):
+        action[:, i] = action[:, i - 1] @ comp % p
+    # prod[b, a] = digits[a] @ action[b], the digits of a * b = b * a
+    prod = digits @ action % p
+    return (prod @ p ** np.arange(k)).astype(np.uint8)
 
 
 class Field:
@@ -133,61 +111,36 @@ class Field:
     """
 
     def __init__(self, p: int, k: int = 1, modulus=None):
-        if not _is_prime(p) or p == 2:
-            raise NotOddPrime(f"p={p} is not an odd prime")
-        if k < 1:
-            raise ValueError(f"extension degree k={k} must be >= 1")
-        q = p**k
-        if q > 255:
-            raise ValueError(f"q={q} is too large: element tables are uint8, so q <= 255")
-        if modulus is None:
-            if k == 1:
-                modulus = (0, 1)
-            elif q in BUILTIN_ORDERS:
-                modulus = _builtin_modulus(p, k)
-            else:
-                raise NoBuiltinModulus(f"no built-in modulus for q={q}; pass one")
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError(f"modulus must be monic of degree {k}")
-        if k > 1 and not _poly_is_irreducible(p, modulus):
-            raise NotIrreducible(f"modulus {modulus} is reducible over GF({p})")
-        self.p = p
-        self.k = k
-        self.q = q
-        self.modulus = modulus
-        self._build_tables()
-
-    # -- table construction
-
-    def _build_tables(self):
-        p, k, q = self.p, self.k, self.q
+        q = _order(p, k)
         digits = np.zeros((q, k), dtype=np.int64)
         c = np.arange(q)
         for i in range(k):
             digits[:, i] = c % p
             c = c // p
+        if modulus is None:
+            if q != p and q not in BUILTIN_ORDERS:
+                raise NoBuiltinModulus(f"no built-in modulus for q={q}; pass one")
+            candidates = (tuple(row.tolist()) + (1,) for row in digits)
+        else:
+            modulus = tuple(int(c) % p for c in modulus)
+            if len(modulus) != k + 1 or modulus[-1] != 1:
+                raise ValueError(f"modulus must be monic of degree {k}")
+            candidates = [modulus]
+        # the quotient ring is a field exactly when it has no zero divisors
+        for modulus in candidates:
+            mul = _mul_table(p, digits, modulus)
+            if mul[1:, 1:].all():
+                break
+        else:
+            raise NotIrreducible(f"modulus {modulus} is reducible over GF({p})")
+        self.p = p
+        self.k = k
+        self.q = q
+        self.modulus = modulus
         self._digits = digits
         powers = p ** np.arange(k)
-
-        add_digits = (digits[:, None, :] + digits[None, :, :]) % p
-        self.add_table = (add_digits @ powers).astype(np.uint8)
-        self.neg_table = (((-digits) % p) @ powers).astype(np.uint8)
-
-        mul = np.zeros((q, q), dtype=np.uint8)
-        if k == 1:
-            mul[:, :] = (np.arange(q)[:, None] * np.arange(q)[None, :]) % p
-        else:
-            polys = [_poly_trim([int(d) for d in digits[a]]) for a in range(q)]
-            mod = list(self.modulus)
-            for a in range(q):
-                for b in range(a, q):
-                    prod = _poly_mul(p, polys[a], polys[b])
-                    if len(prod) > k:
-                        _, prod = _poly_divmod(p, prod, mod)
-                    code = sum(ci * p**i for i, ci in enumerate(prod))
-                    mul[a, b] = code
-                    mul[b, a] = code
+        self.add_table = ((digits[:, None, :] + digits[None, :, :]) % p @ powers).astype(np.uint8)
+        self.neg_table = ((-digits) % p @ powers).astype(np.uint8)
         self.mul_table = mul
 
         inv = np.zeros(q, dtype=np.uint8)
@@ -195,17 +148,12 @@ class Field:
         inv[rows] = cols
         self.inv_table = inv
 
-        squares = mul[np.arange(q), np.arange(q)]
+        # np.unique returns the first index of each value: the least root
+        squares, roots = np.unique(np.diagonal(mul), return_index=True)
         self.square_mask = np.zeros(q, dtype=bool)
         self.square_mask[squares] = True
-        sqrt = np.zeros(q, dtype=np.uint8)
-        seen = np.zeros(q, dtype=bool)
-        for b in range(q):
-            s = int(squares[b])
-            if not seen[s]:
-                seen[s] = True
-                sqrt[s] = b
-        self.sqrt_table = sqrt
+        self.sqrt_table = np.zeros(q, dtype=np.uint8)
+        self.sqrt_table[squares] = roots
 
     # -- scalar arithmetic on encoded elements
 
@@ -292,16 +240,19 @@ class Field:
         return f"GF({self.q};{self.format_elt(self.from_coeffs(self.modulus[:-1]))},1)"
 
 
-@functools.lru_cache(maxsize=None)
-def _field_cached(p, k, modulus):
-    return Field(p, k, modulus)
+class _Memo(dict):
+    """Fields by (p, k, modulus) as asked for and as resolved; clears like an lru_cache."""
+
+    cache_clear = dict.clear
+
+
+_field_cached = _Memo()
 
 
 def field_make(p: int, k: int = 1, modulus=None) -> Field:
     """Construct (and cache) GF(p^k), with the built-in modulus if omitted."""
-    if modulus is None and k == 1:
-        modulus = (0, 1)
-    if modulus is None and _is_prime(p) and p**k in BUILTIN_ORDERS:
-        modulus = _builtin_modulus(p, k)
-    key = None if modulus is None else tuple(int(c) for c in modulus)
-    return _field_cached(p, k, key)
+    key = (p, k, None if modulus is None else tuple(int(c) for c in modulus))
+    if key not in _field_cached:
+        F = Field(p, k, key[2])
+        _field_cached[key] = _field_cached.setdefault((p, k, F.modulus), F)
+    return _field_cached[key]

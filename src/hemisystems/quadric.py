@@ -224,9 +224,11 @@ def require_memory(q: int, d: int) -> None:
     ``hemi.prepare`` and the ``verify`` command run it before they build the
     standard model, and QuadricModel before it enumerates anything.
     """
-    P = point_count(q, d)
+    # q >= 3 puts point_count(q, 11) above 2^31, so capping d at 11 refuses
+    # every larger rank without forming q^(2d)
+    P = point_count(q, min(d, 11))
     if P >= 2**31:
-        raise ValueError(f"q = {q}, d = {d} has {P} points; their ids do not fit in int32")
+        raise ValueError(f"q = {q}, d = {d} has 2^31 or more points; their ids overflow int32")
     N = maximal_count(q, d)
     need = N * d * (2 * d + 1) + 4 * N * (points_per_maximal(q, d) + d)
     have = _physical_memory()
@@ -459,32 +461,16 @@ class MaximalBasisForm:
 
 def basis_normal_form(model: StandardModel, M: Subspace) -> MaximalBasisForm:
     """Case analysis of a maximal's basis over the (z, e0, f0) coordinates."""
-    F = model.field
     d = model.d
     if M.dim != d or not model.space.totally_singular(M.basis):
         raise NotMaximal("expected a totally singular subspace of dimension d")
     rows = M.basis.copy()
     if rows[0, 0] != 1 or rows[1:, 0].any():
         raise RuntimeError("maximal must project onto z")
-    ADD, MUL, NEG, INV = F.add_table, F.mul_table, F.neg_table, F.inv_table
-    b1 = rows[0].copy()
-    res = rows[1:].copy()
-    r = 0
-    for col in (1, 2):
-        hits = np.nonzero(res[r:, col])[0]
-        if hits.size == 0:
-            continue
-        lead = r + int(hits[0])
-        if lead != r:
-            res[[r, lead]] = res[[lead, r]]
-        res[r] = MUL[INV[res[r, col]], res[r]]
-        others = np.nonzero(res[:, col])[0]
-        others = others[others != r]
-        if others.size:
-            res[others] = ADD[res[others], MUL[NEG[res[others, col]][:, None], res[r][None, :]]]
-        r += 1
-    rank = r
-    if rank < 1:
+    # the basis is in RREF, so the pivots of rows 1 and 2 name the case, and
+    # each pivot column is already zero in every other row
+    lead = [int(np.argmax(row != 0)) for row in rows[1:3]]
+    if lead[0] > 2:
         raise RuntimeError("residual rows must project onto <e0, f0>")
 
     def strip(v, cols):
@@ -492,26 +478,18 @@ def basis_normal_form(model: StandardModel, M: Subspace) -> MaximalBasisForm:
         out[list(cols)] = 0
         return out
 
-    if rank == 2:
-        b2, b3 = res[0], res[1]
-        rest = res[2:]
-        b1 = ADD[b1, MUL[NEG[b1[1]], b2]]
-        b1 = ADD[b1, MUL[NEG[b1[2]], b3]]
+    b1, b2 = rows[0], rows[1]
+    if lead == [1, 2]:
+        b3, rest = rows[2], rows[3:]
         if rest[:, :3].any():
             raise RuntimeError("rows beyond the third must lie in U")
         u_parts = (strip(b1, (0,)), strip(b2, (1,)), strip(b3, (2,)), *rest)
         return MaximalBasisForm(1, None, None, u_parts)
-    b2 = res[0]
-    rest = res[1:]
+    rest = rows[2:]
     if rest[:, :3].any():
         raise RuntimeError("rows beyond the second must lie in U")
-    if b2[1] != 0:
-        mu = int(b2[2])
-        b1 = ADD[b1, MUL[NEG[b1[1]], b2]]
-        lam = int(b1[2])
+    if lead[0] == 1:
         u_parts = (strip(b1, (0, 2)), strip(b2, (1, 2)), *rest)
-        return MaximalBasisForm(2, lam, mu, u_parts)
-    b1 = ADD[b1, MUL[NEG[b1[2]], b2]]
-    lam = int(b1[1])
+        return MaximalBasisForm(2, int(b1[2]), int(b2[2]), u_parts)
     u_parts = (strip(b1, (0, 1)), strip(b2, (2,)), *rest)
-    return MaximalBasisForm(3, lam, None, u_parts)
+    return MaximalBasisForm(3, int(b1[1]), None, u_parts)

@@ -156,6 +156,31 @@ def test_an_absurd_rank_is_refused_before_the_standard_model_is_built():
     assert max_rss_kib < 80 * 1024
 
 
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (["stats", "--p", str(2**61 - 1)], "q <= 255"),
+        (["stats", "--p", str(2**61 - 1), "--k", "2"], "q <= 255"),
+        (["stats", "--k", "1000000000"], "q <= 255"),
+        (["verify", "CERT"], "q <= 255"),
+        (["stats", "--d", "100000000"], "int32"),
+    ],
+)
+def test_out_of_range_fields_and_ranks_exit_2_at_once(tmp_path, argv, limit):
+    # a 61-bit prime, a huge extension degree or a huge rank is refused by
+    # its size, before trial division or q^k and q^(2d) are formed
+    cert = tmp_path / "cert.txt"
+    cert.write_text(f"{CERT_MAGIC} 1\nfield {2**61 - 1} 1 0,1\nrank 2\n")
+    argv = [str(cert) if a == "CERT" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-m", "hemisystems.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert run.returncode == 2
+    assert limit in run.stderr
+
+
 def test_construct_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
     missing = tmp_path / "no-such-dir" / "cert.txt"
     rc, out, err = run(capsys, "construct", "--out", str(missing))

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from hemisystems import gf
 from hemisystems.cli import CERT_MAGIC, ParseError, main, parse_certificate
 from hemisystems.gf import (
     BUILTIN_ORDERS,
@@ -14,6 +17,29 @@ from hemisystems.gf import (
 
 AXIOM_FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2)]
 ALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)]
+#: the built-in moduli, little-endian: the least irreducible by encoding
+BUILTIN_MODULI = {
+    (3, 2): (1, 0, 1),
+    (5, 2): (2, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (7, 2): (1, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (11, 2): (1, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+}
+
+
+def schoolbook_product(p, modulus, a, b):
+    """a * b mod the monic modulus, by long multiplication and long division."""
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, j in itertools.product(range(k), repeat=2):
+        prod[i + j] = (prod[i + j] + a[i] * b[j]) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        lead = prod[top]
+        for i, c in enumerate(modulus):
+            prod[top - k + i] = (prod[top - k + i] - lead * c) % p
+    return prod[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +83,41 @@ def test_orders_beyond_uint8_tables_are_rejected(capsys):
         parse_certificate(f"{CERT_MAGIC} 1\nfield 257 1 0,1\nrank 2\n")
     assert main(["stats", "--p", "257"]) == 2
     assert "255" in capsys.readouterr().err
+
+
+def test_builtin_moduli_are_frozen():
+    assert sorted(p**k for p, k in BUILTIN_MODULI) == sorted(BUILTIN_ORDERS)
+    for (p, k), modulus in BUILTIN_MODULI.items():
+        assert field_make(p, k).modulus == modulus
+
+
+def test_reducible_modulus_without_a_root_is_rejected():
+    # (x^2 + 1)^2 = x^4 + 2x^2 + 1 has no root in GF(3), but x^2 + 1 divides it
+    with pytest.raises(NotIrreducible):
+        Field(3, 4, (1, 0, 2, 0, 1))
+
+
+@pytest.mark.parametrize("p,k,count", [(3, 4, 18), (5, 3, 40)])
+def test_accepted_moduli_match_gauss_count(p, k, count):
+    # Gauss: (1/k) sum over d | k of mu(d) p^(k/d) monic irreducibles of degree k
+    accepted = 0
+    for tail in itertools.product(range(p), repeat=k):
+        try:
+            Field(p, k, tail + (1,))
+        except NotIrreducible:
+            continue
+        accepted += 1
+    assert accepted == count
+
+
+def test_oversized_fields_are_refused_before_the_primality_test(monkeypatch):
+    # trial division of a 61-bit prime would not finish; the size check must
+    # come first, in Field and in field_make alike
+    monkeypatch.setattr(gf, "_is_prime", lambda n: pytest.fail(f"primality test of {n} ran"))
+    with pytest.raises(ValueError, match="255"):
+        Field(2**61 - 1)
+    with pytest.raises(ValueError, match="255"):
+        field_make(2**61 - 1, 2)
 
 
 def test_builtin_moduli_deterministic():
@@ -161,6 +222,15 @@ def test_scalar_examples():
     assert F9.mul(x, x) == 2  # x^2 = -1 = 2 with modulus x^2 + 1
 
 
+@pytest.mark.parametrize("p,k", sorted(set(ALL_FIELDS) | set(BUILTIN_MODULI)))
+def test_mul_table_matches_schoolbook_product(p, k):
+    F = field_make(p, k)
+    coeffs = [F.coeffs(a) for a in F.elements()]
+    expected = [[F.from_coeffs(schoolbook_product(p, F.modulus, a, b)) for b in coeffs] for a in coeffs]
+    assert F.mul_table.dtype == np.uint8
+    assert np.array_equal(F.mul_table, expected)
+
+
 # ---------------------------------------------------------------------------
 # squares
 
@@ -176,6 +246,8 @@ def test_square_structure(p, k):
     for a in nonzero_squares:
         r = F.sqrt(a)
         assert F.mul(r, r) == a
+    for r in F.elements():
+        assert F.sqrt_table[F.mul(r, r)] <= r  # the least root
     ns = F.first_nonsquare
     assert not F.is_square(ns)
     assert all(F.is_square(a) for a in range(ns))

@@ -360,6 +360,14 @@ def test_point_ids_beyond_int32_are_rejected():
         require_memory(3, 11)
 
 
+@pytest.mark.parametrize("d", [3000, 5000])
+def test_absurd_ranks_are_refused_without_forming_the_point_count(d):
+    # q^(2d) has thousands of digits here; the message names the limit, not the count
+    with pytest.raises(ValueError, match="int32") as exc:
+        require_memory(3, d)
+    assert len(str(exc.value)) < 300
+
+
 def test_maximal_codes_beyond_int64_are_refused_up_front(monkeypatch):
     # (3,5) and (5,4) are the ranks needing under 16 GiB whose P^d reaches
     # 2^63; with memory to spare they are refused by their codes, from
