@@ -35,7 +35,7 @@ from .linform import (
     standard_model,
     witt_index,
 )
-from .orbits import ActionEscape
+from .orbits import ActionEscape, partition
 from .quadric import QuadricModel, maximal_count, point_count, require_memory
 
 CERT_MAGIC = "hemisystem-certificate"
@@ -573,12 +573,18 @@ def _selftest_checks(cfg: RunConfig):
         return "tau^2 = 1, tau outside B, tau normalizes B"
 
     def ab_conditions() -> str:
-        rep = prep().report
+        # the build reads A's orbits off B's and tau; as a reference, partition them here
+        pr = prep()
+        rep, qm = pr.report, pr.qm
         _require(rep.index_two, f"|A| = {rep.a_order} is not 2|B|")
         _require(rep.point_orbits_match and rep.orbit_pairing_complete, str(rep.witness))
-        _require(rep.n_b_maximal_orbits == 2 * rep.n_a_maximal_orbits, "n_b != 2 n_a")
+        perms = [qm.point_permutation(g) for g in embed_w_block(F, pr.a.generators, pr.model.dim)]
+        a_points = partition(qm.num_points, perms).orbit_of
+        _require(np.array_equal(a_points, pr.actions.b_point_part.orbit_of), "A moves a point")
+        n_a = partition(qm.num_maximals, [qm.maximal_permutation(p) for p in perms]).n_orbits
         m = len(rep.split.pairs)
-        _require(rep.n_a_maximal_orbits == m, f"{rep.n_a_maximal_orbits} A-orbits, {m} pairs")
+        _require(rep.n_b_maximal_orbits == 2 * n_a, "n_b != 2 n_a")
+        _require(n_a == m, f"{n_a} A-orbits, {m} pairs")
         return (
             f"index 2, shared point orbits, {rep.n_b_maximal_orbits} B-orbits "
             f"pair into {m} A-orbits"

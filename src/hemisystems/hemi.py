@@ -4,7 +4,10 @@ B = Omega(W) is normal of index two in A = <B, tau>.  When A and B have the
 same orbits on points while every A-orbit of maximals splits into a
 tau-swapped pair of B-orbits, picking one side of every pair yields a set of
 half the maximals covering each point exactly (t + 1)/2 times -- for every
-one of the 2^m choices, where m is the number of pairs.
+one of the 2^m choices, where m is the number of pairs.  As A is B and the
+coset tau B, its orbits are B's orbits joined by tau (the AB-Lemma of
+Bamberg, Giudici and Royle, Bull. LMS 2010), so the hypotheses are decided
+from B's orbits and tau's permutations alone; A's orbits are never built.
 
 Verification is independent of the construction: it recounts the degree of
 every point against the chosen maximals, either through the incidence index
@@ -23,16 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .groups import (
-    GenerationFailure,
-    MatrixGroup,
-    embed_w_block,
-    group_a,
-    omega_w,
-    tau,
-)
+from .groups import MatrixGroup, embed_w_block, group_a, omega_w, tau
 from .linform import StandardModel, identity, mat_inv, mat_mul, standard_model
-from .orbits import OrbitPartition, partition, tau_image_of_orbit
+from .orbits import OrbitPartition, orbit_image, partition
 from .quadric import QuadricModel, require_memory
 
 
@@ -62,32 +58,30 @@ class OrbitSplit:
 
 @dataclass(frozen=True)
 class ActionBundle:
-    """Maximal permutations of B's generators and of tau, with the orbits of B and A."""
+    """Maximal permutations of B's generators, tau's point and maximal permutations,
+    and the orbits of B."""
 
     b_maximal_perms: tuple
     tau_maximal_perm: np.ndarray
+    tau_point_perm: np.ndarray
     b_point_part: OrbitPartition
     b_maximal_part: OrbitPartition
-    a_point_part: OrbitPartition
-    a_maximal_part: OrbitPartition
 
 
 def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBundle:
     """Point and maximal permutations of B's generators and of tau (a W block or full),
-    and the orbits of B and A, by union-find over the permutations."""
+    and the orbits of B, by union-find over B's permutations."""
     gens = embed_w_block(qm.field, b.generators, qm.model.dim)
     tv = embed_w_block(qm.field, t, qm.model.dim)
     bp = tuple(qm.point_permutation(g) for g in gens)
     bm = tuple(qm.maximal_permutation(p) for p in bp)
     tp = qm.point_permutation(tv)
-    tm = qm.maximal_permutation(tp)
     return ActionBundle(
         b_maximal_perms=bm,
-        tau_maximal_perm=tm,
+        tau_maximal_perm=qm.maximal_permutation(tp),
+        tau_point_perm=tp,
         b_point_part=partition(qm.num_points, list(bp)),
         b_maximal_part=partition(qm.num_maximals, list(bm)),
-        a_point_part=partition(qm.num_points, list(bp) + [tp]),
-        a_maximal_part=partition(qm.num_maximals, list(bm) + [tm]),
     )
 
 
@@ -127,23 +121,24 @@ class ABReport:
 
 
 def ab_check(
-    qm: QuadricModel,
-    b: MatrixGroup,
-    t: np.ndarray,
-    actions: ActionBundle | None = None,
-    a: MatrixGroup | None = None,
+    qm: QuadricModel, b: MatrixGroup, t: np.ndarray, actions: ActionBundle
 ) -> ABReport:
     """Test every hypothesis of the two-group construction; tau is a W block or full.
 
-    Normality is tested on B's generators, since tau B tau^-1 inside B is an
-    equality for finite B.  |A| comes from ``a``, or else from group_a,
-    which builds A as B and the coset tau B without closing it.
+    Index two is tau outside B, normalizing B and squaring into B.  Normality
+    is tested on B's generators, since tau B tau^-1 inside B is an equality
+    for finite B.  A and B share point orbits exactly when tau carries each
+    point orbit of B onto itself.  The maximal orbits pair up when tau carries
+    each onto one other orbit and that one back: tau is a bijection, so the
+    two have equal sizes, and their union, closed under B and tau, is one
+    A-orbit, so neither needs a check of its own.
     """
     F = qm.field
     witness = None
 
+    t2 = mat_mul(F, t, t)
     tau_outside_b = not b.contains(t)
-    tau_involution = np.array_equal(mat_mul(F, t, t), identity(t.shape[0]))
+    tau_involution = np.array_equal(t2, identity(t.shape[0]))
 
     t_inv = mat_inv(F, t)
     gens = embed_w_block(F, b.generators, t.shape[0])
@@ -157,57 +152,35 @@ def ab_check(
     a_order = b.order
     index_two = False
     if tau_outside_b and b_normal:
-        try:
-            a_order = (a if a is not None else group_a(qm.model, b, t)).order
-            index_two = a_order == 2 * b.order
-        except GenerationFailure as exc:
-            a_order = -1
-            witness = f"<B, tau> is not B and tau B: {exc}"
+        index_two = bool(b.contains(t2))
+        a_order = 2 * b.order if index_two else -1
+        if not index_two:
+            witness = "<B, tau> is not B and tau B: tau^2 is not in B"
 
-    acts = actions if actions is not None else resolve_actions(qm, b, t)
-
-    point_orbits_match = np.array_equal(
-        acts.b_point_part.orbit_of, acts.a_point_part.orbit_of
-    )
+    ppart = actions.b_point_part
+    moved = np.flatnonzero(orbit_image(ppart, actions.tau_point_perm) != np.arange(ppart.n_orbits))
+    point_orbits_match = moved.size == 0
     if not point_orbits_match and witness is None:
-        diff = np.nonzero(acts.b_point_part.orbit_of != acts.a_point_part.orbit_of)[0]
-        witness = f"point {int(diff[0])} changes orbit between B and A"
+        witness = f"tau moves point orbit {int(moved[0])} of B"
 
-    bpart, apart = acts.b_maximal_part, acts.a_maximal_part
-    pairs = []
-    pairing_ok = True
-    for oid in range(bpart.n_orbits):
-        img = tau_image_of_orbit(bpart, oid, acts.tau_maximal_perm)
-        if img == oid:
-            pairing_ok = False
-            witness = witness or f"maximal orbit {oid} is fixed by tau"
-            break
-        if tau_image_of_orbit(bpart, img, acts.tau_maximal_perm) != oid:
-            pairing_ok = False
-            witness = witness or f"tau does not involute maximal orbit {oid}"
-            break
-        if bpart.sizes[oid] != bpart.sizes[img]:
-            pairing_ok = False
-            witness = witness or f"maximal orbits {oid} and {img} differ in size"
-            break
-        if oid < img:
-            pairs.append((oid, int(img)))
-    if pairing_ok:
-        if 2 * len(pairs) != bpart.n_orbits or apart.n_orbits != len(pairs):
-            pairing_ok = False
-            witness = witness or "pairing does not cover the B orbits exactly"
-    if pairing_ok:
-        for o1, o2 in pairs:
-            aid = apart.orbit_of[bpart.reps[o1]]
-            if (
-                apart.orbit_of[bpart.reps[o2]] != aid
-                or apart.sizes[aid] != bpart.sizes[o1] + bpart.sizes[o2]
-            ):
-                pairing_ok = False
-                witness = f"A orbit does not fuse the pair ({o1}, {o2})"
-                break
+    bpart = actions.b_maximal_part
+    img = orbit_image(bpart, actions.tau_maximal_perm)
+    own = np.arange(bpart.n_orbits)
+    bad = np.flatnonzero((img == -1) | (img == own) | (img[img] != own))
+    pairing_ok = bad.size == 0
+    if not pairing_ok and witness is None:
+        o = int(bad[0])
+        if img[o] == -1:
+            witness = f"tau splits maximal orbit {o} between B-orbits"
+        elif img[o] == o:
+            witness = f"maximal orbit {o} is fixed by tau"
+        else:
+            witness = f"tau does not involute maximal orbit {o}"
 
-    split = OrbitSplit(bpart, tuple(pairs)) if pairing_ok else None
+    split = None
+    if pairing_ok:
+        low = np.flatnonzero(own < img)
+        split = OrbitSplit(bpart, tuple(zip(low.tolist(), img[low].tolist())))
     return ABReport(
         b_order=b.order,
         a_order=a_order,
@@ -215,10 +188,10 @@ def ab_check(
         tau_involution=tau_involution,
         b_normal_in_a=b_normal,
         index_two=index_two,
-        point_orbits_match=bool(point_orbits_match),
-        n_point_orbits=acts.b_point_part.n_orbits,
+        point_orbits_match=point_orbits_match,
+        n_point_orbits=ppart.n_orbits,
         n_b_maximal_orbits=bpart.n_orbits,
-        n_a_maximal_orbits=apart.n_orbits,
+        n_a_maximal_orbits=split.m if pairing_ok else -1,
         orbit_pairing_complete=pairing_ok,
         witness=witness,
         split=split,
@@ -343,7 +316,7 @@ def prepare(field: Field, d: int) -> Prepared:
     t = tau(m)
     a = group_a(m, b, t)
     actions = resolve_actions(qm, b, t)
-    report = ab_check(qm, b, t, actions, a)
+    report = ab_check(qm, b, t, actions)
     return Prepared(
         field=field, model=m, qm=qm, b=b, tau_elt=t, a=a, actions=actions, report=report
     )

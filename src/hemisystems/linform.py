@@ -259,7 +259,9 @@ def parse_matrices(F: Field, tokens: list[str], rows: int, cols: int) -> np.ndar
     col_seps = set(map(str.count, lines, repeat(";")))
     if row_seps != {rows - 1} or col_seps != {cols - 1}:
         i, found = next(
-            (i, n) for i, n in enumerate(map(_row_lengths, tokens)) if n != [cols] * rows
+            (i, n)
+            for i, n in enumerate(map(_row_lengths, tokens))
+            if len(n) != rows or set(n) != {cols}
         )
         what = "has ragged rows" if len(set(found)) > 1 else f"is {len(found)}x{found[0]}"
         raise ValueError(f"matrix {i} {what}; expected {rows}x{cols}")

@@ -84,10 +84,15 @@ def partition(n: int, perms) -> OrbitPartition:
     return OrbitPartition(n, orbit_of, members, reps, sizes)
 
 
-def tau_image_of_orbit(part: OrbitPartition, orbit_id: int, tau_perm: np.ndarray) -> int:
-    """Orbit id of the image of orbit orbit_id under an extra permutation.
+def orbit_image(part: OrbitPartition, perm: np.ndarray) -> np.ndarray:
+    """The orbit each orbit is carried onto by an extra permutation, or -1.
 
-    Well defined when the permutation normalizes the acting group, which the
-    caller is responsible for having checked.
+    Entry o is the orbit holding the images of all of orbit o's members, or
+    -1 when they land in more than one orbit.  When the permutation
+    normalizes the acting group no entry is -1.
     """
-    return int(part.orbit_of[tau_perm[part.reps[orbit_id]]])
+    target = part.orbit_of[check_permutation(part.n, perm)]
+    image = target[part.reps]
+    split = np.zeros(part.n_orbits, dtype=bool)
+    split[part.orbit_of[target != image[part.orbit_of]]] = True
+    return np.where(split, -1, image)

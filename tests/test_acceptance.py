@@ -19,6 +19,7 @@ from hemisystems.cli import (
     resolve_members,
 )
 from hemisystems.gf import field_make
+from hemisystems.groups import embed_w_block
 from hemisystems.hemi import (
     assemble,
     enumerate_all_hemisystems,
@@ -26,7 +27,7 @@ from hemisystems.hemi import (
     verify_hemisystem,
 )
 from hemisystems.linform import all_vectors, format_matrix, mat_mul, rref, standard_model
-from hemisystems.orbits import partition, tau_image_of_orbit
+from hemisystems.orbits import orbit_image, partition
 from hemisystems.quadric import (
     basis_normal_form,
     maximal_count,
@@ -167,14 +168,24 @@ def test_04_w_singular_orbit_split_and_norm_class_transitivity():
             assert int(part.sizes[orbit_ids.pop()]) == cls.size
 
 
+def _a_partitions(pr):
+    """Orbits of A on points and on maximals, by union-find over A's generators."""
+    qm = pr.qm
+    gens = embed_w_block(pr.field, pr.a.generators, pr.model.dim)
+    point_perms = [qm.point_permutation(g) for g in gens]
+    maximal_perms = [qm.maximal_permutation(p) for p in point_perms]
+    return partition(qm.num_points, point_perms), partition(qm.num_maximals, maximal_perms)
+
+
 def test_05_point_partitions_coincide():
     """B and A induce the same partition of the quadric's points everywhere."""
     for p, k, d in DESK_CONFIGS:
         pr = _prep(p, k, d)
-        acts = pr.actions
+        bpart = pr.actions.b_point_part
+        apart, _ = _a_partitions(pr)
         assert pr.report.point_orbits_match
-        assert np.array_equal(acts.b_point_part.orbit_of, acts.a_point_part.orbit_of)
-        assert acts.b_point_part.n_orbits == acts.a_point_part.n_orbits
+        assert np.array_equal(bpart.orbit_of, apart.orbit_of)
+        assert bpart.n_orbits == apart.n_orbits
 
 
 def test_06_tau_pairs_all_maximal_orbits():
@@ -182,14 +193,13 @@ def test_06_tau_pairs_all_maximal_orbits():
     for p, k, d in DESK_CONFIGS:
         pr = _prep(p, k, d)
         part = pr.actions.b_maximal_part
-        tperm = pr.actions.tau_maximal_perm
+        image = orbit_image(part, pr.actions.tau_maximal_perm)
         for o in range(part.n_orbits):
-            image = tau_image_of_orbit(part, o, tperm)
-            assert image != o, f"({p},{k},{d}): orbit {o} is tau-stable"
-            assert part.sizes[image] == part.sizes[o]
+            assert image[o] not in (-1, o), f"({p},{k},{d}): orbit {o} is tau-stable"
+            assert part.sizes[image[o]] == part.sizes[o]
         m = len(pr.report.split.pairs)
         assert part.n_orbits == 2 * m
-        assert pr.actions.a_maximal_part.n_orbits == m
+        assert _a_partitions(pr)[1].n_orbits == m
 
 
 def test_07_projection_and_normal_form_roundtrip():

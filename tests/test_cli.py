@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, certificate round trips, rejections."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ from hemisystems.cli import (
     parse_certificate,
     resolve_members,
 )
+from hemisystems import hemi
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block
 from hemisystems.hemi import assemble, prepare
@@ -153,6 +155,30 @@ def test_an_absurd_rank_is_refused_before_the_standard_model_is_built():
     status, err = run.stdout.split("\n", 1)
     rc, max_rss_kib = map(int, status.split())
     assert rc == 2 and "int32" in err
+    assert max_rss_kib < 80 * 1024
+
+
+def test_a_wrong_shape_at_an_absurd_rank_is_refused_in_little_memory(tmp_path):
+    # the shape error compares row lengths without building a list as long
+    # as the claimed 20000001 rows; ru_maxrss is in KiB on Linux
+    cert = tmp_path / "cert.txt"
+    cert.write_text(f"{CERT_MAGIC} 1\nfield 3 1 0,1\nrank {10**7}\ngram 1\n")
+    code = (
+        "import resource, subprocess, sys\n"
+        "run = subprocess.run([sys.executable, '-m', 'hemisystems.cli', 'verify', sys.argv[1]],"
+        " capture_output=True, text=True)\n"
+        "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        "print(run.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", code, str(cert)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    status, err = run.stdout.split("\n", 1)
+    rc, max_rss_kib = map(int, status.split())
+    assert rc == 2 and "expected 20000001x20000001" in err
     assert max_rss_kib < 80 * 1024
 
 
@@ -490,6 +516,24 @@ def test_selftest_text_reports_one_line_per_check(capsys):
     assert rc == 0
     assert sum(1 for ln in out.splitlines() if ln.startswith("pass ")) == 9
     assert "selftest passed" in out
+
+
+def test_selftest_checks_the_pairing_against_the_orbits_of_a(capsys, monkeypatch):
+    # a report that lost one pair and counts n_b = 2 n_a = 2m by its own
+    # numbers; only the orbits of A, partitioned by selftest itself, expose it
+    real = hemi.ab_check
+
+    def dropped(*args):
+        rep = real(*args)
+        split = hemi.OrbitSplit(rep.split.partition, rep.split.pairs[:-1])
+        return dataclasses.replace(
+            rep, split=split, n_b_maximal_orbits=2 * split.m, n_a_maximal_orbits=split.m
+        )
+
+    monkeypatch.setattr(hemi, "ab_check", dropped)
+    rc, out, _ = run(capsys, "selftest")
+    assert rc == 1
+    assert "FAIL ab-conditions: AssertionError: n_b != 2 n_a" in out.splitlines()
 
 
 def test_selftest_reports_a_corrupt_field_under_optimize():

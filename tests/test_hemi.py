@@ -14,6 +14,7 @@ from hemisystems.hemi import (
     assemble,
     enumerate_all_hemisystems,
     prepare,
+    resolve_actions,
     verify_hemisystem,
 )
 from hemisystems.linform import identity, mat_mul
@@ -68,7 +69,7 @@ def test_ab_hypotheses_hold(p, k, d):
 def test_ab_check_rejects_identity_as_tau():
     pr = prep(3, 1, 2)
     for ident in (identity(3), identity(pr.model.dim)):
-        r = ab_check(pr.qm, pr.b, ident)
+        r = ab_check(pr.qm, pr.b, ident, resolve_actions(pr.qm, pr.b, ident))
         assert not r.ok
         assert not r.tau_outside_b
 
@@ -76,7 +77,7 @@ def test_ab_check_rejects_identity_as_tau():
 def test_ab_check_rejects_b_element_as_tau():
     pr = prep(3, 1, 2)
     g = next(e for e in pr.b.elements if not (e == identity(3)).all())
-    r = ab_check(pr.qm, pr.b, g)
+    r = ab_check(pr.qm, pr.b, g, resolve_actions(pr.qm, pr.b, g))
     assert not r.ok
     assert not r.tau_outside_b
     assert not r.orbit_pairing_complete
@@ -91,7 +92,7 @@ def test_ab_check_tests_normality_on_generators():
     swap[[0, 3]] = swap[[3, 0]]
     J = pr.model.space.gram
     assert np.array_equal(mat_mul(pr.field, mat_mul(pr.field, swap, J), swap.T), J)
-    r = ab_check(pr.qm, pr.b, swap)
+    r = ab_check(pr.qm, pr.b, swap, resolve_actions(pr.qm, pr.b, swap))
     assert r.tau_outside_b and r.tau_involution
     assert not r.b_normal_in_a
     assert not r.ok
@@ -100,14 +101,14 @@ def test_ab_check_tests_normality_on_generators():
     assert str(pr.b.generators[i].tolist()) in r.witness
 
 
-def test_ab_check_takes_the_order_of_a_from_group_a():
+def test_ab_check_agrees_with_group_a_on_the_order_of_a():
     pr = prep(3, 1, 2)
     assert ab_check(pr.qm, pr.b, pr.tau_elt, pr.actions).a_order == pr.a.order
     # negating U commutes with B: A = B x <tau> has index two, but tau
     # fixes a B-orbit of maximals, so the orbits do not pair up
     neg_u = identity(pr.model.dim)
     neg_u[3:, 3:] *= pr.field.neg(1)
-    r = ab_check(pr.qm, pr.b, neg_u)
+    r = ab_check(pr.qm, pr.b, neg_u, resolve_actions(pr.qm, pr.b, neg_u))
     assert r.tau_outside_b and r.tau_involution and r.b_normal_in_a
     assert r.index_two and r.a_order == 2 * pr.b.order
     assert not r.ok and "fixed by tau" in r.witness

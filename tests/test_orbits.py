@@ -11,8 +11,8 @@ from hemisystems.linform import identity, standard_model
 from hemisystems.orbits import (
     ActionEscape,
     check_permutation,
+    orbit_image,
     partition,
-    tau_image_of_orbit,
 )
 from hemisystems.quadric import QuadricModel
 
@@ -122,13 +122,31 @@ def test_action_escape_is_lookup_error():
     assert issubclass(ActionEscape, KeyError)
 
 
-def test_tau_image_of_orbit_toy():
-    # group <(0 1)> on 4 ids; extra permutation (0 2)(1 3) swaps the orbits
+def test_orbit_image_toy():
+    # group <(0 1)> on 4 ids; extra permutation (0 2)(1 3) carries orbit
+    # {0,1} onto {2} and {3}, so it has no single image; {2} and {3} do
     part = partition(4, [np.array([1, 0, 2, 3])])
     assert part.n_orbits == 3  # {0,1}, {2}, {3}
     extra = np.array([2, 3, 0, 1])
-    assert tau_image_of_orbit(part, 0, extra) == part.orbit_of[2]
-    assert tau_image_of_orbit(part, part.orbit_of[2], extra) == 0
+    assert orbit_image(part, extra).tolist() == [-1, 0, 0]
+    # (0 1)(2 3) normalizes the group and swaps {2} and {3}
+    assert orbit_image(part, np.array([1, 0, 3, 2])).tolist() == [0, 2, 1]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orbit_image_matches_a_loop_over_members(seed):
+    # reference: collect the orbits that each orbit's members land in
+    rng = np.random.default_rng(seed)
+    n = 60
+    gen = np.arange(n)
+    gen[:40] = rng.permutation(40)  # ids 40..59 are fixed, one orbit each
+    part = partition(n, [gen])
+    for extra in (rng.permutation(n), gen, np.r_[np.arange(40), rng.permutation(20) + 40]):
+        want = []
+        for members in part.members:
+            hit = set(part.orbit_of[extra[members]].tolist())
+            want.append(hit.pop() if len(hit) == 1 else -1)
+        assert orbit_image(part, extra).tolist() == want
 
 
 def test_point_orbits_under_a_point_permutation():
@@ -143,8 +161,7 @@ def test_point_orbits_under_a_point_permutation():
     assert int(part.sizes.sum()) == qm.num_points
     assert set(part.sizes.tolist()) <= {1, 2}
     # the generator lies in the group, so it maps every orbit to itself
-    for oid in range(part.n_orbits):
-        assert tau_image_of_orbit(part, oid, perm) == oid
+    assert np.array_equal(orbit_image(part, perm), np.arange(part.n_orbits))
     # a matrix that is not an isometry escapes the point set
     shear = identity(model.dim)
     shear[0, 1] = 1

@@ -1,13 +1,16 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
 product, one memory guard that runs before every standard model, docs that match
-the CLI, and the calls the benchmark traces."""
+the CLI, the calls the benchmark traces, and an AB check that reads B's orbits
+and tau without building A again."""
 
 import argparse
 import ast
 import re
 from pathlib import Path
 
-from hemisystems import hemi
+import pytest
+
+from hemisystems import groups, hemi
 from hemisystems.cli import build_parser
 from hemisystems.gf import field_make
 
@@ -112,3 +115,27 @@ def test_prepare_makes_every_call_the_benchmark_traces(monkeypatch):
     hemi.prepare(field_make(3), 2)
     assert INNER_CALLS
     assert [(o, n) for o, n, _ in INNER_CALLS if not calls.get((o, n))] == []
+
+
+def test_the_ab_check_partitions_only_b_and_builds_no_group(monkeypatch):
+    # A's orbits are B's orbits joined by tau, so prepare partitions B's
+    # points and maximals once each, and ab_check reads them with tau's
+    # permutations; it neither closes a group nor builds A again
+    parts = []
+    real = hemi.partition
+
+    def counted(n, perms):
+        parts.append(n)
+        return real(n, perms)
+
+    monkeypatch.setattr(hemi, "partition", counted)
+    pr = hemi.prepare(field_make(3), 2)
+    assert parts == [pr.qm.num_points, pr.qm.num_maximals]
+
+    def refused(*args, **kwargs):
+        pytest.fail("ab_check built a group")
+
+    for owner, name in ((groups, "group_a"), (hemi, "group_a"), (groups, "close")):
+        monkeypatch.setattr(owner, name, refused)
+    rep = hemi.ab_check(pr.qm, pr.b, pr.tau_elt, pr.actions)
+    assert rep.ok and rep.a_order == pr.a.order
