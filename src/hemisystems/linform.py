@@ -278,11 +278,6 @@ def format_matrix(F: Field, A: np.ndarray) -> str:
     return format_matrices(F, as_mat(A)[None])[0]
 
 
-def parse_matrix(F: Field, s: str) -> np.ndarray:
-    lines = s.split("|")
-    return parse_matrices(F, [s], len(lines), lines[0].count(";") + 1)[0]
-
-
 # ---------------------------------------------------------------------------
 # subspaces
 
@@ -381,74 +376,32 @@ class QuadraticSpace:
 
 
 # ---------------------------------------------------------------------------
-# Witt decomposition
-
-
-def _find_singular_vector(space: QuadraticSpace):
-    """The first nonzero singular vector in lexicographic order, or None if anisotropic.
-
-    Only the span of the last three basis vectors, which comes first in that
-    order, is scanned: a quadratic form in three or more variables over a
-    finite field has a nonzero zero (Chevalley-Warning).
-    """
-    q, n = space.field.q, space.dim
-    t = min(n, 3)
-    vecs = np.pad(all_vectors(q, t), ((0, 0), (n - t, 0)))
-    vals = space.kappa_batch(vecs)
-    hits = np.nonzero(vals == 0)[0]
-    hits = hits[hits != 0]
-    if hits.size == 0:
-        return None
-    return vecs[hits[0]]
-
-
-def _witt_of_gram(F: Field, G: np.ndarray) -> int:
-    space = QuadraticSpace(F, G)
-    v = _find_singular_vector(space)
-    if v is None:
-        return 0
-    # extend v to a hyperbolic pair (v, w): beta(v, w) = 1, kappa(w) = 0
-    bv = mat_mul(F, v.reshape(1, -1), G)[0]
-    j = int(np.nonzero(bv)[0][0])
-    w = np.zeros(space.dim, dtype=np.uint8)
-    w[j] = F.inv(int(bv[j]))
-    kw = space.kappa(w)
-    if kw:
-        w = F.add_table[w, F.mul_table[F.neg(kw), v]]
-    pair = np.stack([v, w])
-    comp = nullspace(F, mat_mul(F, pair, G))
-    if comp.shape[0] == 0:
-        return 1
-    return 1 + _witt_of_gram(F, space.restrict_gram(comp))
+# Witt index
 
 
 def witt_index(space: QuadraticSpace, S: Subspace | None = None) -> int:
-    """Witt index of the form restricted to S (whole space if omitted)."""
+    """Witt index of the form restricted to S (whole space if omitted).
+
+    Over GF(q), q odd, a nondegenerate quadratic space is determined up to
+    isometry by its dimension n and the square class of det G (Lam,
+    *Introduction to Quadratic Forms over Fields*, AMS 2005, ch. II §3).  So
+    its Witt index is floor(n/2) when n is odd, n/2 when n is even and the
+    discriminant (-1)^(n/2) det G is a nonzero square (hyperbolic), and
+    n/2 - 1 otherwise (elliptic).  The Gram matrix of kappa is G/2, whose
+    determinant differs from det G by the square 2^-n when n is even.
+    """
     F = space.field
-    if S is None:
-        G = space.gram
-    else:
-        G = space.restrict_gram(S.basis)
-        if mat_det(F, G) == 0:
-            raise DegenerateRestriction("restricted form is degenerate")
-    if G.shape[0] == 0:
+    G = space.gram if S is None else space.restrict_gram(S.basis)
+    n = G.shape[0]
+    if n == 0:
         return 0
-    return _witt_of_gram(F, G)
-
-
-def classify_type(space: QuadraticSpace, S: Subspace | None = None) -> str:
-    """One of 'parabolic', 'hyperbolic', 'elliptic' for a nondegenerate restriction."""
-    dim = space.dim if S is None else S.dim
-    w = witt_index(space, S)
-    if dim % 2 == 1:
-        if w != (dim - 1) // 2:
-            raise RuntimeError(f"odd dimension {dim} with Witt index {w}")
-        return "parabolic"
-    if w == dim // 2:
-        return "hyperbolic"
-    if w != dim // 2 - 1:
-        raise RuntimeError(f"even dimension {dim} with Witt index {w}")
-    return "elliptic"
+    det = mat_det(F, G)
+    if det == 0:
+        raise DegenerateRestriction("restricted form is degenerate")
+    if n % 2 == 1:
+        return n // 2
+    disc = F.mul(F.neg(1), det) if n % 4 == 2 else det
+    return n // 2 if F.is_square(disc) else n // 2 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +456,11 @@ class StandardModel:
         F, sp = self.field, self.space
         half = F.inv(F.add(1, 1))
         layout = np.eye(self.dim, dtype=bool)[self.pairing[0]]
-        plane = all_vectors(F.q, 2)
-        kp = QuadraticSpace(F, sp.gram[3:5, 3:5]).kappa_batch(plane)
+        plane = QuadraticSpace(F, sp.gram[3:5, 3:5])
         for ok, what in (
             (sp.kappa(self.basis_vector(0)) == half, "kappa(z) != 1/2"),
             (all(sp.gram[e, f] == 1 for e, f in self.pairs), "beta(e_i, f_i) != 1"),
-            ((kp[1:] != 0).all(), "the plane <x, y> has a singular vector"),
+            (witt_index(plane) == 0, "the plane <x, y> has a singular vector"),
             (np.array_equal(sp.gram != 0, layout), "a Gram row is not nonzero at its partner alone"),
         ):
             if not ok:

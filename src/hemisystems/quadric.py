@@ -50,7 +50,6 @@ from .linform import (
     Subspace,
     all_vectors,
     mat_mul,
-    reduce_vector,
     rref_batch,
     search_keys,
     vector_codes,
@@ -328,14 +327,8 @@ class QuadricModel:
             raise ActionEscape("vector is not a singular point of the quadric")
         return pids
 
-    def point_id(self, v) -> int:
-        return int(self.point_ids(np.asarray(v, dtype=np.uint8).reshape(1, -1))[0])
-
     def maximal_subspace(self, i: int) -> Subspace:
         return Subspace(self.field, self.maximal_bases[i], reduced=True)
-
-    def maximal_id(self, S: Subspace) -> int:
-        return int(self.maximal_ids(S.basis[None])[0])
 
     def maximal_ids(self, stack: np.ndarray) -> np.ndarray:
         """Ids of the maximals spanned by the matrices of an (N, r, n) stack.
@@ -413,11 +406,6 @@ class QuadricModel:
                 )
             out[start:start + 4096] = ids
         return out
-
-
-def incidence(F: Field, point_vec, basis) -> bool:
-    """Whether the point lies in the row space of the RREF basis."""
-    return not reduce_vector(F, np.asarray(basis, dtype=np.uint8), np.asarray(point_vec, dtype=np.uint8)).any()
 
 
 def z_projection_nontrivial(M: Subspace | np.ndarray) -> bool:

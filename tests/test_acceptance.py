@@ -279,6 +279,7 @@ def test_10_rank_four_smoke():
     assert pr.qm.num_maximals == 91840
     assert pr.qm.num_points == 3280
     assert pr.report.ok, pr.report.witness
+    assert pr.report.m == 4200
     ids = assemble(pr.report.split, 0)
     verdict = verify_hemisystem(pr.qm, ids)
     assert verdict.ok

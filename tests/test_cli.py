@@ -25,7 +25,7 @@ from hemisystems import hemi
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block
 from hemisystems.hemi import assemble, prepare
-from hemisystems.linform import Subspace, format_matrix, parse_matrix
+from hemisystems.linform import Subspace, format_matrix, parse_matrices
 from conftest import model, qmodel  # noqa: F401 - shared cached fixtures
 from test_linform import reference_format
 
@@ -264,9 +264,9 @@ def test_construct_stdout_emits_only_the_certificate(capsys):
 
 
 def rewrite_members(text, F, edit):
-    """The certificate with every member matrix M written as edit(M)."""
+    """The (3,2) certificate with every 2x5 member matrix M written as edit(M)."""
     return "".join(
-        f"maximal {format_matrix(F, edit(parse_matrix(F, ln.split()[1])))}\n"
+        f"maximal {format_matrix(F, edit(parse_matrices(F, [ln.split()[1]], 2, 5)[0]))}\n"
         if ln.startswith("maximal ")
         else ln + "\n"
         for ln in text.splitlines()
@@ -405,7 +405,7 @@ def test_verify_rejects_a_generator_that_is_not_an_isometry(capsys, tmp_path, ce
     lines = [ln for ln in text.splitlines() if ln.startswith("generator ")]
     assert len(lines) == 3
     F = field_make(3)
-    g = parse_matrix(F, lines[1].split(" ", 1)[1])
+    g = parse_matrices(F, [lines[1].split(" ", 1)[1]], 5, 5)[0]
     g[1, 1] = F.add(int(g[1, 1]), 1)
     bad = tmp_path / "badgen.txt"
     bad.write_text(text.replace(lines[1], f"generator {format_matrix(F, g)}", 1))

@@ -23,7 +23,6 @@ from hemisystems.quadric import (
     basis_normal_form,
     enumerate_maximals,
     enumerate_points,
-    incidence,
     maximal_count,
     maximals_per_point,
     point_count,
@@ -166,7 +165,7 @@ def test_incidence_full_oracle_3_2():
     inc = np.zeros((qm.num_points, qm.num_maximals), dtype=bool)
     for pid in range(qm.num_points):
         for mid in range(qm.num_maximals):
-            inc[pid, mid] = incidence(F, qm.points[pid], qm.maximal_bases[mid])
+            inc[pid, mid] = qm.maximal_subspace(mid).contains_vector(F, qm.points[pid])
     assert (inc.sum(axis=0) == qm.s1).all()
     assert (inc.sum(axis=1) == qm.t1).all()
     for mid in range(qm.num_maximals):
@@ -199,11 +198,12 @@ def test_incidence_structure(p, k, d):
     rng = np.random.default_rng(11)
     for mid in rng.choice(qm.num_maximals, size=10, replace=False):
         row = qm.maximal_points[mid]
+        M = qm.maximal_subspace(mid)
         for pid in row[:3]:
-            assert incidence(qm.field, qm.points[pid], qm.maximal_bases[mid])
+            assert M.contains_vector(qm.field, qm.points[pid])
         outside = np.setdiff1d(np.arange(qm.num_points), row)[:3]
         for pid in outside:
-            assert not incidence(qm.field, qm.points[pid], qm.maximal_bases[mid])
+            assert not M.contains_vector(qm.field, qm.points[pid])
         assert (pm[row] == mid).any(axis=1).all()
 
 
@@ -213,17 +213,17 @@ def test_point_and_maximal_lookup_round_trip():
         F = qm.field
         for lam in range(1, F.q):
             scaled = F.mul_table[lam, qm.points]
-            assert [qm.point_id(v) for v in scaled] == list(range(qm.num_points))
+            assert [int(qm.point_ids(v[None])[0]) for v in scaled] == list(range(qm.num_points))
         for mid in range(qm.num_maximals):
-            assert qm.maximal_id(qm.maximal_subspace(mid)) == mid
+            assert int(qm.maximal_ids(qm.maximal_subspace(mid).basis[None])[0]) == mid
         with pytest.raises(ActionEscape):
-            qm.point_id(np.zeros(5, dtype=np.uint8))
+            qm.point_ids(np.zeros((1, 5), dtype=np.uint8))
         with pytest.raises(ActionEscape):
-            qm.point_id(np.array([1, 0, 0, 0, 0], dtype=np.uint8))  # z is anisotropic
+            qm.point_ids(np.array([[1, 0, 0, 0, 0]], dtype=np.uint8))  # z is anisotropic
         with pytest.raises(ActionEscape):
-            qm.maximal_id(Subspace(F, np.array([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]], np.uint8)))
+            qm.maximal_ids(np.array([[[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]], np.uint8))
         with pytest.raises(ActionEscape):
-            qm.maximal_id(Subspace(F, np.array([[0, 0, 1, 0, 0]], np.uint8)))  # one row
+            qm.maximal_ids(np.array([[[0, 0, 1, 0, 0]]], np.uint8))  # one row
 
         # a stack resolves whatever basis each maximal is written in
         ids = np.arange(qm.num_maximals)
@@ -351,7 +351,7 @@ def test_index_ids_are_int32(p, k, d):
     assert qm.basis_points.dtype == np.int32
     assert qm.basis_points.shape == (qm.num_maximals, qm.d)
     rows = qm.maximal_bases.reshape(-1, qm.dim)
-    assert np.array_equal(qm.basis_points.ravel(), [qm.point_id(v) for v in rows])
+    assert np.array_equal(qm.basis_points.ravel(), [int(qm.point_ids(v[None])[0]) for v in rows])
 
 
 def test_point_ids_beyond_int32_are_rejected():

@@ -1,7 +1,7 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
 product, one memory guard that runs before every standard model, docs that match
-the CLI, the calls the benchmark traces, and an AB check that reads B's orbits
-and tau without building A again."""
+the CLI, the calls the benchmark traces, an AB check that reads B's orbits and
+tau without building A again, and a standard model that scans no vectors."""
 
 import argparse
 import ast
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hemisystems import groups, hemi
+from hemisystems import groups, hemi, linform
 from hemisystems.cli import build_parser
 from hemisystems.gf import field_make
 
@@ -139,3 +139,14 @@ def test_the_ab_check_partitions_only_b_and_builds_no_group(monkeypatch):
         monkeypatch.setattr(owner, name, refused)
     rep = hemi.ab_check(pr.qm, pr.b, pr.tau_elt, pr.actions)
     assert rep.ok and rep.a_order == pr.a.order
+
+
+def test_building_a_standard_model_scans_no_vectors(monkeypatch):
+    # the layout and the Witt index of the plane <x, y>, from its
+    # discriminant, are all the checks; none enumerates a vector
+    def refused(*args, **kwargs):
+        pytest.fail("the standard model scanned vectors")
+
+    monkeypatch.setattr(linform, "all_vectors", refused)
+    M = linform.standard_model(field_make(5, 2), 3)
+    assert M.dim == 7
