@@ -258,7 +258,7 @@ def resolve_members(cert: Certificate, qm: QuadricModel):
         ids = qm.maximal_ids(cert.members)
     except ActionEscape as exc:
         return None, f"member {exc.index} is not a maximal of the quadric"
-    if np.unique(ids).size != ids.size:
+    if np.bincount(ids, minlength=qm.num_maximals).max() > 1:
         return None, "duplicate members"
     return ids, None
 

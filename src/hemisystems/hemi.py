@@ -264,7 +264,7 @@ def verify_hemisystem(
         raise UnknownMaximalId("member ids must form a flat list")
     if arr.size and (arr.min() < 0 or arr.max() >= qm.num_maximals):
         raise UnknownMaximalId("member id outside the model")
-    if np.unique(arr).size != arr.size:
+    if np.bincount(arr, minlength=qm.num_maximals).max() > 1:
         raise UnknownMaximalId("duplicate member id")
 
     if slow:

@@ -106,33 +106,51 @@ def rref(F: Field, rows) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def rref_batch(F: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RREF every matrix of an (N, m, n) stack; returns (stack, ranks)."""
+    """RREF every matrix of an (N, m, n) stack; returns (stack, ranks).
+
+    Column by column, each matrix with a pivot there swaps it into place and
+    scales it; then only the rows that are nonzero in the pivot column are
+    eliminated, each by two gathers from the flattened tables at the uint16
+    index a·q + b, as in ``mat_mul``.  Rows are gathered by their index in
+    the flattened (N·m, n) stack.
+    """
     A = np.array(mats, dtype=np.uint8)
-    ADD, MUL, NEG, INV = F.add_table, F.mul_table, F.neg_table, F.inv_table
     N, m, n = A.shape
-    cur = np.zeros(N, dtype=np.int64)
-    rowidx = np.arange(m)
+    R = A.reshape(N * m, n)
+    q = F.q
+    ADD, MUL = F.add_table.ravel(), F.mul_table.ravel()
+    NEG, INV = F.neg_table, F.inv_table
+    cur = np.zeros(N, dtype=np.intp)
+    free = np.ones((N, m), dtype=bool)
+    top = np.arange(N) * m
     for col in range(n):
-        colv = A[:, :, col]
-        elig = (colv != 0) & (rowidx[None, :] >= cur[:, None]) & (cur[:, None] < m)
-        has = elig.any(axis=1)
-        if not has.any():
+        # the first row at or below the current one that is nonzero here
+        elig = (A[:, :, col] != 0) & free
+        first = np.full(N, m)
+        for r in range(m - 1, -1, -1):
+            first = np.where(elig[:, r], r, first)
+        has = first < m
+        idx = np.flatnonzero(has)
+        if not idx.size:
             continue
-        idx = np.nonzero(has)[0]
-        first = np.where(elig[idx], rowidx[None, :], m).min(axis=1)
-        dst = cur[idx]
-        need = first != dst
-        if need.any():
-            ii, s, t = idx[need], first[need], dst[need]
-            tmp = A[ii, s].copy()
-            A[ii, s] = A[ii, t]
-            A[ii, t] = tmp
-        prow = MUL[INV[A[idx, dst, col]][:, None], A[idx, dst]]
-        sub = A[idx]
-        upd = ADD[sub, MUL[NEG[sub[:, :, col]][:, :, None], prow[:, None, :]]]
-        upd[np.arange(len(idx)), dst] = prow
-        A[idx] = upd
+        src, dst = top[idx] + first[idx], top[idx] + cur[idx]
+        prow = np.take(R, src, axis=0)
+        moved = src != dst
+        R[src[moved]] = R[dst[moved]]
+        R[dst] = np.take(MUL, INV[prow[:, col]].astype(np.uint16)[:, None] * q + prow)
+        hit = (A[:, :, col] != 0) & has[:, None]
+        hit.ravel()[dst] = False
+        hits = np.flatnonzero(hit)
+        # np.take copies each uint16 index to intp, so chunks bound the memory
+        for start in range(0, hits.size, 65536):
+            rows = hits[start:start + 65536]
+            piv = np.take(R, (top + cur)[rows // m], axis=0)
+            term = np.take(MUL, NEG[R[rows, col]].astype(np.uint16)[:, None] * q + piv)
+            R[rows] = np.take(ADD, np.take(R, rows, axis=0).astype(np.uint16) * q + term)
         cur[idx] += 1
+        free.ravel()[dst] = False
+        if (cur == m).all():
+            break
     return A, cur
 
 

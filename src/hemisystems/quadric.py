@@ -8,13 +8,16 @@ Maximals (totally singular d-subspaces) are kept as RREF bases and ordered
 row-major lexicographically.  The rows of an RREF basis are unit vectors,
 so that order is the order of the tuples of their point ids, read as
 base-P digits for P points: the maximal codes, strictly increasing with
-the maximal id.  So every lookup is a binary search over int64 codes: a
-vector is scaled to its unit multiple and its code searched among the
-point codes, and a spanning set of a maximal is reduced to its RREF basis,
-whose rows are looked up as points and whose code is searched among the
-maximal codes.  The codes fit in int64: ``require_memory`` keeps the point
-count below 2^31, which for q <= 255 leaves q^(2d + 1) < 2^47, and refuses
-ranks where P^d reaches 2^63.
+the maximal id.  A point is looked up by table: a vector is scaled to its
+unit multiple, whose code c, with q^j <= c < q^(j + 1), gives its rank
+c - q^j + (q^j - 1)/(q - 1) among the (q^n - 1)/(q - 1) unit vectors, and
+``point_table`` maps that rank to the point id, or to -1 when the vector is
+not singular; the zero vector ranks at a -1 after the last.  A spanning set
+of a maximal is reduced to its RREF basis, whose rows are looked up as
+points and whose code is binary-searched among the maximal codes.  The
+codes fit in int64: ``require_memory`` keeps the point count below 2^31,
+which for q <= 255 leaves q^(2d + 1) < 2^47, and refuses ranks where P^d
+reaches 2^63.
 
 Enumeration follows the rank recursion.  The standard space is the conic
 <z, x, y> with the hyperbolic pairs (e0, f0), (e1, f1), ... added in order
@@ -219,7 +222,10 @@ def require_memory(q: int, d: int) -> None:
 
     Point ids are int32 and maximal codes, d point ids read as base-P
     digits, int64.  The bases take N·d·n bytes, and the incidence index and
-    the point ids of the basis rows 4 bytes per id.  Closed forms only, so
+    the point ids of the basis rows 4 bytes per id.  The point table takes 4
+    bytes for each of the (q^n - 1)/(q - 1) unit vectors of length n = 2d + 1
+    and one more for its -1 sentinel: 1.6 MB at q = 25, 23.5 MB at q = 49,
+    174 MB at q = 81 and about 1 GB at q = 125.  Closed forms only, so
     ``hemi.prepare`` and the ``verify`` command run it before they build the
     standard model, and QuadricModel before it enumerates anything.
     """
@@ -230,11 +236,13 @@ def require_memory(q: int, d: int) -> None:
         raise ValueError(f"q = {q}, d = {d} has 2^31 or more points; their ids overflow int32")
     N = maximal_count(q, d)
     need = N * d * (2 * d + 1) + 4 * N * (points_per_maximal(q, d) + d)
+    table = 4 * ((q ** (2 * d + 1) - 1) // (q - 1) + 1)
     have = _physical_memory()
-    if have is not None and need > have:
+    if have is not None and need + table > have:
         raise ValueError(
             f"q = {q}, d = {d} has {N} maximals; their bases and incidence index "
-            f"need {need} bytes, more than the {have} bytes of physical memory"
+            f"need {need} bytes and the point table {table}, {need + table} in all, "
+            f"more than the {have} bytes of physical memory"
         )
     if P**d >= 2**63:
         raise ValueError(
@@ -269,6 +277,16 @@ class QuadricModel:
         self.point_codes = vector_codes(q, self.points)
         if not (np.diff(self.point_codes) > 0).all():
             raise RuntimeError("enumerated points are not strictly sorted")
+        # the unit vectors with leading coordinate n - 1 - j have the codes
+        # q^j .. 2 q^j - 1 and rank after the (q^j - 1)/(q - 1) with later
+        # leading coordinates; the zero code ranks at a -1 after the last
+        powers = self._rank_bounds = q ** np.arange(self.dim, dtype=np.int64)
+        units = (q**self.dim - 1) // (q - 1)
+        self._rank_offsets = np.concatenate([[units], (powers - 1) // (q - 1) - powers])
+        self.point_table = np.full(units + 1, -1, dtype=np.int32)
+        self.point_table[self._unit_ranks(self.point_codes)] = np.arange(
+            self.num_points, dtype=np.int32
+        )
 
         self.maximal_bases = enumerate_maximals(model)
         self.num_maximals = self.maximal_bases.shape[0]
@@ -279,7 +297,7 @@ class QuadricModel:
         self._check_totally_singular()
         self.basis_points = self.point_ids(
             self.maximal_bases.reshape(-1, self.dim)
-        ).astype(np.int32).reshape(self.num_maximals, self.d)
+        ).reshape(self.num_maximals, self.d)
         self.maximal_codes = vector_codes(self.num_points, self.basis_points)
         if not (np.diff(self.maximal_codes) > 0).all():
             raise RuntimeError("enumerated maximals are not strictly sorted")
@@ -307,8 +325,8 @@ class QuadricModel:
         for start in range(0, self.num_maximals, 1024):
             chunk = self.maximal_bases[start:start + 1024]
             span = mat_mul(F, combos, chunk)
-            pids, found = search_keys(self.point_codes, vector_codes(F.q, span))
-            if not found.all():
+            pids = self._lookup_units(span)
+            if (pids < 0).any():
                 raise RuntimeError("maximal contains a vector outside the point set")
             pids.sort(axis=1)
             out[start:start + 1024] = pids
@@ -316,14 +334,25 @@ class QuadricModel:
 
     # -- lookups
 
+    def _unit_ranks(self, codes: np.ndarray) -> np.ndarray:
+        """The rank of each unit-vector code in ``point_table``; the zero code
+        ranks at the table's last entry, -1."""
+        # j + 1 for q^j <= code < q^(j + 1), and 0 for the zero code
+        band = np.searchsorted(self._rank_bounds, codes, side="right")
+        return codes + np.take(self._rank_offsets, band)
+
+    def _lookup_units(self, units: np.ndarray) -> np.ndarray:
+        """Int32 point id of each row of a (..., n) stack of unit vectors or
+        zero rows, or -1 where the row is zero or not singular."""
+        return np.take(self.point_table, self._unit_ranks(vector_codes(self.field.q, units)))
+
     def point_ids(self, vecs: np.ndarray) -> np.ndarray:
-        """Ids of the points spanned by the rows of an (N, n) stack.
+        """Int32 ids of the points spanned by the rows of an (N, n) stack.
 
         Raises ActionEscape when a row is zero or not singular.
         """
-        units = _units(self.field, np.asarray(vecs, dtype=np.uint8))
-        pids, found = search_keys(self.point_codes, vector_codes(self.field.q, units))
-        if not found.all():
+        pids = self._lookup_units(_units(self.field, np.asarray(vecs, dtype=np.uint8)))
+        if (pids < 0).any():
             raise ActionEscape("vector is not a singular point of the quadric")
         return pids
 
@@ -342,9 +371,9 @@ class QuadricModel:
         if red.shape[1] < d:
             raise ActionEscape(f"matrix 0 has fewer than {d} rows", index=0)
         # the leading d RREF rows are unit vectors, or zero when the rank is short
-        pids, is_point = search_keys(self.point_codes, vector_codes(self.field.q, red[:, :d]))
+        pids = self._lookup_units(red[:, :d])
         ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids))
-        bad = (ranks != d) | ~is_point.all(axis=1) | ~found
+        bad = (ranks != d) | (pids < 0).any(axis=1) | ~found
         if bad.any():
             i = int(np.argmax(bad))
             raise ActionEscape(

@@ -458,6 +458,24 @@ def test_verify_rejects_duplicate_member(capsys, tmp_path, cert_pair):
     assert "duplicate" in out
 
 
+def test_resolve_members_finds_a_member_written_twice_in_two_bases(capsys, tmp_path, cert_pair):
+    # member 0 listed again in place of member 1, as a scaled row permutation
+    # of its basis, resolves to the same id
+    text = cert_pair["0"].read_text()
+    cert = parse_certificate(text)
+    F = cert.field
+    again = F.mul_table[2, cert.members[0, ::-1]]
+    assert not np.array_equal(again, cert.members[0])
+    cert.members[1] = again
+    assert resolve_members(cert, qmodel(3, 1, 2)) == (None, "duplicate members")
+    lines = [ln for ln in text.splitlines() if ln.startswith("maximal ")]
+    dup = tmp_path / "dup_scaled.txt"
+    dup.write_text(text.replace(lines[1], f"maximal {format_matrix(F, again)}", 1))
+    rc, out, _ = run(capsys, "verify", str(dup))
+    assert rc == 1
+    assert "duplicate members" in out
+
+
 def test_verify_rejects_non_maximal_member(capsys, tmp_path, cert_pair):
     text = cert_pair["0"].read_text()
     lines = [ln for ln in text.splitlines() if ln.startswith("maximal ")]

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import qmodel
 from hemisystems.gf import Field, field_make
 from hemisystems import linform as lf
 from hemisystems.quadric import point_count
@@ -208,18 +209,37 @@ def test_rref_drops_dependent_rows():
     assert (R[0] == [0, 1, 1, 0, 0]).all()
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (3, 2)])
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 1), (5, 2), (3, 3)])
 def test_rref_batch_matches_single(p, k):
+    # random stacks, and stacks of maximals as certificates list them:
+    # already in RREF, scrambled by invertible d x d matrices, rank-deficient
+    # and all zero, alone and shuffled into one batch
     F = field_make(p, k)
     rng = np.random.default_rng(5)
-    mats = rng.integers(0, F.q, size=(300, 3, 7)).astype(np.uint8)
-    out, ranks = rref_batch(F, mats)
-    for i in range(mats.shape[0]):
-        R, piv = rref(F, mats[i])
-        r = len(piv)
-        assert ranks[i] == r
-        assert (out[i, :r] == R).all()
-        assert not out[i, r:].any()
+    bases = qmodel(p, k, 2).maximal_bases
+    bases = bases[rng.choice(len(bases), min(200, len(bases)), replace=False)]
+    T = rng.integers(0, F.q, size=(4 * len(bases), 2, 2)).astype(np.uint8)
+    T = T[[len(rref(F, t)[1]) == 2 for t in T]][: len(bases)]
+    assert len(T) == len(bases)
+    scrambled = mat_mul(F, T, bases)
+    T[:, 1] = F.mul_table[rng.integers(0, F.q, size=(len(T), 1)), T[:, 0]]  # rank <= 1
+    deficient = mat_mul(F, T, bases)
+    zero = np.zeros((20, 2, 5), dtype=np.uint8)
+    mixed = np.concatenate([bases, scrambled, deficient, zero])
+    randoms = rng.integers(0, F.q, size=(300, 3, 7)).astype(np.uint8)
+    randoms[::3, 2] = F.add_table[randoms[::3, 0], randoms[::3, 1]]  # rank <= 2
+    for mats in (randoms, bases, scrambled, deficient, zero, mixed[rng.permutation(len(mixed))]):
+        before = mats.copy()
+        out, ranks = rref_batch(F, mats)
+        assert np.array_equal(mats, before)
+        for i in range(mats.shape[0]):
+            R, piv = rref(F, mats[i])
+            r = len(piv)
+            assert ranks[i] == r
+            assert (out[i, :r] == R).all()
+            assert not out[i, r:].any()
+    assert np.array_equal(rref_batch(F, bases)[0], bases)
+    assert (rref_batch(F, deficient)[1] <= 1).all()
 
 
 def test_nullspace():

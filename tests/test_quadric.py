@@ -12,6 +12,7 @@ import pytest
 
 from conftest import model, qmodel, rref_maximal_permutation, search_maximals
 from hemisystems import quadric
+from hemisystems.cli import main
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block, omega_w, tau
 from hemisystems.linform import Subspace, all_vectors, identity, mat_mul, rref
@@ -250,6 +251,43 @@ def test_point_and_maximal_lookup_round_trip():
     assert exc.value.index == 2
 
 
+@pytest.mark.parametrize("p,k,d", ALL_DESK)
+def test_point_table_matches_a_binary_search_oracle(p, k, d):
+    # every nonzero vector, scaled to its unit multiple, is found by the
+    # table exactly when a binary search among the point codes finds it
+    qm = qmodel(p, k, d)
+    F, n = qm.field, qm.dim
+    vecs = all_vectors(F.q, n)[1:]
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    units = F.mul_table[F.inv_table[lead][:, None], vecs]
+    codes = units.astype(np.int64) @ (F.q ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    pos = np.minimum(np.searchsorted(qm.point_codes, codes), qm.num_points - 1)
+    found = qm.point_codes[pos] == codes
+    assert found.sum() == (F.q - 1) * qm.num_points
+    assert np.array_equal(qm.point_ids(vecs[found]), pos[found])
+    assert np.array_equal(qm.point_ids(qm.points), np.arange(qm.num_points))
+
+    rng = np.random.default_rng(7)
+    outside = rng.choice(np.flatnonzero(~found), 25, replace=False)
+    for v in (np.zeros(n, dtype=np.uint8), *units[outside], *vecs[outside]):
+        with pytest.raises(ActionEscape):
+            qm.point_ids(np.concatenate([qm.points, v[None]]))
+    # a maximal basis with one row swapped for a non-singular vector, or an
+    # all-zero matrix, spans no maximal, and the error names the matrix
+    stack = qm.maximal_bases[:6]
+    for i, v in enumerate(units[outside[:6]]):
+        bad = stack.copy()
+        bad[i, i % d] = v
+        with pytest.raises(ActionEscape) as exc:
+            qm.maximal_ids(bad)
+        assert exc.value.index == i
+        bad = stack.copy()
+        bad[i] = 0
+        with pytest.raises(ActionEscape) as exc:
+            qm.maximal_ids(bad)
+        assert exc.value.index == i
+
+
 @pytest.mark.parametrize("p,k,d", SMALL)
 def test_maximal_codes_are_the_basis_point_ids_as_digits(p, k, d):
     qm = qmodel(p, k, d)
@@ -386,6 +424,25 @@ def test_maximal_codes_beyond_int64_are_refused_up_front(monkeypatch):
     assert peak < 64 * 1024
     require_memory(3, 4)
     require_memory(7, 3)
+
+
+def test_require_memory_counts_the_point_table(monkeypatch, capsys):
+    # at q = 125, d = 2 the bases and index take about 1 GB and the point
+    # table as much again; memory between the two sums refuses the geometry
+    require_memory(3, 4)
+    require_memory(7, 3)
+    q, d = 125, 2
+    N = maximal_count(q, d)
+    without = N * d * (2 * d + 1) + 4 * N * (points_per_maximal(q, d) + d)
+    table = 4 * ((q ** (2 * d + 1) - 1) // (q - 1) + 1)
+    assert 0.9e9 < table < 1.0e9
+    monkeypatch.setattr(quadric, "_physical_memory", lambda: without + table)
+    require_memory(q, d)
+    monkeypatch.setattr(quadric, "_physical_memory", lambda: without + table // 2)
+    with pytest.raises(ValueError, match="point table"):
+        require_memory(q, d)
+    assert main(["stats", "--p", "5", "--k", "3", "--d", "2"]) == 2
+    assert f"{without} bytes and the point table {table}, " in capsys.readouterr().err
 
 
 def test_point_codes_fit_in_int64_at_every_accepted_rank(monkeypatch):

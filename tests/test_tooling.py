@@ -1,16 +1,18 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
 product, one memory guard that runs before every standard model, docs that match
 the CLI, the calls the benchmark traces, an AB check that reads B's orbits and
-tau without building A again, and a standard model that scans no vectors."""
+tau without building A again, a standard model that scans no vectors, and point
+lookups by table, not by binary search."""
 
 import argparse
 import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from hemisystems import groups, hemi, linform
+from hemisystems import groups, hemi, linform, quadric
 from hemisystems.cli import build_parser
 from hemisystems.gf import field_make
 
@@ -150,3 +152,25 @@ def test_building_a_standard_model_scans_no_vectors(monkeypatch):
     monkeypatch.setattr(linform, "all_vectors", refused)
     M = linform.standard_model(field_make(5, 2), 3)
     assert M.dim == 7
+
+
+def test_point_lookups_make_no_binary_search(monkeypatch):
+    # points are looked up through the projective-rank table; only the
+    # maximal codes are still searched
+    F = field_make(3)
+    point_codes = linform.vector_codes(F.q, quadric.enumerate_points(linform.standard_model(F, 2)))
+    searched = []
+    real = quadric.search_keys
+
+    def guarded(sorted_keys, keys):
+        if np.array_equal(sorted_keys, point_codes):
+            pytest.fail("a point was looked up by binary search")
+        searched.append(len(sorted_keys))
+        return real(sorted_keys, keys)
+
+    monkeypatch.setattr(quadric, "search_keys", guarded)
+    qm = hemi.prepare(F, 2).qm
+    assert searched and set(searched) == {qm.num_maximals}
+    again = F.mul_table[2, qm.maximal_bases[:, ::-1]]
+    assert np.array_equal(qm.maximal_ids(again), np.arange(qm.num_maximals))
+    assert np.array_equal(qm.point_ids(again[:, 0]), qm.basis_points[:, -1])
