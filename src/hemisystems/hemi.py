@@ -13,10 +13,9 @@ Verification is independent of the construction: it recounts the degree of
 every point against the chosen maximals, either through the incidence index
 or, on the slow path, by testing every point for orthogonality to every
 chosen basis, one chunked matrix product that does not read the index.  The
-generators act on maximals through the same index, which only proposes each
-image; the images of the maximal's basis rows confirm it.  Unconfirmed, a
-corrupted index would build a wrong set that the index recount, reading the
-same corruption, could approve; confirmed, it raises ActionEscape instead.
+construction never reads the index either: the generators act on maximals
+by reducing the images of their basis points, so ``prepare`` does not build
+it, and the index recount builds it on its first read.
 """
 
 from __future__ import annotations

@@ -27,21 +27,21 @@ those of V (``enumerate_points``, ``enumerate_maximals``), which gives the
 counts (q^(2r) - 1)/(q - 1) and N(r) = (1 + q^r) N(r - 1) without search.
 One RREF and one sort at the end put them in canonical order.
 
-The incidence index between points and maximals is built eagerly, from the
-s + 1 = (q^d - 1)/(q - 1) combinations of each basis whose first nonzero
-coefficient is 1, and checked for regularity: each point lies on
-t + 1 = prod_{i<d} (q^i + 1) maximals.  It holds int32 point ids, as do the
-point ids of the basis rows.
+The incidence index between points and maximals, ``maximal_points``, is
+built on its first read, from the s + 1 = (q^d - 1)/(q - 1) combinations of
+each basis whose first nonzero coefficient is 1, and checked for
+regularity: each point lies on t + 1 = prod_{i<d} (q^i + 1) maximals.  Only
+the index recount of a hemisystem and the self-checks read it.  It holds
+int32 point ids, as do the point ids of the basis rows.
 
-An isometry acts on maximals through the index: the images of a maximal's
-points give the RREF rows of its image, so no image basis is reduced.  The
-index only proposes each image; the images of the maximal's own basis rows
-must expand on the proposed rows, which does not read the index, or the
-action raises ActionEscape.
+An isometry acts on maximals through their basis points: the images of a
+maximal's basis points span its image, which ``maximal_ids`` reduces and
+looks up, raising ActionEscape when it is not a maximal of the quadric.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -302,11 +302,6 @@ class QuadricModel:
         if not (np.diff(self.maximal_codes) > 0).all():
             raise RuntimeError("enumerated maximals are not strictly sorted")
 
-        self.maximal_points = self._build_incidence()
-        degrees = np.bincount(self.maximal_points.ravel(), minlength=self.num_points)
-        if (degrees != self.t1).any():
-            raise RuntimeError(f"some point does not lie on t + 1 = {self.t1} maximals")
-
     def _check_totally_singular(self):
         # the restricted Gram matrix B J B^T must vanish, chunked to bound memory
         B = self.maximal_bases
@@ -314,7 +309,10 @@ class QuadricModel:
             if self.model.space.restrict_gram(B[start:start + 8192]).any():
                 raise RuntimeError("an enumerated maximal is not totally singular")
 
-    def _build_incidence(self) -> np.ndarray:
+    @functools.cached_property
+    def maximal_points(self) -> np.ndarray:
+        """The incidence index: the sorted int32 ids of the s + 1 points of
+        every maximal, built on first read."""
         # the combinations whose first nonzero coefficient is 1 span each
         # point of a maximal once, and on an RREF basis they are already
         # unit vectors: the first nonzero entry sits in a pivot column
@@ -322,6 +320,7 @@ class QuadricModel:
         combos = all_vectors(F.q, d)[1:]
         combos = combos[(_units(F, combos) == combos).all(axis=1)]
         out = np.empty((self.num_maximals, self.s1), dtype=np.int32)
+        degrees = np.zeros(self.num_points, dtype=np.int64)
         for start in range(0, self.num_maximals, 1024):
             chunk = self.maximal_bases[start:start + 1024]
             span = mat_mul(F, combos, chunk)
@@ -330,6 +329,11 @@ class QuadricModel:
                 raise RuntimeError("maximal contains a vector outside the point set")
             pids.sort(axis=1)
             out[start:start + 1024] = pids
+            degrees += np.bincount(pids.ravel(), minlength=self.num_points)
+        # regularity also follows from what the build checks: N(q, d)
+        # distinct, totally singular d-spaces are all the maximals
+        if (degrees != self.t1).any():
+            raise RuntimeError(f"some point does not lie on t + 1 = {self.t1} maximals")
         return out
 
     # -- lookups
@@ -389,52 +393,14 @@ class QuadricModel:
 
     def maximal_permutation(self, point_perm: np.ndarray) -> np.ndarray:
         """Ids of the images of every maximal under an isometry, given the
-        isometry's ``point_permutation``, read off the incidence index.
+        isometry's ``point_permutation``.
 
-        The RREF rows of an image g(M) are points, and the row with pivot c
-        is the least point of g(M) whose leading column is c.  The leading
-        column never rises as the point id grows, so the rows are the first
-        ids of the d runs of equal leading column among the sorted images
-        of M's points.  The index only proposes the image: each is confirmed
-        when the images of M's own basis rows are their expansions on the
-        proposed rows, which reads the points and bases through the
-        permutation and not the index.  Raises ActionEscape, with ``index``
-        the first offending maximal, when an image is not confirmed.
+        The images of a maximal's basis points span its image.  Raises
+        ActionEscape, with ``index`` the first offending maximal, when an
+        image is not a maximal of the quadric.
         """
-        F, d, n = self.field, self.d, self.dim
-        pi = point_perm.astype(np.int32)
-        lead = np.argmax(self.points != 0, axis=1).astype(np.uint8)
-        out = np.empty(self.num_maximals, dtype=np.int64)
-        # np.take gathers rows several times faster than fancy indexing here
-        for start in range(0, self.num_maximals, 4096):
-            img = np.take(pi, self.maximal_points[start:start + 4096])
-            img.sort(axis=1)
-            img_lead = np.take(lead, img)
-            first = np.ones(img.shape, dtype=bool)
-            first[:, 1:] = img_lead[:, 1:] != img_lead[:, :-1]
-            bad = first.sum(axis=1) != d
-            if bad.any():
-                i = start + int(np.argmax(bad))
-                raise ActionEscape(
-                    f"the image of maximal {i} has no RREF basis of {d} points", index=i
-                )
-            rows = img[first].reshape(-1, d)[:, ::-1]
-            piv = img_lead[first].reshape(-1, d)[:, ::-1]
-            ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, rows))
-            basis = np.take(self.points, rows, axis=0)
-            # v_i = sum_j v_i[c_j] R_j for every image v_i of a basis row of M,
-            # where R_j is the proposed row with pivot c_j
-            vid = np.take(pi, self.basis_points[start:start + 4096])
-            coef = np.take(self.points, vid.astype(np.int64)[:, :, None] * n + piv[:, None, :])
-            v = np.take(self.points, vid, axis=0)
-            ok = found & (mat_mul(F, coef, basis) == v).all(axis=(1, 2))
-            if not ok.all():
-                i = start + int(np.argmax(~ok))
-                raise ActionEscape(
-                    f"the image of maximal {i} is not confirmed by its basis", index=i
-                )
-            out[start:start + 4096] = ids
-        return out
+        images = np.take(point_perm.astype(np.int32), self.basis_points)
+        return self.maximal_ids(np.take(self.points, images, axis=0))
 
 
 def z_projection_nontrivial(M: Subspace | np.ndarray) -> bool:

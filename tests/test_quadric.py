@@ -357,16 +357,43 @@ def test_maximal_permutation_matches_rref_oracle(p, k, d):
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
 def test_a_corrupted_index_never_yields_a_wrong_permutation(p, k, d):
-    qm = QuadricModel(model(p, k, d))  # a private model: its index is corrupted below
+    # the action reads the basis points and the point table, not the index:
+    # a rolled index leaves every permutation right, and a point table that
+    # has lost a basis row's point makes the action escape
+    qm = QuadricModel(model(p, k, d))  # a private model: it is corrupted below
     qm.maximal_points = np.roll(qm.maximal_points, 1, axis=0)
-    with pytest.raises(ActionEscape):
-        qm.maximal_permutation(qm.point_permutation(identity(qm.dim)))
     for g in [identity(qm.dim), *action_matrices(qm)]:
-        try:
-            perm = qm.maximal_permutation(qm.point_permutation(g))
-        except ActionEscape:
-            continue
+        perm = qm.maximal_permutation(qm.point_permutation(g))
         assert np.array_equal(perm, rref_maximal_permutation(qm, g))
+    ident = qm.point_permutation(identity(qm.dim))
+    pid = qm.basis_points[-1, -1]
+    qm.point_table[qm.point_table == pid] = -1
+    with pytest.raises(ActionEscape) as exc:
+        qm.maximal_permutation(ident)
+    assert exc.value.index == np.flatnonzero((qm.basis_points == pid).any(axis=1))[0]
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 1, 3)])
+def test_maximal_permutation_escapes_at_the_first_rejected_image(p, k, d):
+    # a swap of two points is induced by no isometry; the action escapes at
+    # the first maximal whose image maximal_ids rejects on its own
+    qm = qmodel(p, k, d)
+    perm = np.arange(qm.num_points)
+    perm[[5, 17]] = perm[[17, 5]]
+    images = qm.points[perm[qm.basis_points]]
+
+    def rejected(i):
+        try:
+            qm.maximal_ids(images[i:i + 1])
+        except ActionEscape:
+            return True
+        return False
+
+    first = next(i for i in range(qm.num_maximals) if rejected(i))
+    assert first > 0
+    with pytest.raises(ActionEscape) as exc:
+        qm.maximal_permutation(perm)
+    assert exc.value.index == first
 
 
 def test_shear_and_singular_matrix_escape():

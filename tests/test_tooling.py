@@ -1,8 +1,9 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
 product, one memory guard that runs before every standard model, docs that match
 the CLI, the calls the benchmark traces, an AB check that reads B's orbits and
-tau without building A again, a standard model that scans no vectors, and point
-lookups by table, not by binary search."""
+tau without building A again, a standard model that scans no vectors, point
+lookups by table, not by binary search, and a prepare that builds no incidence
+index."""
 
 import argparse
 import ast
@@ -174,3 +175,13 @@ def test_point_lookups_make_no_binary_search(monkeypatch):
     again = F.mul_table[2, qm.maximal_bases[:, ::-1]]
     assert np.array_equal(qm.maximal_ids(again), np.arange(qm.num_maximals))
     assert np.array_equal(qm.point_ids(again[:, 0]), qm.basis_points[:, -1])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_prepare_builds_no_incidence_index(d):
+    # the actions reduce the images of the basis points, so only a recount
+    # through the index builds it, once, on its first read
+    pr = hemi.prepare(field_make(3), d)
+    assert "maximal_points" not in pr.qm.__dict__
+    assert hemi.verify_hemisystem(pr.qm, hemi.assemble(pr.report.split, 0)).ok
+    assert pr.qm.__dict__["maximal_points"] is pr.qm.maximal_points
