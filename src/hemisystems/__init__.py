@@ -15,14 +15,13 @@ from .hemi import (
     prepare,
     verify_hemisystem,
 )
-from .linform import StandardModel, Subspace, standard_model
+from .linform import StandardModel, standard_model
 from .quadric import QuadricModel
 
 __all__ = [
     "Field",
     "field_make",
     "StandardModel",
-    "Subspace",
     "standard_model",
     "QuadricModel",
     "omega_w",

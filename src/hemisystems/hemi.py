@@ -230,6 +230,19 @@ class VerificationReport:
     method: str
 
 
+def _degrees_by_index(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
+    """Point degrees from the incidence index rows of the members.
+
+    Chunks of 8192 members bound the copy of their rows and its intp cast
+    in ``bincount``.
+    """
+    degrees = np.zeros(qm.num_points, dtype=np.int64)
+    for start in range(0, ids.size, 8192):
+        rows = qm.maximal_points[ids[start:start + 8192]]
+        degrees += np.bincount(rows.ravel(), minlength=qm.num_points)
+    return degrees
+
+
 def _degrees_by_orthogonality(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
     """Point degrees without the incidence index.
 
@@ -270,9 +283,7 @@ def verify_hemisystem(
         degrees = _degrees_by_orthogonality(qm, arr)
         method = "orthogonal"
     else:
-        degrees = np.bincount(
-            qm.maximal_points[arr].ravel(), minlength=qm.num_points
-        )
+        degrees = _degrees_by_index(qm, arr)
         method = "index"
 
     target = qm.target_degree

@@ -26,10 +26,6 @@ class BadRank(ValueError):
     """The rank parameter d is out of range."""
 
 
-class DegenerateRestriction(ValueError):
-    """The bilinear form restricted to the subspace is degenerate."""
-
-
 # ---------------------------------------------------------------------------
 # matrix arithmetic over encoded elements
 
@@ -80,7 +76,12 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def rref(F: Field, rows) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form; returns (matrix without zero rows, pivots)."""
+    """Reduced row echelon form; returns (matrix without zero rows, pivots).
+
+    One matrix, eliminated row by row.  It stays beside ``rref_batch`` as
+    the independent reference the tests check the stacks against, and for
+    ``mat_inv``, whose matrices are small.
+    """
     A = as_mat(rows).copy()
     ADD, MUL, NEG, INV = F.add_table, F.mul_table, F.neg_table, F.inv_table
     m, n = A.shape
@@ -185,20 +186,6 @@ def mat_det(F: Field, A: np.ndarray) -> int:
     return det
 
 
-def nullspace(F: Field, A: np.ndarray) -> np.ndarray:
-    """Basis (as RREF rows) of {v : A v^T = 0}."""
-    A = as_mat(A)
-    n = A.shape[1]
-    R, piv = rref(F, A)
-    free = [j for j in range(n) if j not in piv]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for i, j in enumerate(free):
-        basis[i, j] = 1
-        for r, pc in enumerate(piv):
-            basis[i, pc] = F.neg(int(R[r, j]))
-    return rref(F, basis)[0] if len(free) else basis
-
-
 def all_vectors(q: int, length: int) -> np.ndarray:
     """All q^length coordinate tuples, lexicographically ascending."""
     if length == 0:
@@ -297,59 +284,6 @@ def format_matrix(F: Field, A: np.ndarray) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subspaces
-
-
-class Subspace:
-    """A subspace held by its RREF basis; equal iff equal as point sets."""
-
-    __slots__ = ("basis", "key")
-
-    def __init__(self, F: Field, rows, reduced: bool = False):
-        A = as_mat(rows)
-        if not reduced:
-            A, _ = rref(F, A)
-        A = np.array(A, dtype=np.uint8, order="C")
-        A.setflags(write=False)
-        self.basis = A
-        self.key = (A.shape[0], A.tobytes())
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[1]
-
-    def contains_vector(self, F: Field, v) -> bool:
-        return not reduce_vector(F, self.basis, np.asarray(v, dtype=np.uint8)).any()
-
-    def __eq__(self, other):
-        return isinstance(other, Subspace) and self.key == other.key
-
-    def __lt__(self, other):
-        return self.key < other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def reduce_vector(F: Field, rref_rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Remainder of v modulo the row space of an RREF matrix."""
-    out = v.astype(np.uint8).copy()
-    for row in rref_rows:
-        pivot = int(np.argmax(row != 0))
-        c = int(out[pivot])
-        if c:
-            out = F.add_table[out, F.mul_table[F.neg(c), row]]
-    return out
-
-
-# ---------------------------------------------------------------------------
 # quadratic spaces
 
 
@@ -385,20 +319,13 @@ class QuadraticSpace:
         B = as_mat(basis)
         return mat_mul(self.field, mat_mul(self.field, B, self.gram), np.swapaxes(B, -1, -2))
 
-    def perp(self, S: Subspace) -> Subspace:
-        rows = nullspace(self.field, mat_mul(self.field, S.basis, self.gram))
-        return Subspace(self.field, rows, reduced=True)
-
-    def totally_singular(self, basis) -> bool:
-        return not self.restrict_gram(basis).any()
-
 
 # ---------------------------------------------------------------------------
 # Witt index
 
 
-def witt_index(space: QuadraticSpace, S: Subspace | None = None) -> int:
-    """Witt index of the form restricted to S (whole space if omitted).
+def witt_index(space: QuadraticSpace) -> int:
+    """Witt index of a nondegenerate quadratic space.
 
     Over GF(q), q odd, a nondegenerate quadratic space is determined up to
     isometry by its dimension n and the square class of det G (Lam,
@@ -407,17 +334,13 @@ def witt_index(space: QuadraticSpace, S: Subspace | None = None) -> int:
     discriminant (-1)^(n/2) det G is a nonzero square (hyperbolic), and
     n/2 - 1 otherwise (elliptic).  The Gram matrix of kappa is G/2, whose
     determinant differs from det G by the square 2^-n when n is even.
+    ``QuadraticSpace`` refuses a singular G, so det G is never 0 here.
     """
     F = space.field
-    G = space.gram if S is None else space.restrict_gram(S.basis)
-    n = G.shape[0]
-    if n == 0:
-        return 0
-    det = mat_det(F, G)
-    if det == 0:
-        raise DegenerateRestriction("restricted form is degenerate")
+    n = space.dim
     if n % 2 == 1:
         return n // 2
+    det = mat_det(F, space.gram)
     disc = F.mul(F.neg(1), det) if n % 4 == 2 else det
     return n // 2 if F.is_square(disc) else n // 2 - 1
 

@@ -43,14 +43,12 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .gf import Field
 from .linform import (
     StandardModel,
-    Subspace,
     all_vectors,
     mat_mul,
     rref_batch,
@@ -58,10 +56,6 @@ from .linform import (
     vector_codes,
 )
 from .orbits import ActionEscape
-
-
-class NotMaximal(ValueError):
-    """The subspace is not a totally singular d-subspace."""
 
 
 def point_count(q: int, d: int) -> int:
@@ -294,20 +288,16 @@ class QuadricModel:
             raise RuntimeError(
                 f"enumerated {self.num_maximals} maximals, expected {maximal_count(q, model.d)}"
             )
-        self._check_totally_singular()
+        # the restricted Gram matrix B J B^T must vanish, chunked to bound memory
+        for start in range(0, self.num_maximals, 8192):
+            if model.space.restrict_gram(self.maximal_bases[start:start + 8192]).any():
+                raise RuntimeError("an enumerated maximal is not totally singular")
         self.basis_points = self.point_ids(
             self.maximal_bases.reshape(-1, self.dim)
         ).reshape(self.num_maximals, self.d)
         self.maximal_codes = vector_codes(self.num_points, self.basis_points)
         if not (np.diff(self.maximal_codes) > 0).all():
             raise RuntimeError("enumerated maximals are not strictly sorted")
-
-    def _check_totally_singular(self):
-        # the restricted Gram matrix B J B^T must vanish, chunked to bound memory
-        B = self.maximal_bases
-        for start in range(0, self.num_maximals, 8192):
-            if self.model.space.restrict_gram(B[start:start + 8192]).any():
-                raise RuntimeError("an enumerated maximal is not totally singular")
 
     @functools.cached_property
     def maximal_points(self) -> np.ndarray:
@@ -360,9 +350,6 @@ class QuadricModel:
             raise ActionEscape("vector is not a singular point of the quadric")
         return pids
 
-    def maximal_subspace(self, i: int) -> Subspace:
-        return Subspace(self.field, self.maximal_bases[i], reduced=True)
-
     def maximal_ids(self, stack: np.ndarray) -> np.ndarray:
         """Ids of the maximals spanned by the matrices of an (N, r, n) stack.
 
@@ -402,77 +389,3 @@ class QuadricModel:
         images = np.take(point_perm.astype(np.int32), self.basis_points)
         return self.maximal_ids(np.take(self.points, images, axis=0))
 
-
-def z_projection_nontrivial(M: Subspace | np.ndarray) -> bool:
-    """Whether some vector of the subspace has a nonzero z coordinate."""
-    basis = M.basis if isinstance(M, Subspace) else np.asarray(M)
-    return bool((basis[:, 0] != 0).any())
-
-
-@dataclass(frozen=True)
-class MaximalBasisForm:
-    """Normal form of a maximal basis relative to (z, e0, f0) and U.
-
-    case 1: b1 = z + u1, b2 = e0 + u2, b3 = f0 + u3, rest pure U
-    case 2: b1 = z + lam f0 + u1, b2 = e0 + mu f0 + u2, rest pure U
-    case 3: b1 = z + lam e0 + u1, b2 = f0 + u2, rest pure U
-    """
-
-    case: int
-    lam: int | None
-    mu: int | None
-    u_parts: tuple
-
-    def reassemble(self, model: StandardModel) -> Subspace:
-        F, n = model.field, model.dim
-        z, e0, f0 = (model.basis_vector(i) for i in range(3))
-        u = [np.asarray(x, dtype=np.uint8) for x in self.u_parts]
-        ADD, MUL = F.add_table, F.mul_table
-        if self.case == 1:
-            lead = [ADD[z, u[0]], ADD[e0, u[1]], ADD[f0, u[2]]]
-            rest = u[3:]
-        elif self.case == 2:
-            b1 = ADD[ADD[z, MUL[self.lam, f0]], u[0]]
-            b2 = ADD[ADD[e0, MUL[self.mu, f0]], u[1]]
-            lead, rest = [b1, b2], u[2:]
-        else:
-            b1 = ADD[ADD[z, MUL[self.lam, e0]], u[0]]
-            b2 = ADD[f0, u[1]]
-            lead, rest = [b1, b2], u[2:]
-        return Subspace(F, np.stack(lead + list(rest)))
-
-
-def basis_normal_form(model: StandardModel, M: Subspace) -> MaximalBasisForm:
-    """Case analysis of a maximal's basis over the (z, e0, f0) coordinates."""
-    d = model.d
-    if M.dim != d or not model.space.totally_singular(M.basis):
-        raise NotMaximal("expected a totally singular subspace of dimension d")
-    rows = M.basis.copy()
-    if rows[0, 0] != 1 or rows[1:, 0].any():
-        raise RuntimeError("maximal must project onto z")
-    # the basis is in RREF, so the pivots of rows 1 and 2 name the case, and
-    # each pivot column is already zero in every other row
-    lead = [int(np.argmax(row != 0)) for row in rows[1:3]]
-    if lead[0] > 2:
-        raise RuntimeError("residual rows must project onto <e0, f0>")
-
-    def strip(v, cols):
-        out = v.copy()
-        out[list(cols)] = 0
-        return out
-
-    b1, b2 = rows[0], rows[1]
-    if lead == [1, 2]:
-        b3, rest = rows[2], rows[3:]
-        if rest[:, :3].any():
-            raise RuntimeError("rows beyond the third must lie in U")
-        u_parts = (strip(b1, (0,)), strip(b2, (1,)), strip(b3, (2,)), *rest)
-        return MaximalBasisForm(1, None, None, u_parts)
-    rest = rows[2:]
-    if rest[:, :3].any():
-        raise RuntimeError("rows beyond the second must lie in U")
-    if lead[0] == 1:
-        u_parts = (strip(b1, (0, 2)), strip(b2, (1, 2)), *rest)
-        return MaximalBasisForm(2, int(b1[2]), int(b2[2]), u_parts)
-    u_parts = (strip(b1, (0, 1)), strip(b2, (2,)), *rest)
-    return MaximalBasisForm(3, int(b1[1]), None, u_parts)

@@ -5,7 +5,7 @@ import functools
 import numpy as np
 
 from hemisystems.gf import field_make
-from hemisystems.linform import StandardModel, mat_mul, standard_model
+from hemisystems.linform import StandardModel, mat_mul, rref, standard_model
 from hemisystems.orbits import OrbitPartition, check_permutation
 from hemisystems.quadric import QuadricModel, enumerate_points
 
@@ -31,6 +31,32 @@ def element_orders(F, X):
         if n > F.q ** X.shape[-1]:
             raise RuntimeError("element order runaway")
     return orders
+
+
+def normal_form_cases(qm: QuadricModel) -> np.ndarray:
+    """Assert the normal form of every maximal's basis; return each one's case.
+
+    Over (z, e0, f0) and U, an RREF basis b1, ..., bd of a maximal reads
+    b1 = z + u1, b2 = e0 + u2, b3 = f0 + u3 (case 1);
+    b1 = z + lam f0 + u1, b2 = e0 + mu f0 + u2 (case 2); or
+    b1 = z + lam e0 + u1, b2 = f0 + u2 (case 3); the other rows lie in U.
+    Each basis is checked to be totally singular and its own RREF, by the
+    scalar ``rref``, so its pivot columns are zero in the other rows.
+    """
+    F, B = qm.field, qm.maximal_bases
+    where = f"q={F.q}, d={qm.d}"
+    assert not qm.model.space.restrict_gram(B).any(), f"{where}: not totally singular"
+    for i in range(len(B)):
+        assert np.array_equal(rref(F, B[i])[0], B[i]), f"{where}: maximal {i} is not RREF"
+    # the z column is (1, 0, ..., 0)
+    assert (B[:, 0, 0] == 1).all() and not B[:, 1:, 0].any(), where
+    lead = np.argmax(B[:, 1:3] != 0, axis=2)
+    assert np.isin(lead[:, 0], (1, 2)).all(), f"{where}: b2 leads outside e0, f0"
+    # at d = 2 there is no b3 and lead has one column, so case 1 never holds
+    case1 = (lead[:, 0] == 1) & (lead[:, -1] == 2)
+    assert not B[case1, 3:, :3].any(), f"{where}: a row past b3 leaves U"
+    assert not B[~case1, 2:, :3].any(), f"{where}: a row past b2 leaves U"
+    return np.where(case1, 1, np.where(lead[:, 0] == 1, 2, 3))
 
 
 def search_maximals(model: StandardModel, points: np.ndarray | None = None) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import element_orders
+from conftest import element_orders, normal_form_cases
 from hemisystems.cli import (
     certificate_text,
     check_certificate_header,
@@ -29,12 +29,10 @@ from hemisystems.hemi import (
 from hemisystems.linform import all_vectors, format_matrix, mat_mul, rref, standard_model
 from hemisystems.orbits import orbit_image, partition
 from hemisystems.quadric import (
-    basis_normal_form,
     maximal_count,
     maximals_per_point,
     point_count,
     points_per_maximal,
-    z_projection_nontrivial,
 )
 
 DESK_CONFIGS = ((3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (3, 1, 3))
@@ -203,15 +201,9 @@ def test_06_tau_pairs_all_maximal_orbits():
 
 
 def test_07_projection_and_normal_form_roundtrip():
-    """Every maximal meets z nontrivially and round-trips its normal form."""
+    """Every maximal meets z nontrivially and its RREF basis is in normal form."""
     for p, k, d in ((3, 1, 2), (5, 1, 2), (3, 1, 3)):
-        pr = _prep(p, k, d)
-        mdl, qm = pr.model, pr.qm
-        for i in range(qm.num_maximals):
-            S = qm.maximal_subspace(i)
-            assert z_projection_nontrivial(S)
-            form = basis_normal_form(mdl, S)
-            assert form.reassemble(mdl) == S, f"({p},{k},{d}): maximal {i}"
+        normal_form_cases(_prep(p, k, d).qm)
 
 
 def test_08_regularity_and_independent_totals():

@@ -25,7 +25,7 @@ from hemisystems import hemi
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block
 from hemisystems.hemi import assemble, prepare
-from hemisystems.linform import Subspace, format_matrix, parse_matrices
+from hemisystems.linform import format_matrix, parse_matrices, rref
 from conftest import model, qmodel  # noqa: F401 - shared cached fixtures
 from test_linform import reference_format
 
@@ -287,7 +287,7 @@ def test_construct_round_trip_is_identity_on_members(capsys, cert_pair):
             assert np.array_equal(np.sort(ids), expected)
             bases = prep.qm.maximal_bases
             one_by_one = [
-                np.flatnonzero((bases == Subspace(F, M).basis).all(axis=(1, 2))).tolist()
+                np.flatnonzero((bases == rref(F, M)[0]).all(axis=(1, 2))).tolist()
                 for M in cert.members
             ]
             assert [[i] for i in ids.tolist()] == one_by_one

@@ -10,6 +10,7 @@ from hemisystems.hemi import (
     MaskLength,
     TooManyOrbits,
     UnknownMaximalId,
+    _degrees_by_index,
     ab_check,
     assemble,
     enumerate_all_hemisystems,
@@ -190,6 +191,19 @@ def test_verify_slow_path_matches_fast_path():
             verify_hemisystem(pr.qm, half, slow=True).histogram
             == verify_hemisystem(pr.qm, half).histogram
         )
+
+
+def test_index_recount_over_several_chunks_matches_one_bincount():
+    # half the maximals at (5,3), 9,828 of 19,656, take two recount chunks;
+    # a random half gives every point some degree, not only t + 1 / 2
+    qm = qmodel(5, 1, 3)
+    ids = np.random.default_rng(53).permutation(qm.num_maximals)[: qm.num_maximals // 2]
+    assert ids.size == 9828
+    whole = np.bincount(qm.maximal_points[ids].ravel(), minlength=qm.num_points)
+    assert len(np.unique(whole)) > 1
+    assert np.array_equal(_degrees_by_index(qm, ids), whole)
+    values, counts = np.unique(whole, return_counts=True)
+    assert verify_hemisystem(qm, ids).histogram == tuple(zip(values.tolist(), counts.tolist()))
 
 
 def test_slow_path_does_not_read_the_incidence_index():

@@ -2,12 +2,13 @@
 product, one memory guard that runs before every standard model, docs that match
 the CLI, the calls the benchmark traces, an AB check that reads B's orbits and
 tau without building A again, a standard model that scans no vectors, point
-lookups by table, not by binary search, and a prepare that builds no incidence
-index."""
+lookups by table, not by binary search, a prepare that builds no incidence
+index, and no module-level function or class that only the tests use."""
 
 import argparse
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -185,3 +186,36 @@ def test_prepare_builds_no_incidence_index(d):
     assert "maximal_points" not in pr.qm.__dict__
     assert hemi.verify_hemisystem(pr.qm, hemi.assemble(pr.report.split, 0)).ok
     assert pr.qm.__dict__["maximal_points"] is pr.qm.maximal_points
+
+
+def test_every_module_level_definition_is_used_in_the_package():
+    # a function or class of the package that only the tests call is a second
+    # model of something the pipeline does another way; each one must be read
+    # somewhere in src/ outside its own body, or be exported by __init__
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = {
+        elt.value
+        for node in init.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__"
+        for elt in node.value.elts
+    }
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+    def names(top):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    everywhere = sum((names(tree) for tree in trees.values()), Counter())
+    unused = [
+        f"{name}:{top.name}"
+        for name, tree in trees.items()
+        if name != "__init__.py"
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and top.name not in exported
+        and everywhere[top.name] == names(top)[top.name]
+    ]
+    assert unused == []
