@@ -27,11 +27,13 @@ import numpy as np
 
 from .gf import Field, field_make
 from .groups import embed_w_block, w_vector_orbits
-from .hemi import Prepared, assemble, prepare, verify_hemisystem
+from .hemi import Prepared, _degrees_by_index, assemble, prepare, verify_hemisystem
 from .linform import (
     format_matrices,
     format_matrix,
+    format_matrix_block,
     parse_matrices,
+    parse_matrix_block,
     standard_model,
     witt_index,
 )
@@ -115,10 +117,8 @@ def certificate_text(prep: Prepared, mask: int, member_ids: np.ndarray) -> str:
     gens = embed_w_block(F, prep.b.generators, prep.model.dim)
     lines += [f"generator {s}" for s in format_matrices(F, gens)]
     members = prep.qm.maximal_bases[np.asarray(member_ids, dtype=np.int64)]
-    lines += [f"maximal {s}" for s in format_matrices(F, members)]
-    lines.append(f"mask {mask:x} {len(split.pairs)}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+    block = format_matrix_block(F, members, "maximal ")
+    return "\n".join(lines) + "\n" + block + f"mask {mask:x} {len(split.pairs)}\nend\n"
 
 
 @dataclass
@@ -138,21 +138,48 @@ class Certificate:
     mask: int
 
 
+def _numbered(text: str, first: int = 1) -> list[tuple[int, str]]:
+    """The nonblank lines of a text, stripped, each with its line number in the file."""
+    return [(no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), first) if ln]
+
+
 def parse_certificate(text: str) -> Certificate:
-    """Parse certificate text; raise ParseError on any structural defect."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    """Parse certificate text; raise ParseError on any structural defect.
+
+    The member block, from the first ``maximal`` line to the ``mask`` line,
+    is sliced out once and read as bytes when it is canonical
+    (``linform.parse_matrix_block``); the line parser then reads only the
+    lines around it.  Any other text, and any defect, goes through the line
+    parser alone, so every error message is the line parser's.
+    """
+    head = text.find("\nmaximal ") + 1
+    tail = text.find("\nmask ", head) + 1 if head else 0
+    if tail:
+        try:
+            cert = _parse_lines(text[:head], text[head:tail], text[tail:])
+        except ParseError:
+            cert = None
+        if cert is not None:
+            return cert
+    return _parse_lines(text)
+
+
+def _parse_lines(head: str, block: str | None = None, tail: str = "") -> Certificate | None:
+    """Parse a certificate line by line, or, given a member block, the lines
+    around it; None when that block (or what precedes it) is not canonical."""
+    lines = _numbered(head)
     if not lines:
         raise ParseError("empty certificate")
 
     def split_line(i: int, tag: str, n_fields: int) -> list[str]:
         if i >= len(lines):
             raise ParseError(f"truncated certificate: missing {tag!r} line")
-        parts = lines[i].split()
+        no, line = lines[i]
+        parts = line.split()
         if parts[0] != tag:
-            raise ParseError(f"line {i + 1}: expected {tag!r}, got {parts[0]!r}")
+            raise ParseError(f"line {no}: expected {tag!r}, got {parts[0]!r}")
         if len(parts) != n_fields + 1:
-            raise ParseError(f"line {i + 1}: {tag!r} takes {n_fields} fields")
+            raise ParseError(f"line {no}: {_takes(tag, n_fields)}")
         return parts[1:]
 
     def as_int(token: str, what: str) -> int:
@@ -194,20 +221,27 @@ def parse_certificate(text: str) -> Certificate:
     def tagged(start: int, tag: str) -> tuple[int, list[str]]:
         """The single field of each consecutive line from ``start`` with this tag."""
         i = start
-        while i < len(lines) and lines[i].startswith(tag + " "):
+        while i < len(lines) and lines[i][1].startswith(tag + " "):
             i += 1
-        fields = " ".join(lines[start:i]).split()
+        fields = " ".join(ln for _, ln in lines[start:i]).split()
         if len(fields) != 2 * (i - start):
-            bad = next(j for j in range(start, i) if len(lines[j].split()) != 2)
-            raise ParseError(f"line {bad + 1}: {tag!r} takes 1 fields")
+            bad = next(no for no, ln in lines[start:i] if len(ln.split()) != 2)
+            raise ParseError(f"line {bad}: {_takes(tag, 1)}")
         return i, fields[1::2]
 
     i, gen_tokens = tagged(7, "generator")
     generators = matrices(gen_tokens, dim, "generator")
-    i, member_tokens = tagged(i, "maximal")
-    if not member_tokens:
-        raise ParseError("certificate lists no maximals")
-    members = matrices(member_tokens, d, "maximal")
+    if block is None:
+        i, member_tokens = tagged(i, "maximal")
+        if not member_tokens:
+            raise ParseError("certificate lists no maximals")
+        members = matrices(member_tokens, d, "maximal")
+    else:
+        # the generators must end the head, as the member block follows them
+        members = parse_matrix_block(F, block, d, dim, "maximal ") if i == len(lines) else None
+        if members is None:
+            return None
+        lines += _numbered(tail, len(head.splitlines()) + len(members) + 1)
 
     mask_s, mbits_s = split_line(i, "mask", 2)
     mask = _parse_mask(mask_s)
@@ -222,6 +256,10 @@ def parse_certificate(text: str) -> Certificate:
     return Certificate(
         F, d, gram, num_points, num_maximals, degree, m, n_b, generators, members, mask
     )
+
+
+def _takes(tag: str, n_fields: int) -> str:
+    return f"{tag!r} takes {n_fields} field{'' if n_fields == 1 else 's'}"
 
 
 def check_certificate_header(cert: Certificate, qm: QuadricModel) -> None:
@@ -544,7 +582,7 @@ def _selftest_checks(cfg: RunConfig):
         q = F.q
         _require(qm.num_points == point_count(q, cfg.d), f"{qm.num_points} points")
         _require(qm.num_maximals == maximal_count(q, cfg.d), f"{qm.num_maximals} maximals")
-        degs = np.bincount(qm.maximal_points.ravel(), minlength=qm.num_points)
+        degs = _degrees_by_index(qm, np.arange(qm.num_maximals))
         _require((degs == qm.t1).all(), f"a point is not on t+1={qm.t1} maximals")
         _require(qm.maximal_points.shape[1] == qm.s1, f"a maximal does not hold s+1={qm.s1} points")
         return (

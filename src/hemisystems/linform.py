@@ -283,6 +283,65 @@ def format_matrix(F: Field, A: np.ndarray) -> str:
     return format_matrices(F, as_mat(A)[None])[0]
 
 
+def _line_layout(F: Field, rows: int, cols: int, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of the line ``prefix`` + the zero matrix + newline, and the
+    (rows·cols, k) positions of its digits, coefficient by coefficient.
+
+    When p < 10 every coefficient is one digit, so every canonical line of
+    this shape has this layout; only its digits differ.  ``prefix`` holds
+    no '0'.
+    """
+    zero = format_matrix(F, np.zeros((rows, cols), dtype=np.uint8))
+    line = np.frombuffer(f"{prefix}{zero}\n".encode("ascii"), dtype=np.uint8)
+    return line, np.flatnonzero(line == ord("0")).reshape(rows * cols, F.k)
+
+
+def format_matrix_block(F: Field, stack: np.ndarray, prefix: str) -> str:
+    """One line ``prefix`` + matrix per matrix of an (N, rows, cols) stack,
+    each ending in a newline, in ``format_matrices``' spelling.
+
+    When p < 10 the lines are written into one byte array from
+    ``_line_layout``; otherwise they are joined from ``format_matrices``.
+    """
+    stack = np.asarray(stack, dtype=np.uint8)
+    N, rows, cols = stack.shape
+    if F.p >= 10:
+        return "".join(f"{prefix}{s}\n" for s in format_matrices(F, stack))
+    line, pos = _line_layout(F, rows, cols, prefix)
+    out = np.empty((N, line.size), dtype=np.uint8)
+    out[:] = line
+    out[:, pos] = (F._digits + ord("0")).astype(np.uint8)[stack.reshape(N, -1)]
+    return out.tobytes().decode("ascii")
+
+
+def parse_matrix_block(F: Field, block: str, rows: int, cols: int, prefix: str) -> np.ndarray | None:
+    """Read lines as ``format_matrix_block`` writes them into an (N, rows, cols) stack.
+
+    Returns None unless p < 10 and the block is one or more lines of
+    exactly that layout: the wrong length, a wrong separator, a non-digit,
+    a digit >= p or a non-ASCII character gives None, and the caller reads
+    such text another way.
+    """
+    if F.p >= 10 or not block.isascii():
+        return None
+    line, pos = _line_layout(F, rows, cols, prefix)
+    buf = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    if not buf.size or buf.size % line.size:
+        return None
+    lines = buf.reshape(-1, line.size)
+    sep = np.ones(line.size, dtype=bool)
+    sep[pos] = False
+    digits = lines[:, pos] - np.uint8(ord("0"))
+    if (lines[:, sep] != line[sep]).any() or digits.max() >= F.p:
+        return None
+    # an element is sum c_i p^i over its coefficients c_0, ..., c_{k-1}
+    acc = digits[..., -1].copy()
+    for i in range(F.k - 2, -1, -1):
+        acc *= F.p
+        acc += digits[..., i]
+    return acc.reshape(len(lines), rows, cols)
+
+
 # ---------------------------------------------------------------------------
 # quadratic spaces
 

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from hemibench.workloads import RUNGS
+from hemisystems import cli
 from hemisystems.cli import (
     CERT_MAGIC,
+    ParseError,
     certificate_text,
     main,
     parse_certificate,
@@ -446,6 +448,110 @@ def test_verify_rejects_garbage_and_truncation(capsys, tmp_path, cert_pair):
         rc, _, err = run(capsys, "verify", str(bad))
         assert rc == 2, (old, new)
         assert "maximal matrix" in err
+
+
+def test_parse_errors_name_the_line_of_the_file(cert_pair):
+    text = cert_pair["0"].read_text()
+    lines = text.splitlines()
+    # a blank line before a bad 'rank' line, at file line 4
+    bad = "\n".join(lines[:2] + ["", "rank 2 2"] + lines[3:]) + "\n"
+    with pytest.raises(ParseError, match="^line 4: 'rank' takes 1 field$"):
+        parse_certificate(bad)
+    # a bad member after a blank line inside the member block
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("maximal "))
+    edited = lines[: first + 3] + ["", "maximal 1;0 0"] + lines[first + 4:]
+    bad = "\n".join(edited) + "\n"
+    with pytest.raises(ParseError, match=f"^line {first + 5}: 'maximal' takes 1 field$"):
+        parse_certificate(bad)
+    # a bad line after the member block, with blank lines before it
+    edited = lines[:1] + ["", ""] + lines[1:-2] + ["mask 0 3 3", "end"]
+    with pytest.raises(ParseError, match=f"^line {len(lines) + 1}: 'mask' takes 2 fields$"):
+        parse_certificate("\n".join(edited) + "\n")
+    # a header that stops short of the member block names the first member
+    # line, though the lines before that block end early
+    cut = [ln for ln in lines if not ln.startswith(("orbits ", "generator "))]
+    with pytest.raises(ParseError, match="^line 7: expected 'orbits', got 'maximal'$"):
+        parse_certificate("\n".join(cut) + "\n")
+
+
+def certificate_fields(cert):
+    return [
+        v.tolist() if isinstance(v, np.ndarray) else v
+        for v in (getattr(cert, f.name) for f in dataclasses.fields(cert))
+    ]
+
+
+def parse_outcome(text):
+    try:
+        return certificate_fields(parse_certificate(text))
+    except ParseError:
+        return "ParseError"
+
+
+def line_parser_only(monkeypatch):
+    monkeypatch.setattr(cli, "parse_matrix_block", lambda *args: None)
+
+
+def test_byte_and_line_parsers_agree_on_single_byte_edits(monkeypatch):
+    # every byte of the first and last member lines of a (3,3) certificate,
+    # and the line breaks around the block, replaced by each of these
+    prep = prepare(field_make(3), 3)
+    text = certificate_text(prep, 0, assemble(prep.report.split, 0))
+    head = text.index("\nmaximal ")
+    tail = text.index("\nmask ")
+    width = text.index("\n", head + 1) - head
+    where = [*range(head, head + width + 1), *range(tail - width, tail + 2)]
+    edits = [text[:i] + c + text[i + 1:] for i in where for c in "03;|, x" if text[i] != c]
+    read = []
+    real = cli.parse_matrix_block
+    monkeypatch.setattr(
+        cli, "parse_matrix_block", lambda *args: read.append(real(*args)) or read[-1]
+    )
+    got = [parse_outcome(t) for t in edits]
+    # a nonzero digit edited to 0 leaves the block canonical
+    assert any(r is not None for r in read)
+    line_parser_only(monkeypatch)
+    want = [parse_outcome(t) for t in edits]
+    for t, g, w in zip(edits, got, want):
+        assert g == w, t[head - 20: tail + 8]
+    assert "ParseError" in want and want.count("ParseError") < len(want)
+
+
+def test_non_canonical_spellings_verify(capsys, tmp_path, cert_pair):
+    text = cert_pair["0"].read_text()
+    lines = text.splitlines(keepends=True)
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("maximal 1;"))
+    padded = "".join(lines[: first + 2] + ["\n", "  \n"] + lines[first + 2:])
+    zero_led = text.replace(lines[first], lines[first].replace("maximal 1;", "maximal 01;"), 1)
+    assert zero_led != text
+    want = parse_outcome(text)
+    for spelled in (text.replace("\n", "\r\n"), padded, zero_led):
+        assert parse_outcome(spelled) == want
+        path = tmp_path / "spelled.txt"
+        path.write_bytes(spelled.encode("ascii"))
+        rc, out, _ = run(capsys, "verify", str(path))
+        assert rc == 0 and "verified" in out
+
+
+@pytest.mark.parametrize("p, k, d", [(5, 1, 3), (5, 2, 2)])
+def test_canonical_member_block_is_read_as_bytes(monkeypatch, p, k, d):
+    prep = prepare(field_make(p, k), d)
+    ids = assemble(prep.report.split, 1)
+    text = certificate_text(prep, 1, ids)
+    with monkeypatch.context() as patch:
+        line_parser_only(patch)
+        by_lines = certificate_fields(parse_certificate(text))
+    real = cli.parse_matrices
+
+    def members_refused(F, tokens, rows, cols):
+        if rows == d:
+            raise AssertionError("the member block went through parse_matrices")
+        return real(F, tokens, rows, cols)
+
+    monkeypatch.setattr(cli, "parse_matrices", members_refused)
+    cert = parse_certificate(text)
+    assert certificate_fields(cert) == by_lines
+    assert np.array_equal(cert.members, prep.qm.maximal_bases[ids])
 
 
 def test_verify_rejects_duplicate_member(capsys, tmp_path, cert_pair):

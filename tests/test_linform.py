@@ -500,8 +500,16 @@ PARITY_TOKENS = {
 }
 
 
+def reference_block(F, stack, prefix):
+    return "".join(f"{prefix}{reference_format(F, M)}\n" for M in stack)
+
+
+# one-digit coefficients (p < 10) at k = 1, 2, 3, and p = 11, 13
+SERIALIZED_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 1), (13, 1)]
+
+
 def test_matrix_serialization_roundtrip():
-    for p, k in [(3, 1), (3, 2)]:
+    for p, k in SERIALIZED_FIELDS:
         F = field_make(p, k)
         rng = np.random.default_rng(9)
         A = rng.integers(0, F.q, size=(3, 5)).astype(np.uint8)
@@ -510,16 +518,49 @@ def test_matrix_serialization_roundtrip():
         assert (lf.parse_matrices(F, [s], 3, 5)[0] == A).all()
 
         stack = rng.integers(0, F.q, size=(6, 3, 5)).astype(np.uint8)
+        stack[0] = F.q - 1
         texts = lf.format_matrices(F, stack)
         assert texts == [reference_format(F, M) for M in stack]
         assert np.array_equal(lf.parse_matrices(F, texts, 3, 5), stack)
         assert lf.parse_matrices(F, [], 3, 5).shape == (0, 3, 5)
 
-        tokens = PARITY_TOKENS[k]
+        # the fixed-width block: the same text, read back as bytes when p < 10
+        block = lf.format_matrix_block(F, stack, "maximal ")
+        assert block == reference_block(F, stack, "maximal ")
+        back = lf.parse_matrix_block(F, block, 3, 5, "maximal ")
+        if p < 10:
+            assert np.array_equal(back, stack)
+            assert back.dtype == np.uint8
+        else:
+            assert back is None
+
+        tokens = PARITY_TOKENS.get(k, [])
         # a stack holds exactly when every token parses as a 2x3 matrix
-        good = outcome(reference_parse, F, tokens[0], (2, 3))
+        good = outcome(reference_parse, F, tokens[0], (2, 3)) if tokens else None
         for tok in tokens:
             want = outcome(reference_parse, F, tok, (2, 3))
             expect = "rejected" if want == "rejected" else [good] * 3 + [want] + [good] * 3
             got = outcome(lf.parse_matrices, F, [tokens[0]] * 3 + [tok] + [tokens[0]] * 3, 2, 3)
             assert got == expect, tok
+
+
+def test_matrix_block_reader_refuses_what_it_cannot_read_as_written():
+    F = field_make(3, 2)
+    stack = np.random.default_rng(3).integers(0, F.q, size=(4, 2, 5)).astype(np.uint8)
+    block = lf.format_matrix_block(F, stack, "maximal ")
+    assert np.array_equal(lf.parse_matrix_block(F, block, 2, 5, "maximal "), stack)
+    line = len(block) // 4
+    for bad in (
+        "",  # no lines
+        block[:-1],  # a short last line
+        block + "\n",  # a blank line
+        block.replace("\n", "\r\n"),  # CRLF
+        block.replace("maximal 0,", "maximal 00,", 1),  # a two-digit coefficient
+        block[:line] + "maximal  " + block[line + 8:-1],  # a doubled space
+        block.replace(";", "|", 1),  # a wrong separator
+        block.replace("1", "3", 1),  # a digit >= p
+        block.replace("1", "\u0661", 1),  # a non-ASCII digit
+    ):
+        assert lf.parse_matrix_block(F, bad, 2, 5, "maximal ") is None, repr(bad[:40])
+    assert lf.parse_matrix_block(F, block, 2, 5, "generator ") is None
+    assert lf.parse_matrix_block(F, block, 5, 2, "maximal ") is None
