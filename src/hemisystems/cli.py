@@ -619,7 +619,8 @@ def _selftest_checks(cfg: RunConfig):
         perms = [qm.point_permutation(g) for g in embed_w_block(F, pr.a.generators, pr.model.dim)]
         a_points = partition(qm.num_points, perms).orbit_of
         _require(np.array_equal(a_points, pr.actions.b_point_part.orbit_of), "A moves a point")
-        n_a = partition(qm.num_maximals, [qm.maximal_permutation(p) for p in perms]).n_orbits
+        a_maximals = [qm.maximal_permutation(g) for g in pr.a.generators]
+        n_a = partition(qm.num_maximals, a_maximals).n_orbits
         m = len(rep.split.pairs)
         _require(rep.n_b_maximal_orbits == 2 * n_a, "n_b != 2 n_a")
         _require(n_a == m, f"{n_a} A-orbits, {m} pairs")

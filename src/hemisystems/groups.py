@@ -8,11 +8,12 @@ reflection in z extends it to an index-two overgroup.
 
 Both groups fix U = W-perp pointwise, so they are held as uint8 stacks of
 3x3 blocks on W.  B is closed once, a whole frontier of products at a
-time; A is not closed but built as the union of B and the coset tau B,
-once tau is seen to normalize B with tau^2 in B.  A block is embedded
-into the model's dimension 2d + 1 only where the full matrix is needed:
-to resolve the action on points and maximals, and to write the generator
-lines of a certificate.
+time, from a pair of words in its listed generators, since PSL2(q) is
+2-generated; its actions are resolved from the same pair.  A is not
+closed but built as the union of B and the coset tau B, once tau is seen
+to normalize B with tau^2 in B.  A block is embedded into the model's
+dimension 2d + 1 only where the full matrix is needed: to resolve the
+action on points, and to write the generator lines of a certificate.
 
 All matrices act on row vectors from the right, so g @ h means "g first".
 """
@@ -258,12 +259,27 @@ def embed_w_block(field: Field, block: np.ndarray, dim: int) -> np.ndarray:
     return M
 
 
+def generating_pair(field: Field, gens: np.ndarray) -> np.ndarray:
+    """Two words in the generators of SL2 or of their images, as a (2, n, n) stack.
+
+    With the generators listed as ``sl2_generators`` lists them, these are
+    a, the upper transvection by 1, and b, the lower transvection by
+    x^(k - 1) followed by the Weyl rotation.  PSL2(q) is 2-generated
+    (Steinberg, "Generators for simple groups", Canad. J. Math. 1962), and
+    ``omega_w`` closes B from this pair and checks that it contains every
+    listed generator.
+    """
+    return np.stack([gens[0], mat_mul(field, gens[-2], gens[-1])])
+
+
 def omega_w(model: StandardModel) -> MatrixGroup:
     """Omega(W) as 3x3 blocks on W: the symmetric-square image of SL2.
 
     The generators of SL2 are carried through the symmetric square onto the
-    W block and closed there.  The kernel {I, -I} halves the order, so the
-    result has q(q^2 - 1)/2 elements.
+    W block; the group is closed there from their ``generating_pair`` and
+    keeps them all as its generators.  The kernel {I, -I} halves the order,
+    so the result has q(q^2 - 1)/2 elements.  Raises GenerationFailure when
+    the pair closes short of that or misses a listed generator.
     """
     F = model.field
     disc = QuadraticSpace(F, discriminant_gram(F))
@@ -272,10 +288,13 @@ def omega_w(model: StandardModel) -> MatrixGroup:
     squares = np.stack([sym_square(F, g) for g in sl2_generators(F)])
     gens = mat_mul(F, mat_mul(F, T, squares), Tinv)
     expected = F.q * (F.q**2 - 1) // 2
-    group = close(F, gens, limit=expected)
+    group = close(F, generating_pair(F, gens), limit=expected)
     if group.order != expected:
         raise GenerationFailure(f"Omega(W) closed at {group.order}, expected {expected}")
-    return group
+    if not group.contains(gens).all():
+        raise GenerationFailure("the generating pair misses a generator of Omega(W)")
+    gens.setflags(write=False)
+    return MatrixGroup(gens, group.elements)
 
 
 def tau(model: StandardModel) -> np.ndarray:

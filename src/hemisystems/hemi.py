@@ -13,9 +13,10 @@ Verification is independent of the construction: it recounts the degree of
 every point against the chosen maximals, either through the incidence index
 or, on the slow path, by testing every point for orthogonality to every
 chosen basis, one chunked matrix product that does not read the index.  The
-construction never reads the index either: the generators act on maximals
-by reducing the images of their basis points, so ``prepare`` does not build
-it, and the index recount builds it on its first read.
+construction never reads the index either: B is resolved from a generating
+pair, and each element acts on maximals through its 3x3 block on W, which
+rewrites every RREF basis of a maximal in closed form, so ``prepare`` does
+not build the index, and the index recount builds it on its first read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .groups import MatrixGroup, embed_w_block, group_a, omega_w, tau
+from .groups import MatrixGroup, embed_w_block, generating_pair, group_a, omega_w, tau
 from .linform import StandardModel, identity, mat_inv, mat_mul, standard_model
 from .orbits import OrbitPartition, orbit_image, partition
 from .quadric import QuadricModel, require_memory
@@ -57,8 +58,8 @@ class OrbitSplit:
 
 @dataclass(frozen=True)
 class ActionBundle:
-    """Maximal permutations of B's generators, tau's point and maximal permutations,
-    and the orbits of B."""
+    """Maximal permutations of B's generating pair, tau's point and maximal
+    permutations, and the orbits of B."""
 
     b_maximal_perms: tuple
     tau_maximal_perm: np.ndarray
@@ -68,19 +69,19 @@ class ActionBundle:
 
 
 def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBundle:
-    """Point and maximal permutations of B's generators and of tau (a W block or full),
-    and the orbits of B, by union-find over B's permutations."""
-    gens = embed_w_block(qm.field, b.generators, qm.model.dim)
-    tv = embed_w_block(qm.field, t, qm.model.dim)
-    bp = tuple(qm.point_permutation(g) for g in gens)
-    bm = tuple(qm.maximal_permutation(p) for p in bp)
-    tp = qm.point_permutation(tv)
+    """Point and maximal permutations of B's ``generating_pair`` and of tau (a W
+    block or full), and the orbits of B, by union-find over the pair's
+    permutations."""
+    F, n = qm.field, qm.model.dim
+    pair = generating_pair(F, b.generators)
+    bp = [qm.point_permutation(g) for g in embed_w_block(F, pair, n)]
+    bm = [qm.maximal_permutation(g) for g in pair]
     return ActionBundle(
-        b_maximal_perms=bm,
-        tau_maximal_perm=qm.maximal_permutation(tp),
-        tau_point_perm=tp,
-        b_point_part=partition(qm.num_points, list(bp)),
-        b_maximal_part=partition(qm.num_maximals, list(bm)),
+        b_maximal_perms=tuple(bm),
+        tau_maximal_perm=qm.maximal_permutation(t),
+        tau_point_perm=qm.point_permutation(embed_w_block(F, t, n)),
+        b_point_part=partition(qm.num_points, bp),
+        b_maximal_part=partition(qm.num_maximals, bm),
     )
 
 

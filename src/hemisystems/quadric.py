@@ -34,9 +34,16 @@ regularity: each point lies on t + 1 = prod_{i<d} (q^i + 1) maximals.  Only
 the index recount of a hemisystem and the self-checks read it.  It holds
 int32 point ids, as do the point ids of the basis rows.
 
-An isometry acts on maximals through their basis points: the images of a
-maximal's basis points span its image, which ``maximal_ids`` reduces and
-looks up, raising ActionEscape when it is not a maximal of the quadric.
+The groups act as h (+) I_U, with h a 3x3 block on W = <z, e0, f0>, and
+act on maximals through h alone.  The first w = dim pi_W(M) rows of a
+maximal's RREF basis have their pivots in W, where w is 2 or 3, and the
+rest are zero there, so h leaves them fixed; the image of the top rows is
+reduced in closed form, by h^-1 when w = 3 and by the inverse of a 2x2
+block when w = 2, which gives the exact RREF of the image without a
+general reduction.  Its rows are looked up as points and its code is
+searched as ``maximal_ids`` does after reducing, raising ActionEscape when
+an image is not a maximal of the quadric.  ``maximal_ids`` reduces only
+the matrices that are not already a maximal's RREF basis byte for byte.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ from .gf import Field
 from .linform import (
     StandardModel,
     all_vectors,
+    identity,
+    mat_inv,
     mat_mul,
     rref_batch,
     search_keys,
@@ -204,6 +213,36 @@ def _units(F: Field, vecs: np.ndarray) -> np.ndarray:
     return F.mul_table[F.inv_table[lead][:, None], vecs]
 
 
+def _times(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise product of two broadcastable arrays of encoded elements, one
+    gather from the flattened multiplication table at the uint16 index a·q + b."""
+    return np.take(F.mul_table.ravel(), a.astype(np.uint16) * F.q + b)
+
+
+def _plus(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise sum of two broadcastable arrays of encoded elements."""
+    return np.take(F.add_table.ravel(), a.astype(np.uint16) * F.q + b)
+
+
+def _top_rows_rref(F: Field, T: np.ndarray) -> np.ndarray:
+    """The RREF of N pairs of rows of rank 2 with a pivot in column 0, held as
+    a (2, n, N) array, so that every operation runs along the N pairs.
+
+    Each pair is multiplied by the inverse E of its 2x2 block on the columns
+    (0, 1), or on (0, 2) where that block is singular.  Where both are
+    singular, E is zero and so are the rows.
+    """
+    NEG = F.neg_table
+    a, c = T[0, 0], T[1, 0]
+    det1, det2 = (_plus(F, _times(F, a, T[1, j]), NEG[_times(F, T[0, j], c)]) for j in (1, 2))
+    first = det1 != 0
+    b = np.where(first, T[0, 1], T[0, 2])
+    e = np.where(first, T[1, 1], T[1, 2])
+    inv = F.inv_table[np.where(first, det1, det2)]
+    E = [[_times(F, inv, e), _times(F, inv, NEG[b])], [_times(F, inv, NEG[c]), _times(F, inv, a)]]
+    return np.stack([_plus(F, _times(F, r0, T[0]), _times(F, r1, T[1])) for r0, r1 in E])
+
+
 def _physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -337,8 +376,13 @@ class QuadricModel:
 
     def _lookup_units(self, units: np.ndarray) -> np.ndarray:
         """Int32 point id of each row of a (..., n) stack of unit vectors or
-        zero rows, or -1 where the row is zero or not singular."""
-        return np.take(self.point_table, self._unit_ranks(vector_codes(self.field.q, units)))
+        zero rows, or -1 where the row is zero or not singular.
+
+        Any other row reads some entry of the table, or, ranked past its
+        end and clipped, the closing -1.
+        """
+        ranks = self._unit_ranks(vector_codes(self.field.q, units))
+        return np.take(self.point_table, ranks, mode="clip")
 
     def point_ids(self, vecs: np.ndarray) -> np.ndarray:
         """Int32 ids of the points spanned by the rows of an (N, n) stack.
@@ -350,27 +394,50 @@ class QuadricModel:
             raise ActionEscape("vector is not a singular point of the quadric")
         return pids
 
+    def _search_bases(self, red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the maximals whose RREF bases are the leading d rows of the
+        matrices of an (N, r, n) stack, and whether each one was found.
+
+        Every row is looked up, so a row that is zero, not singular or
+        missing from the point table leaves its matrix unfound.  Rows that
+        are not unit vectors may be found as some other maximal.
+        """
+        pids = self._lookup_units(red[:, :self.d])
+        ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids))
+        return ids, found & (pids >= 0).all(axis=1)
+
     def maximal_ids(self, stack: np.ndarray) -> np.ndarray:
         """Ids of the maximals spanned by the matrices of an (N, r, n) stack.
 
         Any spanning set of a maximal resolves, whatever its row order or
-        scaling.  Raises ActionEscape, with ``index`` the first offending
-        matrix, when a matrix does not span a maximal of the quadric.
+        scaling.  A matrix that equals a maximal's RREF basis byte for byte
+        is resolved by looking up its rows; only the rest are reduced.
+        Raises ActionEscape, with ``index`` the first offending matrix, when
+        a matrix does not span a maximal of the quadric.
         """
         d = self.d
-        red, ranks = rref_batch(self.field, stack)
-        if red.shape[1] < d:
+        stack = np.asarray(stack, dtype=np.uint8)
+        if stack.shape[1] < d:
             raise ActionEscape(f"matrix 0 has fewer than {d} rows", index=0)
-        # the leading d RREF rows are unit vectors, or zero when the rank is short
-        pids = self._lookup_units(red[:, :d])
-        ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids))
-        bad = (ranks != d) | (pids < 0).any(axis=1) | ~found
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ActionEscape(
-                f"matrix {i} (rank {ranks[i]}) does not span a maximal of the quadric",
-                index=i,
-            )
+        ids = np.zeros(len(stack), dtype=np.int64)
+        canonical = np.zeros(len(stack), dtype=bool)
+        if stack.shape[1] == d:
+            ids, canonical = self._search_bases(stack)
+            same = self.maximal_bases[ids[canonical]] == stack[canonical]
+            canonical[canonical] = same.all(axis=(1, 2))
+        rest = np.flatnonzero(~canonical)
+        if rest.size:
+            red, ranks = rref_batch(self.field, stack[rest])
+            # the leading d RREF rows are unit vectors, or zero when the rank is short
+            ids[rest], found = self._search_bases(red)
+            bad = (ranks != d) | ~found
+            if bad.any():
+                j = int(np.argmax(bad))
+                i = int(rest[j])
+                raise ActionEscape(
+                    f"matrix {i} (rank {ranks[j]}) does not span a maximal of the quadric",
+                    index=i,
+                )
         return ids
 
     # -- permutations induced by isometries
@@ -378,14 +445,68 @@ class QuadricModel:
     def point_permutation(self, mat: np.ndarray) -> np.ndarray:
         return self.point_ids(mat_mul(self.field, self.points, mat))
 
-    def maximal_permutation(self, point_perm: np.ndarray) -> np.ndarray:
-        """Ids of the images of every maximal under an isometry, given the
-        isometry's ``point_permutation``.
+    @functools.cached_property
+    def _w_split(self) -> tuple[np.ndarray, int]:
+        """The maximal ids ordered by w = dim pi_W(M), as int32, and the
+        number with w = 2.
 
-        The images of a maximal's basis points span its image.  Raises
-        ActionEscape, with ``index`` the first offending maximal, when an
-        image is not a maximal of the quadric.
+        The first w rows of an RREF basis have their pivots in W and the
+        rest are zero there.  M meets U in a totally singular space, of
+        dimension at most d - 2, so w is 2 or 3; at d = 2 it is always 2.
         """
-        images = np.take(point_perm.astype(np.int32), self.basis_points)
-        return self.maximal_ids(np.take(self.points, images, axis=0))
+        w = (self.maximal_bases[:, :, :3] != 0).any(axis=2).sum(axis=1)
+        if not np.isin(w, (2, 3)).all():
+            raise RuntimeError("a maximal does not project onto a 2- or 3-space of W")
+        return np.argsort(w, kind="stable").astype(np.int32), int((w == 2).sum())
 
+    def maximal_permutation(self, mat: np.ndarray) -> np.ndarray:
+        """Ids of the images of every maximal under an isometry g, given as a
+        3x3 block h on W or as a full matrix.
+
+        When g = h (+) I_U with h invertible, the image of each RREF basis
+        is written in closed form, which is its exact RREF: the rows that are
+        zero on W are fixed, and only the top w rows change.
+
+        - w = 3: the top rows [I_3 | U_M] go to [h | U_M], whose RREF is
+          [I_3 | h^-1 U_M].
+        - w = 2: the top rows [R_W | R_U] go to [Y | R_U] with Y = R_W h,
+          and E [Y | R_U] is their RREF, where E inverts the 2x2 block of Y
+          on its pivot columns, (0, 1) or else (0, 2).  With no pivot in
+          column 0 the image is no maximal: z-perp is elliptic, so every
+          maximal has a vector outside it and a pivot there.
+
+        E mixes only the top rows, which are zero on the pivot columns of
+        the rows below.  Any other matrix, a singular h included, acts on
+        the bases by ``mat_mul`` and ``maximal_ids``.  Raises ActionEscape,
+        with ``index`` the first offending maximal, when an image is not a
+        maximal of the quadric.
+        """
+        F, n = self.field, self.dim
+        g = np.asarray(mat, dtype=np.uint8)
+        full = identity(n)
+        full[:3, :3] = g[:3, :3]
+        if g.shape[-1] == n and not np.array_equal(g, full):
+            return self.maximal_ids(mat_mul(F, self.maximal_bases, g))
+        try:
+            hinv = mat_inv(F, g[:3, :3])
+        except ValueError:
+            return self.maximal_ids(mat_mul(F, self.maximal_bases, full))
+        # the bases in w order as a (d, n, N) array, so that the arithmetic
+        # below runs along the maximals
+        order, n2 = self._w_split
+        red = np.ascontiguousarray(np.take(self.maximal_bases, order, axis=0).transpose(1, 2, 0))
+        U = red[:3, 3:, n2:]
+        U[...] = mat_mul(F, hinv, U.reshape(3, -1)).reshape(U.shape)
+        # the rows of each top pair are the columns of Y^T = h^T R_W^T
+        top = red[:2, :, :n2]
+        top[:, :3] = mat_mul(F, g[:3, :3].T, top[:, :3])
+        top[...] = _top_rows_rref(F, top)
+        ids, found = self._search_bases(red.transpose(2, 0, 1))
+        if not found.all():
+            bad = np.zeros(self.num_maximals, dtype=bool)
+            bad[order] = ~found
+            i = int(np.argmax(bad))
+            raise ActionEscape(f"the image of maximal {i} is not a maximal of the quadric", index=i)
+        out = np.empty_like(ids)
+        out[order] = ids
+        return out

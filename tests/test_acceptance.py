@@ -171,7 +171,7 @@ def _a_partitions(pr):
     qm = pr.qm
     gens = embed_w_block(pr.field, pr.a.generators, pr.model.dim)
     point_perms = [qm.point_permutation(g) for g in gens]
-    maximal_perms = [qm.maximal_permutation(p) for p in point_perms]
+    maximal_perms = [qm.maximal_permutation(g) for g in pr.a.generators]
     return partition(qm.num_points, point_perms), partition(qm.num_maximals, maximal_perms)
 
 

@@ -595,6 +595,24 @@ def test_verify_rejects_non_maximal_member(capsys, tmp_path, cert_pair):
         assert f"member {idx} is not a maximal" in out
 
 
+def test_resolve_members_mixes_canonical_and_rewritten_bases():
+    # canonical members are looked up, scaled and reordered ones reduced; the
+    # ids are the certificate's, and a bad member is named by its own index
+    prep = prepare(field_make(3), 3)
+    ids = assemble(prep.report.split, 0)
+    cert = parse_certificate(cli.certificate_text(prep, 0, ids))
+    F, members = cert.field, cert.members
+    members[1::3] = F.mul_table[2, members[1::3]]
+    members[2::5] = members[2::5, ::-1]
+    got, reason = resolve_members(cert, prep.qm)
+    assert reason is None and np.array_equal(got, ids)
+    for at in (0, 4, len(ids) - 1):
+        bad = dataclasses.replace(cert, members=members.copy())
+        bad.members[at, 1] = bad.members[at, 0]
+        reason = f"member {at} is not a maximal of the quadric"
+        assert resolve_members(bad, prep.qm) == (None, reason)
+
+
 def test_verify_rejects_wrong_member_count(capsys, tmp_path, cert_pair):
     text = cert_pair["0"].read_text()
     lines = [ln for ln in text.splitlines() if ln.startswith("maximal ")]

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import element_orders, model
 from hemisystems.gf import field_make
+from hemisystems import groups
 from hemisystems.groups import (
     GenerationFailure,
     NoIsometry,
@@ -12,6 +13,7 @@ from hemisystems.groups import (
     close,
     discriminant_gram,
     embed_w_block,
+    generating_pair,
     group_a,
     omega_w,
     sl2_generators,
@@ -306,9 +308,49 @@ def test_right_action_composition():
         g, h = (elems[rng.integers(len(elems))] for _ in range(2))
         pg, ph = qm.point_permutation(g), qm.point_permutation(h)
         assert np.array_equal(qm.point_permutation(mat_mul(F, g, h)), ph[pg])
-        mg, mh = qm.maximal_permutation(pg), qm.maximal_permutation(ph)
-        gh = qm.point_permutation(mat_mul(F, g, h))
-        assert np.array_equal(qm.maximal_permutation(gh), mh[mg])
+        mg, mh = qm.maximal_permutation(g), qm.maximal_permutation(h)
+        assert np.array_equal(qm.maximal_permutation(mat_mul(F, g, h)), mh[mg])
+
+
+# every odd prime power q <= 49, as (p, k)
+ODD_Q_TO_49 = [
+    (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1),
+    (5, 2), (3, 3), (29, 1), (31, 1), (37, 1), (41, 1), (43, 1), (47, 1), (7, 2),
+]
+
+
+@pytest.mark.parametrize("p,k", ODD_Q_TO_49)
+def test_generating_pair_closes_to_b(p, k):
+    m = model(p, k, 2)
+    F = m.field
+    b = omega_w(m)
+    assert b.generators.shape[0] == 2 * k + 1
+    pair = generating_pair(F, b.generators)
+    assert np.array_equal(pair[0], b.generators[0])
+    assert np.array_equal(pair[1], mat_mul(F, b.generators[2 * k - 1], b.generators[-1]))
+    closed = close(F, pair, limit=F.q * (F.q**2 - 1) // 2)
+    assert closed.order == F.q * (F.q**2 - 1) // 2
+    assert closed.contains(b.generators).all()
+    assert np.array_equal(closed.elements, b.elements)
+
+
+def test_omega_w_refuses_a_pair_that_does_not_generate_b(monkeypatch):
+    m = model(5, 1, 2)
+    real = groups.generating_pair
+    monkeypatch.setattr(groups, "generating_pair", lambda F, gens: real(F, gens)[:1])
+    with pytest.raises(GenerationFailure, match="closed at"):
+        omega_w(m)
+    # a conjugate of B by a map that is no similitude has B's order but
+    # misses B's generators
+    shear = identity(3)
+    shear[0, 2] = 1
+
+    def conjugated(F, gens):
+        return mat_mul(F, mat_mul(F, mat_inv(F, shear), real(F, gens)), shear)
+
+    monkeypatch.setattr(groups, "generating_pair", conjugated)
+    with pytest.raises(GenerationFailure, match="misses a generator"):
+        omega_w(m)
 
 
 @pytest.mark.parametrize("p,k", CONFIGS)

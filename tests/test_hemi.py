@@ -33,8 +33,8 @@ def prep(p, k, d):
 
 
 def test_prepare_makes_each_point_permutation_once(monkeypatch):
-    # resolve_actions derives each generator's maximal permutation from the
-    # point permutation it already made, not from a second one
+    # resolve_actions makes one point permutation for each element of B's
+    # generating pair and one for tau, and none for the other generators
     made = []
     real = QuadricModel.point_permutation
 
@@ -44,7 +44,7 @@ def test_prepare_makes_each_point_permutation_once(monkeypatch):
 
     monkeypatch.setattr(QuadricModel, "point_permutation", counted)
     pr = prepare(field_make(3), 2)
-    assert len(made) == len(pr.b.generators) + 1
+    assert len(made) == 3
     assert pr.report.ok
 
 

@@ -251,6 +251,40 @@ def test_point_and_maximal_lookup_round_trip():
     assert exc.value.index == 2
 
 
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)])
+def test_maximal_ids_reduces_only_the_bases_that_are_not_canonical(monkeypatch, p, k, d):
+    # canonical bases are resolved by their rows' point ids and a byte
+    # compare; row-scaled and row-permuted ones are reduced as before, and a
+    # bad matrix among them is reported at its own index in the stack
+    qm = qmodel(p, k, d)
+    F = qm.field
+    rng = np.random.default_rng(7)
+    ids = rng.choice(qm.num_maximals, 36, replace=False)
+    stack = qm.maximal_bases[ids].copy()
+    scaled, permuted = np.arange(5, 36, 7), np.arange(9, 36, 11)
+    stack[scaled] = F.mul_table[F.q - 1, stack[scaled]]
+    stack[permuted] = stack[permuted, ::-1]
+    reduced = []
+    real = quadric.rref_batch
+
+    def counted(F, mats):
+        reduced.append(len(mats))
+        return real(F, mats)
+
+    monkeypatch.setattr(quadric, "rref_batch", counted)
+    assert np.array_equal(qm.maximal_ids(stack), ids)
+    assert reduced == [len(np.union1d(scaled, permuted))]
+    assert np.array_equal(qm.maximal_ids(qm.maximal_bases[ids]), ids)
+    assert reduced == [len(np.union1d(scaled, permuted))]  # no reduction at all
+    # only canonical bases precede matrix 3, and reduced ones precede 30
+    for at in (3, 30):
+        bad = stack.copy()
+        bad[at, -1] = bad[at, 0]  # a repeated row: rank d - 1
+        with pytest.raises(ActionEscape) as exc:
+            qm.maximal_ids(bad)
+        assert exc.value.index == at
+
+
 @pytest.mark.parametrize("p,k,d", ALL_DESK)
 def test_point_table_matches_a_binary_search_oracle(p, k, d):
     # every nonzero vector, scaled to its unit multiple, is found by the
@@ -327,11 +361,11 @@ def test_permutations_respect_incidence(p, k, d):
     n = qm.dim
     ident = qm.point_permutation(identity(n))
     assert np.array_equal(ident, np.arange(qm.num_points))
-    assert np.array_equal(qm.maximal_permutation(ident), np.arange(qm.num_maximals))
+    assert np.array_equal(qm.maximal_permutation(identity(n)), np.arange(qm.num_maximals))
     swap = identity(n)
     swap[[1, 2]] = swap[[2, 1]]
     pperm = qm.point_permutation(swap)
-    mperm = qm.maximal_permutation(pperm)
+    mperm = qm.maximal_permutation(swap)
     assert np.array_equal(pperm[pperm], np.arange(qm.num_points))
     assert np.array_equal(mperm[mperm], np.arange(qm.num_maximals))
     for mid in range(qm.num_maximals):
@@ -350,9 +384,34 @@ def action_matrices(qm):
 def test_maximal_permutation_matches_rref_oracle(p, k, d):
     qm = qmodel(p, k, d)
     for g in action_matrices(qm):
-        perm = qm.maximal_permutation(qm.point_permutation(g))
+        perm = qm.maximal_permutation(g)
         assert perm.dtype == np.int64
         assert np.array_equal(perm, rref_maximal_permutation(qm, g))
+        assert np.array_equal(qm.maximal_permutation(g[:3, :3]), perm)
+
+
+@pytest.mark.parametrize(
+    "p,k,d,sample",
+    [(3, 1, 2, None), (3, 2, 2, None), (3, 1, 3, None), (5, 1, 3, 12), (5, 2, 2, 12)],
+)
+def test_closed_form_action_matches_rref_oracle_on_b_and_tau_b(p, k, d, sample):
+    # every element of B and of the coset tau B, or a sample of each, given
+    # as its W block, against the reduction of every image basis
+    qm = qmodel(p, k, d)
+    F = qm.field
+    b = omega_w(qm.model).elements
+    if sample is not None:
+        b = b[np.random.default_rng(19).choice(len(b), sample, replace=False)]
+    blocks = np.concatenate([b, mat_mul(F, tau(qm.model), b)])
+    # how many maximals project onto a 2-space and a 3-space of W
+    w = np.bincount((qm.maximal_bases[:, :, :3] != 0).any(axis=2).sum(axis=1), minlength=4)
+    split = {(3, 3): [400, 720], (5, 3): [4056, 15600]}.get((p, d), [qm.num_maximals, 0])
+    assert w.tolist() == [0, 0, *split]
+    images = mat_mul(F, qm.maximal_bases[:, None], embed_w_block(F, blocks, qm.dim))
+    oracle = qm.maximal_ids(images.transpose(1, 0, 2, 3).reshape(-1, qm.d, qm.dim))
+    oracle = oracle.reshape(len(blocks), qm.num_maximals)
+    for h, ref in zip(blocks, oracle):
+        assert np.array_equal(qm.maximal_permutation(h), ref)
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
@@ -363,24 +422,24 @@ def test_a_corrupted_index_never_yields_a_wrong_permutation(p, k, d):
     qm = QuadricModel(model(p, k, d))  # a private model: it is corrupted below
     qm.maximal_points = np.roll(qm.maximal_points, 1, axis=0)
     for g in [identity(qm.dim), *action_matrices(qm)]:
-        perm = qm.maximal_permutation(qm.point_permutation(g))
+        perm = qm.maximal_permutation(g)
         assert np.array_equal(perm, rref_maximal_permutation(qm, g))
-    ident = qm.point_permutation(identity(qm.dim))
     pid = qm.basis_points[-1, -1]
     qm.point_table[qm.point_table == pid] = -1
     with pytest.raises(ActionEscape) as exc:
-        qm.maximal_permutation(ident)
+        qm.maximal_permutation(identity(3))
     assert exc.value.index == np.flatnonzero((qm.basis_points == pid).any(axis=1))[0]
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 1, 3)])
 def test_maximal_permutation_escapes_at_the_first_rejected_image(p, k, d):
-    # a swap of two points is induced by no isometry; the action escapes at
-    # the first maximal whose image maximal_ids rejects on its own
+    # the shear z -> z + f0 is invertible but no isometry; the action
+    # escapes at the first maximal whose image maximal_ids rejects on its
+    # own, which is not maximal 0
     qm = qmodel(p, k, d)
-    perm = np.arange(qm.num_points)
-    perm[[5, 17]] = perm[[17, 5]]
-    images = qm.points[perm[qm.basis_points]]
+    shear = identity(3)
+    shear[0, 2] = 1
+    images = mat_mul(qm.field, qm.maximal_bases, embed_w_block(qm.field, shear, qm.dim))
 
     def rejected(i):
         try:
@@ -391,9 +450,10 @@ def test_maximal_permutation_escapes_at_the_first_rejected_image(p, k, d):
 
     first = next(i for i in range(qm.num_maximals) if rejected(i))
     assert first > 0
-    with pytest.raises(ActionEscape) as exc:
-        qm.maximal_permutation(perm)
-    assert exc.value.index == first
+    for g in (shear, embed_w_block(qm.field, shear, qm.dim)):
+        with pytest.raises(ActionEscape) as exc:
+            qm.maximal_permutation(g)
+        assert exc.value.index == first
 
 
 def test_shear_and_singular_matrix_escape():
@@ -402,9 +462,12 @@ def test_shear_and_singular_matrix_escape():
     shear[0, 1] = 1  # z -> z + e0 is not an isometry
     singular = identity(qm.dim)
     singular[1] = 0  # the singular point e0 goes to zero
+    for g in (shear, singular, shear[:3, :3], singular[:3, :3]):
+        with pytest.raises(ActionEscape):
+            qm.maximal_permutation(g)
     for g in (shear, singular):
         with pytest.raises(ActionEscape):
-            qm.maximal_permutation(qm.point_permutation(g))
+            qm.point_permutation(g)
         with pytest.raises(ActionEscape):
             rref_maximal_permutation(qm, g)
 

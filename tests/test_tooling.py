@@ -3,7 +3,8 @@ product, one memory guard that runs before every standard model, docs that match
 the CLI, the calls the benchmark traces, an AB check that reads B's orbits and
 tau without building A again, a standard model that scans no vectors, point
 lookups by table, not by binary search, a prepare that builds no incidence
-index, and no module-level function or class that only the tests use."""
+index and reduces only the enumerated maximals, and no module-level function
+or class that only the tests use."""
 
 import argparse
 import ast
@@ -178,9 +179,30 @@ def test_point_lookups_make_no_binary_search(monkeypatch):
     assert np.array_equal(qm.point_ids(again[:, 0]), qm.basis_points[:, -1])
 
 
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_prepare_reduces_once_and_the_actions_never(monkeypatch, p, k, d):
+    # the enumeration's final RREF is the one reduction of prepare; the
+    # actions write each image basis in closed form, and a silent fallback
+    # to reducing them would keep every other test green
+    calls = []
+    real = quadric.rref_batch
+
+    def counted(F, mats):
+        calls.append(len(mats))
+        return real(F, mats)
+
+    monkeypatch.setattr(quadric, "rref_batch", counted)
+    monkeypatch.setattr(linform, "rref_batch", counted)
+    pr = hemi.prepare(field_make(p, k), d)
+    assert calls == [pr.qm.num_maximals]
+    calls.clear()
+    hemi.resolve_actions(pr.qm, pr.b, pr.tau_elt)
+    assert calls == []
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_prepare_builds_no_incidence_index(d):
-    # the actions reduce the images of the basis points, so only a recount
+    # the actions write the image bases in closed form, so only a recount
     # through the index builds it, once, on its first read
     pr = hemi.prepare(field_make(3), d)
     assert "maximal_points" not in pr.qm.__dict__
