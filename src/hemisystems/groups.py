@@ -324,10 +324,12 @@ def group_a(model: StandardModel, b: MatrixGroup, t: np.ndarray) -> MatrixGroup:
     if not b.contains(mat_mul(F, t, t)):
         raise GenerationFailure("tau^2 is not in B")
     elements = embed_w_block(F, b.elements, n)
-    keys = np.unique(byte_keys(np.concatenate([elements, mat_mul(F, t, elements)])))
-    if keys.size != 2 * b.order:
+    # a sort and a neighbour compare; np.unique of byte keys imports numpy.ma
+    keys = np.sort(byte_keys(np.concatenate([elements, mat_mul(F, t, elements)])))
+    distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    if distinct != 2 * b.order:
         raise GenerationFailure(
-            f"B and tau B have {keys.size} elements together, expected {2 * b.order}"
+            f"B and tau B have {distinct} elements together, expected {2 * b.order}"
         )
     gens = np.concatenate([gens, t[None]])
     elements = keys.view(np.uint8).reshape(-1, n, n)

@@ -6,6 +6,12 @@ space carries a symmetric nonsingular Gram matrix J with bilinear form
 beta(u, v) = u J v^T and quadratic form kappa(v) = beta(v, v) / 2, which is
 the polarization convention for odd characteristic.
 
+Every GF(q) matrix product goes through ``mat_mul``.  Over GF(p) it is
+lifted to one float BLAS product of the integer entries, reduced mod p by a
+division that is exact while the inner sums stay below 2^24 in float32 and
+below 2^53 in float64; a stack times one matrix is folded into one GEMM.
+Over GF(p^k) it gathers from the flattened field tables term by term.
+
 The standard model basis of the (2d+1)-dimensional ambient space is ordered
 (z, e0, f0, x, y, e1, f1, ..., e_{d-2}, f_{d-2}) with beta(z, z) = 1,
 beta(e_i, f_i) = 1, and the anisotropic plane <x, y> realized as
@@ -15,6 +21,7 @@ Witt index 1 and U = W-perp is elliptic of dimension 2d - 2.
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 
 import numpy as np
@@ -39,25 +46,67 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.uint8)
 
 
+def _floor_mod(C: np.ndarray, p: int) -> np.ndarray:
+    """x - p·floor(x / p) for every entry x of a contiguous float array of
+    exact integers, as uint8, for ``mat_mul``, which proves it exact."""
+    k = C / p
+    np.floor(k, out=k)
+    k *= p
+    C -= k
+    del k  # before the uint8 copy, which would otherwise hold three arrays
+    return C.astype(np.uint8)
+
+
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of encoded matrices, broadcast over leading axes like ``@``.
 
     Shapes (..., m, n) x (..., n, r) -> (..., m, r): one matrix or a stack
-    on either side.  This is the package's one GF(q) matrix product.  Over a
-    prime field it multiplies in int32 and raises ValueError, before any
-    product, when the inner dimension n could overflow it.  Over an
-    extension field each of the n terms is one gather from the flattened
-    multiplication table and one from the flattened addition table, at the
-    uint16 index a·q + b < q^2 <= 65,025.
+    on either side.  This is the package's one GF(q) matrix product.
+
+    Over a prime field the product is lifted to floats: the entries are
+    exact integers in [0, p), so one BLAS product gives the integer sums x,
+    reduced as x - p·floor(x / p).  When one side is a single matrix the
+    stack is folded into one GEMM: (N, m, n) x (n, r) runs as
+    (N·m, n) x (n, r), and (m, n) x (N, n, r) as (m, n) x (n, N·r) with the
+    stack laid side by side; a stack times a stack is a batched ``@``.
+
+    Exactness.  Every product and every partial sum of x is an integer in
+    [0, n (p - 1)^2], so with n (p - 1)^2 < 2^24 each is exact in float32,
+    in whatever order the GEMM adds them.  Write x = k p + c with
+    0 <= c < p.  If c = 0, x / p = k is exact.  Otherwise
+    k < x / p <= k + 1 - 1/p, and rounding moves x / p by at most
+    2^-24 · x / p < 1/p (the unit roundoff of float32), so it stays below
+    k + 1, and it stays at or above k because k is a float32 and rounding is
+    monotone.  So floor(x / p) = k, and k p <= x and x - k p = c are exact.
+    The same argument with 2^53 covers float64, which is used from 2^24 on;
+    past 2^53 the product raises ValueError before it casts either side.
+    The package's widest product, n = 21 at p = 251, is 1,312,500, so it
+    always runs in float32.  The division is what keeps this bound: with a
+    reciprocal, floor((x + 1/2) · (1/p)) in float32 fails for some p <= 251
+    below 2^23, first at x = 5,029,669 (p = 241).
+
+    Over an extension field each of the n terms is one gather from the
+    flattened multiplication table and one from the flattened addition
+    table, at the uint16 index a·q + b < q^2 <= 65,025.
     """
     if F.k == 1:
-        # int32 sums stay exact while inner · (p - 1)^2 < 2^31
-        inner = A.shape[-1]
-        if inner * (F.p - 1) ** 2 >= 2**31:
-            raise ValueError(f"an inner dimension of {inner} overflows int32 over GF({F.p})")
-        C = A.astype(np.int32) @ B.astype(np.int32)
-        C %= F.p
-        return C.astype(np.uint8)
+        p, n = F.p, A.shape[-1]
+        top = n * (p - 1) ** 2
+        if top >= 2**53:
+            raise ValueError(f"an inner dimension of {n} overflows float64 over GF({p})")
+        dtype = np.float32 if top < 2**24 else np.float64
+        if B.ndim == 2:
+            rows = (math.prod(A.shape[:-1]), n)
+            C = A.astype(dtype, order="C").reshape(rows) @ B.astype(dtype, order="C")
+            return _floor_mod(C, p).reshape(A.shape[:-1] + B.shape[-1:])
+        if A.ndim == 2:
+            # the stack's matrices side by side, as one (n, N·r) matrix
+            lead = tuple(range(B.ndim - 2))
+            side = B.transpose(B.ndim - 2, *lead, B.ndim - 1).astype(dtype, order="C")
+            C = A.astype(dtype, order="C") @ side.reshape(n, math.prod(side.shape[1:]))
+            C = _floor_mod(C, p).reshape(A.shape[:1] + side.shape[1:])
+            return np.ascontiguousarray(C.transpose(*(i + 1 for i in lead), 0, -1))
+        return _floor_mod(A.astype(dtype) @ B.astype(dtype), p)
     q = F.q
     ADD, MUL = F.add_table.ravel(), F.mul_table.ravel()
     Aq = A.astype(np.uint16) * q

@@ -12,12 +12,14 @@ the maximal id.  A point is looked up by table: a vector is scaled to its
 unit multiple, whose code c, with q^j <= c < q^(j + 1), gives its rank
 c - q^j + (q^j - 1)/(q - 1) among the (q^n - 1)/(q - 1) unit vectors, and
 ``point_table`` maps that rank to the point id, or to -1 when the vector is
-not singular; the zero vector ranks at a -1 after the last.  A spanning set
-of a maximal is reduced to its RREF basis, whose rows are looked up as
-points and whose code is binary-searched among the maximal codes.  The
-codes fit in int64: ``require_memory`` keeps the point count below 2^31,
-which for q <= 255 leaves q^(2d + 1) < 2^47, and refuses ranks where P^d
-reaches 2^63.
+not singular; the zero vector ranks at a -1 after the last.  The
+enumerated basis rows are unit vectors already, so they are looked up
+unscaled, once each is checked to lead with 1.  A spanning set of a
+maximal is reduced to its RREF basis, whose rows are looked up as points
+and whose code is binary-searched among the maximal codes.  The codes fit
+in int64: ``require_memory`` keeps the point count below 2^31, which for
+q <= 255 leaves q^(2d + 1) < 2^47, and refuses ranks where P^d reaches
+2^63.
 
 Enumeration follows the rank recursion.  The standard space is the conic
 <z, x, y> with the hyperbolic pairs (e0, f0), (e1, f1), ... added in order
@@ -40,10 +42,13 @@ maximal's RREF basis have their pivots in W, where w is 2 or 3, and the
 rest are zero there, so h leaves them fixed; the image of the top rows is
 reduced in closed form, by h^-1 when w = 3 and by the inverse of a 2x2
 block when w = 2, which gives the exact RREF of the image without a
-general reduction.  Its rows are looked up as points and its code is
-searched as ``maximal_ids`` does after reducing, raising ActionEscape when
-an image is not a maximal of the quadric.  ``maximal_ids`` reduces only
-the matrices that are not already a maximal's RREF basis byte for byte.
+general reduction.  Its rows are looked up as points.  An invertible g
+maps the N maximals to N distinct subspaces, so the images are all
+maximals exactly when their codes, sorted, are the maximal codes, and then
+that one sort is the permutation.  Only otherwise are the image codes
+searched, to raise ActionEscape at the first maximal whose image is not a
+maximal of the quadric.  ``maximal_ids`` reduces only the matrices that are
+not already a maximal's RREF basis byte for byte, and searches their codes.
 """
 
 from __future__ import annotations
@@ -331,9 +336,12 @@ class QuadricModel:
         for start in range(0, self.num_maximals, 8192):
             if model.space.restrict_gram(self.maximal_bases[start:start + 8192]).any():
                 raise RuntimeError("an enumerated maximal is not totally singular")
-        self.basis_points = self.point_ids(
-            self.maximal_bases.reshape(-1, self.dim)
-        ).reshape(self.num_maximals, self.d)
+        rows = self.maximal_bases.reshape(-1, self.dim)
+        if (rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] != 1).any():
+            raise RuntimeError("an enumerated basis row does not lead with 1")
+        self.basis_points = self._lookup_units(rows).reshape(self.num_maximals, self.d)
+        if (self.basis_points < 0).any():
+            raise RuntimeError("an enumerated basis row is not a singular point")
         self.maximal_codes = vector_codes(self.num_points, self.basis_points)
         if not (np.diff(self.maximal_codes) > 0).all():
             raise RuntimeError("enumerated maximals are not strictly sorted")
@@ -476,10 +484,11 @@ class QuadricModel:
           maximal has a vector outside it and a pivot there.
 
         E mixes only the top rows, which are zero on the pivot columns of
-        the rows below.  Any other matrix, a singular h included, acts on
-        the bases by ``mat_mul`` and ``maximal_ids``.  Raises ActionEscape,
-        with ``index`` the first offending maximal, when an image is not a
-        maximal of the quadric.
+        the rows below.  The ids are read off one argsort of the image
+        codes, checked against the maximal codes.  Any other matrix, a
+        singular h included, acts on the bases by ``mat_mul`` and
+        ``maximal_ids``.  Raises ActionEscape, with ``index`` the first
+        offending maximal, when an image is not a maximal of the quadric.
         """
         F, n = self.field, self.dim
         g = np.asarray(mat, dtype=np.uint8)
@@ -501,12 +510,17 @@ class QuadricModel:
         top = red[:2, :, :n2]
         top[:, :3] = mat_mul(F, g[:3, :3].T, top[:, :3])
         top[...] = _top_rows_rref(F, top)
-        ids, found = self._search_bases(red.transpose(2, 0, 1))
-        if not found.all():
+        # g is invertible, so the images are distinct, and they are all
+        # maximals exactly when their sorted codes are the maximal codes
+        pids = self._lookup_units(red.transpose(0, 2, 1)).T
+        codes = vector_codes(self.num_points, pids)
+        by_code = np.argsort(codes)
+        if not ((pids >= 0).all() and np.array_equal(codes[by_code], self.maximal_codes)):
+            _, found = search_keys(self.maximal_codes, codes)
             bad = np.zeros(self.num_maximals, dtype=bool)
-            bad[order] = ~found
+            bad[order] = ~found | (pids < 0).any(axis=1)
             i = int(np.argmax(bad))
             raise ActionEscape(f"the image of maximal {i} is not a maximal of the quadric", index=i)
-        out = np.empty_like(ids)
-        out[order] = ids
+        out = np.empty(self.num_maximals, dtype=np.intp)
+        out[order[by_code]] = np.arange(self.num_maximals)
         return out

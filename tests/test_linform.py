@@ -100,25 +100,78 @@ class _Unread(np.ndarray):
         raise AssertionError("the product was computed")
 
 
-def test_mat_mul_is_exact_up_to_the_int32_bound():
-    # every entry p - 1 makes each inner sum as large as it can be
-    F = field_make(251)
-    bound = (2**31 - 1) // 250**2
+def test_mat_mul_refuses_sums_past_the_float64_bound():
     # the widest product the package makes is over the ambient dimension
-    # 2d + 1; ranks stop where point ids leave int32, latest at q = 3
+    # 2d + 1; ranks stop where point ids leave int32, latest at q = 3; its
+    # largest inner sum, at p = 251, stays inside the float32 bound
     widest = 2 * max(d for d in range(2, 40) if point_count(3, d) < 2**31) + 1
-    assert widest == 21 < bound == 34359
-    for n in (widest, bound):
-        A = np.full((2, n), 250, dtype=np.uint8)
-        B = np.full((n, 3), 250, dtype=np.uint8)
-        oracle = sum(int(a) * int(b) for a, b in zip(A[0], B[:, 0])) % 251
-        assert (mat_mul(F, A, B) == oracle).all()
-        assert (mat_mul(F, A[None], B[None]) == oracle).all()
-    # one past the bound raises before either side is cast, let alone multiplied
-    A = np.full((1, bound + 1), 250, dtype=np.uint8).view(_Unread)
-    B = np.full((bound + 1, 1), 250, dtype=np.uint8).view(_Unread)
-    with pytest.raises(ValueError, match="int32"):
+    assert widest == 21 and widest * 250**2 < 2**24
+    # one past the float64 bound raises before either side is cast, let alone
+    # multiplied; the operands are broadcast views of one entry
+    F = field_make(251)
+    n = (2**53 - 1) // 250**2 + 1
+    A = np.broadcast_to(np.uint8(250), (1, n)).view(_Unread)
+    B = np.broadcast_to(np.uint8(250), (n, 1)).view(_Unread)
+    with pytest.raises(ValueError, match="float64"):
         mat_mul(F, A, B)
+
+
+PRIMES = [p for p in range(3, 252, 2) if all(p % f for f in range(3, math.isqrt(p) + 1, 2))]
+
+
+def int64_product(A, B, p):
+    """A @ B mod p for an (m, n) and an (n, r) matrix, in int64, over column chunks."""
+    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for s in range(0, A.shape[1], 1 << 18):
+        acc += A[:, s:s + (1 << 18)].astype(np.int64) @ B[s:s + (1 << 18)].astype(np.int64)
+    return acc % p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_lifted_product_is_exact_on_both_sides_of_the_float32_bound(p):
+    # float32 carries the product while n (p - 1)^2 < 2^24 and float64 from
+    # there on.  Each side's widest inner dimension is checked against an
+    # int64 reference: every entry is p - 1 except the last term a·b, with a
+    # running over GF(p) and b over (1, p - 1), so the sums are the largest
+    # possible and their residues cover GF(p)
+    F = field_make(p)
+    below = (2**24 - 1) // (p - 1) ** 2
+    assert below * (p - 1) ** 2 < 2**24 <= (below + 1) * (p - 1) ** 2
+    h = (p - 1) // 2
+    for n in (below, below + 1):
+        A = np.full((p, n), p - 1, dtype=np.uint8)
+        A[:, -1] = np.arange(p)
+        B = np.full((n, 2), p - 1, dtype=np.uint8)
+        B[-1] = 1, p - 1
+        ref = int64_product(A, B, p)
+        # single x single, stack x single, single x stack (B's two columns
+        # as a (2, n, 1) stack), stack x stack (A's halves, one per column)
+        # and a (2, 1, h, n) x (2, n, 1) broadcast
+        cols = np.ascontiguousarray(B.T[:, :, None])
+        halves = A[:2 * h].reshape(2, h, n)
+        assert np.array_equal(mat_mul(F, A, B), ref)
+        assert np.array_equal(mat_mul(F, A[:, None], B), ref[:, None])
+        assert np.array_equal(mat_mul(F, A, cols), ref.T[:, :, None])
+        assert np.array_equal(mat_mul(F, halves, cols), np.stack([ref[:h, :1], ref[h:2 * h, 1:]]))
+        crossed = ref[:2 * h].reshape(2, h, 2).transpose(0, 2, 1)[..., None]
+        assert np.array_equal(mat_mul(F, halves[:, None], cols), crossed)
+        for C, shape in (
+            (mat_mul(F, A[:0], B), (0, 2)),
+            (mat_mul(F, A[:0, None], B), (0, 1, 2)),
+            (mat_mul(F, A, cols[:0]), (0, p, 1)),
+            (mat_mul(F, halves[:, :0], cols), (2, 0, 1)),
+        ):
+            assert C.shape == shape and C.dtype == np.uint8
+    # broadcast over leading axes at a small inner dimension, and an empty one
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, size=(2, 1, 3, 3)).astype(np.uint8)
+    B = rng.integers(0, p, size=(8, 3, 3)).astype(np.uint8)
+    C = mat_mul(F, A, B)
+    assert C.shape == (2, 8, 3, 3)
+    assert all(
+        np.array_equal(C[i, j], int64_product(A[i, 0], B[j], p)) for i in range(2) for j in range(8)
+    )
+    assert np.array_equal(mat_mul(F, A[..., :0], B[:, :0]), np.zeros_like(C))
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])

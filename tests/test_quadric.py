@@ -334,6 +334,22 @@ def test_maximal_codes_are_the_basis_point_ids_as_digits(p, k, d):
     ]
 
 
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (5, 1, 2), (3, 1, 3)])
+def test_a_basis_row_that_does_not_lead_with_one_is_refused(monkeypatch, p, k, d):
+    # the basis rows are looked up as they stand, which is right for unit
+    # vectors only: a row scaled by 2 can read another point's id
+    qm = qmodel(p, k, d)
+    F = qm.field
+    scaled = F.mul_table[2, qm.maximal_bases]
+    looked_up = qm._lookup_units(scaled)
+    i, r = np.argwhere((looked_up >= 0) & (looked_up != qm.basis_points))[0]
+    bases = qm.maximal_bases.copy()
+    bases[i, r] = scaled[i, r]
+    monkeypatch.setattr(quadric, "enumerate_maximals", lambda model: bases)
+    with pytest.raises(RuntimeError, match="does not lead with 1"):
+        QuadricModel(model(p, k, d))
+
+
 def test_maximal_ids_rank_check_survives_optimize():
     code = (
         "import numpy as np\n"

@@ -3,12 +3,16 @@ product, one memory guard that runs before every standard model, docs that match
 the CLI, the calls the benchmark traces, an AB check that reads B's orbits and
 tau without building A again, a standard model that scans no vectors, point
 lookups by table, not by binary search, a prepare that builds no incidence
-index and reduces only the enumerated maximals, and no module-level function
-or class that only the tests use."""
+index, reduces only the enumerated maximals, searches no maximal codes and
+leaves numpy.ma unimported, and no module-level function or class that only
+the tests use."""
 
 import argparse
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -173,10 +177,44 @@ def test_point_lookups_make_no_binary_search(monkeypatch):
 
     monkeypatch.setattr(quadric, "search_keys", guarded)
     qm = hemi.prepare(F, 2).qm
-    assert searched and set(searched) == {qm.num_maximals}
     again = F.mul_table[2, qm.maximal_bases[:, ::-1]]
     assert np.array_equal(qm.maximal_ids(again), np.arange(qm.num_maximals))
+    assert searched and set(searched) == {qm.num_maximals}
     assert np.array_equal(qm.point_ids(again[:, 0]), qm.basis_points[:, -1])
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_prepare_searches_no_maximal_codes(monkeypatch, p, k, d):
+    # each action reads its maximal ids off one sort of the image codes, and
+    # only an escape searches; a silent fallback to the search would keep
+    # every other test green
+    searched = []
+    real = quadric.search_keys
+
+    def recorded(sorted_keys, keys):
+        searched.append(sorted_keys)
+        return real(sorted_keys, keys)
+
+    monkeypatch.setattr(quadric, "search_keys", recorded)
+    qm = hemi.prepare(field_make(p, k), d).qm
+    assert not any(np.array_equal(keys, qm.maximal_codes) for keys in searched)
+
+
+def test_prepare_leaves_numpy_ma_unimported():
+    # importing numpy.ma takes about 18 ms, which every CLI run would pay;
+    # np.unique of byte keys imports it, a sort and a neighbour compare do not
+    code = (
+        "import sys\n"
+        "from hemisystems import hemi\n"
+        "from hemisystems.gf import field_make\n"
+        "hemi.prepare(field_make(3), 3)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
