@@ -179,17 +179,6 @@ class Field:
             raise DivisionByZero("division by 0")
         return int(self.mul_table[a, self.inv_table[b]])
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            a, e = self.inv(a), -e
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = int(self.mul_table[out, base])
-            base = int(self.mul_table[base, base])
-            e >>= 1
-        return out
-
     def is_square(self, a: int) -> bool:
         return bool(self.square_mask[a])
 
@@ -202,9 +191,6 @@ class Field:
     def first_nonsquare(self) -> int:
         """Least non-square in the canonical element order."""
         return int(np.nonzero(~self.square_mask)[0][0])
-
-    def elements(self) -> range:
-        return range(self.q)
 
     # -- coefficient view and serialization
 

@@ -7,13 +7,15 @@ standard Gram matrix.  The image is Omega(W), of order q(q^2 - 1)/2, and the
 reflection in z extends it to an index-two overgroup.
 
 Both groups fix U = W-perp pointwise, so they are held as uint8 stacks of
-3x3 blocks on W.  B is closed once, a whole frontier of products at a
-time, from a pair of words in its listed generators, since PSL2(q) is
-2-generated; its actions are resolved from the same pair.  A is not
-closed but built as the union of B and the coset tau B, once tau is seen
-to normalize B with tau^2 in B.  A block is embedded into the model's
-dimension 2d + 1 only where the full matrix is needed: to resolve the
-action on points, and to write the generator lines of a certificate.
+3x3 blocks on W, and the block is the only form in which an element
+enters the pipeline: the membership test, tau, the actions on points and
+maximals all take 3x3 blocks.  B is closed once, a whole frontier of
+products at a time, from a pair of words in its listed generators, since
+PSL2(q) is 2-generated; its actions are resolved from the same pair.  A
+is not closed but built as the union of B and the coset tau B, once tau
+is seen to normalize B with tau^2 in B.  A block is embedded into the
+model's dimension 2d + 1 only to write the generator lines of a
+certificate.
 
 All matrices act on row vectors from the right, so g @ h means "g first".
 """
@@ -68,18 +70,16 @@ class MatrixGroup:
         return self.elements.shape[0]
 
     def contains(self, mats) -> np.ndarray:
-        """Membership of each matrix of a stack of r x r matrices, r >= n.
+        """Membership of each matrix of a stack of n x n matrices.
 
-        A matrix larger than the elements is a member when it is the identity
-        outside its leading n x n block and that block is an element.
+        Raises ValueError when the matrices are not n x n.
         """
         M = np.asarray(mats, dtype=np.uint8)
-        n, r = self.elements.shape[-1], M.shape[-1]
-        flat = M.reshape(-1, r, r)
-        rest = flat.copy()
-        rest[:, :n, :n] = identity(n)
-        _, found = search_keys(byte_keys(self.elements), byte_keys(flat[:, :n, :n]))
-        return (found & (rest == identity(r)).all(axis=(1, 2))).reshape(M.shape[:-2])
+        n = self.elements.shape[-1]
+        if M.shape[-2:] != (n, n):
+            raise ValueError(f"the elements are {n}x{n} matrices, not of shape {M.shape}")
+        _, found = search_keys(byte_keys(self.elements), byte_keys(M.reshape(-1, n, n)))
+        return found.reshape(M.shape[:-2])
 
 
 def close(field: Field, gens, limit: int) -> MatrixGroup:
@@ -246,13 +246,8 @@ def witt_isometry(to_space: QuadraticSpace, from_space: QuadraticSpace):
 
 
 def embed_w_block(field: Field, block: np.ndarray, dim: int) -> np.ndarray:
-    """Extend a 3x3 block on W, or a stack of them, by the identity on U.
-
-    A matrix that already has dimension ``dim`` is returned as it is.
-    """
+    """Extend a 3x3 block on W, or a stack of them, by the identity on U."""
     block = np.asarray(block, dtype=np.uint8)
-    if block.shape[-1] == dim:
-        return block
     M = np.empty(block.shape[:-2] + (dim, dim), dtype=np.uint8)
     M[...] = identity(dim)
     M[..., :3, :3] = block
@@ -307,32 +302,29 @@ def tau(model: StandardModel) -> np.ndarray:
 def group_a(model: StandardModel, b: MatrixGroup, t: np.ndarray) -> MatrixGroup:
     """The extension <B, tau> as the union of B and tau B, of twice the order of B.
 
-    When tau normalizes B and tau^2 lies in B, the union of B and tau B is
-    closed under products, so it is <B, tau> and the index of B is 1 or 2;
-    it is 2 exactly when tau is outside B.  Normality is checked on B's generators,
-    since tau B tau^-1 inside B is an equality for finite B.  A tau of the
-    model's full dimension is applied to B's elements embedded.  Raises
+    tau is a 3x3 block on W, as B's elements are.  When tau normalizes B
+    and tau^2 lies in B, the union of B and tau B is closed under products,
+    so it is <B, tau> and the index of B is 1 or 2; it is 2 exactly when
+    tau is outside B.  Normality is checked on B's generators, since
+    tau B tau^-1 inside B is an equality for finite B.  Raises
     GenerationFailure when a check fails or the union does not have 2|B|
     elements.
     """
     F = model.field
-    n = t.shape[-1]
-    gens = embed_w_block(F, b.generators, n)
-    conj = mat_mul(F, mat_mul(F, t, gens), mat_inv(F, t))
+    conj = mat_mul(F, mat_mul(F, t, b.generators), mat_inv(F, t))
     if not b.contains(conj).all():
         raise GenerationFailure("tau does not normalize B")
     if not b.contains(mat_mul(F, t, t)):
         raise GenerationFailure("tau^2 is not in B")
-    elements = embed_w_block(F, b.elements, n)
     # a sort and a neighbour compare; np.unique of byte keys imports numpy.ma
-    keys = np.sort(byte_keys(np.concatenate([elements, mat_mul(F, t, elements)])))
+    keys = np.sort(byte_keys(np.concatenate([b.elements, mat_mul(F, t, b.elements)])))
     distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
     if distinct != 2 * b.order:
         raise GenerationFailure(
             f"B and tau B have {distinct} elements together, expected {2 * b.order}"
         )
-    gens = np.concatenate([gens, t[None]])
-    elements = keys.view(np.uint8).reshape(-1, n, n)
+    gens = np.concatenate([b.generators, t[None]])
+    elements = keys.view(np.uint8).reshape(-1, 3, 3)
     gens.setflags(write=False)
     elements.setflags(write=False)
     return MatrixGroup(gens, elements)

@@ -14,9 +14,10 @@ every point against the chosen maximals, either through the incidence index
 or, on the slow path, by testing every point for orthogonality to every
 chosen basis, one chunked matrix product that does not read the index.  The
 construction never reads the index either: B is resolved from a generating
-pair, and each element acts on maximals through its 3x3 block on W, which
-rewrites every RREF basis of a maximal in closed form, so ``prepare`` does
-not build the index, and the index recount builds it on its first read.
+pair, and each element, tau included, enters as its 3x3 block on W and acts
+through it alone: on points through their W columns, and on maximals by
+rewriting every RREF basis in closed form.  So ``prepare`` does not build
+the index, and the index recount builds it on its first read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .groups import MatrixGroup, embed_w_block, generating_pair, group_a, omega_w, tau
+from .groups import MatrixGroup, generating_pair, group_a, omega_w, tau
 from .linform import StandardModel, identity, mat_inv, mat_mul, standard_model
 from .orbits import OrbitPartition, orbit_image, partition
 from .quadric import QuadricModel, require_memory
@@ -58,10 +59,8 @@ class OrbitSplit:
 
 @dataclass(frozen=True)
 class ActionBundle:
-    """Maximal permutations of B's generating pair, tau's point and maximal
-    permutations, and the orbits of B."""
+    """tau's point and maximal permutations, and the orbits of B."""
 
-    b_maximal_perms: tuple
     tau_maximal_perm: np.ndarray
     tau_point_perm: np.ndarray
     b_point_part: OrbitPartition
@@ -69,17 +68,15 @@ class ActionBundle:
 
 
 def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBundle:
-    """Point and maximal permutations of B's ``generating_pair`` and of tau (a W
-    block or full), and the orbits of B, by union-find over the pair's
-    permutations."""
-    F, n = qm.field, qm.model.dim
-    pair = generating_pair(F, b.generators)
-    bp = [qm.point_permutation(g) for g in embed_w_block(F, pair, n)]
+    """Point and maximal permutations of tau, a 3x3 block on W, and the
+    orbits of B, by union-find over the permutations of B's
+    ``generating_pair``."""
+    pair = generating_pair(qm.field, b.generators)
+    bp = [qm.point_permutation(g) for g in pair]
     bm = [qm.maximal_permutation(g) for g in pair]
     return ActionBundle(
-        b_maximal_perms=tuple(bm),
         tau_maximal_perm=qm.maximal_permutation(t),
-        tau_point_perm=qm.point_permutation(embed_w_block(F, t, n)),
+        tau_point_perm=qm.point_permutation(t),
         b_point_part=partition(qm.num_points, bp),
         b_maximal_part=partition(qm.num_maximals, bm),
     )
@@ -123,7 +120,7 @@ class ABReport:
 def ab_check(
     qm: QuadricModel, b: MatrixGroup, t: np.ndarray, actions: ActionBundle
 ) -> ABReport:
-    """Test every hypothesis of the two-group construction; tau is a W block or full.
+    """Test every hypothesis of the two-group construction; tau is a 3x3 block on W.
 
     Index two is tau outside B, normalizing B and squaring into B.  Normality
     is tested on B's generators, since tau B tau^-1 inside B is an equality
@@ -138,11 +135,9 @@ def ab_check(
 
     t2 = mat_mul(F, t, t)
     tau_outside_b = not b.contains(t)
-    tau_involution = np.array_equal(t2, identity(t.shape[0]))
+    tau_involution = np.array_equal(t2, identity(3))
 
-    t_inv = mat_inv(F, t)
-    gens = embed_w_block(F, b.generators, t.shape[0])
-    conj = mat_mul(F, mat_mul(F, t, gens), t_inv)
+    conj = mat_mul(F, mat_mul(F, t, b.generators), mat_inv(F, t))
     left = np.flatnonzero(~b.contains(conj))
     b_normal = left.size == 0
     if not b_normal:

@@ -520,13 +520,6 @@ class StandardModel:
         v[i] = 1
         return v
 
-    @property
-    def basis_names(self) -> tuple:
-        names = ["z", "e0", "f0", "x", "y"]
-        for i in range(1, self.d - 1):
-            names += [f"e{i}", f"f{i}"]
-        return tuple(names)
-
 
 def standard_model(F: Field, d: int) -> StandardModel:
     return StandardModel(F, d)

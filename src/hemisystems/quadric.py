@@ -37,18 +37,21 @@ the index recount of a hemisystem and the self-checks read it.  It holds
 int32 point ids, as do the point ids of the basis rows.
 
 The groups act as h (+) I_U, with h a 3x3 block on W = <z, e0, f0>, and
-act on maximals through h alone.  The first w = dim pi_W(M) rows of a
+the actions take h alone: a matrix of any other shape is refused.  On
+points only the W columns change.  The first w = dim pi_W(M) rows of a
 maximal's RREF basis have their pivots in W, where w is 2 or 3, and the
 rest are zero there, so h leaves them fixed; the image of the top rows is
 reduced in closed form, by h^-1 when w = 3 and by the inverse of a 2x2
 block when w = 2, which gives the exact RREF of the image without a
-general reduction.  Its rows are looked up as points.  An invertible g
+general reduction.  Its rows are looked up as points.  An invertible h
 maps the N maximals to N distinct subspaces, so the images are all
 maximals exactly when their codes, sorted, are the maximal codes, and then
 that one sort is the permutation.  Only otherwise are the image codes
 searched, to raise ActionEscape at the first maximal whose image is not a
-maximal of the quadric.  ``maximal_ids`` reduces only the matrices that are
-not already a maximal's RREF basis byte for byte, and searches their codes.
+maximal of the quadric; a singular h escapes at once.  ``maximal_ids``,
+which resolves the members of a certificate, reduces only the matrices
+that are not already a maximal's RREF basis byte for byte, and searches
+their codes.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ from .gf import Field
 from .linform import (
     StandardModel,
     all_vectors,
-    identity,
     mat_inv,
     mat_mul,
     rref_batch,
@@ -246,6 +248,14 @@ def _top_rows_rref(F: Field, T: np.ndarray) -> np.ndarray:
     inv = F.inv_table[np.where(first, det1, det2)]
     E = [[_times(F, inv, e), _times(F, inv, NEG[b])], [_times(F, inv, NEG[c]), _times(F, inv, a)]]
     return np.stack([_plus(F, _times(F, r0, T[0]), _times(F, r1, T[1])) for r0, r1 in E])
+
+
+def _w_block(h) -> np.ndarray:
+    """h as a uint8 3x3 block on W; raises ValueError for any other shape."""
+    h = np.asarray(h, dtype=np.uint8)
+    if h.shape != (3, 3):
+        raise ValueError(f"an isometry acts as a 3x3 block on W, not shape {h.shape}")
+    return h
 
 
 def _physical_memory() -> int | None:
@@ -450,8 +460,17 @@ class QuadricModel:
 
     # -- permutations induced by isometries
 
-    def point_permutation(self, mat: np.ndarray) -> np.ndarray:
-        return self.point_ids(mat_mul(self.field, self.points, mat))
+    def point_permutation(self, h: np.ndarray) -> np.ndarray:
+        """Ids of the images of every point under h (+) I_U, for a 3x3 block h
+        on W; only the W columns of the points change.
+
+        Raises ValueError when h is not 3x3, and ActionEscape when an image
+        is not a point of the quadric.
+        """
+        h = _w_block(h)
+        images = self.points.copy()
+        images[:, :3] = mat_mul(self.field, self.points[:, :3], h)
+        return self.point_ids(images)
 
     @functools.cached_property
     def _w_split(self) -> tuple[np.ndarray, int]:
@@ -467,13 +486,13 @@ class QuadricModel:
             raise RuntimeError("a maximal does not project onto a 2- or 3-space of W")
         return np.argsort(w, kind="stable").astype(np.int32), int((w == 2).sum())
 
-    def maximal_permutation(self, mat: np.ndarray) -> np.ndarray:
-        """Ids of the images of every maximal under an isometry g, given as a
-        3x3 block h on W or as a full matrix.
+    def maximal_permutation(self, h: np.ndarray) -> np.ndarray:
+        """Ids of the images of every maximal under h (+) I_U, for a 3x3
+        block h on W.
 
-        When g = h (+) I_U with h invertible, the image of each RREF basis
-        is written in closed form, which is its exact RREF: the rows that are
-        zero on W are fixed, and only the top w rows change.
+        The image of each RREF basis is written in closed form, which is its
+        exact RREF: the rows that are zero on W are fixed, and only the top
+        w rows change.
 
         - w = 3: the top rows [I_3 | U_M] go to [h | U_M], whose RREF is
           [I_3 | h^-1 U_M].
@@ -485,21 +504,17 @@ class QuadricModel:
 
         E mixes only the top rows, which are zero on the pivot columns of
         the rows below.  The ids are read off one argsort of the image
-        codes, checked against the maximal codes.  Any other matrix, a
-        singular h included, acts on the bases by ``mat_mul`` and
-        ``maximal_ids``.  Raises ActionEscape, with ``index`` the first
-        offending maximal, when an image is not a maximal of the quadric.
+        codes, checked against the maximal codes.  Raises ValueError when h
+        is not 3x3, and ActionEscape when h is singular or, with ``index``
+        the first offending maximal, when an image is not a maximal of the
+        quadric.
         """
-        F, n = self.field, self.dim
-        g = np.asarray(mat, dtype=np.uint8)
-        full = identity(n)
-        full[:3, :3] = g[:3, :3]
-        if g.shape[-1] == n and not np.array_equal(g, full):
-            return self.maximal_ids(mat_mul(F, self.maximal_bases, g))
+        F = self.field
+        h = _w_block(h)
         try:
-            hinv = mat_inv(F, g[:3, :3])
+            hinv = mat_inv(F, h)
         except ValueError:
-            return self.maximal_ids(mat_mul(F, self.maximal_bases, full))
+            raise ActionEscape("the block on W is singular") from None
         # the bases in w order as a (d, n, N) array, so that the arithmetic
         # below runs along the maximals
         order, n2 = self._w_split
@@ -508,9 +523,9 @@ class QuadricModel:
         U[...] = mat_mul(F, hinv, U.reshape(3, -1)).reshape(U.shape)
         # the rows of each top pair are the columns of Y^T = h^T R_W^T
         top = red[:2, :, :n2]
-        top[:, :3] = mat_mul(F, g[:3, :3].T, top[:, :3])
+        top[:, :3] = mat_mul(F, h.T, top[:, :3])
         top[...] = _top_rows_rref(F, top)
-        # g is invertible, so the images are distinct, and they are all
+        # h is invertible, so the images are distinct, and they are all
         # maximals exactly when their sorted codes are the maximal codes
         pids = self._lookup_units(red.transpose(0, 2, 1)).T
         codes = vector_codes(self.num_points, pids)

@@ -105,13 +105,16 @@ def search_maximals(model: StandardModel, points: np.ndarray | None = None) -> n
     return np.ascontiguousarray(bases[order])
 
 
-def rref_maximal_permutation(qm: QuadricModel, mat: np.ndarray) -> np.ndarray:
+def rref_maximal_permutation(qm: QuadricModel, h: np.ndarray) -> np.ndarray:
     """Oracle for ``QuadricModel.maximal_permutation``: reduce every image basis.
 
-    Multiplies all N bases by the matrix and resolves each product by its
-    RREF, without reading the incidence index.
+    Embeds the 3x3 block h on W as h (+) I_U, multiplies all N bases by it
+    and resolves each product by its RREF, without reading the incidence
+    index.
     """
-    return qm.maximal_ids(mat_mul(qm.field, qm.maximal_bases, mat))
+    g = np.eye(qm.dim, dtype=np.uint8)
+    g[:3, :3] = h
+    return qm.maximal_ids(mat_mul(qm.field, qm.maximal_bases, g))
 
 
 def bfs_partition(n: int, perms) -> OrbitPartition:

@@ -19,7 +19,6 @@ from hemisystems.cli import (
     resolve_members,
 )
 from hemisystems.gf import field_make
-from hemisystems.groups import embed_w_block
 from hemisystems.hemi import (
     assemble,
     enumerate_all_hemisystems,
@@ -169,8 +168,7 @@ def test_04_w_singular_orbit_split_and_norm_class_transitivity():
 def _a_partitions(pr):
     """Orbits of A on points and on maximals, by union-find over A's generators."""
     qm = pr.qm
-    gens = embed_w_block(pr.field, pr.a.generators, pr.model.dim)
-    point_perms = [qm.point_permutation(g) for g in gens]
+    point_perms = [qm.point_permutation(g) for g in pr.a.generators]
     maximal_perms = [qm.maximal_permutation(g) for g in pr.a.generators]
     return partition(qm.num_points, point_perms), partition(qm.num_maximals, maximal_perms)
 

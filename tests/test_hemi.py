@@ -69,10 +69,10 @@ def test_ab_hypotheses_hold(p, k, d):
 
 def test_ab_check_rejects_identity_as_tau():
     pr = prep(3, 1, 2)
-    for ident in (identity(3), identity(pr.model.dim)):
-        r = ab_check(pr.qm, pr.b, ident, resolve_actions(pr.qm, pr.b, ident))
-        assert not r.ok
-        assert not r.tau_outside_b
+    ident = identity(3)
+    r = ab_check(pr.qm, pr.b, ident, resolve_actions(pr.qm, pr.b, ident))
+    assert not r.ok
+    assert not r.tau_outside_b
 
 
 def test_ab_check_rejects_b_element_as_tau():
@@ -86,33 +86,32 @@ def test_ab_check_rejects_b_element_as_tau():
 
 
 def test_ab_check_tests_normality_on_generators():
-    # swapping z and x is an isometry of V, since beta(z, z) = beta(x, x) = 1,
-    # but it does not preserve W, so it conjugates some generator out of B
+    # negating e0 is an involution of determinant -1 that does not preserve
+    # the form on W, so it conjugates some generator out of B; it is no
+    # isometry and has no action, so it is checked with prepare's own
     pr = prep(3, 1, 2)
-    swap = identity(pr.model.dim)
-    swap[[0, 3]] = swap[[3, 0]]
-    J = pr.model.space.gram
-    assert np.array_equal(mat_mul(pr.field, mat_mul(pr.field, swap, J), swap.T), J)
-    r = ab_check(pr.qm, pr.b, swap, resolve_actions(pr.qm, pr.b, swap))
+    flip = identity(3)
+    flip[1, 1] = pr.field.neg(1)
+    J = pr.model.w_space.gram
+    assert not np.array_equal(mat_mul(pr.field, mat_mul(pr.field, flip, J), flip.T), J)
+    r = ab_check(pr.qm, pr.b, flip, pr.actions)
     assert r.tau_outside_b and r.tau_involution
     assert not r.b_normal_in_a
     assert not r.ok
-    assert r.witness.startswith("conjugate of B generator ")
-    i = int(r.witness.split()[4])
-    assert str(pr.b.generators[i].tolist()) in r.witness
+    assert r.witness.startswith("conjugate of B generator 0 left B")
+    assert str(pr.b.generators[0].tolist()) in r.witness
 
 
 def test_ab_check_agrees_with_group_a_on_the_order_of_a():
     pr = prep(3, 1, 2)
     assert ab_check(pr.qm, pr.b, pr.tau_elt, pr.actions).a_order == pr.a.order
-    # negating U commutes with B: A = B x <tau> has index two, but tau
-    # fixes a B-orbit of maximals, so the orbits do not pair up
-    neg_u = identity(pr.model.dim)
-    neg_u[3:, 3:] *= pr.field.neg(1)
-    r = ab_check(pr.qm, pr.b, neg_u, resolve_actions(pr.qm, pr.b, neg_u))
+    # -1 on W commutes with B: A = B x <tau> has index two, but tau fixes
+    # a B-orbit of maximals, so the orbits do not pair up
+    neg = pr.field.mul_table[pr.field.neg(1), identity(3)]
+    r = ab_check(pr.qm, pr.b, neg, resolve_actions(pr.qm, pr.b, neg))
     assert r.tau_outside_b and r.tau_involution and r.b_normal_in_a
     assert r.index_two and r.a_order == 2 * pr.b.order
-    assert not r.ok and "fixed by tau" in r.witness
+    assert not r.ok and r.witness == "maximal orbit 2 is fixed by tau"
 
 
 def test_prepare_closes_b_once_and_a_never(monkeypatch):
@@ -244,7 +243,8 @@ def test_verify_rejects_alien_ids():
 def test_members_are_b_invariant():
     pr = prep(3, 1, 2)
     ids = assemble(pr.report.split, 37 % (1 << pr.report.m))
-    for perm in pr.actions.b_maximal_perms:
+    for g in pr.b.generators:
+        perm = pr.qm.maximal_permutation(g)
         assert np.array_equal(np.sort(perm[ids]), ids)
 
 

@@ -319,7 +319,8 @@ def test_standard_model_gram_3_2():
         dtype=np.uint8,
     )
     assert (M.space.gram == expected).all()
-    assert M.basis_names == ("z", "e0", "f0", "x", "y")
+    # the basis is (z, e0, f0, x, y)
+    assert M.conic == (0, 3, 4) and M.pairs == ((1, 2),)
     with pytest.raises(BadRank):
         standard_model(F, 1)
 
@@ -328,7 +329,8 @@ def test_standard_model_gram_3_2():
 def test_standard_model_layout_matches_gram_and_names(d):
     F = field_make(5)
     M = standard_model(F, d)
-    names, G = M.basis_names, M.space.gram
+    names = ["z", "e0", "f0", "x", "y"] + [f"{c}{i}" for i in range(1, d - 1) for c in "ef"]
+    G = M.space.gram
     assert [names[c] for c in M.conic] == ["z", "x", "y"]
     assert [(names[e], names[f]) for e, f in M.pairs] == [(f"e{i}", f"f{i}") for i in range(d - 1)]
     assert sorted(M.conic + sum(M.pairs, ())) == list(range(M.dim))

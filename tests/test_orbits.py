@@ -150,11 +150,12 @@ def test_orbit_image_matches_a_loop_over_members(seed):
 
 
 def test_point_orbits_under_a_point_permutation():
-    # swapping the first hyperbolic pair is an isometry of the standard Gram
+    # swapping the first hyperbolic pair is an isometry of the standard
+    # Gram; it acts as its 3x3 block on W = <z, e0, f0>
     F = field_make(3)
     model = standard_model(F, 2)
     qm = QuadricModel(model)
-    swap = identity(model.dim)
+    swap = identity(3)
     swap[[1, 2]] = swap[[2, 1]]
     perm = qm.point_permutation(swap)
     part = partition(qm.num_points, [perm])
@@ -163,7 +164,7 @@ def test_point_orbits_under_a_point_permutation():
     # the generator lies in the group, so it maps every orbit to itself
     assert np.array_equal(orbit_image(part, perm), np.arange(part.n_orbits))
     # a matrix that is not an isometry escapes the point set
-    shear = identity(model.dim)
+    shear = identity(3)
     shear[0, 1] = 1
     with pytest.raises(ActionEscape):
         qm.point_permutation(shear)

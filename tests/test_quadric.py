@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -374,11 +375,11 @@ def test_maximal_ids_rank_check_survives_optimize():
 @pytest.mark.parametrize("p,k,d", SMALL)
 def test_permutations_respect_incidence(p, k, d):
     qm = qmodel(p, k, d)
-    n = qm.dim
-    ident = qm.point_permutation(identity(n))
+    ident = qm.point_permutation(identity(3))
     assert np.array_equal(ident, np.arange(qm.num_points))
-    assert np.array_equal(qm.maximal_permutation(identity(n)), np.arange(qm.num_maximals))
-    swap = identity(n)
+    assert np.array_equal(qm.maximal_permutation(identity(3)), np.arange(qm.num_maximals))
+    # swapping e0 and f0 is an isometry of W
+    swap = identity(3)
     swap[[1, 2]] = swap[[2, 1]]
     pperm = qm.point_permutation(swap)
     mperm = qm.maximal_permutation(swap)
@@ -390,20 +391,21 @@ def test_permutations_respect_incidence(p, k, d):
 
 
 def action_matrices(qm):
-    """B's generators and tau, embedded in the dimension of the model."""
-    F, n = qm.field, qm.dim
-    gens = embed_w_block(F, omega_w(qm.model).generators, n)
-    return [*gens, embed_w_block(F, tau(qm.model), n)]
+    """B's generators and tau, as 3x3 blocks on W."""
+    return [*omega_w(qm.model).generators, tau(qm.model)]
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (5, 1, 2), (3, 2, 2), (5, 2, 2), (3, 1, 3)])
 def test_maximal_permutation_matches_rref_oracle(p, k, d):
+    # and the point permutation, which changes only the W columns, matches
+    # the product of every point with the full matrix h (+) I_U
     qm = qmodel(p, k, d)
-    for g in action_matrices(qm):
-        perm = qm.maximal_permutation(g)
+    for h in action_matrices(qm):
+        perm = qm.maximal_permutation(h)
         assert perm.dtype == np.int64
-        assert np.array_equal(perm, rref_maximal_permutation(qm, g))
-        assert np.array_equal(qm.maximal_permutation(g[:3, :3]), perm)
+        assert np.array_equal(perm, rref_maximal_permutation(qm, h))
+        full = qm.point_ids(mat_mul(qm.field, qm.points, embed_w_block(qm.field, h, qm.dim)))
+        assert np.array_equal(qm.point_permutation(h), full)
 
 
 @pytest.mark.parametrize(
@@ -437,9 +439,9 @@ def test_a_corrupted_index_never_yields_a_wrong_permutation(p, k, d):
     # has lost a basis row's point makes the action escape
     qm = QuadricModel(model(p, k, d))  # a private model: it is corrupted below
     qm.maximal_points = np.roll(qm.maximal_points, 1, axis=0)
-    for g in [identity(qm.dim), *action_matrices(qm)]:
-        perm = qm.maximal_permutation(g)
-        assert np.array_equal(perm, rref_maximal_permutation(qm, g))
+    for h in [identity(3), *action_matrices(qm)]:
+        perm = qm.maximal_permutation(h)
+        assert np.array_equal(perm, rref_maximal_permutation(qm, h))
     pid = qm.basis_points[-1, -1]
     qm.point_table[qm.point_table == pid] = -1
     with pytest.raises(ActionEscape) as exc:
@@ -466,26 +468,42 @@ def test_maximal_permutation_escapes_at_the_first_rejected_image(p, k, d):
 
     first = next(i for i in range(qm.num_maximals) if rejected(i))
     assert first > 0
-    for g in (shear, embed_w_block(qm.field, shear, qm.dim)):
-        with pytest.raises(ActionEscape) as exc:
-            qm.maximal_permutation(g)
-        assert exc.value.index == first
+    with pytest.raises(ActionEscape) as exc:
+        qm.maximal_permutation(shear)
+    assert exc.value.index == first
 
 
 def test_shear_and_singular_matrix_escape():
     qm = qmodel(3, 1, 2)
-    shear = identity(qm.dim)
+    shear = identity(3)
     shear[0, 1] = 1  # z -> z + e0 is not an isometry
-    singular = identity(qm.dim)
+    singular = identity(3)
     singular[1] = 0  # the singular point e0 goes to zero
-    for g in (shear, singular, shear[:3, :3], singular[:3, :3]):
+    for h in (shear, singular):
         with pytest.raises(ActionEscape):
-            qm.maximal_permutation(g)
-    for g in (shear, singular):
+            qm.maximal_permutation(h)
         with pytest.raises(ActionEscape):
-            qm.point_permutation(g)
+            qm.point_permutation(h)
         with pytest.raises(ActionEscape):
-            rref_maximal_permutation(qm, g)
+            rref_maximal_permutation(qm, h)
+
+
+def test_a_full_matrix_is_refused_by_the_actions_and_membership():
+    # every element enters as its 3x3 block on W; a (2d + 1)^2 matrix, even
+    # h (+) I_U for an element h of B, is refused before any comparison
+    qm = qmodel(3, 1, 2)
+    b = omega_w(qm.model)
+    full = embed_w_block(qm.field, b.generators, qm.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (identity(qm.dim), full[0], full):
+            with pytest.raises(ValueError, match="3x3"):
+                b.contains(g)
+        for g in (identity(qm.dim), full[0]):
+            with pytest.raises(ValueError, match="3x3"):
+                qm.maximal_permutation(g)
+            with pytest.raises(ValueError, match="3x3"):
+                qm.point_permutation(g)
 
 
 @pytest.mark.parametrize("p,k,d", SMALL)
