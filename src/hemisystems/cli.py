@@ -60,22 +60,8 @@ class VerificationFailed(RuntimeError):
 # run configuration
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by every command."""
-
-    p: int = 3
-    k: int = 1
-    modulus: tuple | None = None
-    d: int = 2
-    mask: str = "0"
-    out: str = "-"
-    format: str = "text"
-    cap: int = 2**16
-    path: str | None = None
-
-    def make_field(self) -> Field:
-        return field_make(self.p, self.k, self.modulus)
+def _make_field(ns: argparse.Namespace) -> Field:
+    return field_make(ns.p, ns.k, ns.modulus)
 
 
 def _parse_mask(text: str) -> int:
@@ -305,8 +291,8 @@ def resolve_members(cert: Certificate, qm: QuadricModel):
 # output helpers
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if cfg.format == "structured":
+def _emit(ns: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if ns.format == "structured":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -321,57 +307,38 @@ def _histogram_text(histogram) -> str:
 # commands
 
 
-def cmd_stats(cfg: RunConfig) -> int:
-    F = cfg.make_field()
-    prep = prepare(F, cfg.d)
+def cmd_stats(ns: argparse.Namespace) -> int:
+    F = _make_field(ns)
+    prep = prepare(F, ns.d)
     qm, rep = prep.qm, prep.report
-    m = len(rep.split.pairs)
-    payload = {
-        "command": "stats",
-        "q": F.q,
-        "p": F.p,
-        "k": F.k,
-        "d": cfg.d,
-        "points": qm.num_points,
-        "maximals": qm.num_maximals,
-        "s_plus_1": qm.s1,
-        "t_plus_1": qm.t1,
-        "target_degree": qm.target_degree,
-        "b_order": rep.b_order,
-        "a_order": rep.a_order,
-        "m": m,
-        "n_b": rep.n_b_maximal_orbits,
-    }
-    _emit(
-        cfg,
-        payload,
-        [
-            f"q {F.q} (p {F.p}, k {F.k})  d {cfg.d}",
-            f"points {qm.num_points}",
-            f"maximals {qm.num_maximals}",
-            f"s+1 {qm.s1}",
-            f"t+1 {qm.t1}",
-            f"(t+1)/2 {qm.target_degree}",
-            f"|B| {rep.b_order}",
-            f"|A| {rep.a_order}",
-            f"m {m}",
-            f"n_b {rep.n_b_maximal_orbits}",
-        ],
-    )
+    rows = [  # (JSON key, text label, value)
+        ("points", "points", qm.num_points),
+        ("maximals", "maximals", qm.num_maximals),
+        ("s_plus_1", "s+1", qm.s1),
+        ("t_plus_1", "t+1", qm.t1),
+        ("target_degree", "(t+1)/2", qm.target_degree),
+        ("b_order", "|B|", rep.b_order),
+        ("a_order", "|A|", rep.a_order),
+        ("m", "m", rep.m),
+        ("n_b", "n_b", rep.n_b_maximal_orbits),
+    ]
+    payload = {"command": "stats", "q": F.q, "p": F.p, "k": F.k, "d": ns.d}
+    payload.update((key, value) for key, _, value in rows)
+    lines = [f"q {F.q} (p {F.p}, k {F.k})  d {ns.d}"]
+    lines += [f"{label} {value}" for _, label, value in rows]
+    _emit(ns, payload, lines)
     return 0
 
 
-def cmd_orbits(cfg: RunConfig) -> int:
-    F = cfg.make_field()
-    prep = prepare(F, cfg.d)
+def cmd_orbits(ns: argparse.Namespace) -> int:
+    F = _make_field(ns)
+    prep = prepare(F, ns.d)
     rep = prep.report
     if not rep.ok:
-        print(f"error: orbit split unavailable: {rep.witness}", file=sys.stderr)
-        return 1
-    split = rep.split
-    part = split.partition
-    m = len(split.pairs)
-    shown = split.pairs[: cfg.cap]
+        raise VerificationFailed(f"orbit split unavailable: {rep.witness}")
+    part = rep.split.partition
+    m = rep.m
+    shown = rep.split.pairs[: ns.cap]
     pair_rows = [
         {
             "pair": i,
@@ -386,7 +353,7 @@ def cmd_orbits(cfg: RunConfig) -> int:
     payload = {
         "command": "orbits",
         "q": F.q,
-        "d": cfg.d,
+        "d": ns.d,
         "point_orbits": prep.actions.b_point_part.n_orbits,
         "m": m,
         "n_b": part.n_orbits,
@@ -394,7 +361,7 @@ def cmd_orbits(cfg: RunConfig) -> int:
         "pairs": pair_rows,
     }
     lines = [
-        f"q {F.q}  d {cfg.d}",
+        f"q {F.q}  d {ns.d}",
         f"point-orbits {prep.actions.b_point_part.n_orbits} (same under B and A)",
         f"maximal-orbits {part.n_orbits} under B, {m} under A",
         f"family 2^{m} = {2 ** m}",
@@ -406,14 +373,14 @@ def cmd_orbits(cfg: RunConfig) -> int:
     ]
     if m > len(shown):
         lines.append(f"... ({m - len(shown)} more pairs beyond --cap)")
-    _emit(cfg, payload, lines)
+    _emit(ns, payload, lines)
     return 0
 
 
-def cmd_construct(cfg: RunConfig) -> int:
-    F = cfg.make_field()
-    mask = _parse_mask(cfg.mask)
-    prep = prepare(F, cfg.d)
+def cmd_construct(ns: argparse.Namespace) -> int:
+    F = _make_field(ns)
+    mask = _parse_mask(ns.mask)
+    prep = prepare(F, ns.d)
     rep = prep.report
     if not rep.ok:
         raise VerificationFailed(f"orbit-splitting hypotheses failed: {rep.witness}")
@@ -428,43 +395,43 @@ def cmd_construct(cfg: RunConfig) -> int:
     summary = {
         "command": "construct",
         "q": F.q,
-        "d": cfg.d,
+        "d": ns.d,
         "mask": f"{mask:x}",
-        "m": len(rep.split.pairs),
+        "m": rep.m,
         "size": int(ids.size),
         "target_degree": prep.qm.target_degree,
         "ok": True,
-        "out": cfg.out,
+        "out": ns.out,
     }
-    if cfg.out == "-":
-        if cfg.format == "structured":
+    if ns.out == "-":
+        if ns.format == "structured":
             summary["certificate"] = text
             print(json.dumps(summary, sort_keys=True))
         else:
             sys.stdout.write(text)
         return 0
     try:
-        with open(cfg.out, "w", encoding="ascii") as fh:
+        with open(ns.out, "w", encoding="ascii") as fh:
             fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write certificate: {exc}") from None
     _emit(
-        cfg,
+        ns,
         summary,
         [
             f"verified: {ids.size} maximals, degree {prep.qm.target_degree}, "
-            f"mask {mask:x} of {len(rep.split.pairs)} bits -> {cfg.out}"
+            f"mask {mask:x} of {rep.m} bits -> {ns.out}"
         ],
     )
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if cfg.path in (None, "-"):
+def cmd_verify(ns: argparse.Namespace) -> int:
+    if ns.path == "-":
         text = sys.stdin.read()
     else:
         try:
-            with open(cfg.path, "r", encoding="ascii") as fh:
+            with open(ns.path, "r", encoding="ascii") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read certificate: {exc}") from None
@@ -475,43 +442,34 @@ def cmd_verify(cfg: RunConfig) -> int:
     ids, reason = resolve_members(cert, qm)
     if ids is None:
         payload = {
-            "command": "verify",
             "ok": False,
             "reason": reason,
             "size": len(cert.members),
             "expected_size": qm.num_maximals // 2,
         }
-        _emit(cfg, payload, [f"rejected: {reason}"])
-        return 1
-    verdict = verify_hemisystem(qm, ids)
-    payload = {
-        "command": "verify",
-        "ok": verdict.ok,
-        "size": verdict.size,
-        "expected_size": verdict.expected_size,
-        "target_degree": verdict.target_degree,
-        "histogram": [[int(a), int(b)] for a, b in verdict.histogram],
-        "method": verdict.method,
-    }
-    if verdict.ok:
-        _emit(
-            cfg,
-            payload,
-            [
+        line = f"rejected: {reason}"
+    else:
+        verdict = verify_hemisystem(qm, ids)
+        payload = {
+            "ok": verdict.ok,
+            "size": verdict.size,
+            "expected_size": verdict.expected_size,
+            "target_degree": verdict.target_degree,
+            "histogram": [[int(a), int(b)] for a, b in verdict.histogram],
+            "method": verdict.method,
+        }
+        if verdict.ok:
+            line = (
                 f"verified: {verdict.size} maximals, every point on exactly "
                 f"{verdict.target_degree}"
-            ],
-        )
-        return 0
-    _emit(
-        cfg,
-        payload,
-        [
-            f"rejected: size {verdict.size} (expected {verdict.expected_size}), "
-            f"degree histogram {_histogram_text(verdict.histogram)}"
-        ],
-    )
-    return 1
+            )
+        else:
+            line = (
+                f"rejected: size {verdict.size} (expected {verdict.expected_size}), "
+                f"degree histogram {_histogram_text(verdict.histogram)}"
+            )
+    _emit(ns, {"command": "verify", **payload}, [line])
+    return 0 if payload["ok"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +482,18 @@ def _require(ok, what: str) -> None:
         raise AssertionError(what)
 
 
-def _selftest_checks(cfg: RunConfig):
+def _selftest_checks(ns: argparse.Namespace):
     """Yield (name, callable) pairs in the canonical order.
 
     Each callable returns a detail string on success and raises on failure.
     Model and groups are built lazily once and shared by later checks.
     """
-    F = cfg.make_field()
+    F = _make_field(ns)
     state: dict = {}
 
     def prep() -> Prepared:
         if "prep" not in state:
-            state["prep"] = prepare(F, cfg.d)
+            state["prep"] = prepare(F, ns.d)
         return state["prep"]
 
     def field_axioms() -> str:
@@ -574,14 +532,14 @@ def _selftest_checks(cfg: RunConfig):
         wv = witt_index(model.space)
         ww = witt_index(model.w_space)
         wu = witt_index(model.u_space)
-        _require(wv == cfg.d and ww == 1 and wu == cfg.d - 2, f"V:{wv} W:{ww} U:{wu}")
+        _require(wv == ns.d and ww == 1 and wu == ns.d - 2, f"V:{wv} W:{ww} U:{wu}")
         return f"V:{wv} W:{ww} U:{wu}"
 
     def counts() -> str:
         qm = prep().qm
         q = F.q
-        _require(qm.num_points == point_count(q, cfg.d), f"{qm.num_points} points")
-        _require(qm.num_maximals == maximal_count(q, cfg.d), f"{qm.num_maximals} maximals")
+        _require(qm.num_points == point_count(q, ns.d), f"{qm.num_points} points")
+        _require(qm.num_maximals == maximal_count(q, ns.d), f"{qm.num_maximals} maximals")
         # building the index raises when a point is not on t + 1 maximals
         _require(qm.maximal_points.shape[1] == qm.s1, f"a maximal does not hold s+1={qm.s1} points")
         return (
@@ -620,12 +578,11 @@ def _selftest_checks(cfg: RunConfig):
         _require(np.array_equal(a_points, pr.actions.b_point_part.orbit_of), "A moves a point")
         a_maximals = [qm.maximal_permutation(g) for g in pr.a.generators]
         n_a = partition(qm.num_maximals, a_maximals).n_orbits
-        m = len(rep.split.pairs)
         _require(rep.n_b_maximal_orbits == 2 * n_a, "n_b != 2 n_a")
-        _require(n_a == m, f"{n_a} A-orbits, {m} pairs")
+        _require(n_a == rep.m, f"{n_a} A-orbits, {rep.m} pairs")
         return (
             f"index 2, shared point orbits, {rep.n_b_maximal_orbits} B-orbits "
-            f"pair into {m} A-orbits"
+            f"pair into {rep.m} A-orbits"
         )
 
     def hemisystem_roundtrip() -> str:
@@ -651,9 +608,9 @@ def _selftest_checks(cfg: RunConfig):
     yield "hemisystem-roundtrip", hemisystem_roundtrip
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(ns: argparse.Namespace) -> int:
     results = []
-    for name, check in _selftest_checks(cfg):
+    for name, check in _selftest_checks(ns):
         try:
             detail = check()
             results.append({"name": name, "ok": True, "detail": detail})
@@ -662,8 +619,8 @@ def cmd_selftest(cfg: RunConfig) -> int:
     ok = all(r["ok"] for r in results)
     payload = {
         "command": "selftest",
-        "q": cfg.p**cfg.k,
-        "d": cfg.d,
+        "q": ns.p**ns.k,
+        "d": ns.d,
         "ok": ok,
         "checks": results,
     }
@@ -671,7 +628,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
         f"{'pass' if r['ok'] else 'FAIL'} {r['name']}: {r['detail']}" for r in results
     ]
     lines.append(f"selftest {'passed' if ok else 'FAILED'} ({len(results)} checks)")
-    _emit(cfg, payload, lines)
+    _emit(ns, payload, lines)
     return 0 if ok else 1
 
 
@@ -696,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--d", type=int, default=2, help="rank of the quadric (>= 2)")
     common.add_argument("--format", choices=("text", "structured"), default="text")
-    common.add_argument("--cap", type=int, default=2**16, help="listing/enumeration cap")
+    common.add_argument("--cap", type=int, default=2**16, help="listing cap")
 
     parser = _Parser(prog="hemisystems", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -725,24 +682,15 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command; argparse's namespace, with --modulus parsed, is its whole configuration."""
     try:
         ns = build_parser().parse_args(argv)
-        cfg = RunConfig(
-            p=ns.p,
-            k=ns.k,
-            modulus=_parse_modulus(ns.modulus) if ns.modulus else None,
-            d=ns.d,
-            mask=getattr(ns, "mask", "0"),
-            out=getattr(ns, "out", "-"),
-            format=ns.format,
-            cap=ns.cap,
-            path=getattr(ns, "path", None),
-        )
-        if cfg.d < 2:
-            raise ParseError(f"rank d={cfg.d} must be >= 2")
-        if cfg.cap < 0:
-            raise ParseError(f"--cap {cfg.cap} must be >= 0")
-        return _COMMANDS[ns.command](cfg)
+        ns.modulus = _parse_modulus(ns.modulus) if ns.modulus else None
+        if ns.d < 2:
+            raise ParseError(f"rank d={ns.d} must be >= 2")
+        if ns.cap < 0:
+            raise ParseError(f"--cap {ns.cap} must be >= 0")
+        return _COMMANDS[ns.command](ns)
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

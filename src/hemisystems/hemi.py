@@ -144,12 +144,14 @@ def ab_check(
         i = int(left[0])
         witness = f"conjugate of B generator {i} left B: {b.generators[i].tolist()}"
 
-    a_order = b.order
+    # |<B, tau>| is |B| for tau in B and 2|B| at index two; otherwise -1
+    a_order = -1 if tau_outside_b else b.order
     index_two = False
     if tau_outside_b and b_normal:
         index_two = bool(b.contains(t2))
-        a_order = 2 * b.order if index_two else -1
-        if not index_two:
+        if index_two:
+            a_order = 2 * b.order
+        else:
             witness = "<B, tau> is not B and tau B: tau^2 is not in B"
 
     ppart = actions.b_point_part

@@ -89,6 +89,8 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     flattened multiplication table and one from the flattened addition
     table, at the uint16 index a·q + b < q^2 <= 65,025.
     """
+    if A.shape[-1] != B.shape[-2]:
+        raise ValueError(f"cannot multiply {A.shape[-1]} columns by {B.shape[-2]} rows")
     if F.k == 1:
         p, n = F.p, A.shape[-1]
         top = n * (p - 1) ** 2

@@ -241,6 +241,16 @@ def test_orbits_cap_bounds_the_listing(capsys):
     assert "--cap -1" in err
 
 
+def test_orbits_reports_an_unavailable_split_as_a_rejection(capsys, monkeypatch):
+    # a report without a split exits 1 with its witness, as construct does
+    real = hemi.ab_check
+    monkeypatch.setattr(
+        hemi, "ab_check", lambda *args: dataclasses.replace(real(*args), split=None, witness="w")
+    )
+    assert run(capsys, "orbits") == (1, "", "error: orbit split unavailable: w\n")
+    assert run(capsys, "construct") == (1, "", "error: orbit-splitting hypotheses failed: w\n")
+
+
 def test_unknown_command_is_usage_error(capsys):
     assert run(capsys, "bogus")[0] == 2
     assert run(capsys)[0] == 2
@@ -719,3 +729,90 @@ def test_subprocess_construct_then_verify(tmp_path):
         text=True,
     )
     assert bad.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# frozen surface: every command's bytes, text and structured, and its failures
+
+SURFACE_FIELDS = {"q3": ("--p", "3"), "q9": ("--p", "3", "--k", "2")}
+
+# sha256 of (exit code, stdout, stderr) per command line; a digest changes
+# only with a deliberate, documented change of the command's output
+SURFACE_DIGESTS = {
+    "stats q3 text": "0bb8b026d27b630a560b5d26d48964118e765739fd9f052d8baeb610f38919b9",
+    "orbits q3 text": "80d5e4e3f24a889b587504b52170096e0e3891cb7193a7f6bc3bd30ca84941fc",
+    "selftest q3 text": "9b51d406913e90642e3a89e6fd92dd3fd41baafcf043254d2c24c9cd470de16a",
+    "construct q3 text": "42097ec40359665ebfeb6cf0d4a1e72fa2fff3e6080bd0e9fd2879a941405b0f",
+    "stats q3 structured": "b2ebe06e8680c558f2086581a2d1a30cb2438449001f226457a76cdc4aadfcc1",
+    "orbits q3 structured": "10d796efece4d8d4bfd5e15ce72ac443c03f7f71e35bd348abe2eea0dfcf324e",
+    "selftest q3 structured": "c4c443a6c8f56beb86becacbdf6d4b587731dffb5c4e481b179d97b520e45343",
+    "construct q3 structured": "afdc8d425a2077f7d08f5633a11ca56e884f391adc695f4d9c036245017bd96b",
+    "certificate q3": "42097ec40359665ebfeb6cf0d4a1e72fa2fff3e6080bd0e9fd2879a941405b0f",
+    "verify q3 text": "9bfac6d380d59e398ced2f8368f5441b071d8b78496a5da55d5ea8280f164a3c",
+    "verify q3 structured": "50c1734d2f24beab78fb51567d8e2d47f883657622dfd6252e11130439565fda",
+    "stats q9 text": "4b32af80575933af65e6b67546db8bc2f74db6a9e72bf25d780a2d96ef9af082",
+    "orbits q9 text": "dc3e5238d029e80a248c2ca1556fb4f04e7198850c8ef9ab5dff97a9cfc4b62f",
+    "selftest q9 text": "a51ef4fb427eb6b38d460ab9b9cc341a038ed692a93e850108ba9a8b6997b3af",
+    "construct q9 text": "64a67b9da1d3b0260a5bcc96c7a10298e1bafa8177bd3c0d0963cfeb3b676389",
+    "stats q9 structured": "844af4d176a460b0b2427dad2cb89d72074f1c4fd4d695fdc12e1a3e6ee13160",
+    "orbits q9 structured": "59c8a1548efa247ac1b4b3903a4c4ce50b8d27ce06504f0fe0974c491406b8be",
+    "selftest q9 structured": "b0da1e8d2c880918698d0fc19549e83708d1542b7913a36956a3612b6dc4bebf",
+    "construct q9 structured": "540b650306791a505ac523a7821ccb49e4733633d84e9e556c998dc366b10987",
+    "certificate q9": "64a67b9da1d3b0260a5bcc96c7a10298e1bafa8177bd3c0d0963cfeb3b676389",
+    "verify q9 text": "f86b7f7654bb15a454a4411c33a9554dd0f907c6c2937f263972ed29941edf5c",
+    "verify q9 structured": "8ef4e353a7666774789a30cdbd1327075df6a350784f669ef06cd2ebe72dbe2d",
+    "rank one": "4dd94eee5842fc1f2b0df2e5a7904fa5ba0ea314b4001796a9270d0255d0b635",
+    "negative cap": "da62f0d2014d5a8b67b2f72b2810d06bcc1f7f2ec15194d9e059c24435205cd2",
+    "bad modulus": "5a920aee343983573b8c28e2ec002afe6dacfb2d8fd6186b6cd91fd9771e3f0b",
+    "unknown flag": "98ed5ebd33d9712fee52a87968206f1bc53072f74dfc9c26e8d1973683ad31c8",
+    "even characteristic": "40d334d0e43c68c42c5eca1c343435fc4d8b831a5b6b14d144d16c3ca1887f05",
+    "missing file": "aaa45aad97b515aa6e004dd857c40267c9abf7f8324a1faba515b2a4887a438d",
+    "truncated text": "834ae04331b9f8d41631f2f2fef2cc8f3de829b0e633a02a71993a1bd50aa39b",
+    "truncated structured": "834ae04331b9f8d41631f2f2fef2cc8f3de829b0e633a02a71993a1bd50aa39b",
+    "member deleted text": "4b4a39abedf96bd6f125029b029dc8bcad8f0fa7de57eb7fddd23b56d283e93e",
+    "member deleted structured": "b5f02b7166f2c224720a6b827d6401f1d35b69f95aeb8e5bee47821163a83f43",
+    "member repeated text": "bfbc3374c19236f134579cbe77db870da4bc574a9abeb3da4a7f3a1d08c0c065",
+    "member repeated structured": "3c658d1b3eaed60e300d86253aa82e5d26071f7a10d90c7308afce49efacc861",
+    "counts edited text": "5a4936f8ee97af0688d4f822ccd9f3448f71ac7b5aaefe6ef8dc874837dcdec5",
+    "counts edited structured": "5a4936f8ee97af0688d4f822ccd9f3448f71ac7b5aaefe6ef8dc874837dcdec5",
+}
+
+
+def test_cli_surface_is_frozen(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    digests, certs = {}, {}
+
+    def record(name, *argv, stdin=""):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        rc, out, err = run(capsys, *argv)
+        digests[name] = hashlib.sha256(f"{rc}\0{out}\0{err}".encode()).hexdigest()
+        return out
+
+    for q, field in SURFACE_FIELDS.items():
+        for fmt in ("text", "structured"):
+            for cmd in ("stats", "orbits", "selftest"):
+                record(f"{cmd} {q} {fmt}", cmd, *field, "--format", fmt)
+            record(f"construct {q} {fmt}", "construct", "--mask", "3", *field, "--format", fmt)
+        certs[q] = record(f"certificate {q}", "construct", "--mask", "3", *field)
+        for fmt in ("text", "structured"):
+            record(f"verify {q} {fmt}", "verify", "--format", fmt, stdin=certs[q])
+    for name, argv in {
+        "rank one": ("stats", "--d", "1"),
+        "negative cap": ("orbits", "--cap", "-1"),
+        "bad modulus": ("stats", "--modulus", "1,x"),
+        "unknown flag": ("stats", "--bogus"),
+        "even characteristic": ("stats", "--p", "4"),
+        "missing file": ("verify", "missing.txt"),
+    }.items():
+        record(name, *argv)
+    cert = certs["q3"]
+    first, second = [ln for ln in cert.splitlines(True) if ln.startswith("maximal ")][:2]
+    for name, text in {
+        "truncated": cert[: len(cert) // 2],
+        "member deleted": cert.replace(first, "", 1),
+        "member repeated": cert.replace(first, second, 1),
+        "counts edited": cert.replace("counts 40 40", "counts 40 41", 1),
+    }.items():
+        for fmt in ("text", "structured"):
+            record(f"{name} {fmt}", "verify", "--format", fmt, stdin=text)
+    assert digests == SURFACE_DIGESTS

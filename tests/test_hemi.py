@@ -97,6 +97,7 @@ def test_ab_check_tests_normality_on_generators():
     r = ab_check(pr.qm, pr.b, flip, pr.actions)
     assert r.tau_outside_b and r.tau_involution
     assert not r.b_normal_in_a
+    assert r.a_order == -1
     assert not r.ok
     assert r.witness.startswith("conjugate of B generator 0 left B")
     assert str(pr.b.generators[0].tolist()) in r.witness

@@ -116,6 +116,20 @@ def test_mat_mul_refuses_sums_past_the_float64_bound():
         mat_mul(F, A, B)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_mat_mul_refuses_mismatched_inner_dimensions(k):
+    # a single matrix or a stack on either side, refused before either side
+    # is cast or gathered from
+    F = field_make(3, k)
+
+    def unread(*shape):
+        return np.zeros(shape, dtype=np.uint8).view(_Unread)
+
+    for a, b in (((2, 3), (5, 5)), ((4, 2, 3), (5, 5)), ((2, 3), (4, 5, 5)), ((4, 2, 3), (4, 5, 5))):
+        with pytest.raises(ValueError, match="^cannot multiply 3 columns by 5 rows$"):
+            mat_mul(F, unread(*a), unread(*b))
+
+
 PRIMES = [p for p in range(3, 252, 2) if all(p % f for f in range(3, math.isqrt(p) + 1, 2))]
 
 

@@ -1,11 +1,11 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
 product, one memory guard that runs before every standard model, docs that match
-the CLI, the calls the benchmark traces, an AB check that reads B's orbits and
-tau without building A again, a standard model that scans no vectors, point
-lookups by table, not by binary search, a prepare that builds no incidence
-index, reduces only the enumerated maximals, searches no maximal codes and
-leaves numpy.ma unimported, and no module-level function or class that only
-the tests use."""
+the CLI and a README library snippet that runs, the calls the benchmark traces,
+an AB check that reads B's orbits and tau without building A again, a standard
+model that scans no vectors, point lookups by table, not by binary search, a
+prepare that builds no incidence index, reduces only the enumerated maximals,
+searches no maximal codes and leaves numpy.ma unimported, and no module-level
+function or class that only the tests use."""
 
 import argparse
 import ast
@@ -104,6 +104,13 @@ def test_readme_names_only_flags_the_cli_accepts():
     }
     assert "--format" in named
     assert sorted(named - accepted) == []
+
+
+def test_the_readme_library_snippet_runs():
+    # the README's one python block is the documented library entry point
+    readme = (SRC.parent.parent / "README.md").read_text()
+    (snippet,) = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.M | re.S)
+    exec(compile(snippet, "README.md", "exec"), {})
 
 
 def test_prepare_makes_every_call_the_benchmark_traces(monkeypatch):
