@@ -29,6 +29,7 @@ from .gf import Field, field_make
 from .groups import embed_w_block, w_vector_orbits
 from .hemi import Prepared, assemble, prepare, verify_hemisystem
 from .linform import (
+    BadMatrix,
     format_matrices,
     format_matrix,
     format_matrix_block,
@@ -61,7 +62,11 @@ class VerificationFailed(RuntimeError):
 
 
 def _make_field(ns: argparse.Namespace) -> Field:
-    return field_make(ns.p, ns.k, ns.modulus)
+    """GF(p^k) from the field flags, once --modulus parses and the rank --d is at least 2."""
+    modulus = None if ns.modulus is None else _parse_modulus(ns.modulus)
+    if ns.d < 2:
+        raise ParseError(f"rank d={ns.d} must be >= 2")
+    return field_make(ns.p, ns.k, modulus)
 
 
 def _parse_mask(text: str) -> int:
@@ -191,11 +196,15 @@ def _parse_lines(head: str, block: str | None = None, tail: str = "") -> Certifi
         raise ParseError(f"rank {d} out of range")
     dim = 2 * d + 1
 
-    def matrices(tokens: list[str], rows: int, what: str) -> np.ndarray:
+    def matrices(tokens: list[str], rows: int, what: str, first: int | None = None) -> np.ndarray:
+        """Parse matrices; a misshapen one of those read from lines[first:] is
+        named by its line in the file."""
         try:
             return parse_matrices(F, tokens, rows, dim)
         except ValueError as exc:
-            raise ParseError(f"bad {what} matrix: {exc}") from None
+            named = first is not None and isinstance(exc, BadMatrix)
+            at = f"line {lines[first + exc.index][0]}: " if named else ""
+            raise ParseError(f"{at}bad {what} matrix: {exc}") from None
 
     gram = matrices(split_line(3, "gram", 1), dim, "gram")[0]
     np_s, nm_s = split_line(4, "counts", 2)
@@ -204,8 +213,8 @@ def _parse_lines(head: str, block: str | None = None, tail: str = "") -> Certifi
     m_s, nb_s = split_line(6, "orbits", 2)
     m, n_b = as_int(m_s, "m"), as_int(nb_s, "n_b")
 
-    def tagged(start: int, tag: str) -> tuple[int, list[str]]:
-        """The single field of each consecutive line from ``start`` with this tag."""
+    def tagged(start: int, tag: str, rows: int) -> tuple[int, np.ndarray]:
+        """The matrices, one per field, of the consecutive lines from ``start`` with this tag."""
         i = start
         while i < len(lines) and lines[i][1].startswith(tag + " "):
             i += 1
@@ -213,15 +222,13 @@ def _parse_lines(head: str, block: str | None = None, tail: str = "") -> Certifi
         if len(fields) != 2 * (i - start):
             bad = next(no for no, ln in lines[start:i] if len(ln.split()) != 2)
             raise ParseError(f"line {bad}: {_takes(tag, 1)}")
-        return i, fields[1::2]
+        return i, matrices(fields[1::2], rows, tag, start)
 
-    i, gen_tokens = tagged(7, "generator")
-    generators = matrices(gen_tokens, dim, "generator")
+    i, generators = tagged(7, "generator", dim)
     if block is None:
-        i, member_tokens = tagged(i, "maximal")
-        if not member_tokens:
+        i, members = tagged(i, "maximal", d)
+        if not len(members):
             raise ParseError("certificate lists no maximals")
-        members = matrices(member_tokens, d, "maximal")
     else:
         # the generators must end the head, as the member block follows them
         members = parse_matrix_block(F, block, d, dim, "maximal ") if i == len(lines) else None
@@ -332,6 +339,8 @@ def cmd_stats(ns: argparse.Namespace) -> int:
 
 def cmd_orbits(ns: argparse.Namespace) -> int:
     F = _make_field(ns)
+    if ns.cap < 0:
+        raise ParseError(f"--cap {ns.cap} must be >= 0")
     prep = prepare(F, ns.d)
     rep = prep.report
     if not rep.ok:
@@ -642,33 +651,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--p", type=int, default=3, help="field characteristic (odd prime)")
-    common.add_argument("--k", type=int, default=1, help="extension degree")
-    common.add_argument(
-        "--modulus",
-        type=str,
-        default=None,
-        help="irreducible modulus coefficients, low degree first (e.g. 1,0,1)",
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "structured"), default="text")
+    field = _Parser(add_help=False)
+    field.add_argument("--p", type=int, default=3, help="field characteristic (odd prime)")
+    field.add_argument("--k", type=int, default=1, help="extension degree")
+    field.add_argument(
+        "--modulus", help="irreducible modulus coefficients, low degree first (e.g. 1,0,1)"
     )
-    common.add_argument("--d", type=int, default=2, help="rank of the quadric (>= 2)")
-    common.add_argument("--format", choices=("text", "structured"), default="text")
-    common.add_argument("--cap", type=int, default=2**16, help="listing cap")
+    field.add_argument("--d", type=int, default=2, help="rank of the quadric (>= 2)")
 
     parser = _Parser(prog="hemisystems", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("stats", parents=[common], help="print the model and group sizes")
-    sub.add_parser("orbits", parents=[common], help="print the orbit pairing table")
+    sub.add_parser("stats", parents=[field, fmt], help="print the model and group sizes")
+    p_orb = sub.add_parser("orbits", parents=[field, fmt], help="print the orbit pairing table")
+    p_orb.add_argument("--cap", type=int, default=2**16, help="listing cap")
 
-    p_con = sub.add_parser("construct", parents=[common], help="write a verified certificate")
+    p_con = sub.add_parser("construct", parents=[field, fmt], help="write a verified certificate")
     p_con.add_argument("--mask", type=str, default="0", help="orbit-choice mask in hex")
     p_con.add_argument("--out", type=str, default="-", help="output path ('-' = stdout)")
 
-    p_ver = sub.add_parser("verify", parents=[common], help="verify a certificate file")
+    p_ver = sub.add_parser("verify", parents=[fmt], help="verify a certificate file")
     p_ver.add_argument("path", nargs="?", default="-", help="certificate path ('-' = stdin)")
 
-    sub.add_parser("selftest", parents=[common], help="run the named checks in order")
+    sub.add_parser("selftest", parents=[field, fmt], help="run the named checks in order")
     return parser
 
 
@@ -682,14 +689,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    """Run one command; argparse's namespace, with --modulus parsed, is its whole configuration."""
+    """Parse the command line, run its command and map its exceptions to exit codes.
+
+    argparse's namespace is the command's whole configuration; each flag is
+    checked by the code that reads it, so main checks none.
+    """
     try:
         ns = build_parser().parse_args(argv)
-        ns.modulus = _parse_modulus(ns.modulus) if ns.modulus else None
-        if ns.d < 2:
-            raise ParseError(f"rank d={ns.d} must be >= 2")
-        if ns.cap < 0:
-            raise ParseError(f"--cap {ns.cap} must be >= 0")
         return _COMMANDS[ns.command](ns)
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)

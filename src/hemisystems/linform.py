@@ -1,10 +1,11 @@
 """Row vectors, matrices and quadratic forms over GF(q).
 
 Vectors are numpy uint8 rows of encoded field elements and matrices act on
-the right, so a group element g moves a vector v to v @ g.mat.  A quadratic
-space carries a symmetric nonsingular Gram matrix J with bilinear form
-beta(u, v) = u J v^T and quadratic form kappa(v) = beta(v, v) / 2, which is
-the polarization convention for odd characteristic.
+the right, so a group element g, itself a uint8 matrix, moves a vector v to
+``mat_mul(F, v, g)``.  A quadratic space carries a symmetric nonsingular
+Gram matrix J with bilinear form beta(u, v) = u J v^T and quadratic form
+kappa(v) = beta(v, v) / 2, which is the polarization convention for odd
+characteristic.
 
 Every GF(q) matrix product goes through ``mat_mul``.  Over GF(p) it is
 lifted to one float BLAS product of the integer entries, reduced mod p by a
@@ -31,6 +32,15 @@ from .gf import Field
 
 class BadRank(ValueError):
     """The rank parameter d is out of range."""
+
+
+class BadMatrix(ValueError):
+    """A serialized matrix of a stack is not a grid of the expected shape;
+    ``index`` is its position in the stack."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +314,9 @@ def _row_lengths(s: str) -> list[int]:
 def parse_matrices(F: Field, tokens: list[str], rows: int, cols: int) -> np.ndarray:
     """Parse serialized rows x cols matrices into an (N, rows, cols) stack.
 
-    Raises ValueError when a token is not a rows x cols grid or an element
-    does not parse.  Canonical element strings are looked up in a table;
-    any other string goes through ``F.parse_elt``.
+    Raises BadMatrix when a token is not a rows x cols grid and ValueError
+    when an element does not parse.  Canonical element strings are looked up
+    in a table; any other string goes through ``F.parse_elt``.
     """
     if not tokens:
         return np.zeros((0, rows, cols), dtype=np.uint8)
@@ -320,7 +330,7 @@ def parse_matrices(F: Field, tokens: list[str], rows: int, cols: int) -> np.ndar
             if len(n) != rows or set(n) != {cols}
         )
         what = "has ragged rows" if len(set(found)) > 1 else f"is {len(found)}x{found[0]}"
-        raise ValueError(f"matrix {i} {what}; expected {rows}x{cols}")
+        raise BadMatrix(f"matrix {i} {what}; expected {rows}x{cols}", i)
     elts = ";".join(lines).split(";")
     code = {s: a for a, s in enumerate(_element_strings(F))}
     try:

@@ -101,6 +101,37 @@ def test_stats_rejects_rank_one(capsys):
     assert rc == 2
 
 
+def test_an_empty_modulus_is_a_usage_error(capsys):
+    # an empty --modulus is a value to parse, not a request for the default field
+    rc, out, err = run(capsys, "stats", "--modulus", "")
+    assert (rc, out) == (2, "")
+    assert err == "error: modulus '' must be comma-separated integers (low degree first)\n"
+
+
+@pytest.mark.parametrize(
+    "argv, rc, err",
+    [
+        # a subcommand defines only the flags it reads; the others are unknown
+        (("verify", "--p", "5", "CERT"), 2, "unrecognized arguments"),
+        (("verify", "--d", "1", "-"), 2, "unrecognized arguments"),
+        (("verify", "--cap", "-1", "missing.txt"), 2, "unrecognized arguments"),
+        (("stats", "--cap", "1"), 2, "unrecognized arguments"),
+        (("construct", "--cap", "1"), 2, "unrecognized arguments"),
+        (("selftest", "--cap", "1"), 2, "unrecognized arguments"),
+        # the flags a subcommand reads behave as before, the rank checked first
+        (("orbits", "--cap", "0"), 0, ""),
+        (("selftest", "--d", "1"), 2, "error: rank d=1 must be >= 2\n"),
+        (("construct", "--d", "1", "--mask", "zz"), 2, "error: rank d=1 must be >= 2\n"),
+        (("verify", "--format", "structured", "CERT"), 0, ""),
+    ],
+)
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, cert_pair, argv, rc, err):
+    argv = [str(cert_pair["0"]) if a == "CERT" else a for a in argv]
+    got_rc, _, got_err = run(capsys, *argv)
+    assert got_rc == rc
+    assert (err in got_err) if err else got_err == ""
+
+
 def test_stats_rejects_a_geometry_too_large_for_memory(capsys):
     # (3,7) has 3.6e13 maximals; the closed-form size check in QuadricModel
     # fails before anything is enumerated, and the message carries the number
@@ -482,6 +513,17 @@ def test_parse_errors_name_the_line_of_the_file(cert_pair):
     cut = [ln for ln in lines if not ln.startswith(("orbits ", "generator "))]
     with pytest.raises(ParseError, match="^line 7: expected 'orbits', got 'maximal'$"):
         parse_certificate("\n".join(cut) + "\n")
+    # a misshapen member or generator is named by its line, not its index
+    short = lines[first + 4][: len(lines[first + 4]) // 2]
+    edited = lines[: first + 4] + [short] + lines[first + 5:]
+    with pytest.raises(ParseError, match=f"^line {first + 5}: bad maximal matrix: matrix 4 is "):
+        parse_certificate("\n".join(edited) + "\n")
+    gen = next(i for i, ln in enumerate(lines) if ln.startswith("generator ")) + 1
+    edited = lines[:gen] + [lines[gen].rsplit("|", 1)[0]] + lines[gen + 1:]
+    with pytest.raises(
+        ParseError, match=f"^line {gen + 1}: bad generator matrix: matrix 1 is 4x5; expected 5x5$"
+    ):
+        parse_certificate("\n".join(edited) + "\n")
 
 
 def certificate_fields(cert):
@@ -767,8 +809,8 @@ SURFACE_DIGESTS = {
     "unknown flag": "98ed5ebd33d9712fee52a87968206f1bc53072f74dfc9c26e8d1973683ad31c8",
     "even characteristic": "40d334d0e43c68c42c5eca1c343435fc4d8b831a5b6b14d144d16c3ca1887f05",
     "missing file": "aaa45aad97b515aa6e004dd857c40267c9abf7f8324a1faba515b2a4887a438d",
-    "truncated text": "834ae04331b9f8d41631f2f2fef2cc8f3de829b0e633a02a71993a1bd50aa39b",
-    "truncated structured": "834ae04331b9f8d41631f2f2fef2cc8f3de829b0e633a02a71993a1bd50aa39b",
+    "truncated text": "c318976a868d26bd50948aeda3d26a380ec558b1f9e4ab934a6d0a98550fa97e",
+    "truncated structured": "c318976a868d26bd50948aeda3d26a380ec558b1f9e4ab934a6d0a98550fa97e",
     "member deleted text": "4b4a39abedf96bd6f125029b029dc8bcad8f0fa7de57eb7fddd23b56d283e93e",
     "member deleted structured": "b5f02b7166f2c224720a6b827d6401f1d35b69f95aeb8e5bee47821163a83f43",
     "member repeated text": "bfbc3374c19236f134579cbe77db870da4bc574a9abeb3da4a7f3a1d08c0c065",

@@ -1,11 +1,12 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
 product, one memory guard that runs before every standard model, docs that match
-the CLI and a README library snippet that runs, the calls the benchmark traces,
-an AB check that reads B's orbits and tau without building A again, a standard
-model that scans no vectors, point lookups by table, not by binary search, a
-prepare that builds no incidence index, reduces only the enumerated maximals,
-searches no maximal codes and leaves numpy.ma unimported, and no module-level
-function or class that only the tests use."""
+the CLI, subcommands that define only the flags they read, a README library
+snippet that runs, the calls the benchmark traces, an AB check that reads B's
+orbits and tau without building A again, a standard model that scans no vectors,
+point lookups by table, not by binary search, a prepare that builds no incidence
+index, reduces only the enumerated maximals, searches no maximal codes and leaves
+numpy.ma unimported, and no module-level function or class that only the tests
+use."""
 
 import argparse
 import ast
@@ -104,6 +105,41 @@ def test_readme_names_only_flags_the_cli_accepts():
     }
     assert "--format" in named
     assert sorted(named - accepted) == []
+
+
+def test_no_subcommand_defines_a_flag_it_never_reads():
+    # a flag that a command accepts and ignores is a setting without effect;
+    # each option of a subcommand is read as ns.<dest> by cmd_<name> or by a
+    # module-level cli function that it reaches by direct calls
+    tree = ast.parse((SRC / "cli.py").read_text())
+    defs = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+
+    def reads(name):
+        seen, todo, attrs = set(), [name], set()
+        while todo:
+            fn = todo.pop()
+            if fn in seen:
+                continue
+            seen.add(fn)
+            for node in ast.walk(defs[fn]):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    if isinstance(node.value, ast.Name) and node.value.id == "ns":
+                        attrs.add(node.attr)
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs:
+                    todo.append(node.func.id)
+        return attrs
+
+    (subcommands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert sorted(subcommands.choices) == ["construct", "orbits", "selftest", "stats", "verify"]
+    unread = [
+        f"{name} {(action.option_strings or [action.dest])[0]}"
+        for name, sub in subcommands.choices.items()
+        for action in sub._actions
+        if action.dest != "help" and action.dest not in reads(f"cmd_{name}")
+    ]
+    assert unread == []
 
 
 def test_the_readme_library_snippet_runs():
