@@ -187,6 +187,15 @@ class Field:
             raise ValueError(f"element {a} is not a square")
         return int(self.sqrt_table[a])
 
+    # -- elementwise arithmetic on broadcastable arrays of encoded elements,
+    # one gather from the flattened table at the uint16 index a·q + b < q^2
+
+    def add_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.take(self.add_table.ravel(), a.astype(np.uint16) * self.q + b)
+
+    def mul_arrays(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.take(self.mul_table.ravel(), a.astype(np.uint16) * self.q + b)
+
     @property
     def first_nonsquare(self) -> int:
         """Least non-square in the canonical element order."""

@@ -8,10 +8,10 @@ kappa(v) = beta(v, v) / 2, which is the polarization convention for odd
 characteristic.
 
 Every GF(q) matrix product goes through ``mat_mul``.  Over GF(p) it is
-lifted to one float BLAS product of the integer entries, reduced mod p by a
-division that is exact while the inner sums stay below 2^24 in float32 and
-below 2^53 in float64; a stack times one matrix is folded into one GEMM.
-Over GF(p^k) it gathers from the flattened field tables term by term.
+lifted to one float32 BLAS product of the integer entries, reduced mod p by
+a division that is exact while the inner sums stay below 2^24; past that
+it raises ValueError.  Over GF(p^k) it gathers from the flattened field
+tables term by term.
 
 The standard model basis of the (2d+1)-dimensional ambient space is ordered
 (z, e0, f0, x, y, e1, f1, ..., e_{d-2}, f_{d-2}) with beta(z, z) = 1,
@@ -35,8 +35,9 @@ class BadRank(ValueError):
 
 
 class BadMatrix(ValueError):
-    """A serialized matrix of a stack is not a grid of the expected shape;
-    ``index`` is its position in the stack."""
+    """A serialized matrix of a stack is not a grid of the expected shape or
+    holds an element that does not parse; ``index`` is its position in the
+    stack."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)
@@ -73,12 +74,11 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Shapes (..., m, n) x (..., n, r) -> (..., m, r): one matrix or a stack
     on either side.  This is the package's one GF(q) matrix product.
 
-    Over a prime field the product is lifted to floats: the entries are
+    Over a prime field the product is lifted to float32: the entries are
     exact integers in [0, p), so one BLAS product gives the integer sums x,
-    reduced as x - p·floor(x / p).  When one side is a single matrix the
-    stack is folded into one GEMM: (N, m, n) x (n, r) runs as
-    (N·m, n) x (n, r), and (m, n) x (N, n, r) as (m, n) x (n, N·r) with the
-    stack laid side by side; a stack times a stack is a batched ``@``.
+    reduced as x - p·floor(x / p).  A stack times one matrix is folded into
+    one GEMM, (N, m, n) x (n, r) as (N·m, n) x (n, r); every other shape is
+    NumPy's broadcast ``@``.
 
     Exactness.  Every product and every partial sum of x is an integer in
     [0, n (p - 1)^2], so with n (p - 1)^2 < 2^24 each is exact in float32,
@@ -88,41 +88,36 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     2^-24 · x / p < 1/p (the unit roundoff of float32), so it stays below
     k + 1, and it stays at or above k because k is a float32 and rounding is
     monotone.  So floor(x / p) = k, and k p <= x and x - k p = c are exact.
-    The same argument with 2^53 covers float64, which is used from 2^24 on;
-    past 2^53 the product raises ValueError before it casts either side.
-    The package's widest product, n = 21 at p = 251, is 1,312,500, so it
-    always runs in float32.  The division is what keeps this bound: with a
-    reciprocal, floor((x + 1/2) · (1/p)) in float32 fails for some p <= 251
-    below 2^23, first at x = 5,029,669 (p = 241).
+    From 2^24 on the product raises ValueError before it casts either side.
+    ``require_memory`` keeps the point ids in int32, which allows
+    n = 2d + 1 <= 21 but only d = 2 at p = 251, so the widest product the
+    package makes sums to at most 5 · 250^2 = 312,500.  The division is
+    what keeps the bound: with a reciprocal, floor((x + 1/2) · (1/p)) in
+    float32 fails for some p <= 251 below 2^23, first at x = 5,029,669
+    (p = 241).
 
     Over an extension field each of the n terms is one gather from the
     flattened multiplication table and one from the flattened addition
-    table, at the uint16 index a·q + b < q^2 <= 65,025.
+    table, at the uint16 index a·q + b < q^2 <= 65,025, into buffers
+    allocated once.
     """
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"cannot multiply {A.shape[-1]} columns by {B.shape[-2]} rows")
     if F.k == 1:
         p, n = F.p, A.shape[-1]
-        top = n * (p - 1) ** 2
-        if top >= 2**53:
-            raise ValueError(f"an inner dimension of {n} overflows float64 over GF({p})")
-        dtype = np.float32 if top < 2**24 else np.float64
+        if n * (p - 1) ** 2 >= 2**24:
+            raise ValueError(f"an inner dimension of {n} overflows float32 over GF({p})")
         if B.ndim == 2:
             rows = (math.prod(A.shape[:-1]), n)
-            C = A.astype(dtype, order="C").reshape(rows) @ B.astype(dtype, order="C")
+            C = A.astype(np.float32, order="C").reshape(rows) @ B.astype(np.float32, order="C")
             return _floor_mod(C, p).reshape(A.shape[:-1] + B.shape[-1:])
-        if A.ndim == 2:
-            # the stack's matrices side by side, as one (n, N·r) matrix
-            lead = tuple(range(B.ndim - 2))
-            side = B.transpose(B.ndim - 2, *lead, B.ndim - 1).astype(dtype, order="C")
-            C = A.astype(dtype, order="C") @ side.reshape(n, math.prod(side.shape[1:]))
-            C = _floor_mod(C, p).reshape(A.shape[:1] + side.shape[1:])
-            return np.ascontiguousarray(C.transpose(*(i + 1 for i in lead), 0, -1))
-        return _floor_mod(A.astype(dtype) @ B.astype(dtype), p)
+        return _floor_mod(A.astype(np.float32) @ B.astype(np.float32), p)
     q = F.q
+    shape = np.broadcast_shapes(A.shape[:-1] + (1,), B.shape[:-2] + (1, B.shape[-1]))
+    if not A.shape[-1]:
+        return np.zeros(shape, dtype=np.uint8)
     ADD, MUL = F.add_table.ravel(), F.mul_table.ravel()
     Aq = A.astype(np.uint16) * q
-    shape = np.broadcast_shapes(A.shape[:-1] + (1,), B.shape[:-2] + (1, B.shape[-1]))
     idx = np.empty(shape, dtype=np.uint16)
     np.add(Aq[..., :, 0, None], B[..., 0, None, :], out=idx)
     acc = np.take(MUL, idx)
@@ -172,15 +167,12 @@ def rref_batch(F: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Column by column, each matrix with a pivot there swaps it into place and
     scales it; then only the rows that are nonzero in the pivot column are
-    eliminated, each by two gathers from the flattened tables at the uint16
-    index a·q + b, as in ``mat_mul``.  Rows are gathered by their index in
-    the flattened (N·m, n) stack.
+    eliminated, each by ``F.mul_arrays`` and ``F.add_arrays``.  Rows are
+    gathered by their index in the flattened (N·m, n) stack.
     """
     A = np.array(mats, dtype=np.uint8)
     N, m, n = A.shape
     R = A.reshape(N * m, n)
-    q = F.q
-    ADD, MUL = F.add_table.ravel(), F.mul_table.ravel()
     NEG, INV = F.neg_table, F.inv_table
     cur = np.zeros(N, dtype=np.intp)
     free = np.ones((N, m), dtype=bool)
@@ -199,7 +191,7 @@ def rref_batch(F: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         prow = np.take(R, src, axis=0)
         moved = src != dst
         R[src[moved]] = R[dst[moved]]
-        R[dst] = np.take(MUL, INV[prow[:, col]].astype(np.uint16)[:, None] * q + prow)
+        R[dst] = F.mul_arrays(INV[prow[:, col]][:, None], prow)
         hit = (A[:, :, col] != 0) & has[:, None]
         hit.ravel()[dst] = False
         hits = np.flatnonzero(hit)
@@ -207,8 +199,8 @@ def rref_batch(F: Field, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for start in range(0, hits.size, 65536):
             rows = hits[start:start + 65536]
             piv = np.take(R, (top + cur)[rows // m], axis=0)
-            term = np.take(MUL, NEG[R[rows, col]].astype(np.uint16)[:, None] * q + piv)
-            R[rows] = np.take(ADD, np.take(R, rows, axis=0).astype(np.uint16) * q + term)
+            term = F.mul_arrays(NEG[R[rows, col]][:, None], piv)
+            R[rows] = F.add_arrays(np.take(R, rows, axis=0), term)
         cur[idx] += 1
         free.ravel()[dst] = False
         if (cur == m).all():
@@ -314,9 +306,9 @@ def _row_lengths(s: str) -> list[int]:
 def parse_matrices(F: Field, tokens: list[str], rows: int, cols: int) -> np.ndarray:
     """Parse serialized rows x cols matrices into an (N, rows, cols) stack.
 
-    Raises BadMatrix when a token is not a rows x cols grid and ValueError
-    when an element does not parse.  Canonical element strings are looked up
-    in a table; any other string goes through ``F.parse_elt``.
+    Raises BadMatrix when a token is not a rows x cols grid or, naming the
+    first, when an element does not parse.  Canonical element strings are
+    looked up in a table; any other string goes through ``F.parse_elt``.
     """
     if not tokens:
         return np.zeros((0, rows, cols), dtype=np.uint8)
@@ -336,7 +328,13 @@ def parse_matrices(F: Field, tokens: list[str], rows: int, cols: int) -> np.ndar
     try:
         flat = np.fromiter(map(code.__getitem__, elts), dtype=np.uint8, count=len(elts))
     except KeyError:
-        flat = np.array([code[s] if s in code else F.parse_elt(s) for s in elts], dtype=np.uint8)
+        flat = np.empty(len(elts), dtype=np.uint8)
+        for j, s in enumerate(elts):
+            try:
+                flat[j] = code[s] if s in code else F.parse_elt(s)
+            except ValueError:
+                i = j // (rows * cols)
+                raise BadMatrix(f"matrix {i} has {s!r}, not an element of GF({F.q})", i) from None
     return flat.reshape(len(tokens), rows, cols)
 
 

@@ -220,17 +220,6 @@ def _units(F: Field, vecs: np.ndarray) -> np.ndarray:
     return F.mul_table[F.inv_table[lead][:, None], vecs]
 
 
-def _times(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise product of two broadcastable arrays of encoded elements, one
-    gather from the flattened multiplication table at the uint16 index a·q + b."""
-    return np.take(F.mul_table.ravel(), a.astype(np.uint16) * F.q + b)
-
-
-def _plus(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise sum of two broadcastable arrays of encoded elements."""
-    return np.take(F.add_table.ravel(), a.astype(np.uint16) * F.q + b)
-
-
 def _top_rows_rref(F: Field, T: np.ndarray) -> np.ndarray:
     """The RREF of N pairs of rows of rank 2 with a pivot in column 0, held as
     a (2, n, N) array, so that every operation runs along the N pairs.
@@ -239,15 +228,15 @@ def _top_rows_rref(F: Field, T: np.ndarray) -> np.ndarray:
     (0, 1), or on (0, 2) where that block is singular.  Where both are
     singular, E is zero and so are the rows.
     """
-    NEG = F.neg_table
+    NEG, plus, times = F.neg_table, F.add_arrays, F.mul_arrays
     a, c = T[0, 0], T[1, 0]
-    det1, det2 = (_plus(F, _times(F, a, T[1, j]), NEG[_times(F, T[0, j], c)]) for j in (1, 2))
+    det1, det2 = (plus(times(a, T[1, j]), NEG[times(T[0, j], c)]) for j in (1, 2))
     first = det1 != 0
     b = np.where(first, T[0, 1], T[0, 2])
     e = np.where(first, T[1, 1], T[1, 2])
     inv = F.inv_table[np.where(first, det1, det2)]
-    E = [[_times(F, inv, e), _times(F, inv, NEG[b])], [_times(F, inv, NEG[c]), _times(F, inv, a)]]
-    return np.stack([_plus(F, _times(F, r0, T[0]), _times(F, r1, T[1])) for r0, r1 in E])
+    E = [[times(inv, e), times(inv, NEG[b])], [times(inv, NEG[c]), times(inv, a)]]
+    return np.stack([plus(times(r0, T[0]), times(r1, T[1])) for r0, r1 in E])
 
 
 def _w_block(h) -> np.ndarray:

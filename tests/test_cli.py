@@ -524,6 +524,23 @@ def test_parse_errors_name_the_line_of_the_file(cert_pair):
         ParseError, match=f"^line {gen + 1}: bad generator matrix: matrix 1 is 4x5; expected 5x5$"
     ):
         parse_certificate("\n".join(edited) + "\n")
+    # so is a member whose first element does not parse, over GF(3) and,
+    # with one coefficient too many, over GF(9)
+    prep = prepare(field_make(3, 2), 2)
+    for text, bad, q in (
+        (text, "x", 3),
+        (certificate_text(prep, 0, assemble(prep.report.split, 0)), "1,0,0", 9),
+    ):
+        lines = text.splitlines()
+        first = next(i for i, ln in enumerate(lines) if ln.startswith("maximal "))
+        fourth = f"maximal {bad};" + lines[first + 3].split(";", 1)[1]
+        edited = lines[: first + 3] + [fourth] + lines[first + 4:]
+        with pytest.raises(
+            ParseError,
+            match=rf"^line {first + 4}: bad maximal matrix: matrix 3 has '{bad}', "
+            rf"not an element of GF\({q}\)$",
+        ):
+            parse_certificate("\n".join(edited) + "\n")
 
 
 def certificate_fields(cert):

@@ -234,6 +234,19 @@ def test_mul_table_matches_schoolbook_product(p, k):
     assert np.array_equal(F.mul_table, expected)
 
 
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (5, 2), (3, 3), (5, 3)])
+def test_array_arithmetic_matches_the_tables(p, k):
+    # every pair, as a (q, 1) x (1, q) broadcast, gathered at a·q + b; at
+    # q = 125 that index passes 255, so it must not wrap in uint8
+    F = field_make(p, k)
+    a = np.arange(F.q, dtype=np.uint8)
+    for got, table in (
+        (F.add_arrays(a[:, None], a[None, :]), F.add_table),
+        (F.mul_arrays(a[:, None], a[None, :]), F.mul_table),
+    ):
+        assert got.dtype == np.uint8 and np.array_equal(got, table)
+
+
 # ---------------------------------------------------------------------------
 # squares
 

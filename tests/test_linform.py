@@ -100,19 +100,20 @@ class _Unread(np.ndarray):
         raise AssertionError("the product was computed")
 
 
-def test_mat_mul_refuses_sums_past_the_float64_bound():
+def test_mat_mul_refuses_sums_past_the_float32_bound():
     # the widest product the package makes is over the ambient dimension
     # 2d + 1; ranks stop where point ids leave int32, latest at q = 3; its
     # largest inner sum, at p = 251, stays inside the float32 bound
     widest = 2 * max(d for d in range(2, 40) if point_count(3, d) < 2**31) + 1
     assert widest == 21 and widest * 250**2 < 2**24
-    # one past the float64 bound raises before either side is cast, let alone
-    # multiplied; the operands are broadcast views of one entry
+    # the first inner dimension past the bound raises before either side is
+    # cast, let alone multiplied; the operands are broadcast views of one entry
     F = field_make(251)
-    n = (2**53 - 1) // 250**2 + 1
+    n = -(-(2**24) // 250**2)
+    assert (n - 1) * 250**2 < 2**24 <= n * 250**2
     A = np.broadcast_to(np.uint8(250), (1, n)).view(_Unread)
     B = np.broadcast_to(np.uint8(250), (n, 1)).view(_Unread)
-    with pytest.raises(ValueError, match="float64"):
+    with pytest.raises(ValueError, match="float32"):
         mat_mul(F, A, B)
 
 
@@ -143,39 +144,51 @@ def int64_product(A, B, p):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_lifted_product_is_exact_on_both_sides_of_the_float32_bound(p):
-    # float32 carries the product while n (p - 1)^2 < 2^24 and float64 from
-    # there on.  Each side's widest inner dimension is checked against an
-    # int64 reference: every entry is p - 1 except the last term a·b, with a
-    # running over GF(p) and b over (1, p - 1), so the sums are the largest
-    # possible and their residues cover GF(p)
+    # float32 carries the product while n (p - 1)^2 < 2^24.  The widest inner
+    # dimension below that is checked against an int64 reference: every
+    # entry is p - 1 except the last term a·b, with a running over GF(p) and
+    # b over (1, p - 1), so the sums are the largest possible and their
+    # residues cover GF(p)
     F = field_make(p)
     below = (2**24 - 1) // (p - 1) ** 2
     assert below * (p - 1) ** 2 < 2**24 <= (below + 1) * (p - 1) ** 2
     h = (p - 1) // 2
-    for n in (below, below + 1):
-        A = np.full((p, n), p - 1, dtype=np.uint8)
-        A[:, -1] = np.arange(p)
-        B = np.full((n, 2), p - 1, dtype=np.uint8)
-        B[-1] = 1, p - 1
-        ref = int64_product(A, B, p)
-        # single x single, stack x single, single x stack (B's two columns
-        # as a (2, n, 1) stack), stack x stack (A's halves, one per column)
-        # and a (2, 1, h, n) x (2, n, 1) broadcast
-        cols = np.ascontiguousarray(B.T[:, :, None])
-        halves = A[:2 * h].reshape(2, h, n)
-        assert np.array_equal(mat_mul(F, A, B), ref)
-        assert np.array_equal(mat_mul(F, A[:, None], B), ref[:, None])
-        assert np.array_equal(mat_mul(F, A, cols), ref.T[:, :, None])
-        assert np.array_equal(mat_mul(F, halves, cols), np.stack([ref[:h, :1], ref[h:2 * h, 1:]]))
-        crossed = ref[:2 * h].reshape(2, h, 2).transpose(0, 2, 1)[..., None]
-        assert np.array_equal(mat_mul(F, halves[:, None], cols), crossed)
-        for C, shape in (
-            (mat_mul(F, A[:0], B), (0, 2)),
-            (mat_mul(F, A[:0, None], B), (0, 1, 2)),
-            (mat_mul(F, A, cols[:0]), (0, p, 1)),
-            (mat_mul(F, halves[:, :0], cols), (2, 0, 1)),
-        ):
-            assert C.shape == shape and C.dtype == np.uint8
+    n = below
+    A = np.full((p, n), p - 1, dtype=np.uint8)
+    A[:, -1] = np.arange(p)
+    B = np.full((n, 2), p - 1, dtype=np.uint8)
+    B[-1] = 1, p - 1
+    ref = int64_product(A, B, p)
+    # single x single, stack x single, single x stack (B's two columns as a
+    # (2, n, 1) stack), stack x stack (A's halves, one per column) and a
+    # (2, 1, h, n) x (2, n, 1) broadcast
+    cols = np.ascontiguousarray(B.T[:, :, None])
+    halves = A[:2 * h].reshape(2, h, n)
+    assert np.array_equal(mat_mul(F, A, B), ref)
+    assert np.array_equal(mat_mul(F, A[:, None], B), ref[:, None])
+    assert np.array_equal(mat_mul(F, A, cols), ref.T[:, :, None])
+    assert np.array_equal(mat_mul(F, halves, cols), np.stack([ref[:h, :1], ref[h:2 * h, 1:]]))
+    crossed = ref[:2 * h].reshape(2, h, 2).transpose(0, 2, 1)[..., None]
+    assert np.array_equal(mat_mul(F, halves[:, None], cols), crossed)
+    for C, shape in (
+        (mat_mul(F, A[:0], B), (0, 2)),
+        (mat_mul(F, A[:0, None], B), (0, 1, 2)),
+        (mat_mul(F, A, cols[:0]), (0, p, 1)),
+        (mat_mul(F, halves[:, :0], cols), (2, 0, 1)),
+    ):
+        assert C.shape == shape and C.dtype == np.uint8
+    # one more term reaches 2^24: each of those forms, empty or not, raises
+    # before either side is cast; the operands are broadcast views of p - 1
+    n = below + 1
+    A, B = (np.broadcast_to(np.uint8(p - 1), s).view(_Unread) for s in ((p, n), (n, 2)))
+    cols = np.broadcast_to(np.uint8(p - 1), (2, n, 1)).view(_Unread)
+    halves = np.broadcast_to(np.uint8(p - 1), (2, h, n)).view(_Unread)
+    for a, b in (
+        (A, B), (A[:, None], B), (A, cols), (halves, cols), (halves[:, None], cols),
+        (A[:0], B), (A[:0, None], B), (A, cols[:0]), (halves[:, :0], cols),
+    ):
+        with pytest.raises(ValueError, match=f"^an inner dimension of {n} overflows float32"):
+            mat_mul(F, a, b)
     # broadcast over leading axes at a small inner dimension, and an empty one
     rng = np.random.default_rng(p)
     A = rng.integers(0, p, size=(2, 1, 3, 3)).astype(np.uint8)
@@ -186,6 +199,14 @@ def test_lifted_product_is_exact_on_both_sides_of_the_float32_bound(p):
         np.array_equal(C[i, j], int64_product(A[i, 0], B[j], p)) for i in range(2) for j in range(8)
     )
     assert np.array_equal(mat_mul(F, A[..., :0], B[:, :0]), np.zeros_like(C))
+
+
+def test_extension_product_of_an_empty_inner_dimension_is_zero():
+    # no terms: the zero product of the broadcast shape, as over GF(p)
+    F = field_make(3, 2)
+    for a, b, shape in (((2, 0), (0, 3), (2, 3)), ((4, 2, 0), (1, 0, 3), (4, 2, 3))):
+        C = mat_mul(F, np.zeros(a, dtype=np.uint8), np.zeros(b, dtype=np.uint8))
+        assert C.shape == shape and C.dtype == np.uint8 and not C.any()
 
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (3, 2)])

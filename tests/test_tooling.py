@@ -1,5 +1,5 @@
 """Source-tree rules: invariant checks that survive ``python -O``, one GF(q) matrix
-product, one memory guard that runs before every standard model, docs that match
+product, flat-table gathers in the field and that product alone, one memory guard that runs before every standard model, docs that match
 the CLI, subcommands that define only the flags they read, a README library
 snippet that runs, the calls the benchmark traces, an AB check that reads B's
 orbits and tau without building A again, a standard model that scans no vectors,
@@ -63,6 +63,37 @@ def test_only_mat_mul_branches_on_the_extension_degree():
             )
         ]
     assert found == ["linform.py:mat_mul"]
+
+
+def test_only_the_field_and_mat_mul_gather_from_the_flat_tables():
+    # elementwise arithmetic on arrays is Field.add_arrays/mul_arrays, and
+    # only mat_mul's extension loop fuses its own gathers into preallocated
+    # buffers; the GF(p) product runs in float32 alone
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    owner[child] = ".".join(filter(None, (owner.get(node), node.name)))
+                else:
+                    owner[child] = owner.get(node)
+        found += [
+            f"{path.name}:{owner[node]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "ravel"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr in ("add_table", "mul_table")
+        ]
+    assert sorted(found) == [
+        "gf.py:Field.add_arrays",
+        "gf.py:Field.mul_arrays",
+        "linform.py:mat_mul",
+        "linform.py:mat_mul",
+    ]
+    assert "float64" not in (SRC / "linform.py").read_text()
 
 
 def test_require_memory_runs_before_every_standard_model():
