@@ -33,6 +33,8 @@ from .linform import (
     format_matrices,
     format_matrix,
     format_matrix_block,
+    identity,
+    mat_mul,
     parse_matrices,
     parse_matrix_block,
     standard_model,
@@ -324,7 +326,7 @@ def cmd_stats(ns: argparse.Namespace) -> int:
         ("s_plus_1", "s+1", qm.s1),
         ("t_plus_1", "t+1", qm.t1),
         ("target_degree", "(t+1)/2", qm.target_degree),
-        ("b_order", "|B|", rep.b_order),
+        ("b_order", "|B|", prep.b.order),
         ("a_order", "|A|", rep.a_order),
         ("m", "m", rep.m),
         ("n_b", "n_b", rep.n_b_maximal_orbits),
@@ -341,8 +343,7 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
     F = _make_field(ns)
     if ns.cap < 0:
         raise ParseError(f"--cap {ns.cap} must be >= 0")
-    prep = prepare(F, ns.d)
-    rep = prep.report
+    rep = prepare(F, ns.d).report
     if not rep.ok:
         raise VerificationFailed(f"orbit split unavailable: {rep.witness}")
     part = rep.split.partition
@@ -363,16 +364,16 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
         "command": "orbits",
         "q": F.q,
         "d": ns.d,
-        "point_orbits": prep.actions.b_point_part.n_orbits,
+        "point_orbits": rep.n_point_orbits,
         "m": m,
-        "n_b": part.n_orbits,
+        "n_b": rep.n_b_maximal_orbits,
         "family_size": str(2**m),
         "pairs": pair_rows,
     }
     lines = [
         f"q {F.q}  d {ns.d}",
-        f"point-orbits {prep.actions.b_point_part.n_orbits} (same under B and A)",
-        f"maximal-orbits {part.n_orbits} under B, {m} under A",
+        f"point-orbits {rep.n_point_orbits} (same under B and A)",
+        f"maximal-orbits {rep.n_b_maximal_orbits} under B, {m} under A",
         f"family 2^{m} = {2 ** m}",
     ]
     lines += [
@@ -570,18 +571,17 @@ def _selftest_checks(ns: argparse.Namespace):
         return f"|B| = {b}, |A| = {a}"
 
     def tau_properties() -> str:
-        rep = prep().report
-        ok = rep.tau_involution and rep.tau_outside_b and rep.b_normal_in_a
-        _require(ok, f"involution {rep.tau_involution}, outside B {rep.tau_outside_b}, "
-                 f"normalizes B {rep.b_normal_in_a}")
+        pr = prep()
+        _require(np.array_equal(mat_mul(F, pr.tau_elt, pr.tau_elt), identity(3)), "tau^2 != 1")
+        # |A| = 2|B| only when tau is outside B, normalizes B and squares into B
+        _require(pr.report.a_order == 2 * pr.b.order, str(pr.report.witness))
         return "tau^2 = 1, tau outside B, tau normalizes B"
 
     def ab_conditions() -> str:
         # the build reads A's orbits off B's and tau; as a reference, partition them here
         pr = prep()
         rep, qm = pr.report, pr.qm
-        _require(rep.index_two, f"|A| = {rep.a_order} is not 2|B|")
-        _require(rep.point_orbits_match and rep.orbit_pairing_complete, str(rep.witness))
+        _require(rep.ok, str(rep.witness))
         perms = [qm.point_permutation(g) for g in pr.a.generators]
         a_points = partition(qm.num_points, perms).orbit_of
         _require(np.array_equal(a_points, pr.actions.b_point_part.orbit_of), "A moves a point")

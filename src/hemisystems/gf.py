@@ -14,8 +14,8 @@ by x is the companion matrix C of the monic modulus f, so each element
 b = sum b_i x^i acts on the rows of base-p digits as sum b_i C^i, and the
 product table is the digit rows times these action matrices, for k = 1 as
 for k > 1.  f is irreducible exactly when that ring has no zero divisors, so
-the table itself checks a supplied modulus and picks the built-in one, the
-least irreducible by encoding.
+the table itself checks a supplied modulus and, when none is supplied,
+picks the least irreducible one by encoding, for every q.
 """
 
 from __future__ import annotations
@@ -31,16 +31,8 @@ class NotIrreducible(ValueError):
     """The modulus polynomial is not irreducible over GF(p)."""
 
 
-class NoBuiltinModulus(ValueError):
-    """No built-in modulus is provided for this field order."""
-
-
 class DivisionByZero(ZeroDivisionError):
     """Division or inversion of the zero element."""
-
-
-#: field orders with a built-in modulus when none is supplied
-BUILTIN_ORDERS = (9, 25, 27, 49, 81, 121, 125)
 
 
 def _is_prime(n: int) -> bool:
@@ -118,8 +110,6 @@ class Field:
             digits[:, i] = c % p
             c = c // p
         if modulus is None:
-            if q != p and q not in BUILTIN_ORDERS:
-                raise NoBuiltinModulus(f"no built-in modulus for q={q}; pass one")
             candidates = (tuple(row.tolist()) + (1,) for row in digits)
         else:
             modulus = tuple(int(c) % p for c in modulus)
@@ -245,7 +235,7 @@ _field_cached = _Memo()
 
 
 def field_make(p: int, k: int = 1, modulus=None) -> Field:
-    """Construct (and cache) GF(p^k), with the built-in modulus if omitted."""
+    """Construct (and cache) GF(p^k), with the least irreducible modulus if omitted."""
     key = (p, k, None if modulus is None else tuple(int(c) for c in modulus))
     if key not in _field_cached:
         F = Field(p, k, key[2])

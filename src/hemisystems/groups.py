@@ -12,9 +12,9 @@ enters the pipeline: the membership test, tau, the actions on points and
 maximals all take 3x3 blocks.  B is closed once, a whole frontier of
 products at a time, from a pair of words in its listed generators, since
 PSL2(q) is 2-generated; its actions are resolved from the same pair.  A
-is not closed but built as the union of B and the coset tau B, once tau
-is seen to normalize B with tau^2 in B.  A block is embedded into the
-model's dimension 2d + 1 only to write the generator lines of a
+is not closed but built as the union of B and the coset tau B, once
+``extension_order`` finds B of index two in it.  A block is embedded into
+the model's dimension 2d + 1 only to write the generator lines of a
 certificate.
 
 All matrices act on row vectors from the right, so g @ h means "g first".
@@ -299,30 +299,38 @@ def tau(model: StandardModel) -> np.ndarray:
     return M
 
 
-def group_a(model: StandardModel, b: MatrixGroup, t: np.ndarray) -> MatrixGroup:
-    """The extension <B, tau> as the union of B and tau B, of twice the order of B.
+def extension_order(field: Field, b: MatrixGroup, t: np.ndarray) -> tuple[int, str | None]:
+    """|<B, tau>| and the witness of the first failed check; tau is a 3x3 block on W.
 
-    tau is a 3x3 block on W, as B's elements are.  When tau normalizes B
-    and tau^2 lies in B, the union of B and tau B is closed under products,
-    so it is <B, tau> and the index of B is 1 or 2; it is 2 exactly when
-    tau is outside B.  Normality is checked on B's generators, since
-    tau B tau^-1 inside B is an equality for finite B.  Raises
-    GenerationFailure when a check fails or the union does not have 2|B|
-    elements.
+    The checks, in order: tau is outside B, normalizes B (on B's generators,
+    as tau B tau^-1 inside B is an equality for finite B), and squares into
+    B.  Then B and tau B are closed under products, so they are <B, tau>,
+    with B of index two and no witness.  The order is 2|B| then, |B| when
+    tau lies in B, and -1 otherwise.
+    """
+    conj = mat_mul(field, mat_mul(field, t, b.generators), mat_inv(field, t))
+    found = b.contains(np.concatenate([t[None], conj, mat_mul(field, t, t)[None]]))
+    if found[0]:
+        return b.order, "tau lies in B"
+    left = np.flatnonzero(~found[1:-1])
+    if left.size:
+        i = int(left[0])
+        return -1, f"conjugate of B generator {i} left B: {b.generators[i].tolist()}"
+    if not found[-1]:
+        return -1, "tau^2 is not in B"
+    return 2 * b.order, None
+
+
+def group_a(model: StandardModel, b: MatrixGroup, t: np.ndarray) -> MatrixGroup:
+    """<B, tau> as B and the coset tau B, which meets B nowhere as tau is outside B.
+
+    Raises GenerationFailure with the witness of ``extension_order``.
     """
     F = model.field
-    conj = mat_mul(F, mat_mul(F, t, b.generators), mat_inv(F, t))
-    if not b.contains(conj).all():
-        raise GenerationFailure("tau does not normalize B")
-    if not b.contains(mat_mul(F, t, t)):
-        raise GenerationFailure("tau^2 is not in B")
-    # a sort and a neighbour compare; np.unique of byte keys imports numpy.ma
+    _, witness = extension_order(F, b, t)
+    if witness is not None:
+        raise GenerationFailure(witness)
     keys = np.sort(byte_keys(np.concatenate([b.elements, mat_mul(F, t, b.elements)])))
-    distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-    if distinct != 2 * b.order:
-        raise GenerationFailure(
-            f"B and tau B have {distinct} elements together, expected {2 * b.order}"
-        )
     gens = np.concatenate([b.generators, t[None]])
     elements = keys.view(np.uint8).reshape(-1, 3, 3)
     gens.setflags(write=False)

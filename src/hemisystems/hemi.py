@@ -8,6 +8,8 @@ one of the 2^m choices, where m is the number of pairs.  As A is B and the
 coset tau B, its orbits are B's orbits joined by tau (the AB-Lemma of
 Bamberg, Giudici and Royle, Bull. LMS 2010), so the hypotheses are decided
 from B's orbits and tau's permutations alone; A's orbits are never built.
+Index two is decided by ``groups.extension_order``, as ``group_a`` decides
+it, and the report holds the witness of the first hypothesis that fails.
 
 Verification is independent of the construction: it recounts the degree of
 every point against the chosen maximals, either through the incidence index
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
-from .groups import MatrixGroup, generating_pair, group_a, omega_w, tau
-from .linform import StandardModel, identity, mat_inv, mat_mul, standard_model
+from .groups import MatrixGroup, extension_order, generating_pair, group_a, omega_w, tau
+from .linform import StandardModel, mat_mul, standard_model
 from .orbits import OrbitPartition, orbit_image, partition
 from .quadric import QuadricModel, require_memory
 
@@ -84,33 +86,17 @@ def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBu
 
 @dataclass(frozen=True)
 class ABReport:
-    """Outcome of the two-group hypotheses, with a witness on failure."""
+    """Outcome of the two-group hypotheses: the witness of the first that fails."""
 
-    b_order: int
     a_order: int
-    tau_outside_b: bool
-    tau_involution: bool
-    b_normal_in_a: bool
-    index_two: bool
-    point_orbits_match: bool
     n_point_orbits: int
     n_b_maximal_orbits: int
-    n_a_maximal_orbits: int
-    orbit_pairing_complete: bool
     witness: str | None
     split: OrbitSplit | None
 
     @property
     def ok(self) -> bool:
-        return (
-            self.tau_outside_b
-            and self.tau_involution
-            and self.b_normal_in_a
-            and self.index_two
-            and self.point_orbits_match
-            and self.orbit_pairing_complete
-            and self.split is not None
-        )
+        return self.witness is None
 
     @property
     def m(self) -> int:
@@ -120,52 +106,28 @@ class ABReport:
 def ab_check(
     qm: QuadricModel, b: MatrixGroup, t: np.ndarray, actions: ActionBundle
 ) -> ABReport:
-    """Test every hypothesis of the two-group construction; tau is a 3x3 block on W.
+    """Test the hypotheses of the two-group construction in order; tau is a 3x3 block on W.
 
-    Index two is tau outside B, normalizing B and squaring into B.  Normality
-    is tested on B's generators, since tau B tau^-1 inside B is an equality
-    for finite B.  A and B share point orbits exactly when tau carries each
-    point orbit of B onto itself.  The maximal orbits pair up when tau carries
-    each onto one other orbit and that one back: tau is a bijection, so the
-    two have equal sizes, and their union, closed under B and tau, is one
-    A-orbit, so neither needs a check of its own.
+    B has index two in A = <B, tau> (``extension_order``).  A and B share
+    point orbits exactly when tau carries each point orbit of B onto
+    itself.  The maximal orbits pair up when tau carries each onto one
+    other orbit and that one back: tau is a bijection, so the two have
+    equal sizes, and their union, closed under B and tau, is one A-orbit,
+    so neither needs a check of its own.  The report keeps the witness of
+    the first hypothesis that fails, and the pairs only when all hold.
     """
-    F = qm.field
-    witness = None
-
-    t2 = mat_mul(F, t, t)
-    tau_outside_b = not b.contains(t)
-    tau_involution = np.array_equal(t2, identity(3))
-
-    conj = mat_mul(F, mat_mul(F, t, b.generators), mat_inv(F, t))
-    left = np.flatnonzero(~b.contains(conj))
-    b_normal = left.size == 0
-    if not b_normal:
-        i = int(left[0])
-        witness = f"conjugate of B generator {i} left B: {b.generators[i].tolist()}"
-
-    # |<B, tau>| is |B| for tau in B and 2|B| at index two; otherwise -1
-    a_order = -1 if tau_outside_b else b.order
-    index_two = False
-    if tau_outside_b and b_normal:
-        index_two = bool(b.contains(t2))
-        if index_two:
-            a_order = 2 * b.order
-        else:
-            witness = "<B, tau> is not B and tau B: tau^2 is not in B"
+    a_order, witness = extension_order(qm.field, b, t)
 
     ppart = actions.b_point_part
     moved = np.flatnonzero(orbit_image(ppart, actions.tau_point_perm) != np.arange(ppart.n_orbits))
-    point_orbits_match = moved.size == 0
-    if not point_orbits_match and witness is None:
+    if moved.size and witness is None:
         witness = f"tau moves point orbit {int(moved[0])} of B"
 
     bpart = actions.b_maximal_part
     img = orbit_image(bpart, actions.tau_maximal_perm)
     own = np.arange(bpart.n_orbits)
     bad = np.flatnonzero((img == -1) | (img == own) | (img[img] != own))
-    pairing_ok = bad.size == 0
-    if not pairing_ok and witness is None:
+    if bad.size and witness is None:
         o = int(bad[0])
         if img[o] == -1:
             witness = f"tau splits maximal orbit {o} between B-orbits"
@@ -175,21 +137,13 @@ def ab_check(
             witness = f"tau does not involute maximal orbit {o}"
 
     split = None
-    if pairing_ok:
+    if witness is None:
         low = np.flatnonzero(own < img)
         split = OrbitSplit(bpart, tuple(zip(low.tolist(), img[low].tolist())))
     return ABReport(
-        b_order=b.order,
         a_order=a_order,
-        tau_outside_b=tau_outside_b,
-        tau_involution=tau_involution,
-        b_normal_in_a=b_normal,
-        index_two=index_two,
-        point_orbits_match=point_orbits_match,
         n_point_orbits=ppart.n_orbits,
         n_b_maximal_orbits=bpart.n_orbits,
-        n_a_maximal_orbits=split.m if pairing_ok else -1,
-        orbit_pairing_complete=pairing_ok,
         witness=witness,
         split=split,
     )

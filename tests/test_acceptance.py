@@ -132,7 +132,6 @@ def test_03_group_orders_and_a4_structure():
         q = p**k
         assert pr.b.order == q * (q**2 - 1) // 2
         assert pr.a.order == q * (q**2 - 1)
-        assert pr.report.b_order == pr.b.order
         assert pr.report.a_order == pr.a.order
     pr = _prep(3, 1, 2)
     orders = sorted(element_orders(pr.field, pr.b.elements).tolist())
@@ -179,7 +178,7 @@ def test_05_point_partitions_coincide():
         pr = _prep(p, k, d)
         bpart = pr.actions.b_point_part
         apart, _ = _a_partitions(pr)
-        assert pr.report.point_orbits_match
+        assert pr.report.ok
         assert np.array_equal(bpart.orbit_of, apart.orbit_of)
         assert bpart.n_orbits == apart.n_orbits
 

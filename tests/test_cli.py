@@ -27,7 +27,7 @@ from hemisystems import hemi
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block
 from hemisystems.hemi import assemble, prepare
-from hemisystems.linform import format_matrix, parse_matrices, rref
+from hemisystems.linform import format_matrix, identity, mat_mul, parse_matrices, rref
 from conftest import model, qmodel  # noqa: F401 - shared cached fixtures
 from test_linform import reference_format
 
@@ -730,21 +730,36 @@ def test_selftest_text_reports_one_line_per_check(capsys):
 
 
 def test_selftest_checks_the_pairing_against_the_orbits_of_a(capsys, monkeypatch):
-    # a report that lost one pair and counts n_b = 2 n_a = 2m by its own
-    # numbers; only the orbits of A, partitioned by selftest itself, expose it
+    # a report that lost one pair and counts n_b = 2m by its own numbers;
+    # only the orbits of A, partitioned by selftest itself, expose it
     real = hemi.ab_check
 
     def dropped(*args):
         rep = real(*args)
         split = hemi.OrbitSplit(rep.split.partition, rep.split.pairs[:-1])
-        return dataclasses.replace(
-            rep, split=split, n_b_maximal_orbits=2 * split.m, n_a_maximal_orbits=split.m
-        )
+        return dataclasses.replace(rep, split=split, n_b_maximal_orbits=2 * split.m)
 
     monkeypatch.setattr(hemi, "ab_check", dropped)
     rc, out, _ = run(capsys, "selftest")
     assert rc == 1
     assert "FAIL ab-conditions: AssertionError: n_b != 2 n_a" in out.splitlines()
+
+
+def test_selftest_checks_tau_squared_on_the_models_tau(capsys, monkeypatch):
+    # tau g with g in B passes the AB check, which does not need tau^2 = 1;
+    # selftest claims tau^2 = 1 of the model's tau and checks it there
+    real = hemi.tau
+
+    def tau_g(m):
+        F, t = m.field, real(m)
+        coset = mat_mul(F, t, hemi.omega_w(m).elements)
+        return next(g for g in coset if not np.array_equal(mat_mul(F, g, g), identity(3)))
+
+    monkeypatch.setattr(hemi, "tau", tau_g)
+    rc, out, _ = run(capsys, "selftest")
+    assert rc == 1
+    assert "FAIL tau-properties: AssertionError: tau^2 != 1" in out.splitlines()
+    assert "pass ab-conditions: " in out
 
 
 def test_selftest_reports_a_corrupt_field_under_optimize():

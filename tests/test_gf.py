@@ -6,10 +6,8 @@ import pytest
 from hemisystems import gf
 from hemisystems.cli import CERT_MAGIC, ParseError, main, parse_certificate
 from hemisystems.gf import (
-    BUILTIN_ORDERS,
     DivisionByZero,
     Field,
-    NoBuiltinModulus,
     NotIrreducible,
     NotOddPrime,
     field_make,
@@ -17,7 +15,8 @@ from hemisystems.gf import (
 
 AXIOM_FIELDS = [(3, 1), (7, 1), (3, 2), (5, 2)]
 ALL_FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (3, 2), (5, 2), (3, 3), (7, 2), (3, 4), (11, 2), (5, 3)]
-#: the built-in moduli, little-endian: the least irreducible by encoding
+#: the default moduli, little-endian: the least irreducible by encoding, for
+#: every odd q <= 255 that is a power of a prime but not prime
 BUILTIN_MODULI = {
     (3, 2): (1, 0, 1),
     (5, 2): (2, 0, 1),
@@ -26,6 +25,8 @@ BUILTIN_MODULI = {
     (3, 4): (2, 1, 0, 0, 1),
     (11, 2): (1, 0, 1),
     (5, 3): (1, 1, 0, 1),
+    (13, 2): (2, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
 }
 
 
@@ -71,8 +72,21 @@ def test_make_rejects():
         field_make(3, 2, (2, 0, 1))  # x^2 + 2 has root 1
     with pytest.raises(ValueError):
         field_make(3, 2, (1, 0, 2))  # not monic
-    with pytest.raises(NoBuiltinModulus):
-        field_make(3, 5)
+
+
+@pytest.mark.parametrize("p,k,rank", [(13, 2, 3), (3, 5, 8)])
+def test_default_modulus_is_the_least_irreducible_by_encoding(p, k, rank):
+    # q = 169 and q = 243 have a default modulus, as every odd q <= 255 has:
+    # x^2 + 2 is the 3rd monic quadratic over GF(13) by encoding and
+    # x^5 + 2x + 1 the 8th monic quintic over GF(3); all before them factor
+    modulus = field_make(p, k).modulus
+    assert modulus == BUILTIN_MODULI[(p, k)]
+    code = sum(c * p**i for i, c in enumerate(modulus[:k]))
+    assert code == rank - 1
+    for smaller in range(code):
+        digits = tuple(smaller // p**i % p for i in range(k))
+        with pytest.raises(NotIrreducible):
+            Field(p, k, digits + (1,))
 
 
 def test_orders_beyond_uint8_tables_are_rejected(capsys):
@@ -86,7 +100,11 @@ def test_orders_beyond_uint8_tables_are_rejected(capsys):
 
 
 def test_builtin_moduli_are_frozen():
-    assert sorted(p**k for p, k in BUILTIN_MODULI) == sorted(BUILTIN_ORDERS)
+    # every odd q <= 255 that is a power of a prime but not prime
+    odd_primes = [n for n in range(3, 256) if all(n % f for f in range(2, n))]
+    powers = sorted({p**k for p in odd_primes for k in range(2, 6) if p**k <= 255})
+    assert powers == [9, 25, 27, 49, 81, 121, 125, 169, 243]
+    assert sorted(p**k for p, k in BUILTIN_MODULI) == powers
     for (p, k), modulus in BUILTIN_MODULI.items():
         assert field_make(p, k).modulus == modulus
 
@@ -121,13 +139,7 @@ def test_oversized_fields_are_refused_before_the_primality_test(monkeypatch):
 
 
 def test_builtin_moduli_deterministic():
-    for q in BUILTIN_ORDERS:
-        p = min(f for f in range(2, q + 1) if q % f == 0)
-        k = 0
-        n = q
-        while n > 1:
-            n //= p
-            k += 1
+    for p, k in BUILTIN_MODULI:
         F1 = field_make(p, k)
         F2 = field_make(p, k, F1.modulus)
         assert F1.modulus == F2.modulus

@@ -280,13 +280,13 @@ def test_group_a_refuses_a_tau_that_gives_no_index_two_extension():
     F, b = m.field, omega_w(m)
     shear = identity(3)
     shear[0, 1] = 1
-    with pytest.raises(GenerationFailure, match="normalize"):
+    with pytest.raises(GenerationFailure, match="conjugate of B generator .* left B"):
         group_a(m, b, shear)
     # a scalar commutes with B, but its square -1 has determinant -1
     with pytest.raises(GenerationFailure, match="tau\\^2"):
         group_a(m, b, F.mul_table[2, identity(3)])
     # tau inside B: tau B is B again
-    with pytest.raises(GenerationFailure, match=f"expected {2 * b.order}"):
+    with pytest.raises(GenerationFailure, match="tau lies in B"):
         group_a(m, b, b.generators[0])
 
 

@@ -1,5 +1,7 @@
 """Two-group hypothesis checks, assembly, and degree verification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import model, qmodel
 from hemisystems import groups
 from hemisystems.gf import field_make
 from hemisystems.hemi import (
+    ABReport,
     MaskLength,
     TooManyOrbits,
     UnknownMaximalId,
@@ -54,9 +57,8 @@ def test_ab_hypotheses_hold(p, k, d):
     r = pr.report
     assert r.ok, r.witness
     assert r.witness is None
-    assert r.b_order == pr.b.order and r.a_order == 2 * pr.b.order
+    assert r.a_order == 2 * pr.b.order
     assert r.n_b_maximal_orbits == 2 * r.m
-    assert r.n_a_maximal_orbits == r.m
     # orbit sizes divide the group orders
     assert all(pr.b.order % int(s) == 0 for s in pr.actions.b_maximal_part.sizes)
     assert all(pr.b.order % int(s) == 0 for s in pr.actions.b_point_part.sizes)
@@ -67,40 +69,69 @@ def test_ab_hypotheses_hold(p, k, d):
     assert total == pr.qm.num_maximals
 
 
-def test_ab_check_rejects_identity_as_tau():
-    pr = prep(3, 1, 2)
-    ident = identity(3)
-    r = ab_check(pr.qm, pr.b, ident, resolve_actions(pr.qm, pr.b, ident))
+def test_ab_report_holds_the_verdict_once():
+    # the witness is the verdict; every other field is a count or the split
+    names = [f.name for f in dataclasses.fields(ABReport)]
+    assert names == ["a_order", "n_point_orbits", "n_b_maximal_orbits", "witness", "split"]
+    r = dataclasses.replace(prep(3, 1, 2).report, witness="w")
     assert not r.ok
-    assert not r.tau_outside_b
 
 
-def test_ab_check_rejects_b_element_as_tau():
-    pr = prep(3, 1, 2)
-    g = next(e for e in pr.b.elements if not (e == identity(3)).all())
-    r = ab_check(pr.qm, pr.b, g, resolve_actions(pr.qm, pr.b, g))
-    assert not r.ok
-    assert not r.tau_outside_b
-    assert not r.orbit_pairing_complete
-    assert "fixed by tau" in r.witness
-
-
-def test_ab_check_tests_normality_on_generators():
+def _e0_flip(pr):
     # negating e0 is an involution of determinant -1 that does not preserve
-    # the form on W, so it conjugates some generator out of B; it is no
-    # isometry and has no action, so it is checked with prepare's own
-    pr = prep(3, 1, 2)
+    # the form on W, so it conjugates some generator out of B
     flip = identity(3)
     flip[1, 1] = pr.field.neg(1)
     J = pr.model.w_space.gram
     assert not np.array_equal(mat_mul(pr.field, mat_mul(pr.field, flip, J), flip.T), J)
-    r = ab_check(pr.qm, pr.b, flip, pr.actions)
-    assert r.tau_outside_b and r.tau_involution
-    assert not r.b_normal_in_a
+    return flip
+
+
+def _rejected(pr, kind):
+    """A tau that fails index two, and the report of ab_check on it."""
+    if kind == "identity":
+        t = identity(3)
+    elif kind == "element of B":
+        t = next(e for e in pr.b.elements if not (e == identity(3)).all())
+    else:
+        # the flip is no isometry and has no action, so tau's are passed
+        t = _e0_flip(pr)
+        return t, ab_check(pr.qm, pr.b, t, pr.actions)
+    return t, ab_check(pr.qm, pr.b, t, resolve_actions(pr.qm, pr.b, t))
+
+
+def _assert_tau_lies_in_b(pr, r):
+    assert not r.ok and r.split is None
+    assert r.witness == "tau lies in B"
+    assert r.a_order == pr.b.order
+
+
+def test_ab_check_rejects_identity_as_tau():
+    pr = prep(3, 1, 2)
+    _assert_tau_lies_in_b(pr, _rejected(pr, "identity")[1])
+
+
+def test_ab_check_rejects_b_element_as_tau():
+    pr = prep(3, 1, 2)
+    _assert_tau_lies_in_b(pr, _rejected(pr, "element of B")[1])
+
+
+def test_ab_check_tests_normality_on_generators():
+    pr = prep(3, 1, 2)
+    _, r = _rejected(pr, "e0 flip")
     assert r.a_order == -1
     assert not r.ok
-    assert r.witness.startswith("conjugate of B generator 0 left B")
+    assert r.witness.startswith("conjugate of B generator 0 left B: ")
     assert str(pr.b.generators[0].tolist()) in r.witness
+
+
+@pytest.mark.parametrize("kind", ["identity", "element of B", "e0 flip"])
+def test_group_a_refuses_with_the_witness_of_ab_check(kind):
+    pr = prep(3, 1, 2)
+    t, r = _rejected(pr, kind)
+    with pytest.raises(groups.GenerationFailure) as info:
+        groups.group_a(pr.model, pr.b, t)
+    assert str(info.value) == r.witness
 
 
 def test_ab_check_agrees_with_group_a_on_the_order_of_a():
@@ -110,9 +141,26 @@ def test_ab_check_agrees_with_group_a_on_the_order_of_a():
     # a B-orbit of maximals, so the orbits do not pair up
     neg = pr.field.mul_table[pr.field.neg(1), identity(3)]
     r = ab_check(pr.qm, pr.b, neg, resolve_actions(pr.qm, pr.b, neg))
-    assert r.tau_outside_b and r.tau_involution and r.b_normal_in_a
-    assert r.index_two and r.a_order == 2 * pr.b.order
+    assert r.a_order == 2 * pr.b.order == groups.group_a(pr.model, pr.b, neg).order
     assert not r.ok and r.witness == "maximal orbit 2 is fixed by tau"
+    assert r.split is None
+
+
+def test_ab_check_accepts_tau_times_an_element_of_b():
+    # the lemma needs B of index two in A, not tau^2 = 1: tau g with g in B
+    # generates the same A and swaps the same orbits, though it has order 4
+    pr = prep(3, 1, 2)
+    F, t = pr.field, pr.tau_elt
+    tg = next(
+        prod
+        for prod in mat_mul(F, t, pr.b.elements)
+        if not np.array_equal(mat_mul(F, prod, prod), identity(3))
+    )
+    r = ab_check(pr.qm, pr.b, tg, resolve_actions(pr.qm, pr.b, tg))
+    assert r.ok, r.witness
+    assert r.a_order == pr.report.a_order == 24
+    assert r.split.pairs == pr.report.split.pairs and r.m == 3
+    assert np.array_equal(groups.group_a(pr.model, pr.b, tg).elements, pr.a.elements)
 
 
 def test_prepare_closes_b_once_and_a_never(monkeypatch):

@@ -2,7 +2,8 @@
 product, flat-table gathers in the field and that product alone, one memory guard that runs before every standard model, docs that match
 the CLI, subcommands that define only the flags they read, a README library
 snippet that runs, the calls the benchmark traces, an AB check that reads B's
-orbits and tau without building A again, a standard model that scans no vectors,
+orbits and tau without building A again, index two decided by one function and
+an AB report without flags beside its witness, a standard model that scans no vectors,
 point lookups by table, not by binary search, a prepare that builds no incidence
 index, reduces only the enumerated maximals, searches no maximal codes and leaves
 numpy.ma unimported, and no module-level function or class that only the tests
@@ -10,6 +11,7 @@ use."""
 
 import argparse
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -222,6 +224,24 @@ def test_the_ab_check_partitions_only_b_and_builds_no_group(monkeypatch):
         monkeypatch.setattr(owner, name, refused)
     rep = hemi.ab_check(pr.qm, pr.b, pr.tau_elt, pr.actions)
     assert rep.ok and rep.a_order == pr.a.order
+
+
+def test_index_two_is_decided_once_and_the_ab_report_holds_no_flags(monkeypatch):
+    # extension_order alone tests tau, its conjugates and tau^2 against B,
+    # for group_a and ab_check alike; the only other membership test of
+    # prepare is omega_w's check that B holds its listed generators.  The
+    # verdict is the witness, so the report keeps no boolean beside it
+    callers = []
+    real = groups.MatrixGroup.contains
+
+    def recorded(self, mats):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(self, mats)
+
+    monkeypatch.setattr(groups.MatrixGroup, "contains", recorded)
+    assert hemi.prepare(field_make(3), 2).report.ok
+    assert sorted(set(callers)) == ["extension_order", "omega_w"]
+    assert [f.name for f in dataclasses.fields(hemi.ABReport) if f.type in ("bool", bool)] == []
 
 
 def test_building_a_standard_model_scans_no_vectors(monkeypatch):
