@@ -139,14 +139,16 @@ def _numbered(text: str, first: int = 1) -> list[tuple[int, str]]:
 def parse_certificate(text: str) -> Certificate:
     """Parse certificate text; raise ParseError on any structural defect.
 
-    The member block, from the first ``maximal`` line to the ``mask`` line,
-    is sliced out once and read as bytes when it is canonical
-    (``linform.parse_matrix_block``); the line parser then reads only the
-    lines around it.  Any other text, and any defect, goes through the line
-    parser alone, so every error message is the line parser's.
+    The member block, from the first ``maximal`` line to the last ``mask``
+    line, found by one search from each end, is sliced out once and read as
+    bytes when it is canonical (``linform.parse_matrix_block``); the line
+    parser then reads only the lines around it.  A block that holds another
+    ``mask`` line is not canonical.  Any other text, and any defect, goes
+    through the line parser alone, so every error message is the line
+    parser's.
     """
     head = text.find("\nmaximal ") + 1
-    tail = text.find("\nmask ", head) + 1 if head else 0
+    tail = text.rfind("\nmask ", head) + 1 if head else 0
     if tail:
         try:
             cert = _parse_lines(text[:head], text[head:tail], text[tail:])

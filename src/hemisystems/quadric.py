@@ -49,9 +49,9 @@ maximals exactly when their codes, sorted, are the maximal codes, and then
 that one sort is the permutation.  Only otherwise are the image codes
 searched, to raise ActionEscape at the first maximal whose image is not a
 maximal of the quadric; a singular h escapes at once.  ``maximal_ids``,
-which resolves the members of a certificate, reduces only the matrices
-that are not already a maximal's RREF basis byte for byte, and searches
-their codes.
+which resolves the members of a certificate, searches the codes of every
+matrix whose rows are its points' unit vectors, by code, and reduces only
+the matrices that are not already a maximal's RREF basis.
 """
 
 from __future__ import annotations
@@ -381,15 +381,18 @@ class QuadricModel:
         band = np.searchsorted(self._rank_bounds, codes, side="right")
         return codes + np.take(self._rank_offsets, band)
 
-    def _lookup_units(self, units: np.ndarray) -> np.ndarray:
-        """Int32 point id of each row of a (..., n) stack of unit vectors or
-        zero rows, or -1 where the row is zero or not singular.
+    def _code_ids(self, codes: np.ndarray) -> np.ndarray:
+        """Int32 point id of each unit-vector code, or -1 where the vector is
+        zero or not singular.
 
-        Any other row reads some entry of the table, or, ranked past its
-        end and clipped, the closing -1.
+        The code of any other vector reads some entry of the table, or,
+        ranked past its end and clipped, the closing -1.
         """
-        ranks = self._unit_ranks(vector_codes(self.field.q, units))
-        return np.take(self.point_table, ranks, mode="clip")
+        return np.take(self.point_table, self._unit_ranks(codes), mode="clip")
+
+    def _lookup_units(self, units: np.ndarray) -> np.ndarray:
+        """``_code_ids`` of the rows of a (..., n) stack."""
+        return self._code_ids(vector_codes(self.field.q, units))
 
     def point_ids(self, vecs: np.ndarray) -> np.ndarray:
         """Int32 ids of the points spanned by the rows of an (N, n) stack.
@@ -401,26 +404,32 @@ class QuadricModel:
             raise ActionEscape("vector is not a singular point of the quadric")
         return pids
 
-    def _search_bases(self, red: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of the maximals whose RREF bases are the leading d rows of the
-        matrices of an (N, r, n) stack, and whether each one was found.
+    def _search_bases(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of the maximals whose RREF bases are the matrices of an
+        (N, d, n) stack, and whether each matrix is that basis.
 
-        Every row is looked up, so a row that is zero, not singular or
-        missing from the point table leaves its matrix unfound.  Rows that
-        are not unit vectors may be found as some other maximal.
+        Codes are injective on vectors, so a row is its point's unit vector
+        exactly when it has that point's code; a -1 reads the last point's
+        code, which only that point's own vector has.  So a matrix is a
+        maximal's RREF basis exactly when every row passes and the points'
+        maximal code is found.
         """
-        pids = self._lookup_units(red[:, :self.d])
-        ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids))
-        return ids, found & (pids >= 0).all(axis=1)
+        # (d, N), so that the checks run along the matrices
+        codes = vector_codes(self.field.q, rows.transpose(1, 0, 2))
+        pids = self._code_ids(codes)
+        ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids.T))
+        return ids, found & (np.take(self.point_codes, pids) == codes).all(axis=0)
 
     def maximal_ids(self, stack: np.ndarray) -> np.ndarray:
         """Ids of the maximals spanned by the matrices of an (N, r, n) stack.
 
         Any spanning set of a maximal resolves, whatever its row order or
-        scaling.  A matrix that equals a maximal's RREF basis byte for byte
-        is resolved by looking up its rows; only the rest are reduced.
-        Raises ActionEscape, with ``index`` the first offending matrix, when
-        a matrix does not span a maximal of the quadric.
+        scaling.  A matrix that is already a maximal's RREF basis, in that
+        its rows are its points' unit vectors, by code, and those points
+        spell a maximal code, is resolved by that lookup alone; only the
+        rest are reduced.  Raises ActionEscape, with ``index`` the first
+        offending matrix, when a matrix does not span a maximal of the
+        quadric.
         """
         d = self.d
         stack = np.asarray(stack, dtype=np.uint8)
@@ -430,13 +439,11 @@ class QuadricModel:
         canonical = np.zeros(len(stack), dtype=bool)
         if stack.shape[1] == d:
             ids, canonical = self._search_bases(stack)
-            same = self.maximal_bases[ids[canonical]] == stack[canonical]
-            canonical[canonical] = same.all(axis=(1, 2))
         rest = np.flatnonzero(~canonical)
         if rest.size:
             red, ranks = rref_batch(self.field, stack[rest])
             # the leading d RREF rows are unit vectors, or zero when the rank is short
-            ids[rest], found = self._search_bases(red)
+            ids[rest], found = self._search_bases(red[:, :d])
             bad = (ranks != d) | ~found
             if bad.any():
                 j = int(np.argmax(bad))

@@ -561,29 +561,52 @@ def line_parser_only(monkeypatch):
     monkeypatch.setattr(cli, "parse_matrix_block", lambda *args: None)
 
 
-def test_byte_and_line_parsers_agree_on_single_byte_edits(monkeypatch):
-    # every byte of the first and last member lines of a (3,3) certificate,
-    # and the line breaks around the block, replaced by each of these
-    prep = prepare(field_make(3), 3)
-    text = certificate_text(prep, 0, assemble(prep.report.split, 0))
+def byte_edits(text, p):
+    """Edits of the first and last member lines of a certificate, and of the
+    line breaks around the block: every byte replaced by each of a few, and
+    every two neighbours swapped, which moves a digit into the prefix or
+    into the place of another coefficient; at p >= 10 also a 0 put before
+    each digit, each coefficient set to 10, 010 and p, and each separator
+    dropped."""
     head = text.index("\nmaximal ")
     tail = text.index("\nmask ")
-    width = text.index("\n", head + 1) - head
-    where = [*range(head, head + width + 1), *range(tail - width, tail + 2)]
+    first_end, last_start = text.index("\n", head + 1), text.rindex("\n", 0, tail)
+    where = [*range(head, first_end + 1), *range(last_start, tail + 2)]
     edits = [text[:i] + c + text[i + 1:] for i in where for c in "03;|, x" if text[i] != c]
-    read = []
+    edits += [text[:i] + text[i + 1] + text[i] + text[i + 2:] for i in where]
+    if p >= 10:
+        edits += [text[:i] + "0" + text[i:] for i in where if text[i].isdigit()]
+        edits += [text[:i] + text[i + 1:] for i in where if text[i] in ",;|"]
+        starts = [i for i in where if text[i].isdigit() and not text[i - 1].isdigit()]
+        edits += [
+            text[:i] + c + text[i:].lstrip("0123456789")
+            for i in starts
+            for c in ("10", "010", str(p))
+        ]
+    return edits
+
+
+def test_byte_and_line_parsers_agree_on_single_byte_edits(monkeypatch):
+    # the fixed-width reader at (3,3), and the reader of one- and two-digit
+    # coefficients at p = 11 and 13, d = 2
     real = cli.parse_matrix_block
-    monkeypatch.setattr(
-        cli, "parse_matrix_block", lambda *args: read.append(real(*args)) or read[-1]
-    )
-    got = [parse_outcome(t) for t in edits]
-    # a nonzero digit edited to 0 leaves the block canonical
-    assert any(r is not None for r in read)
-    line_parser_only(monkeypatch)
-    want = [parse_outcome(t) for t in edits]
-    for t, g, w in zip(edits, got, want):
-        assert g == w, t[head - 20: tail + 8]
-    assert "ParseError" in want and want.count("ParseError") < len(want)
+    for p, d in ((3, 3), (11, 2), (13, 2)):
+        prep = prepare(field_make(p), d)
+        text = certificate_text(prep, 0, assemble(prep.report.split, 0))
+        edits = byte_edits(text, p)
+        read = []
+        monkeypatch.setattr(
+            cli, "parse_matrix_block", lambda *args: read.append(real(*args)) or read[-1]
+        )
+        got = [parse_outcome(t) for t in edits]
+        # a nonzero digit edited to 0 leaves the block canonical
+        assert any(r is not None for r in read)
+        line_parser_only(monkeypatch)
+        want = [parse_outcome(t) for t in edits]
+        head, tail = text.index("\nmaximal "), text.index("\nmask ")
+        for t, g, w in zip(edits, got, want):
+            assert g == w, t[head - 20: tail + 8]
+        assert "ParseError" in want and want.count("ParseError") < len(want)
 
 
 def test_non_canonical_spellings_verify(capsys, tmp_path, cert_pair):
@@ -602,7 +625,7 @@ def test_non_canonical_spellings_verify(capsys, tmp_path, cert_pair):
         assert rc == 0 and "verified" in out
 
 
-@pytest.mark.parametrize("p, k, d", [(5, 1, 3), (5, 2, 2)])
+@pytest.mark.parametrize("p, k, d", [(5, 1, 3), (5, 2, 2), (11, 1, 2), (13, 1, 2)])
 def test_canonical_member_block_is_read_as_bytes(monkeypatch, p, k, d):
     prep = prepare(field_make(p, k), d)
     ids = assemble(prep.report.split, 1)

@@ -286,6 +286,80 @@ def test_maximal_ids_reduces_only_the_bases_that_are_not_canonical(monkeypatch, 
         assert exc.value.index == at
 
 
+def reference_ids(qm, stack):
+    """The id of the maximal each matrix spans, by the scalar ``rref`` and a
+    dict of the RREF bases, or None where it spans no maximal."""
+    bases = {b.tobytes(): i for i, b in enumerate(qm.maximal_bases)}
+    out = []
+    for M in stack:
+        R, _ = rref(qm.field, M)
+        out.append(bases.get(R.tobytes()) if len(R) == qm.d else None)
+    return out
+
+
+def aliased_basis(qm):
+    """A maximal and d rows, none of them a unit vector, whose table lookups
+    read that maximal's basis points, found by search over every vector."""
+    F = qm.field
+    vecs = all_vectors(F.q, qm.dim)[1:]
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    others = vecs[lead != 1]
+    pids = qm._lookup_units(others)
+    alias = {}
+    for v, pid in zip(others, pids.tolist()):
+        alias.setdefault(pid, v)
+    for j, points in enumerate(qm.basis_points.tolist()):
+        if all(pid in alias for pid in points):
+            return j, np.stack([alias[pid] for pid in points])
+    raise AssertionError("no maximal has an aliased basis")
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 1, 3), (3, 2, 2)])
+def test_maximal_ids_by_codes_agree_with_a_scalar_reduction(p, k, d):
+    # a matrix is taken as a maximal's RREF basis by its rows' codes and the
+    # maximal code they spell; every other spelling is reduced, and both
+    # must agree with the scalar rref of each matrix looked up among the bases
+    qm = qmodel(p, k, d)
+    F = qm.field
+    rng = np.random.default_rng(11)
+    j, aliased = aliased_basis(qm)
+    assert (qm._lookup_units(aliased) == qm.basis_points[j]).all()
+    assert (aliased != qm.maximal_bases[j]).any(axis=1).all()
+    units = all_vectors(F.q, qm.dim)[1:]
+    units = units[units[np.arange(len(units)), np.argmax(units != 0, axis=1)] == 1]
+    outside = units[qm._lookup_units(units) < 0]
+    cases = [aliased]
+    for i in rng.choice(qm.num_maximals, min(qm.num_maximals, 40), replace=False):
+        B = qm.maximal_bases[i]
+        r = int(rng.integers(d))
+        swapped = B[np.roll(np.arange(d), 1)]
+        scaled = B.copy()
+        scaled[r] = F.mul_table[int(rng.integers(2, F.q)), B[r]]
+        others = np.setdiff1d(qm.maximal_points[i], qm.basis_points[i])
+        replaced = B.copy()
+        replaced[r] = qm.points[rng.choice(others)]
+        zero_row = B.copy()
+        zero_row[r] = 0
+        not_singular = B.copy()
+        not_singular[r] = outside[rng.integers(len(outside))]
+        cases += [B, swapped, scaled, replaced, zero_row, not_singular]
+    stack = np.stack(cases)
+    want = reference_ids(qm, stack)
+    assert want[0] != j  # the aliased rows do not span the maximal they spell
+    for M, w in zip(stack, want):
+        if w is None:
+            with pytest.raises(ActionEscape) as exc:
+                qm.maximal_ids(M[None])
+            assert exc.value.index == 0
+        else:
+            assert qm.maximal_ids(M[None]).tolist() == [w]
+    good = [i for i, w in enumerate(want) if w is not None]
+    assert qm.maximal_ids(stack[good]).tolist() == [want[i] for i in good]
+    with pytest.raises(ActionEscape) as exc:
+        qm.maximal_ids(stack)
+    assert exc.value.index == want.index(None)
+
+
 @pytest.mark.parametrize("p,k,d", ALL_DESK)
 def test_point_table_matches_a_binary_search_oracle(p, k, d):
     # every nonzero vector, scaled to its unit multiple, is found by the

@@ -6,8 +6,9 @@ orbits and tau without building A again, index two decided by one function and
 an AB report without flags beside its witness, a standard model that scans no vectors,
 point lookups by table, not by binary search, a prepare that builds no incidence
 index, reduces only the enumerated maximals, searches no maximal codes and leaves
-numpy.ma unimported, and no module-level function or class that only the tests
-use."""
+numpy.ma unimported, canonical certificate members resolved without reading the
+bases, line layouts and element strings built once per stream, and no
+module-level function or class that only the tests use."""
 
 import argparse
 import ast
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemisystems import groups, hemi, linform, quadric
+from hemisystems import cli, groups, hemi, linform, quadric
 from hemisystems.cli import build_parser
 from hemisystems.gf import field_make
 
@@ -340,6 +341,37 @@ def test_prepare_builds_no_incidence_index(d):
     assert "maximal_points" not in pr.qm.__dict__
     assert hemi.verify_hemisystem(pr.qm, hemi.assemble(pr.report.split, 0)).ok
     assert pr.qm.__dict__["maximal_points"] is pr.qm.maximal_points
+
+
+def test_canonical_members_are_resolved_without_reading_the_bases(monkeypatch):
+    # a canonical member is its maximal's RREF basis exactly when its rows'
+    # codes are its points' codes, so resolving one gathers no basis
+    pr = hemi.prepare(field_make(5), 3)
+    ids = hemi.assemble(pr.report.split, 1)
+    cert = cli.parse_certificate(cli.certificate_text(pr, 1, ids))
+
+    class Unread:
+        def __getitem__(self, key):
+            pytest.fail("resolve_members indexed qm.maximal_bases")
+
+    monkeypatch.setattr(pr.qm, "maximal_bases", Unread())
+    got, reason = cli.resolve_members(cert, pr.qm)
+    assert reason is None and np.array_equal(got, ids)
+
+
+def test_a_stream_of_certificates_builds_each_layout_once():
+    # the line layout and the element strings are cached per field, shape
+    # and prefix, so writing and reading three certificates builds each once
+    pr = hemi.prepare(field_make(5), 3)
+    linform._line_layout.cache_clear()
+    linform._element_strings.cache_clear()
+    for mask in (0, 1, 2):
+        ids = hemi.assemble(pr.report.split, mask)
+        cert = cli.parse_certificate(cli.certificate_text(pr, mask, ids))
+        cli.check_certificate_header(cert, pr.qm)
+        assert np.array_equal(cli.resolve_members(cert, pr.qm)[0], ids)
+    assert linform._line_layout.cache_info().misses == 1
+    assert linform._element_strings.cache_info().misses == 1
 
 
 def test_every_module_level_definition_is_used_in_the_package():
