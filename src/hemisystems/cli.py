@@ -6,53 +6,33 @@ Exit codes form a stable contract for CI:
 * 1 -- rejected (a certificate or construction failed verification),
 * 2 -- usage or parse error (bad flags, malformed file, header mismatch).
 
-Certificates are line-oriented text.  Header lines carry the field, the
-rank, the Gram matrix, the expected counts, and the generators of the
-orbit group; then one ``maximal`` line per member holding its RREF basis
-matrix in row-major serialization; then the mask; then ``end``.  The
-verifier rebuilds the whole geometry from the header and re-derives every
-member id from the subspace its matrix spans, so any basis of a maximal is
-accepted -- a certificate is a claim, not a proof, until re-checked.
+A certificate is the line-oriented ASCII text that ``construct`` writes
+and ``verify`` re-derives; its format is ``hemisystems.certificate``'s.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import Field, field_make
-from .groups import embed_w_block, w_vector_orbits
-from .hemi import Prepared, assemble, prepare, verify_hemisystem
-from .linform import (
-    BadMatrix,
-    format_matrices,
-    format_matrix,
-    format_matrix_block,
-    identity,
-    mat_mul,
-    parse_matrices,
-    parse_matrix_block,
-    standard_model,
-    witt_index,
+from .certificate import (
+    ParseError,
+    certificate_text,
+    check_certificate_header,
+    parse_certificate,
+    parse_mask,
+    parse_modulus,
+    resolve_members,
 )
-from .orbits import ActionEscape, partition
+from .gf import Field, field_make
+from .groups import w_vector_orbits
+from .hemi import Prepared, assemble, prepare, verify_hemisystem
+from .linform import identity, mat_mul, standard_model, witt_index
+from .orbits import partition
 from .quadric import QuadricModel, maximal_count, point_count, require_memory
-
-CERT_MAGIC = "hemisystem-certificate"
-CERT_VERSION = 1
-
-
-class ParseError(ValueError):
-    """The certificate file (or a flag value) is not well-formed."""
-
-
-class ModelMismatch(ValueError):
-    """A certificate header disagrees with the recomputed geometry."""
 
 
 class VerificationFailed(RuntimeError):
@@ -60,246 +40,15 @@ class VerificationFailed(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# run configuration and output
 
 
 def _make_field(ns: argparse.Namespace) -> Field:
     """GF(p^k) from the field flags, once --modulus parses and the rank --d is at least 2."""
-    modulus = None if ns.modulus is None else _parse_modulus(ns.modulus)
+    modulus = None if ns.modulus is None else parse_modulus(ns.modulus)
     if ns.d < 2:
         raise ParseError(f"rank d={ns.d} must be >= 2")
     return field_make(ns.p, ns.k, modulus)
-
-
-def _parse_mask(text: str) -> int:
-    s = text.strip().lower()
-    if s.startswith("0x"):
-        s = s[2:]
-    if not s:
-        raise ParseError("mask is empty")
-    # int(s, 16) alone would also take a sign and underscores
-    if not re.fullmatch("[0-9a-f]+", s):
-        raise ParseError(f"mask {text!r} is not hexadecimal")
-    return int(s, 16)
-
-
-def _parse_modulus(text: str) -> tuple:
-    try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
-        raise ParseError(
-            f"modulus {text!r} must be comma-separated integers (low degree first)"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
-# certificate serialization
-
-
-def certificate_text(prep: Prepared, mask: int, member_ids: np.ndarray) -> str:
-    """Serialize one verified hemisystem as a line-oriented certificate."""
-    F = prep.field
-    split = prep.report.split
-    lines = [f"{CERT_MAGIC} {CERT_VERSION}"]
-    lines.append(f"field {F.p} {F.k} {','.join(str(c) for c in F.modulus)}")
-    lines.append(f"rank {prep.model.d}")
-    lines.append(f"gram {format_matrix(F, prep.model.space.gram)}")
-    lines.append(f"counts {prep.qm.num_points} {prep.qm.num_maximals}")
-    lines.append(f"degree {prep.qm.target_degree}")
-    lines.append(f"orbits {len(split.pairs)} {split.partition.n_orbits}")
-    gens = embed_w_block(F, prep.b.generators, prep.model.dim)
-    lines += [f"generator {s}" for s in format_matrices(F, gens)]
-    members = prep.qm.maximal_bases[np.asarray(member_ids, dtype=np.int64)]
-    block = format_matrix_block(F, members, "maximal ")
-    return "\n".join(lines) + "\n" + block + f"mask {mask:x} {len(split.pairs)}\nend\n"
-
-
-@dataclass
-class Certificate:
-    """Parsed form of a certificate file; nothing in it is trusted yet."""
-
-    field: Field
-    d: int
-    gram: np.ndarray
-    num_points: int
-    num_maximals: int
-    degree: int
-    m: int
-    n_b: int
-    generators: np.ndarray  # (g, 2d + 1, 2d + 1) stack of the orbit group's generators
-    members: np.ndarray  # (N, d, 2d + 1) stack of the claimed members' bases
-    mask: int
-
-
-def _numbered(text: str, first: int = 1) -> list[tuple[int, str]]:
-    """The nonblank lines of a text, stripped, each with its line number in the file."""
-    return [(no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), first) if ln]
-
-
-def parse_certificate(text: str) -> Certificate:
-    """Parse certificate text; raise ParseError on any structural defect.
-
-    The member block, from the first ``maximal`` line to the last ``mask``
-    line, found by one search from each end, is sliced out once and read as
-    bytes when it is canonical (``linform.parse_matrix_block``); the line
-    parser then reads only the lines around it.  A block that holds another
-    ``mask`` line is not canonical.  Any other text, and any defect, goes
-    through the line parser alone, so every error message is the line
-    parser's.
-    """
-    head = text.find("\nmaximal ") + 1
-    tail = text.rfind("\nmask ", head) + 1 if head else 0
-    if tail:
-        try:
-            cert = _parse_lines(text[:head], text[head:tail], text[tail:])
-        except ParseError:
-            cert = None
-        if cert is not None:
-            return cert
-    return _parse_lines(text)
-
-
-def _parse_lines(head: str, block: str | None = None, tail: str = "") -> Certificate | None:
-    """Parse a certificate line by line, or, given a member block, the lines
-    around it; None when that block (or what precedes it) is not canonical."""
-    lines = _numbered(head)
-    if not lines:
-        raise ParseError("empty certificate")
-
-    def split_line(i: int, tag: str, n_fields: int) -> list[str]:
-        if i >= len(lines):
-            raise ParseError(f"truncated certificate: missing {tag!r} line")
-        no, line = lines[i]
-        parts = line.split()
-        if parts[0] != tag:
-            raise ParseError(f"line {no}: expected {tag!r}, got {parts[0]!r}")
-        if len(parts) != n_fields + 1:
-            raise ParseError(f"line {no}: {_takes(tag, n_fields)}")
-        return parts[1:]
-
-    def as_int(token: str, what: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ParseError(f"{what} {token!r} is not an integer") from None
-
-    magic = split_line(0, CERT_MAGIC, 1)
-    if as_int(magic[0], "version") != CERT_VERSION:
-        raise ParseError(f"unsupported certificate version {magic[0]}")
-
-    p_s, k_s, mod_s = split_line(1, "field", 3)
-    p, k = as_int(p_s, "p"), as_int(k_s, "k")
-    modulus = _parse_modulus(mod_s)
-    try:
-        F = field_make(p, k, modulus)
-    except ValueError as exc:
-        raise ParseError(f"bad field header: {exc}") from None
-
-    d = as_int(split_line(2, "rank", 1)[0], "rank")
-    if d < 2:
-        raise ParseError(f"rank {d} out of range")
-    dim = 2 * d + 1
-
-    def matrices(tokens: list[str], rows: int, what: str, first: int | None = None) -> np.ndarray:
-        """Parse matrices; a misshapen one of those read from lines[first:] is
-        named by its line in the file."""
-        try:
-            return parse_matrices(F, tokens, rows, dim)
-        except ValueError as exc:
-            named = first is not None and isinstance(exc, BadMatrix)
-            at = f"line {lines[first + exc.index][0]}: " if named else ""
-            raise ParseError(f"{at}bad {what} matrix: {exc}") from None
-
-    gram = matrices(split_line(3, "gram", 1), dim, "gram")[0]
-    np_s, nm_s = split_line(4, "counts", 2)
-    num_points, num_maximals = as_int(np_s, "points"), as_int(nm_s, "maximals")
-    degree = as_int(split_line(5, "degree", 1)[0], "degree")
-    m_s, nb_s = split_line(6, "orbits", 2)
-    m, n_b = as_int(m_s, "m"), as_int(nb_s, "n_b")
-
-    def tagged(start: int, tag: str, rows: int) -> tuple[int, np.ndarray]:
-        """The matrices, one per field, of the consecutive lines from ``start`` with this tag."""
-        i = start
-        while i < len(lines) and lines[i][1].startswith(tag + " "):
-            i += 1
-        fields = " ".join(ln for _, ln in lines[start:i]).split()
-        if len(fields) != 2 * (i - start):
-            bad = next(no for no, ln in lines[start:i] if len(ln.split()) != 2)
-            raise ParseError(f"line {bad}: {_takes(tag, 1)}")
-        return i, matrices(fields[1::2], rows, tag, start)
-
-    i, generators = tagged(7, "generator", dim)
-    if block is None:
-        i, members = tagged(i, "maximal", d)
-        if not len(members):
-            raise ParseError("certificate lists no maximals")
-    else:
-        # the generators must end the head, as the member block follows them
-        members = parse_matrix_block(F, block, d, dim, "maximal ") if i == len(lines) else None
-        if members is None:
-            return None
-        lines += _numbered(tail, len(head.splitlines()) + len(members) + 1)
-
-    mask_s, mbits_s = split_line(i, "mask", 2)
-    mask = _parse_mask(mask_s)
-    if as_int(mbits_s, "mask width") != m:
-        raise ParseError("mask width disagrees with the orbits header")
-    if mask >= 2**m:
-        raise ParseError(f"mask has more than {m} bits")
-    i += 1
-    split_line(i, "end", 0)
-    if i + 1 != len(lines):
-        raise ParseError("trailing lines after 'end'")
-    return Certificate(
-        F, d, gram, num_points, num_maximals, degree, m, n_b, generators, members, mask
-    )
-
-
-def _takes(tag: str, n_fields: int) -> str:
-    return f"{tag!r} takes {n_fields} field{'' if n_fields == 1 else 's'}"
-
-
-def check_certificate_header(cert: Certificate, qm: QuadricModel) -> None:
-    """Raise ModelMismatch when the header disagrees with the geometry."""
-    F = cert.field
-    if F != qm.field:
-        raise ModelMismatch(f"field header {F!r} differs from the model's {qm.field!r}")
-    gram = qm.model.space.gram
-    if not np.array_equal(cert.gram, gram):
-        raise ModelMismatch("Gram header differs from the standard-basis form")
-    if cert.num_points != qm.num_points or cert.num_maximals != qm.num_maximals:
-        raise ModelMismatch(
-            f"counts header {cert.num_points}/{cert.num_maximals} differ from "
-            f"recomputed {qm.num_points}/{qm.num_maximals}"
-        )
-    if cert.degree != qm.target_degree:
-        raise ModelMismatch(
-            f"degree header {cert.degree} differs from (t+1)/2 = {qm.target_degree}"
-        )
-    if cert.n_b != 2 * cert.m:
-        raise ModelMismatch("orbits header violates n_b = 2m")
-    moved = (qm.model.space.restrict_gram(cert.generators) != gram).any(axis=(1, 2))
-    if moved.any():
-        raise ModelMismatch(f"generator {np.argmax(moved)} is not an isometry of the form")
-
-
-def resolve_members(cert: Certificate, qm: QuadricModel):
-    """Re-derive member ids from the subspaces their matrices span.
-
-    Returns (ids, None) on success or (None, reason) when some claimed
-    member is not a maximal of the quadric or appears twice.
-    """
-    try:
-        ids = qm.maximal_ids(cert.members)
-    except ActionEscape as exc:
-        return None, f"member {exc.index} is not a maximal of the quadric"
-    if np.bincount(ids, minlength=qm.num_maximals).max() > 1:
-        return None, "duplicate members"
-    return ids, None
-
-
-# ---------------------------------------------------------------------------
-# output helpers
 
 
 def _emit(ns: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
@@ -391,7 +140,7 @@ def cmd_orbits(ns: argparse.Namespace) -> int:
 
 def cmd_construct(ns: argparse.Namespace) -> int:
     F = _make_field(ns)
-    mask = _parse_mask(ns.mask)
+    mask = parse_mask(ns.mask)
     prep = prepare(F, ns.d)
     rep = prep.report
     if not rep.ok:
@@ -443,7 +192,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         text = sys.stdin.read()
     else:
         try:
-            with open(ns.path, "r", encoding="ascii") as fh:
+            # a non-ASCII byte reads as U+FFFD, which parse_certificate
+            # refuses by its line, as it refuses any non-ASCII text on stdin
+            with open(ns.path, "r", encoding="ascii", errors="replace") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ParseError(f"cannot read certificate: {exc}") from None
@@ -702,7 +453,7 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ModelMismatch, ValueError) as exc:
+    except ValueError as exc:  # ParseError and ModelMismatch among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

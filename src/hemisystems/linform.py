@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from itertools import repeat
 from types import MappingProxyType
 
@@ -348,163 +347,6 @@ def parse_matrices(F: Field, tokens: list[str], rows: int, cols: int) -> np.ndar
 
 def format_matrix(F: Field, A: np.ndarray) -> str:
     return format_matrices(F, as_mat(A)[None])[0]
-
-
-@functools.lru_cache(maxsize=None)
-def _line_layout(F: Field, rows: int, cols: int, prefix: str) -> tuple[np.ndarray, np.ndarray]:
-    """The bytes of the line ``prefix`` + the zero matrix + newline, and the
-    largest value that line XOR a canonical line takes at each byte when
-    p < 10: p - 1 at a digit and 0 elsewhere.  Built once per field, shape
-    and prefix; both arrays are read only.
-
-    When p < 10 every coefficient is one digit followed by one separator,
-    so coefficient i of entry j of every canonical line of this shape is
-    the byte len(prefix) + 2 (j k + i); only the digits differ from this
-    line.  ``prefix`` holds no digit.
-    """
-    zero = format_matrix(F, np.zeros((rows, cols), dtype=np.uint8))
-    line = np.frombuffer(f"{prefix}{zero}\n".encode("ascii"), dtype=np.uint8)
-    top = np.where(line == ord("0"), F.p - 1, 0).astype(np.uint8)
-    top.setflags(write=False)
-    return line, top
-
-
-def format_matrix_block(F: Field, stack: np.ndarray, prefix: str) -> str:
-    """One line ``prefix`` + matrix per matrix of an (N, rows, cols) stack,
-    each ending in a newline, in ``format_matrices``' spelling.
-
-    When p < 10 the lines are written into one byte array from the cached
-    ``_line_layout``, coefficient i of element a being floor(a / p^i) mod p;
-    otherwise they are joined from ``format_matrices``, whose element
-    strings are cached per field.
-    """
-    stack = np.asarray(stack, dtype=np.uint8)
-    N, rows, cols = stack.shape
-    p, k = F.p, F.k
-    if p >= 10:
-        return "".join(f"{prefix}{s}\n" for s in format_matrices(F, stack))
-    line, _ = _line_layout(F, rows, cols, prefix)
-    out = np.empty((N, line.size), dtype=np.uint8)
-    out[:] = line
-    flat = stack.reshape(N, -1)
-    for i in range(k):
-        c = flat // p**i
-        # c mod p; NumPy's uint8 % by a scalar is some 20x slower than //
-        out[:, len(prefix) + 2 * i::2 * k] = c - c // p * p + ord("0")
-    return out.tobytes().decode("ascii")
-
-
-def parse_matrix_block(F: Field, block: str, rows: int, cols: int, prefix: str) -> np.ndarray | None:
-    """Read lines as ``format_matrix_block`` writes them into an (N, rows, cols) stack.
-
-    Returns None unless the block is one or more canonical lines of that
-    shape and prefix, so that the caller reads any other text another way.
-    When p < 10 the block is one (N, line) byte array, XORed with the
-    cached ``_line_layout`` line and checked against its bound: the wrong
-    length, a wrong separator, a non-digit, a digit >= p or a non-ASCII
-    character gives None.  When p >= 10 a coefficient has one to three
-    digits, and ``_parse_wide_block`` reads the lines 65,536 at a time.
-    """
-    if not block.isascii():
-        return None
-    buf = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
-    p, k = F.p, F.k
-    if p >= 10:
-        coeffs = _parse_wide_block(F, buf, rows, cols, prefix)
-    else:
-        line, top = _line_layout(F, rows, cols, prefix)
-        if not buf.size or buf.size % line.size:
-            return None
-        bits = buf.reshape(-1, line.size) ^ line
-        # a digit XOR '0' is its value, and any other byte XOR '0' is 10 or more
-        coeffs = None if (bits > top).any() else bits[:, len(prefix)::2]
-    if coeffs is None:
-        return None
-    # coefficient i of entry j is column j k + i, and an element is sum c_i p^i
-    acc = coeffs[:, k - 1::k].astype(np.uint8)
-    for i in range(k - 2, -1, -1):
-        acc *= p
-        acc += coeffs[:, i::k]
-    return acc.reshape(len(acc), rows, cols)
-
-
-_CHUNK_LINES = 65536
-
-
-@functools.lru_cache(maxsize=None)
-def _wide_template(F: Field, rows: int, cols: int, prefix: str) -> tuple[np.ndarray, np.ndarray]:
-    """The non-digit bytes of a canonical line, in order, and for each one
-    whether a coefficient precedes it; built once, read only."""
-    line, _ = _line_layout(F, rows, cols, prefix)
-    other = line != ord("0")
-    at = np.flatnonzero(other)
-    # the byte before the first is the previous line's newline
-    template = line[at], ~other[at - 1]
-    for a in template:
-        a.setflags(write=False)
-    return template
-
-
-def _parse_wide_block(
-    F: Field, buf: np.ndarray, rows: int, cols: int, prefix: str
-) -> np.ndarray | None:
-    """The coefficients of a block of canonical lines at p >= 10, one row of
-    rows·cols·k per line, or None.
-
-    The lines are read 65,536 at a time.  A chunk's non-digit bytes must be
-    the template's, line by line, and its digit runs must stand exactly
-    where the template has a coefficient: one to as many digits as p - 1
-    has, with no leading zero unless the run is a lone 0.  The runs are then
-    read by ``np.fromstring`` with every other byte mapped to a space, and
-    there must be one value below p per coefficient.  The masks hold a byte
-    per byte of the chunk, and the positions of its non-digits 8 bytes each.
-    """
-    if not buf.size or buf[-1] != ord("\n"):
-        return None
-    want, has_coeff = _wide_template(F, rows, cols, prefix)
-    width, n = len(str(F.p - 1)), rows * cols * F.k
-    # the line ends, found 16 MB at a time so that the mask stays small
-    window = 1 << 24
-    ends = np.concatenate(
-        [np.flatnonzero(buf[s:s + window] == ord("\n")) + s for s in range(0, buf.size, window)]
-    )
-    out = np.empty((ends.size, n), dtype=np.uint8)
-    start = 0
-    for first in range(0, ends.size, _CHUNK_LINES):
-        last = min(first + _CHUNK_LINES, ends.size)
-        chunk = buf[start:ends[last - 1] + 1]
-        start = ends[last - 1] + 1
-        lines = last - first
-        # bytes below '0' wrap around to 208 and up
-        digit = chunk - np.uint8(ord("0")) < 10
-        # whether the byte before is a digit; the one before the chunk is a newline
-        after_digit = np.empty_like(digit)
-        after_digit[0], after_digit[1:] = False, digit[:-1]
-        other = np.flatnonzero(~digit)
-        seen = chunk[other]
-        if seen.size != lines * want.size or (seen.reshape(lines, -1) != want).any():
-            return None
-        if (after_digit[other].reshape(lines, -1) != has_coeff).any():
-            return None
-        # a run of more than ``width`` digits, or one led by a 0
-        long = digit[width:].copy()
-        for i in range(width):
-            long &= digit[i:i - width]
-        if long.any() or (digit[1:] & ~after_digit[:-1] & (chunk[:-1] == ord("0"))).any():
-            return None
-        spaced = chunk.copy()
-        spaced[other] = ord(" ")
-        try:
-            with warnings.catch_warnings():
-                # older NumPy warns on unmatched data and returns what it read
-                warnings.simplefilter("error", DeprecationWarning)
-                values = np.fromstring(spaced.tobytes(), dtype=np.uint16, sep=" ")
-        except (ValueError, DeprecationWarning):
-            return None
-        if values.size != lines * n or values.max() >= F.p:
-            return None
-        out[first:last] = values.reshape(lines, n)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import element_orders, normal_form_cases
-from hemisystems.cli import (
+from hemisystems.certificate import (
     certificate_text,
     check_certificate_header,
-    main,
     parse_certificate,
     resolve_members,
 )
+from hemisystems.cli import main
 from hemisystems.gf import field_make
 from hemisystems.hemi import (
     assemble,

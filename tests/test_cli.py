@@ -14,15 +14,15 @@ import numpy as np
 import pytest
 
 from hemibench.workloads import RUNGS
-from hemisystems import cli
-from hemisystems.cli import (
+from hemisystems import certificate
+from hemisystems.certificate import (
     CERT_MAGIC,
     ParseError,
     certificate_text,
-    main,
     parse_certificate,
     resolve_members,
 )
+from hemisystems.cli import main
 from hemisystems import hemi
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block
@@ -414,6 +414,39 @@ def test_verify_reads_stdin(capsys, monkeypatch, cert_pair):
     assert "verified" in out
 
 
+NON_ASCII_EDITS = {
+    # int() reads any Unicode digit, so the line parser alone would take
+    # U+0661 (ARABIC-INDIC DIGIT ONE) for a 1 and U+0662 for a 2
+    "member element": ("maximal ", "1", "\u0661"),
+    "header integer": ("rank ", "2", "\u0662"),
+}
+
+
+def non_ascii_edit(text, edit):
+    """The text with one digit of the first line of a tag replaced by a
+    non-ASCII digit, and that line's number."""
+    tag, old, new = NON_ASCII_EDITS[edit]
+    lines = text.splitlines(keepends=True)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(tag))
+    lines[i] = lines[i].replace(old, new, 1)
+    return "".join(lines), i + 1
+
+
+@pytest.mark.parametrize("edit", sorted(NON_ASCII_EDITS))
+def test_non_ascii_certificates_exit_2_alike_on_stdin_and_from_a_path(
+    capsys, monkeypatch, tmp_path, cert_pair, edit
+):
+    # the format is ASCII: parse_certificate refuses any other text by its
+    # first such line, whether it came from stdin or from a file
+    text, no = non_ascii_edit(cert_pair["0"].read_text(), edit)
+    path = tmp_path / "non_ascii.txt"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    want = (2, "", f"error: line {no}: non-ASCII character\n")
+    assert run(capsys, "verify") == want
+    assert run(capsys, "verify", str(path)) == want
+
+
 def test_verify_rejects_tampered_member_with_histogram(capsys, tmp_path, cert_pair):
     base = cert_pair["0"].read_text()
     other = cert_pair["7"].read_text()
@@ -558,7 +591,7 @@ def parse_outcome(text):
 
 
 def line_parser_only(monkeypatch):
-    monkeypatch.setattr(cli, "parse_matrix_block", lambda *args: None)
+    monkeypatch.setattr(certificate, "parse_matrix_block", lambda *args: None)
 
 
 def byte_edits(text, p):
@@ -589,14 +622,14 @@ def byte_edits(text, p):
 def test_byte_and_line_parsers_agree_on_single_byte_edits(monkeypatch):
     # the fixed-width reader at (3,3), and the reader of one- and two-digit
     # coefficients at p = 11 and 13, d = 2
-    real = cli.parse_matrix_block
+    real = certificate.parse_matrix_block
     for p, d in ((3, 3), (11, 2), (13, 2)):
         prep = prepare(field_make(p), d)
         text = certificate_text(prep, 0, assemble(prep.report.split, 0))
         edits = byte_edits(text, p)
         read = []
         monkeypatch.setattr(
-            cli, "parse_matrix_block", lambda *args: read.append(real(*args)) or read[-1]
+            certificate, "parse_matrix_block", lambda *args: read.append(real(*args)) or read[-1]
         )
         got = [parse_outcome(t) for t in edits]
         # a nonzero digit edited to 0 leaves the block canonical
@@ -633,14 +666,14 @@ def test_canonical_member_block_is_read_as_bytes(monkeypatch, p, k, d):
     with monkeypatch.context() as patch:
         line_parser_only(patch)
         by_lines = certificate_fields(parse_certificate(text))
-    real = cli.parse_matrices
+    real = certificate.parse_matrices
 
     def members_refused(F, tokens, rows, cols):
         if rows == d:
             raise AssertionError("the member block went through parse_matrices")
         return real(F, tokens, rows, cols)
 
-    monkeypatch.setattr(cli, "parse_matrices", members_refused)
+    monkeypatch.setattr(certificate, "parse_matrices", members_refused)
     cert = parse_certificate(text)
     assert certificate_fields(cert) == by_lines
     assert np.array_equal(cert.members, prep.qm.maximal_bases[ids])
@@ -692,7 +725,7 @@ def test_resolve_members_mixes_canonical_and_rewritten_bases():
     # ids are the certificate's, and a bad member is named by its own index
     prep = prepare(field_make(3), 3)
     ids = assemble(prep.report.split, 0)
-    cert = parse_certificate(cli.certificate_text(prep, 0, ids))
+    cert = parse_certificate(certificate_text(prep, 0, ids))
     F, members = cert.field, cert.members
     members[1::3] = F.mul_table[2, members[1::3]]
     members[2::5] = members[2::5, ::-1]

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hemisystems import gf
-from hemisystems.cli import CERT_MAGIC, ParseError, main, parse_certificate
+from hemisystems.certificate import CERT_MAGIC, ParseError, parse_certificate
+from hemisystems.cli import main
 from hemisystems.gf import (
     DivisionByZero,
     Field,

@@ -590,10 +590,6 @@ PARITY_TOKENS = {
 }
 
 
-def reference_block(F, stack, prefix):
-    return "".join(f"{prefix}{reference_format(F, M)}\n" for M in stack)
-
-
 # one-digit coefficients (p < 10) at k = 1, 2, 3, and p = 11, 13
 SERIALIZED_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3), (7, 2), (11, 1), (13, 1)]
 
@@ -614,13 +610,6 @@ def test_matrix_serialization_roundtrip():
         assert np.array_equal(lf.parse_matrices(F, texts, 3, 5), stack)
         assert lf.parse_matrices(F, [], 3, 5).shape == (0, 3, 5)
 
-        # the block: the same text, read back as bytes at every p
-        block = lf.format_matrix_block(F, stack, "maximal ")
-        assert block == reference_block(F, stack, "maximal ")
-        back = lf.parse_matrix_block(F, block, 3, 5, "maximal ")
-        assert np.array_equal(back, stack)
-        assert back.dtype == np.uint8
-
         tokens = PARITY_TOKENS.get(k, [])
         # a stack holds exactly when every token parses as a 2x3 matrix
         good = outcome(reference_parse, F, tokens[0], (2, 3)) if tokens else None
@@ -629,74 +618,3 @@ def test_matrix_serialization_roundtrip():
             expect = "rejected" if want == "rejected" else [good] * 3 + [want] + [good] * 3
             got = outcome(lf.parse_matrices, F, [tokens[0]] * 3 + [tok] + [tokens[0]] * 3, 2, 3)
             assert got == expect, tok
-
-
-def test_matrix_block_reader_refuses_what_it_cannot_read_as_written():
-    F = field_make(3, 2)
-    stack = np.random.default_rng(3).integers(0, F.q, size=(4, 2, 5)).astype(np.uint8)
-    block = lf.format_matrix_block(F, stack, "maximal ")
-    assert np.array_equal(lf.parse_matrix_block(F, block, 2, 5, "maximal "), stack)
-    line = len(block) // 4
-    for bad in (
-        "",  # no lines
-        block[:-1],  # a short last line
-        block + "\n",  # a blank line
-        block.replace("\n", "\r\n"),  # CRLF
-        block.replace("maximal 0,", "maximal 00,", 1),  # a two-digit coefficient
-        block[:line] + "maximal  " + block[line + 8:-1],  # a doubled space
-        block.replace(";", "|", 1),  # a wrong separator
-        block.replace("1", "3", 1),  # a digit >= p
-        block.replace("1", "\u0661", 1),  # a non-ASCII digit
-    ):
-        assert lf.parse_matrix_block(F, bad, 2, 5, "maximal ") is None, repr(bad[:40])
-    assert lf.parse_matrix_block(F, block, 2, 5, "generator ") is None
-    assert lf.parse_matrix_block(F, block, 5, 2, "maximal ") is None
-
-
-@pytest.mark.parametrize("p", [11, 13])
-def test_wide_block_round_trip_across_chunks(p):
-    # GF(p^2) with one- and two-digit coefficients, on a block of 65,536 + 3
-    # lines: the reader's one chunk boundary falls three lines from the end
-    F = field_make(p, 2)
-    stack = np.random.default_rng(p).integers(0, F.q, size=(65536 + 3, 2, 5)).astype(np.uint8)
-    stack[-1] = F.q - 1
-    block = lf.format_matrix_block(F, stack, "maximal ")
-    lines = block.splitlines()
-    assert lines[:3] == [f"maximal {s}" for s in lf.format_matrices(F, stack[:3])]
-    by_tokens = lf.parse_matrices(F, [ln.split(" ", 1)[1] for ln in lines], 2, 5)
-    back = lf.parse_matrix_block(F, block, 2, 5, "maximal ")
-    assert back.dtype == np.uint8
-    assert np.array_equal(back, by_tokens) and np.array_equal(back, stack)
-    # a stray byte on either side of the boundary, or in the last line, is seen
-    at = [len("".join(ln + "\n" for ln in lines[:i])) for i in (65535, 65536, 65538)]
-    for i in at:
-        bad = block[:i] + "maximal x" + block[i + len("maximal "):]
-        assert lf.parse_matrix_block(F, bad, 2, 5, "maximal ") is None
-
-
-def test_wide_block_reader_refuses_what_it_cannot_read_as_written():
-    F = field_make(13)
-    stack = np.random.default_rng(4).integers(0, F.q, size=(4, 2, 5)).astype(np.uint8)
-    stack[0, 0, :3] = (10, 0, 12)
-    block = lf.format_matrix_block(F, stack, "maximal ")
-    assert block.startswith("maximal 10;0;12;")
-    assert np.array_equal(lf.parse_matrix_block(F, block, 2, 5, "maximal "), stack)
-    for bad in (
-        "",  # no lines
-        block[:-1],  # a short last line
-        block + "\n",  # a blank line
-        block.replace("\n", "\r\n"),  # CRLF
-        block.replace("maximal 10;", "maximal 010;", 1),  # a leading zero
-        block.replace("maximal 10;0;", "maximal 10;00;", 1),  # a doubled zero
-        block.replace("maximal 10;", "maximal 13;", 1),  # a coefficient equal to p
-        block.replace("maximal 10;", "maximal 100;", 1),  # three digits
-        block.replace("maximal 10;", "maximal 65536;", 1),  # 0 in a uint16
-        block.replace("maximal 10;0;", "maximal 10;;0", 1),  # a coefficient moved
-        block.replace("maximal 10;", "m1aximal 0;", 1),  # a digit in the prefix
-        block.replace("maximal 10;0;", "maximal 100;", 1),  # a dropped separator
-        block.replace(";", "|", 1),  # a wrong separator
-        block.replace("1", "\u0661", 1),  # a non-ASCII digit
-    ):
-        assert lf.parse_matrix_block(F, bad, 2, 5, "maximal ") is None, repr(bad[:40])
-    assert lf.parse_matrix_block(F, block, 2, 5, "generator ") is None
-    assert lf.parse_matrix_block(F, block, 5, 2, "maximal ") is None

@@ -7,8 +7,9 @@ an AB report without flags beside its witness, a standard model that scans no ve
 point lookups by table, not by binary search, a prepare that builds no incidence
 index, reduces only the enumerated maximals, searches no maximal codes and leaves
 numpy.ma unimported, canonical certificate members resolved without reading the
-bases, line layouts and element strings built once per stream, and no
-module-level function or class that only the tests use."""
+bases, line layouts and element strings built once per stream, the certificate
+format in the certificate module alone, and no module-level function or class
+that only the tests use."""
 
 import argparse
 import ast
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemisystems import cli, groups, hemi, linform, quadric
+from hemisystems import certificate, groups, hemi, linform, quadric
 from hemisystems.cli import build_parser
 from hemisystems.gf import field_make
 
@@ -348,30 +349,57 @@ def test_canonical_members_are_resolved_without_reading_the_bases(monkeypatch):
     # codes are its points' codes, so resolving one gathers no basis
     pr = hemi.prepare(field_make(5), 3)
     ids = hemi.assemble(pr.report.split, 1)
-    cert = cli.parse_certificate(cli.certificate_text(pr, 1, ids))
+    cert = certificate.parse_certificate(certificate.certificate_text(pr, 1, ids))
 
     class Unread:
         def __getitem__(self, key):
             pytest.fail("resolve_members indexed qm.maximal_bases")
 
     monkeypatch.setattr(pr.qm, "maximal_bases", Unread())
-    got, reason = cli.resolve_members(cert, pr.qm)
+    got, reason = certificate.resolve_members(cert, pr.qm)
     assert reason is None and np.array_equal(got, ids)
 
 
 def test_a_stream_of_certificates_builds_each_layout_once():
-    # the line layout and the element strings are cached per field, shape
-    # and prefix, so writing and reading three certificates builds each once
+    # the line layout is cached per field and rank, and the element strings
+    # per field, so writing and reading three certificates builds each once
     pr = hemi.prepare(field_make(5), 3)
-    linform._line_layout.cache_clear()
+    certificate._line_layout.cache_clear()
     linform._element_strings.cache_clear()
     for mask in (0, 1, 2):
         ids = hemi.assemble(pr.report.split, mask)
-        cert = cli.parse_certificate(cli.certificate_text(pr, mask, ids))
-        cli.check_certificate_header(cert, pr.qm)
-        assert np.array_equal(cli.resolve_members(cert, pr.qm)[0], ids)
-    assert linform._line_layout.cache_info().misses == 1
+        cert = certificate.parse_certificate(certificate.certificate_text(pr, mask, ids))
+        certificate.check_certificate_header(cert, pr.qm)
+        assert np.array_equal(certificate.resolve_members(cert, pr.qm)[0], ids)
+    assert certificate._line_layout.cache_info().misses == 1
     assert linform._element_strings.cache_info().misses == 1
+
+
+# each certificate line's tag with the space that a value follows
+CERTIFICATE_TAGS = {
+    f"{tag} "
+    for tag in ("field", "rank", "gram", "counts", "degree", "orbits", "generator", "maximal", "mask")
+}
+
+
+def test_only_the_certificate_module_knows_the_format():
+    # the magic line or a tag that a value follows, or a function named for
+    # reading or writing a certificate or its member block, outside
+    # certificate.py is a second copy of the format; the literal parts of an
+    # f-string count, and a leading newline (as in a search) does not hide one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "certificate.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                text = node.value.lstrip("\n")
+                if text in CERTIFICATE_TAGS or text.startswith("hemisystem-certificate"):
+                    found.append(f"{path.name}:{node.lineno} {node.value.strip()!r}")
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if re.search("certificate|matrix_block", node.name, flags=re.I):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert found == []
 
 
 def test_every_module_level_definition_is_used_in_the_package():
