@@ -7,6 +7,11 @@ mask; then ``end``.  The verifier rebuilds the whole geometry from the
 header and re-derives every member id from the subspace its matrix spans,
 so any basis of a maximal is accepted -- a certificate is a claim, not a
 proof, until re-checked.
+
+The member block is written and read ``_CHUNK_LINES`` lines at a time:
+``certificate_chunks`` yields it a chunk at a time between the header and
+the tail, and both block readers check every byte of a chunk and write its
+elements into the one member stack before they read the next.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import functools
 import re
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +34,8 @@ from .quadric import QuadricModel
 CERT_MAGIC = "hemisystem-certificate"
 CERT_VERSION = 1
 _MEMBER = "maximal "
-_CHUNK_LINES = 65536
+# member lines per chunk, for the writer and both block readers alike
+_CHUNK_LINES = 4096
 
 
 class ParseError(ValueError):
@@ -51,10 +58,19 @@ def parse_mask(text: str) -> int:
     return int(s, 16)
 
 
+def parse_int(text: str, what: str) -> int:
+    """An optional '-' and ASCII digits; int() alone would also take a '+',
+    spaces, underscores and the digits of other scripts."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what} {text!r} is not an integer")
+    return int(text)
+
+
 def parse_modulus(text: str) -> tuple:
     try:
-        return tuple(int(t) for t in text.split(","))
-    except ValueError:
+        return tuple(parse_int(t, "coefficient") for t in text.split(","))
+    except ParseError:
         raise ParseError(
             f"modulus {text!r} must be comma-separated integers (low degree first)"
         ) from None
@@ -64,8 +80,10 @@ def parse_modulus(text: str) -> tuple:
 # the text
 
 
-def certificate_text(prep: Prepared, mask: int, member_ids: np.ndarray) -> str:
-    """Serialize one verified hemisystem as a line-oriented certificate."""
+def certificate_chunks(prep: Prepared, mask: int, member_ids: np.ndarray) -> Iterator[str]:
+    """Serialize one verified hemisystem as a line-oriented certificate, in
+    consecutive pieces: the header, the member block ``_CHUNK_LINES`` lines
+    at a time, then the mask and ``end``."""
     F = prep.field
     split = prep.report.split
     lines = [f"{CERT_MAGIC} {CERT_VERSION}"]
@@ -77,8 +95,16 @@ def certificate_text(prep: Prepared, mask: int, member_ids: np.ndarray) -> str:
     lines.append(f"orbits {len(split.pairs)} {split.partition.n_orbits}")
     gens = embed_w_block(F, prep.b.generators, prep.model.dim)
     lines += [f"generator {s}" for s in format_matrices(F, gens)]
-    block = format_matrix_block(F, prep.qm.maximal_bases[np.asarray(member_ids, dtype=np.int64)])
-    return "\n".join(lines) + "\n" + block + f"mask {mask:x} {len(split.pairs)}\nend\n"
+    yield "\n".join(lines) + "\n"
+    ids = np.asarray(member_ids, dtype=np.int64)
+    for start in range(0, ids.size, _CHUNK_LINES):
+        yield format_matrix_block(F, prep.qm.maximal_bases[ids[start:start + _CHUNK_LINES]])
+    yield f"mask {mask:x} {len(split.pairs)}\nend\n"
+
+
+def certificate_text(prep: Prepared, mask: int, member_ids: np.ndarray) -> str:
+    """The certificate of ``certificate_chunks`` as one string."""
+    return "".join(certificate_chunks(prep, mask, member_ids))
 
 
 @dataclass
@@ -148,25 +174,19 @@ def _parse_lines(head: str, block: np.ndarray | None = None, tail: str = "") -> 
             raise ParseError(f"line {no}: {_takes(tag, n_fields)}")
         return parts[1:]
 
-    def as_int(token: str, what: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ParseError(f"{what} {token!r} is not an integer") from None
-
     magic = split_line(0, CERT_MAGIC, 1)
-    if as_int(magic[0], "version") != CERT_VERSION:
+    if parse_int(magic[0], "version") != CERT_VERSION:
         raise ParseError(f"unsupported certificate version {magic[0]}")
 
     p_s, k_s, mod_s = split_line(1, "field", 3)
-    p, k = as_int(p_s, "p"), as_int(k_s, "k")
+    p, k = parse_int(p_s, "p"), parse_int(k_s, "k")
     modulus = parse_modulus(mod_s)
     try:
         F = field_make(p, k, modulus)
     except ValueError as exc:
         raise ParseError(f"bad field header: {exc}") from None
 
-    d = as_int(split_line(2, "rank", 1)[0], "rank")
+    d = parse_int(split_line(2, "rank", 1)[0], "rank")
     if d < 2:
         raise ParseError(f"rank {d} out of range")
     dim = 2 * d + 1
@@ -183,10 +203,10 @@ def _parse_lines(head: str, block: np.ndarray | None = None, tail: str = "") -> 
 
     gram = matrices(split_line(3, "gram", 1), dim, "gram")[0]
     np_s, nm_s = split_line(4, "counts", 2)
-    num_points, num_maximals = as_int(np_s, "points"), as_int(nm_s, "maximals")
-    degree = as_int(split_line(5, "degree", 1)[0], "degree")
+    num_points, num_maximals = parse_int(np_s, "points"), parse_int(nm_s, "maximals")
+    degree = parse_int(split_line(5, "degree", 1)[0], "degree")
     m_s, nb_s = split_line(6, "orbits", 2)
-    m, n_b = as_int(m_s, "m"), as_int(nb_s, "n_b")
+    m, n_b = parse_int(m_s, "m"), parse_int(nb_s, "n_b")
 
     def tagged(start: int, tag: str, rows: int) -> tuple[int, np.ndarray]:
         """The matrices, one per field, of the consecutive lines from ``start`` with this tag."""
@@ -213,7 +233,7 @@ def _parse_lines(head: str, block: np.ndarray | None = None, tail: str = "") -> 
 
     mask_s, mbits_s = split_line(i, "mask", 2)
     mask = parse_mask(mask_s)
-    if as_int(mbits_s, "mask width") != m:
+    if parse_int(mbits_s, "mask width") != m:
         raise ParseError("mask width disagrees with the orbits header")
     if mask >= 2**m:
         raise ParseError(f"mask has more than {m} bits")
@@ -321,34 +341,51 @@ def format_matrix_block(F: Field, stack: np.ndarray) -> str:
 def parse_matrix_block(F: Field, buf: np.ndarray, d: int) -> np.ndarray | None:
     """The (N, d, 2d+1) stack of ASCII bytes as ``format_matrix_block``
     writes them, or None unless they are one or more canonical lines of
-    rank d.  When p < 10 they are one (N, line) array, XORed with the
-    ``_line_layout`` line and checked against its bound, so a wrong length,
-    separator or digit gives None; when p >= 10 ``_parse_wide_block`` reads
-    them.
+    rank d.  ``_parse_fixed_block`` reads them when p < 10, and
+    ``_parse_wide_block`` otherwise, each ``_CHUNK_LINES`` lines at a time.
     """
-    p, k = F.p, F.k
-    if p >= 10:
-        coeffs = _parse_wide_block(F, buf, d)
-    else:
-        line, top, _, _ = _line_layout(F, d)
-        if not buf.size or buf.size % line.size:
-            return None
-        bits = buf.reshape(-1, line.size) ^ line
-        # a digit XOR '0' is its value, and any other byte XOR '0' is 10 or more
-        coeffs = None if (bits > top).any() else bits[:, len(_MEMBER)::2]
-    if coeffs is None:
-        return None
-    # coefficient i of entry j is column j k + i, and an element is sum c_i p^i
-    acc = coeffs[:, k - 1::k].astype(np.uint8)
+    read = _parse_wide_block if F.p >= 10 else _parse_fixed_block
+    out = read(F, buf, d)
+    return None if out is None else out.reshape(len(out), d, 2 * d + 1)
+
+
+def _elements(coeffs: np.ndarray, p: int, k: int, out: np.ndarray) -> None:
+    """Write into ``out`` the rows of elements sum c_i p^i from rows of
+    coefficients, where coefficient i of entry j is column j k + i."""
+    out[:] = coeffs[:, k - 1::k]
     for i in range(k - 2, -1, -1):
-        acc *= p
-        acc += coeffs[:, i::k]
-    return acc.reshape(len(acc), d, 2 * d + 1)
+        out *= p
+        out += coeffs[:, i::k]
+
+
+def _parse_fixed_block(F: Field, buf: np.ndarray, d: int) -> np.ndarray | None:
+    """The elements of canonical lines at p < 10, one row of d·(2d+1) per
+    line, or None.  Every line has the ``_line_layout`` line's length; each
+    chunk of lines is XORed with that line and checked against its bound,
+    so a wrong separator or digit gives None.
+    """
+    line, top, _, _ = _line_layout(F, d)
+    if not buf.size or buf.size % line.size:
+        return None
+    rows = buf.reshape(-1, line.size)
+    out = np.empty((len(rows), d * (2 * d + 1)), dtype=np.uint8)
+    # one buffer for the XOR of every chunk
+    work = np.empty_like(rows[:_CHUNK_LINES])
+    for start in range(0, len(rows), _CHUNK_LINES):
+        chunk = rows[start:start + _CHUNK_LINES]
+        bits = np.bitwise_xor(chunk, line, out=work[:len(chunk)])
+        _elements(bits[:, len(_MEMBER)::2], F.p, F.k, out[start:start + len(chunk)])
+        # a digit XOR '0' is its value, and any other byte XOR '0' is 10 or
+        # more; the bound is checked in place, as a bool array would be a
+        # second copy of the chunk
+        if np.greater(bits, top, out=bits).any():
+            return None
+    return out
 
 
 def _parse_wide_block(F: Field, buf: np.ndarray, d: int) -> np.ndarray | None:
-    """The coefficients of canonical lines at p >= 10, one row of d·(2d+1)·k
-    per line, or None; read 65,536 lines at a time.
+    """The elements of canonical lines at p >= 10, one row of d·(2d+1) per
+    line, or None.
 
     A chunk's non-digit bytes must be the layout's, line by line, and its
     digit runs must stand exactly where the layout has a coefficient: one
@@ -360,13 +397,14 @@ def _parse_wide_block(F: Field, buf: np.ndarray, d: int) -> np.ndarray | None:
     if not buf.size or buf[-1] != ord("\n"):
         return None
     _, _, want, has_coeff = _line_layout(F, d)
-    width, n = len(str(F.p - 1)), d * (2 * d + 1) * F.k
+    width, cells = len(str(F.p - 1)), d * (2 * d + 1)
+    n = cells * F.k
     # the line ends, found 16 MB at a time so that the mask stays small
     window = 1 << 24
     ends = np.concatenate(
         [np.flatnonzero(buf[s:s + window] == ord("\n")) + s for s in range(0, buf.size, window)]
     )
-    out = np.empty((ends.size, n), dtype=np.uint8)
+    out = np.empty((ends.size, cells), dtype=np.uint8)
     start = 0
     for first in range(0, ends.size, _CHUNK_LINES):
         last = min(first + _CHUNK_LINES, ends.size)
@@ -401,5 +439,5 @@ def _parse_wide_block(F: Field, buf: np.ndarray, d: int) -> np.ndarray | None:
             return None
         if values.size != lines * n or values.max() >= F.p:
             return None
-        out[first:last] = values.reshape(lines, n)
+        _elements(values.reshape(lines, n), F.p, F.k, out[first:last])
     return out

@@ -20,9 +20,11 @@ import numpy as np
 
 from .certificate import (
     ParseError,
+    certificate_chunks,
     certificate_text,
     check_certificate_header,
     parse_certificate,
+    parse_int,
     parse_mask,
     parse_modulus,
     resolve_members,
@@ -152,7 +154,6 @@ def cmd_construct(ns: argparse.Namespace) -> int:
             f"assembled set failed verification; histogram "
             f"{_histogram_text(verdict.histogram)}"
         )
-    text = certificate_text(prep, mask, ids)
     summary = {
         "command": "construct",
         "q": F.q,
@@ -164,16 +165,18 @@ def cmd_construct(ns: argparse.Namespace) -> int:
         "ok": True,
         "out": ns.out,
     }
+    # only the structured report holds the whole text; a file or plain
+    # stdout takes the certificate a chunk at a time
     if ns.out == "-":
         if ns.format == "structured":
-            summary["certificate"] = text
+            summary["certificate"] = certificate_text(prep, mask, ids)
             print(json.dumps(summary, sort_keys=True))
         else:
-            sys.stdout.write(text)
+            sys.stdout.writelines(certificate_chunks(prep, mask, ids))
         return 0
     try:
         with open(ns.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(certificate_chunks(prep, mask, ids))
     except OSError as exc:
         raise ParseError(f"cannot write certificate: {exc}") from None
     _emit(
@@ -403,23 +406,32 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _int_flag(text: str) -> int:
+    """An integer flag value, read as ``parse_int`` reads certificate headers."""
+    try:
+        return parse_int(text, "value")
+    except ParseError as exc:
+        # argparse puts the flag before this message
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("text", "structured"), default="text")
     field = _Parser(add_help=False)
-    field.add_argument("--p", type=int, default=3, help="field characteristic (odd prime)")
-    field.add_argument("--k", type=int, default=1, help="extension degree")
+    field.add_argument("--p", type=_int_flag, default=3, help="field characteristic (odd prime)")
+    field.add_argument("--k", type=_int_flag, default=1, help="extension degree")
     field.add_argument(
         "--modulus", help="irreducible modulus coefficients, low degree first (e.g. 1,0,1)"
     )
-    field.add_argument("--d", type=int, default=2, help="rank of the quadric (>= 2)")
+    field.add_argument("--d", type=_int_flag, default=2, help="rank of the quadric (>= 2)")
 
     parser = _Parser(prog="hemisystems", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sub.add_parser("stats", parents=[field, fmt], help="print the model and group sizes")
     p_orb = sub.add_parser("orbits", parents=[field, fmt], help="print the orbit pairing table")
-    p_orb.add_argument("--cap", type=int, default=2**16, help="listing cap")
+    p_orb.add_argument("--cap", type=_int_flag, default=2**16, help="listing cap")
 
     p_con = sub.add_parser("construct", parents=[field, fmt], help="write a verified certificate")
     p_con.add_argument("--mask", type=str, default="0", help="orbit-choice mask in hex")

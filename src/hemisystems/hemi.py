@@ -153,11 +153,10 @@ def assemble(split: OrbitSplit, mask: int) -> np.ndarray:
     """Member ids for one mask: bit i picks the higher orbit of pair i."""
     if not 0 <= mask < (1 << split.m):
         raise MaskLength(f"mask needs {split.m} bits")
-    chosen = []
+    chosen = np.zeros(split.partition.n_orbits, dtype=bool)
     for i, (low, high) in enumerate(split.pairs):
-        oid = high if (mask >> i) & 1 else low
-        chosen.append(split.partition.members[oid])
-    return np.sort(np.concatenate(chosen))
+        chosen[high if (mask >> i) & 1 else low] = True
+    return np.flatnonzero(chosen[split.partition.orbit_of])
 
 
 def enumerate_all_hemisystems(split: OrbitSplit, cap: int = 2**16):
@@ -185,12 +184,13 @@ class VerificationReport:
 def _degrees_by_index(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
     """Point degrees from the incidence index rows of the members.
 
-    Chunks of 8192 members bound the copy of their rows and its intp cast
-    in ``bincount``.
+    The rows of 1,024 members at a time are gathered by ``np.take``, so the
+    gather and its intp copy in ``bincount`` stay one small chunk at any
+    number of members.
     """
     degrees = np.zeros(qm.num_points, dtype=np.int64)
-    for start in range(0, ids.size, 8192):
-        rows = qm.maximal_points[ids[start:start + 8192]]
+    for start in range(0, ids.size, 1024):
+        rows = np.take(qm.maximal_points, ids[start:start + 1024], axis=0)
         degrees += np.bincount(rows.ravel(), minlength=qm.num_points)
     return degrees
 

@@ -60,10 +60,11 @@ def test_matrix_block_reader_refuses_what_it_cannot_read_as_written():
 
 @pytest.mark.parametrize("p", [11, 13])
 def test_wide_block_round_trip_across_chunks(p):
-    # GF(p^2) with one- and two-digit coefficients, on a block of 65,536 + 3
-    # lines: the reader's one chunk boundary falls three lines from the end
+    # GF(p^2) with one- and two-digit coefficients, on a block of one chunk
+    # and 3 lines: the reader's one chunk boundary falls three lines from the end
     F = field_make(p, 2)
-    stack = np.random.default_rng(p).integers(0, F.q, size=(65536 + 3, 2, 5)).astype(np.uint8)
+    C = cf._CHUNK_LINES
+    stack = np.random.default_rng(p).integers(0, F.q, size=(C + 3, 2, 5)).astype(np.uint8)
     stack[-1] = F.q - 1
     block = cf.format_matrix_block(F, stack)
     lines = block.splitlines()
@@ -73,10 +74,30 @@ def test_wide_block_round_trip_across_chunks(p):
     assert back.dtype == np.uint8
     assert np.array_equal(back, by_tokens) and np.array_equal(back, stack)
     # a stray byte on either side of the boundary, or in the last line, is seen
-    at = [len("".join(ln + "\n" for ln in lines[:i])) for i in (65535, 65536, 65538)]
+    at = [len("".join(ln + "\n" for ln in lines[:i])) for i in (C - 1, C, C + 2)]
     for i in at:
         bad = block[:i] + "maximal x" + block[i + len("maximal "):]
         assert read_block(F, bad, 2) is None
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (3, 2)])
+def test_fixed_block_round_trip_across_chunks(p, k):
+    # the fixed-width reader checks and reads a chunk at a time; on a block of
+    # one chunk and 3 lines its one boundary falls three lines from the end
+    F = field_make(p, k)
+    C = cf._CHUNK_LINES
+    stack = np.random.default_rng(p).integers(0, F.q, size=(C + 3, 2, 5)).astype(np.uint8)
+    stack[-1] = F.q - 1
+    block = cf.format_matrix_block(F, stack)
+    assert block == reference_block(F, stack)
+    back = read_block(F, block, 2)
+    assert back.dtype == np.uint8 and np.array_equal(back, stack)
+    # a digit equal to p on either side of the boundary, or in the last line, is seen
+    width = len(block) // (C + 3)
+    for i in (C - 1, C, C + 2):
+        at = i * width + len("maximal ")
+        bad = block[:at] + str(p) + block[at + 1:]
+        assert len(bad) == len(block) and read_block(F, bad, 2) is None
 
 
 def test_wide_block_reader_refuses_what_it_cannot_read_as_written():
@@ -113,11 +134,12 @@ def mask_zero_certificate(p, d):
     return certificate_text(prep, 0, assemble(prep.report.split, 0))
 
 
-@pytest.mark.parametrize("p, d, copies, bound", [(7, 2, 30, 3.5), (11, 2, 20, 13.5)])
+@pytest.mark.parametrize("p, d, copies, bound", [(7, 2, 30, 2.5), (11, 2, 20, 13.5)])
 def test_parsing_a_canonical_certificate_copies_the_text_once(p, d, copies, bound):
     # the block reader reads a view of the text's one ASCII encoding; a slice
     # of the block and then the slice's encoding would be two copies of it
-    # (peaks of 4.07 and 13.97 times the text here)
+    # (peaks of 4.07 and 13.97 times the text here), and at p < 10 XOR and
+    # bound arrays over the whole block peaked at 3.07 times the text
     text = mask_zero_certificate(p, d)
     head, tail = text.index("\nmaximal ") + 1, text.index("\nmask ") + 1
     text = text[:head] + text[head:tail] * copies + text[tail:]
@@ -130,3 +152,31 @@ def test_parsing_a_canonical_certificate_copies_the_text_once(p, d, copies, boun
         tracemalloc.stop()
     assert len(cert.members) == text.count("\nmaximal ")
     assert peak < bound * len(text), peak / len(text)
+
+
+def test_the_writer_yields_the_block_a_chunk_at_a_time():
+    # q=25, d=2: 8,138 members, one full chunk of the block and then the rest
+    pr = prepare(field_make(5, 2), 2)
+    ids = assemble(pr.report.split, 3)
+    head, *block, tail = cf.certificate_chunks(pr, 3, ids)
+    C = cf._CHUNK_LINES
+    assert [piece.count("\n") for piece in block] == [C, ids.size - C]
+    assert {ln.split(" ", 1)[0] for piece in block for ln in piece.splitlines()} == {"maximal"}
+    assert head.endswith("\n") and "\nmaximal " not in head
+    assert tail == f"mask 3 {pr.report.m}\nend\n"
+
+
+def test_writing_a_certificate_holds_the_text_and_its_chunks():
+    # the chunks and their join are two texts' worth; one byte array for the
+    # whole block, its bytes and their str peaked at 3.85 times the text here
+    pr = prepare(field_make(5), 3)
+    ids = assemble(pr.report.split, 0)
+    text = certificate_text(pr, 0, ids)  # the layouts and element strings are cached
+    tracemalloc.start()
+    try:
+        again = certificate_text(pr, 0, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == text
+    assert peak < 2.5 * len(text), peak / len(text)

@@ -23,7 +23,7 @@ from hemisystems.certificate import (
     resolve_members,
 )
 from hemisystems.cli import main
-from hemisystems import hemi
+from hemisystems import cli, hemi
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block
 from hemisystems.hemi import assemble, prepare
@@ -130,6 +130,49 @@ def test_each_subcommand_takes_only_the_flags_it_reads(capsys, cert_pair, argv, 
     got_rc, _, got_err = run(capsys, *argv)
     assert got_rc == rc
     assert (err in got_err) if err else got_err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        # int() alone takes the digits of other scripts, underscores, '+' and spaces
+        (
+            ("stats", "--p", "3", "--k", "2", "--modulus", "\u0661,\u0660,\u0661", "--d", "2"),
+            "error: modulus '\u0661,\u0660,\u0661' must be comma-separated integers"
+            " (low degree first)\n",
+        ),
+        (
+            ("stats", "--p", "\u0663", "--d", "2"),
+            "error: argument --p: value '\u0663' is not an integer\n",
+        ),
+        (("stats", "--k", "+1"), "error: argument --k: value '+1' is not an integer\n"),
+        (("stats", "--d", " 2"), "error: argument --d: value ' 2' is not an integer\n"),
+        (("orbits", "--cap", "1_0"), "error: argument --cap: value '1_0' is not an integer\n"),
+        (("stats", "--modulus", "1,+0,1"), "error: modulus '1,+0,1' must be comma-separated"
+         " integers (low degree first)\n"),
+    ],
+    ids=["arabic modulus", "arabic p", "signed k", "spaced d", "separated cap", "signed modulus"],
+)
+def test_integer_flags_take_ascii_digits_alone(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "old, new, err",
+    [
+        ("rank 2", "rank 0_2", "error: rank '0_2' is not an integer\n"),
+        ("rank 2", "rank \u0662", "error: line 3: non-ASCII character\n"),
+        ("counts 40 40", "counts +40 40", "error: points '+40' is not an integer\n"),
+        ("degree 2", "degree 2_", "error: degree '2_' is not an integer\n"),
+    ],
+    ids=["separated rank", "arabic rank", "signed points", "trailing separator"],
+)
+def test_certificate_headers_take_ascii_integers_alone(capsys, cert_pair, tmp_path, old, new, err):
+    text = cert_pair["0"].read_text()
+    assert f"\n{old}\n" in text
+    bad = tmp_path / "header.txt"
+    bad.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"), encoding="utf-8")
+    assert run(capsys, "verify", str(bad)) == (2, "", err)
 
 
 def test_stats_rejects_a_geometry_too_large_for_memory(capsys):
@@ -365,6 +408,31 @@ def test_certificate_bytes_are_unchanged():
     for mask in (0, 5):
         ids = assemble(prep.report.split, mask)
         assert certificate_text(prep, mask, ids) == per_member_certificate_text(prep, mask, ids)
+
+
+@pytest.mark.parametrize("name", ["rank3-q5", "plane-q25"])
+def test_construct_writes_the_certificate_a_chunk_at_a_time(capsys, monkeypatch, tmp_path, name):
+    # a file and plain stdout take the certificate's chunks as they are
+    # made, so neither builds the whole text; at (5,3) and q=25 the member
+    # block is more than one chunk
+    rung = RUNGS[name]
+    prep = prepare(field_make(rung.p, rung.k), rung.d)
+    ids = assemble(prep.report.split, 0)
+    assert ids.size > certificate._CHUNK_LINES
+    text = certificate_text(prep, 0, ids)
+    assert hashlib.sha256(text.encode()).hexdigest() == rung.digests[0]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("construct built the whole certificate text")
+
+    monkeypatch.setattr(cli, "certificate_text", refused)
+    monkeypatch.setattr(certificate, "certificate_text", refused)
+    field = ("--p", str(rung.p), "--k", str(rung.k), "--d", str(rung.d))
+    path = tmp_path / "cert.txt"
+    rc, out, err = run(capsys, "construct", *field, "--out", str(path))
+    assert (rc, err) == (0, "") and out.endswith(f" -> {path}\n")
+    assert path.read_bytes() == text.encode("ascii")
+    assert run(capsys, "construct", *field) == (0, text, "")
 
 
 def test_construct_bad_mask_is_usage_error(capsys):

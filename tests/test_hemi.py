@@ -1,6 +1,8 @@
 """Two-group hypothesis checks, assembly, and degree verification."""
 
 import dataclasses
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +202,20 @@ def test_assemble_masks(p, k, d):
         assert np.array_equal(sym, both)
 
 
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 1, 3), (3, 2, 2)])
+def test_assemble_reads_the_orbit_labels(p, k, d):
+    # the chosen orbit of every pair, its members concatenated and sorted,
+    # is the reference for the members read off the orbit labels
+    split = prep(p, k, d).report.split
+    rng = random.Random(split.m)
+    members, pairs = split.partition.members, split.pairs
+    for mask in [0, (1 << split.m) - 1] + [rng.getrandbits(split.m) for _ in range(4)]:
+        chosen = [members[hi if mask >> i & 1 else lo] for i, (lo, hi) in enumerate(pairs)]
+        want = np.sort(np.concatenate(chosen))
+        got = assemble(split, mask)
+        assert got.dtype == want.dtype and np.array_equal(got, want), mask
+
+
 def test_mask_bounds():
     pr = prep(3, 1, 2)
     split = pr.report.split
@@ -242,7 +258,7 @@ def test_verify_slow_path_matches_fast_path():
 
 
 def test_index_recount_over_several_chunks_matches_one_bincount():
-    # half the maximals at (5,3), 9,828 of 19,656, take two recount chunks;
+    # half the maximals at (5,3), 9,828 of 19,656, take ten recount chunks;
     # a random half gives every point some degree, not only t + 1 / 2
     qm = qmodel(5, 1, 3)
     ids = np.random.default_rng(53).permutation(qm.num_maximals)[: qm.num_maximals // 2]
@@ -252,6 +268,22 @@ def test_index_recount_over_several_chunks_matches_one_bincount():
     assert np.array_equal(_degrees_by_index(qm, ids), whole)
     values, counts = np.unique(whole, return_counts=True)
     assert verify_hemisystem(qm, ids).histogram == tuple(zip(values.tolist(), counts.tolist()))
+
+
+def test_an_index_recount_holds_one_chunk_of_rows():
+    # the recount gathers the rows of 1,024 members at a time; 8,192 at a
+    # time, with bincount's intp copy of them, peaked at about 3 MB here
+    pr = prep(5, 1, 3)
+    ids = assemble(pr.report.split, 1)
+    assert verify_hemisystem(pr.qm, ids).ok  # builds the index
+    tracemalloc.start()
+    try:
+        rep = verify_hemisystem(pr.qm, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    assert peak < 1 << 20, peak
 
 
 def test_slow_path_does_not_read_the_incidence_index():

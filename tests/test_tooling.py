@@ -7,9 +7,9 @@ an AB report without flags beside its witness, a standard model that scans no ve
 point lookups by table, not by binary search, a prepare that builds no incidence
 index, reduces only the enumerated maximals, searches no maximal codes and leaves
 numpy.ma unimported, canonical certificate members resolved without reading the
-bases, line layouts and element strings built once per stream, the certificate
-format in the certificate module alone, and no module-level function or class
-that only the tests use."""
+bases, line layouts and element strings built once per stream, one writer of
+the member block, the certificate format in the certificate module alone, and
+no module-level function or class that only the tests use."""
 
 import argparse
 import ast
@@ -373,6 +373,22 @@ def test_a_stream_of_certificates_builds_each_layout_once():
         assert np.array_equal(certificate.resolve_members(cert, pr.qm)[0], ids)
     assert certificate._line_layout.cache_info().misses == 1
     assert linform._element_strings.cache_info().misses == 1
+
+
+def test_only_the_chunk_sequence_writes_the_member_block():
+    # certificate_chunks writes the member block a chunk at a time; another
+    # caller of format_matrix_block would write a whole block at once
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            found += [
+                f"{path.name}:{getattr(top, 'name', '<module>')}"
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "format_matrix_block"
+            ]
+    assert found == ["certificate.py:certificate_chunks"]
 
 
 # each certificate line's tag with the space that a value follows
