@@ -201,7 +201,7 @@ def _parse_lines(head: str, block: np.ndarray | None = None, tail: str = "") -> 
             at = f"line {lines[first + exc.index][0]}: " if named else ""
             raise ParseError(f"{at}bad {what} matrix: {exc}") from None
 
-    gram = matrices(split_line(3, "gram", 1), dim, "gram")[0]
+    gram = matrices(split_line(3, "gram", 1), dim, "gram", 3)[0]
     np_s, nm_s = split_line(4, "counts", 2)
     num_points, num_maximals = parse_int(np_s, "points"), parse_int(nm_s, "maximals")
     degree = parse_int(split_line(5, "degree", 1)[0], "degree")

@@ -206,7 +206,14 @@ class Field:
         return ",".join(str(d) for d in self.coeffs(a))
 
     def parse_elt(self, s: str) -> int:
-        return self.from_coeffs(int(t) for t in s.split(","))
+        """The element whose k comma-separated coefficients are spelled as
+        ASCII digits below p, as ``certificate.parse_int`` reads integers;
+        raises ValueError on a sign, a space, an underscore or a coefficient
+        of p or more, which int() alone would take or reduce."""
+        cs = s.split(",")
+        if len(cs) != self.k or not all(c.isascii() and c.isdigit() and int(c) < self.p for c in cs):
+            raise ValueError(f"{s!r} is not an element of GF({self.q})")
+        return self.from_coeffs(map(int, cs))
 
     # -- identity
 

@@ -186,7 +186,7 @@ def _degrees_by_index(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
 
     The rows of 1,024 members at a time are gathered by ``np.take``, so the
     gather and its intp copy in ``bincount`` stay one small chunk at any
-    number of members.
+    number of members.  Both take the index's uint16 or int32 ids alike.
     """
     degrees = np.zeros(qm.num_points, dtype=np.int64)
     for start in range(0, ids.size, 1024):

@@ -11,7 +11,9 @@ Every GF(q) matrix product goes through ``mat_mul``.  Over GF(p) it is
 lifted to one float32 BLAS product of the integer entries, reduced mod p by
 a division that is exact while the inner sums stay below 2^24; past that
 it raises ValueError.  Over GF(p^k) it gathers from the flattened field
-tables term by term.
+tables term by term.  The one exception is the incidence index's product
+of a small matrix and a long stack, ``lifted_product``, which lifts GF(p^k)
+to base-p digits and so runs as one float32 GEMM for every k.
 
 The standard model basis of the (2d+1)-dimensional ambient space is ordered
 (z, e0, f0, x, y, e1, f1, ..., e_{d-2}, f_{d-2}) with beta(z, z) = 1,
@@ -61,7 +63,8 @@ def identity(n: int) -> np.ndarray:
 
 def _floor_mod(C: np.ndarray, p: int) -> np.ndarray:
     """x - p·floor(x / p) for every entry x of a contiguous float array of
-    exact integers, as uint8, for ``mat_mul``, which proves it exact."""
+    exact integers, as uint8, for ``mat_mul`` and ``lifted_product``; the
+    first proves it exact."""
     k = C / p
     np.floor(k, out=k)
     k *= p
@@ -74,7 +77,8 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of encoded matrices, broadcast over leading axes like ``@``.
 
     Shapes (..., m, n) x (..., n, r) -> (..., m, r): one matrix or a stack
-    on either side.  This is the package's one GF(q) matrix product.
+    on either side.  This is the package's GF(q) matrix product; only the
+    incidence index lifts its own, ``lifted_product``.
 
     Over a prime field the product is lifted to float32: the entries are
     exact integers in [0, p), so one BLAS product gives the integer sums x,
@@ -101,7 +105,9 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Over an extension field each of the n terms is one gather from the
     flattened multiplication table and one from the flattened addition
     table, at the uint16 index a·q + b < q^2 <= 65,025, into buffers
-    allocated once.
+    allocated once.  The loop forms each index along the output's last axis,
+    so a product with more rows than columns, such as the (P, 3) x (3, 3)
+    of ``point_permutation``, is formed as B^T A^T and transposed back.
     """
     if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"cannot multiply {A.shape[-1]} columns by {B.shape[-2]} rows")
@@ -118,6 +124,10 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     shape = np.broadcast_shapes(A.shape[:-1] + (1,), B.shape[:-2] + (1, B.shape[-1]))
     if not A.shape[-1]:
         return np.zeros(shape, dtype=np.uint8)
+    if shape[-2] > shape[-1]:
+        # the field commutes, so (A B)^T = B^T A^T puts the longer axis innermost
+        flipped = mat_mul(F, B.swapaxes(-1, -2), A.swapaxes(-1, -2))
+        return np.ascontiguousarray(flipped.swapaxes(-1, -2))
     ADD, MUL = F.add_table.ravel(), F.mul_table.ravel()
     Aq = A.astype(np.uint16) * q
     idx = np.empty(shape, dtype=np.uint16)
@@ -131,6 +141,38 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         idx += term
         np.take(ADD, idx, out=acc, mode="clip")
     return acc
+
+
+def lifted_product(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``mat_mul(F, A, B)`` for one (m, r) matrix A and an (N, r, n) stack B,
+    as one float32 GEMM over GF(p) for every k, returned as an (N, m, n) view.
+
+    Multiplication by a is GF(p)-linear on base-p digits: the digits of a·b
+    are those of b times the k x k block of a, whose row i holds the digits
+    of a times the element p^i, that is a·x^i.  So the digits of B, as an
+    (N·n, r·k) matrix, times A's blocks, an (r·k, m·k) matrix, are the
+    digits of every product after ``_floor_mod``, exact while r k (p - 1)^2
+    < 2^24 as in ``mat_mul``.  Lifting every ``mat_mul`` product this way
+    loses on the pipeline's other shapes; it pays where a small A meets a
+    long stack over GF(p^k), as in the incidence index.
+    """
+    p, k = F.p, F.k
+    N, r, n = B.shape
+    m = A.shape[0]
+    if A.shape[1] != r:
+        raise ValueError(f"cannot multiply {A.shape[1]} columns by {r} rows")
+    if r * k * (p - 1) ** 2 >= 2**24:
+        raise ValueError(f"an inner dimension of {r * k} overflows float32 over GF({p})")
+    digits = F._digits.astype(np.float32)
+    blocks = digits[F.mul_table[:, p ** np.arange(k)]]
+    lifted = blocks[A].transpose(1, 2, 0, 3).reshape(r * k, m * k)
+    C = np.take(digits, B.transpose(0, 2, 1), axis=0).reshape(N * n, r * k) @ lifted
+    D = _floor_mod(C, p).reshape(N, n, m, k)
+    # Horner on the digits, from the highest: every partial value is below q
+    out = D[..., -1]
+    for i in range(k - 2, -1, -1):
+        out = out * np.uint8(p) + D[..., i]
+    return out.transpose(0, 2, 1)
 
 
 def rref(F: Field, rows) -> tuple[np.ndarray, tuple[int, ...]]:

@@ -33,8 +33,11 @@ The incidence index between points and maximals, ``maximal_points``, is
 built on its first read, from the s + 1 = (q^d - 1)/(q - 1) combinations of
 each basis whose first nonzero coefficient is 1, and checked for
 regularity: each point lies on t + 1 = prod_{i<d} (q^i + 1) maximals.  Only
-the index recount of a hemisystem and the self-checks read it.  It holds
-int32 point ids, as do the point ids of the basis rows.
+the index recount of a hemisystem and the self-checks read it.  It is built
+a fixed chunk of maximals at a time, each chunk's points by one
+``lifted_product`` for every k, straight into an index of the narrowest
+exact type: uint16 point ids when P <= 65,536 and int32 otherwise.  The
+point ids of the basis rows are int32.
 
 The groups act as h (+) I_U, with h a 3x3 block on W = <z, e0, f0>, and
 the actions take h alone: a matrix of any other shape is refused.  On
@@ -65,6 +68,7 @@ from .gf import Field
 from .linform import (
     StandardModel,
     all_vectors,
+    lifted_product,
     mat_inv,
     mat_mul,
     rref_batch,
@@ -72,6 +76,9 @@ from .linform import (
     vector_codes,
 )
 from .orbits import ActionEscape
+
+# maximals per step of the incidence index build, which bounds its transient
+_INDEX_CHUNK = 256
 
 
 def point_count(q: int, d: int) -> int:
@@ -259,10 +266,14 @@ def require_memory(q: int, d: int) -> None:
 
     Point ids are int32 and maximal codes, d point ids read as base-P
     digits, int64.  The bases take N·d·n bytes, and the incidence index and
-    the point ids of the basis rows 4 bytes per id.  The point table takes 4
-    bytes for each of the (q^n - 1)/(q - 1) unit vectors of length n = 2d + 1
-    and one more for its -1 sentinel: 1.6 MB at q = 25, 23.5 MB at q = 49,
-    174 MB at q = 81 and about 1 GB at q = 125.  Closed forms only, so
+    the point ids of the basis rows 4 bytes per id.  The index holds uint16
+    ids while P <= 65,536, but at 2 bytes (3,5) would count 7.10 GB and be
+    admitted on a machine of 8.41 GB, where its enumeration alone was killed
+    at 8 GB; the 4 bytes stand in for the transients this count leaves out.
+    The point table takes 4 bytes for each of the (q^n - 1)/(q - 1) unit
+    vectors of length n = 2d + 1 and one more for its -1 sentinel: 1.6 MB
+    at q = 25, 23.5 MB at q = 49, 174 MB at q = 81 and about 1 GB at
+    q = 125.  Closed forms only, so
     ``hemi.prepare`` and the ``verify`` command run it before they build the
     standard model, and QuadricModel before it enumerates anything.
     """
@@ -347,25 +358,30 @@ class QuadricModel:
 
     @functools.cached_property
     def maximal_points(self) -> np.ndarray:
-        """The incidence index: the sorted int32 ids of the s + 1 points of
-        every maximal, built on first read."""
+        """The incidence index: the sorted point ids of the s + 1 points of
+        every maximal, built on first read ``_INDEX_CHUNK`` maximals at a time.
+
+        The ids are uint16 when P <= 65,536 and int32 otherwise, decided once
+        from P; each chunk's ids are written straight into the index.
+        """
         # the combinations whose first nonzero coefficient is 1 span each
         # point of a maximal once, and on an RREF basis they are already
         # unit vectors: the first nonzero entry sits in a pivot column
         F, d = self.field, self.d
         combos = all_vectors(F.q, d)[1:]
         combos = combos[(_units(F, combos) == combos).all(axis=1)]
-        out = np.empty((self.num_maximals, self.s1), dtype=np.int32)
+        dtype = np.uint16 if self.num_points <= 2**16 else np.int32
+        out = np.empty((self.num_maximals, self.s1), dtype=dtype)
         degrees = np.zeros(self.num_points, dtype=np.int64)
-        for start in range(0, self.num_maximals, 1024):
-            chunk = self.maximal_bases[start:start + 1024]
-            span = mat_mul(F, combos, chunk)
-            pids = self._lookup_units(span)
+        for start in range(0, self.num_maximals, _INDEX_CHUNK):
+            chunk = self.maximal_bases[start:start + _INDEX_CHUNK]
+            pids = self._lookup_units(lifted_product(F, combos, chunk))
             if (pids < 0).any():
                 raise RuntimeError("maximal contains a vector outside the point set")
-            pids.sort(axis=1)
-            out[start:start + 1024] = pids
-            degrees += np.bincount(pids.ravel(), minlength=self.num_points)
+            rows = out[start:start + _INDEX_CHUNK]
+            rows[...] = pids
+            rows.sort(axis=1)
+            degrees += np.bincount(rows.ravel(), minlength=self.num_points)
         # regularity also follows from what the build checks: N(q, d)
         # distinct, totally singular d-spaces are all the maximals
         if (degrees != self.t1).any():

@@ -726,6 +726,25 @@ def test_non_canonical_spellings_verify(capsys, tmp_path, cert_pair):
         assert rc == 0 and "verified" in out
 
 
+def test_an_element_with_a_sign_an_underscore_or_past_p_exits_2(capsys, tmp_path, cert_pair):
+    # each spelling of 1 over GF(3) was read by int() and reduced mod p, and
+    # the certificate verified; now the first member line and the gram line
+    # are refused, named by their line
+    lines = cert_pair["0"].read_text().splitlines(keepends=True)
+    gram = next(i for i, ln in enumerate(lines) if ln.startswith("gram 1;"))
+    first = next(i for i, ln in enumerate(lines) if ln.startswith("maximal "))
+    assert lines[first].startswith("maximal 1;")
+    for at, tag in ((gram, "gram"), (first, "maximal")):
+        for bad in ("+1", "0_1", "4", "-2"):
+            edited = lines.copy()
+            edited[at] = lines[at].replace(f"{tag} 1;", f"{tag} {bad};", 1)
+            path = tmp_path / "spelled.txt"
+            path.write_text("".join(edited))
+            rc, out, err = run(capsys, "verify", str(path))
+            assert rc == 2 and "verified" not in out
+            assert f"line {at + 1}: bad {tag} matrix: matrix 0 has {bad!r}, not an element of GF(3)" in err
+
+
 @pytest.mark.parametrize("p, k, d", [(5, 1, 3), (5, 2, 2), (11, 1, 2), (13, 1, 2)])
 def test_canonical_member_block_is_read_as_bytes(monkeypatch, p, k, d):
     prep = prepare(field_make(p, k), d)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,20 @@ def test_serialization_example():
     assert a == 5
     assert F9.format_elt(a) == "2,1"
     assert F9.parse_elt("2,1") == a
+
+
+def test_parse_elt_reads_ascii_digits_below_p():
+    # as certificate.parse_int reads integers; int() would take a sign, a
+    # space, an underscore and other scripts' digits, and from_coeffs would
+    # reduce a coefficient of p or more
+    F3, F9 = field_make(3), field_make(3, 2)
+    assert F3.parse_elt("02") == 2 and F9.parse_elt("2,01") == F9.from_coeffs((2, 1))
+    for F, bad in (
+        (F3, "+1"), (F3, "-1"), (F3, " 1"), (F3, "1 "), (F3, "0_1"), (F3, "3"), (F3, "\u0661"),
+        (F3, ""), (F9, "1,3"), (F9, "1"), (F9, "1,0,0"), (F9, "1,+0"), (F9, "1, 0"),
+    ):
+        with pytest.raises(ValueError, match=rf"^{re.escape(repr(bad))} is not an element of GF\({F.q}\)$"):
+            F.parse_elt(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from hemisystems.linform import (
     BadRank,
     QuadraticSpace,
     all_vectors,
+    lifted_product,
     mat_det,
     mat_inv,
     mat_mul,
@@ -199,6 +200,32 @@ def test_lifted_product_is_exact_on_both_sides_of_the_float32_bound(p):
         np.array_equal(C[i, j], int64_product(A[i, 0], B[j], p)) for i in range(2) for j in range(8)
     )
     assert np.array_equal(mat_mul(F, A[..., :0], B[:, :0]), np.zeros_like(C))
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 1), (7, 1), (251, 1)])
+def test_lifted_product_over_digits_equals_mat_mul(p, k):
+    # GF(9), GF(25), GF(27), GF(49) and GF(p): one matrix times a stack, as
+    # the incidence index multiplies its combinations by a chunk of bases,
+    # with every entry q - 1 once and at random shapes, the empty stack too
+    F = field_make(p, k)
+    rng = np.random.default_rng(p * k)
+    top = np.full((3, 3), F.q - 1, dtype=np.uint8), np.full((5, 3, 7), F.q - 1, dtype=np.uint8)
+    shapes = ((1, 1, 1, 1), (4, 2, 5, 7), (13, 3, 7, 40), (6, 4, 9, 0))
+    for A, B in [top] + [
+        (rng.integers(0, F.q, (m, r), dtype=np.uint8), rng.integers(0, F.q, (N, r, n), dtype=np.uint8))
+        for m, r, n, N in shapes
+    ]:
+        got = lifted_product(F, A, B)
+        assert got.shape == B.shape[:1] + (A.shape[0], B.shape[2]) and got.dtype == np.uint8
+        assert np.array_equal(got, mat_mul(F, A, B))
+    with pytest.raises(ValueError, match="^cannot multiply 3 columns by 2 rows$"):
+        lifted_product(F, top[0], top[1][:, :2])
+    if p == 251:
+        # r k (p - 1)^2 reaches 2^24 at r = 269, refused before any gather
+        A = np.broadcast_to(np.uint8(250), (1, 269)).view(_Unread)
+        B = np.broadcast_to(np.uint8(250), (1, 269, 1)).view(_Unread)
+        with pytest.raises(ValueError, match="^an inner dimension of 269 overflows float32"):
+            lifted_product(F, A, B)
 
 
 def test_extension_product_of_an_empty_inner_dimension_is_zero():
@@ -570,7 +597,10 @@ def outcome(parse, *args):
 PARITY_TOKENS = {
     1: [
         "1;2;0|0;1;2",  # canonical
-        "7;-1;0|0;+1;2",  # non-canonical integers read mod p
+        "01;2;0|0;1;2",  # a leading zero
+        "7;2;0|0;1;2",  # a coefficient of p or more
+        "1;-1;0|0;+1;2",  # signs
+        "1; 2;0|0;1;2",  # a space
         "1;2|0;1;2;0",  # ragged rows with the right element count
         "1;2;0|0;1",  # ragged rows
         "1;2;0;1|0;1;2;0",  # wrong column count
@@ -581,7 +611,9 @@ PARITY_TOKENS = {
     ],
     2: [
         "1,0;2,1;0,0|0,0;1,2;2,2",  # canonical
-        "1,3;2,1;0,0|0,0;1,2;2,2",  # non-canonical coefficient
+        "1,3;2,1;0,0|0,0;1,2;2,2",  # a coefficient of p or more
+        "1,01;2,1;0,0|0,0;1,2;2,2",  # a leading zero
+        "1,0;2,1;0,0|0,0;1,2;2,_2",  # an underscore
         "1;2,1;0,0|0,0;1,2;2,2",  # wrong coefficient count
         "1,0,0;2,1;0,0|0,0;1,2;2,2",  # wrong coefficient count
         "1,0;2,1|0,0;1,2;2,2;0,0",  # ragged rows

@@ -33,6 +33,12 @@ SMALL = [(3, 1, 2), (5, 1, 2), (3, 2, 2), (3, 1, 3)]
 ALL_DESK = [(3, 1, 2), (5, 1, 2), (7, 1, 2), (3, 2, 2), (3, 1, 3)]
 
 
+def rows_increase(index):
+    """Whether every row of an index strictly increases; the ids are widened
+    first, since np.diff of unsigned ids wraps around below zero."""
+    return bool((np.diff(index.astype(np.int64), axis=1) > 0).all())
+
+
 def point_maximals(qm):
     """The transpose of the incidence index: the sorted maximal ids on each point."""
     order = np.argsort(qm.maximal_points.ravel(), kind="stable")
@@ -196,8 +202,14 @@ def test_incidence_structure(p, k, d):
     assert qm.maximal_points.shape == (qm.num_maximals, qm.s1)
     pm = point_maximals(qm)
     assert pm.shape == (qm.num_points, qm.t1)
-    assert (np.diff(qm.maximal_points, axis=1) > 0).all()
+    assert rows_increase(qm.maximal_points)
     assert (np.diff(pm, axis=1) > 0).all()
+    # a row in reverse order is caught; at uint16 the uncast np.diff wraps
+    # each descent round to a large positive step and would pass it
+    mutant = qm.maximal_points.copy()
+    mutant[0] = mutant[0, ::-1]
+    assert not rows_increase(mutant)
+    assert mutant.dtype != np.uint16 or (np.diff(mutant, axis=1) > 0).all()
     rng = np.random.default_rng(11)
     for mid in rng.choice(qm.num_maximals, size=10, replace=False):
         row = qm.maximal_points[mid]
@@ -580,14 +592,45 @@ def test_a_full_matrix_is_refused_by_the_actions_and_membership():
                 qm.point_permutation(g)
 
 
-@pytest.mark.parametrize("p,k,d", SMALL)
-def test_index_ids_are_int32(p, k, d):
+def reference_index(qm):
+    """The int32 index as ``mat_mul`` builds it: every combination of a
+    basis whose first nonzero coefficient is 1, looked up and sorted."""
+    F = qm.field
+    combos = np.array([c for c in all_vectors(F.q, qm.d)[1:] if c[np.flatnonzero(c)[0]] == 1])
+    out = np.empty((qm.num_maximals, qm.s1), dtype=np.int32)
+    for start in range(0, qm.num_maximals, 4096):
+        span = mat_mul(F, combos, qm.maximal_bases[start:start + 4096])
+        out[start:start + 4096] = qm.point_ids(span.reshape(-1, qm.dim)).reshape(-1, qm.s1)
+    out.sort(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("p,k,d", [*SMALL, (41, 1, 2)])
+def test_index_ids_take_the_narrowest_exact_type(p, k, d):
+    # uint16 holds every id while P <= 65,536; q = 41, d = 2 has 70,644 points
     qm = qmodel(p, k, d)
-    assert qm.maximal_points.dtype == np.int32
+    assert (qm.num_points <= 2**16) == ((p, k, d) in SMALL)
+    assert qm.maximal_points.dtype == (np.uint16 if qm.num_points <= 2**16 else np.int32)
+    assert np.array_equal(qm.maximal_points, reference_index(qm))
     assert qm.basis_points.dtype == np.int32
     assert qm.basis_points.shape == (qm.num_maximals, qm.d)
     rows = qm.maximal_bases.reshape(-1, qm.dim)
     assert np.array_equal(qm.basis_points.ravel(), [int(qm.point_ids(v[None])[0]) for v in rows])
+
+
+def test_require_memory_counts_four_bytes_per_index_id(monkeypatch):
+    # the index holds uint16 ids up to 65,536 points, but the guard keeps
+    # counting 4 bytes each: at 2 bytes (3,5) would fit in 8.41 GB, and its
+    # enumeration alone exceeds 8 GB
+    monkeypatch.setattr(quadric, "_physical_memory", lambda: 8_408_645_632)
+    q, d = 3, 5
+    N, s1 = maximal_count(q, d), points_per_maximal(q, d)
+    at_two_bytes = N * d * (2 * d + 1) + 2 * N * s1 + 4 * N * d
+    assert point_count(q, d) <= 2**16 and at_two_bytes < 7.2e9
+    with pytest.raises(ValueError, match="more than the 8408645632 bytes of physical memory"):
+        require_memory(q, d)
+    for q, d in ((3, 2), (3, 3), (5, 3), (3, 4), (25, 2), (27, 2), (7, 3), (49, 2), (9, 3)):
+        require_memory(q, d)
 
 
 def test_point_ids_beyond_int32_are_rejected():
