@@ -303,11 +303,10 @@ def _selftest_checks(ns: argparse.Namespace):
 
     def counts() -> str:
         qm = prep().qm
-        q = F.q
-        _require(qm.num_points == point_count(q, ns.d), f"{qm.num_points} points")
-        _require(qm.num_maximals == maximal_count(q, ns.d), f"{qm.num_maximals} maximals")
-        # building the index raises when a point is not on t + 1 maximals
-        _require(qm.maximal_points.shape[1] == qm.s1, f"a maximal does not hold s+1={qm.s1} points")
+        _require(qm.num_points == point_count(F.q, ns.d), f"{qm.num_points} points")
+        _require(qm.num_maximals == maximal_count(F.q, ns.d), f"{qm.num_maximals} maximals")
+        degrees = qm.degrees(np.arange(qm.num_maximals))
+        _require((degrees == qm.t1).all(), f"a point does not lie on t+1={qm.t1} maximals")
         return (
             f"{qm.num_points} points, {qm.num_maximals} maximals, "
             f"s+1={qm.s1}, t+1={qm.t1}"

@@ -12,9 +12,9 @@ Index two is decided by ``groups.extension_order``, as ``group_a`` decides
 it, and the report holds the witness of the first hypothesis that fails.
 
 Verification is independent of the construction: it recounts the degree of
-every point against the chosen maximals, either through the incidence index
-or, on the slow path, by testing every point for orthogonality to every
-chosen basis, one chunked matrix product that does not read the index.  The
+every point against the chosen maximals, by ``QuadricModel.degrees`` on the
+incidence index or, on the slow path, by an orthogonality test of every
+point against every chosen basis, a chunked product that reads no index.  The
 construction never reads the index either: B is resolved from a generating
 pair, and each element, tau included, enters as its 3x3 block on W and acts
 through it alone: on points through their W columns, and on maximals by
@@ -181,20 +181,6 @@ class VerificationReport:
     method: str
 
 
-def _degrees_by_index(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
-    """Point degrees from the incidence index rows of the members.
-
-    The rows of 1,024 members at a time are gathered by ``np.take``, so the
-    gather and its intp copy in ``bincount`` stay one small chunk at any
-    number of members.  Both take the index's uint16 or int32 ids alike.
-    """
-    degrees = np.zeros(qm.num_points, dtype=np.int64)
-    for start in range(0, ids.size, 1024):
-        rows = np.take(qm.maximal_points, ids[start:start + 1024], axis=0)
-        degrees += np.bincount(rows.ravel(), minlength=qm.num_points)
-    return degrees
-
-
 def _degrees_by_orthogonality(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
     """Point degrees without the incidence index.
 
@@ -219,39 +205,33 @@ def verify_hemisystem(
 ) -> VerificationReport:
     """Recount every point degree over the given member ids.
 
-    The recount reads the incidence index, or with ``slow`` tests every
-    point for orthogonality to every member basis, which does not use the
-    index.  ``jobs`` selects nothing; it is accepted for existing callers.
+    The recount is ``QuadricModel.degrees``, the one count through the
+    incidence index, or with ``slow`` an orthogonality test of every point
+    against every member basis, which does not use the index.  Ids that are
+    not a flat list of integers raise UnknownMaximalId.  ``jobs`` selects
+    nothing; it is accepted for existing callers.
     """
-    arr = np.asarray(ids, dtype=np.int64)
-    if arr.ndim != 1:
-        raise UnknownMaximalId("member ids must form a flat list")
+    arr = np.asarray(ids)
+    if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+        raise UnknownMaximalId("member ids must form a flat list of integers")
+    arr = arr.astype(np.int64, copy=False)
     if arr.size and (arr.min() < 0 or arr.max() >= qm.num_maximals):
         raise UnknownMaximalId("member id outside the model")
     if np.bincount(arr, minlength=qm.num_maximals).max() > 1:
         raise UnknownMaximalId("duplicate member id")
 
-    if slow:
-        degrees = _degrees_by_orthogonality(qm, arr)
-        method = "orthogonal"
-    else:
-        degrees = _degrees_by_index(qm, arr)
-        method = "index"
-
-    target = qm.target_degree
-    expected = qm.num_maximals // 2
-    bad = np.nonzero(degrees != target)[0]
+    degrees = _degrees_by_orthogonality(qm, arr) if slow else qm.degrees(arr)
+    bad = np.flatnonzero(degrees != qm.target_degree)
     values, counts = np.unique(degrees, return_counts=True)
-    histogram = tuple((int(v), int(c)) for v, c in zip(values, counts))
-    ok = arr.size == expected and bad.size == 0
+    expected = qm.num_maximals // 2
     return VerificationReport(
-        ok=bool(ok),
-        size=int(arr.size),
+        ok=arr.size == expected and bad.size == 0,
+        size=arr.size,
         expected_size=expected,
-        target_degree=target,
-        histogram=histogram,
-        bad_points=tuple(int(i) for i in bad[:5]),
-        method=method,
+        target_degree=qm.target_degree,
+        histogram=tuple(zip(values.tolist(), counts.tolist())),
+        bad_points=tuple(bad[:5].tolist()),
+        method="orthogonal" if slow else "index",
     )
 
 

@@ -31,13 +31,14 @@ One RREF and one sort at the end put them in canonical order.
 
 The incidence index between points and maximals, ``maximal_points``, is
 built on its first read, from the s + 1 = (q^d - 1)/(q - 1) combinations of
-each basis whose first nonzero coefficient is 1, and checked for
-regularity: each point lies on t + 1 = prod_{i<d} (q^i + 1) maximals.  Only
-the index recount of a hemisystem and the self-checks read it.  It is built
-a fixed chunk of maximals at a time, each chunk's points by one
-``lifted_product`` for every k, straight into an index of the narrowest
-exact type: uint16 point ids when P <= 65,536 and int32 otherwise.  The
-point ids of the basis rows are int32.
+each basis whose first nonzero coefficient is 1, a fixed chunk of maximals
+at a time, each chunk's points by one ``lifted_product`` for every k,
+straight into an index of the narrowest exact type: uint16 point ids when
+P <= 65,536 and int32 otherwise.  ``QuadricModel.degrees``, the one count
+of point degrees, is its one reader; the build checks regularity by the
+same count over all N maximals, as each point lies on t + 1 =
+prod_{i<d} (q^i + 1) maximals, and the index recount of a hemisystem and
+the self-checks call it.  The point ids of the basis rows are int32.
 
 The groups act as h (+) I_U, with h a 3x3 block on W = <z, e0, f0>, and
 the actions take h alone: a matrix of any other shape is refused.  On
@@ -254,6 +255,24 @@ def _w_block(h) -> np.ndarray:
     return h
 
 
+def _v_rows(stack, n: int) -> np.ndarray:
+    """stack as uint8 rows of length n; raises ValueError for any other width."""
+    stack = np.asarray(stack, dtype=np.uint8)
+    if stack.shape[-1:] != (n,):
+        raise ValueError(f"a vector of V has {n} coordinates, not shape {stack.shape}")
+    return stack
+
+
+def _degrees(index: np.ndarray, ids: np.ndarray, num_points: int) -> np.ndarray:
+    """How many of the maximals ``ids`` hold each point, from their index rows,
+    gathered 1,024 at a time to bound them and their intp copy in bincount."""
+    degrees = np.zeros(num_points, dtype=np.int64)
+    for start in range(0, len(ids), 1024):
+        rows = np.take(index, ids[start:start + 1024], axis=0)
+        degrees += np.bincount(rows.ravel(), minlength=num_points)
+    return degrees
+
+
 def _physical_memory() -> int | None:
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -372,21 +391,21 @@ class QuadricModel:
         combos = combos[(_units(F, combos) == combos).all(axis=1)]
         dtype = np.uint16 if self.num_points <= 2**16 else np.int32
         out = np.empty((self.num_maximals, self.s1), dtype=dtype)
-        degrees = np.zeros(self.num_points, dtype=np.int64)
         for start in range(0, self.num_maximals, _INDEX_CHUNK):
             chunk = self.maximal_bases[start:start + _INDEX_CHUNK]
             pids = self._lookup_units(lifted_product(F, combos, chunk))
             if (pids < 0).any():
                 raise RuntimeError("maximal contains a vector outside the point set")
-            rows = out[start:start + _INDEX_CHUNK]
-            rows[...] = pids
-            rows.sort(axis=1)
-            degrees += np.bincount(rows.ravel(), minlength=self.num_points)
+            out[start:start + _INDEX_CHUNK] = np.sort(pids, axis=1)
         # regularity also follows from what the build checks: N(q, d)
         # distinct, totally singular d-spaces are all the maximals
-        if (degrees != self.t1).any():
+        if (_degrees(out, np.arange(self.num_maximals), self.num_points) != self.t1).any():
             raise RuntimeError(f"some point does not lie on t + 1 = {self.t1} maximals")
         return out
+
+    def degrees(self, ids: np.ndarray) -> np.ndarray:
+        """The one count of point degrees: how many maximals ``ids`` hold each point."""
+        return _degrees(self.maximal_points, ids, self.num_points)
 
     # -- lookups
 
@@ -413,9 +432,10 @@ class QuadricModel:
     def point_ids(self, vecs: np.ndarray) -> np.ndarray:
         """Int32 ids of the points spanned by the rows of an (N, n) stack.
 
-        Raises ActionEscape when a row is zero or not singular.
+        Raises ValueError when a row has not n = 2d + 1 entries, and
+        ActionEscape when a row is zero or not singular.
         """
-        pids = self._lookup_units(_units(self.field, np.asarray(vecs, dtype=np.uint8)))
+        pids = self._lookup_units(_units(self.field, _v_rows(vecs, self.dim)))
         if (pids < 0).any():
             raise ActionEscape("vector is not a singular point of the quadric")
         return pids
@@ -443,12 +463,12 @@ class QuadricModel:
         scaling.  A matrix that is already a maximal's RREF basis, in that
         its rows are its points' unit vectors, by code, and those points
         spell a maximal code, is resolved by that lookup alone; only the
-        rest are reduced.  Raises ActionEscape, with ``index`` the first
-        offending matrix, when a matrix does not span a maximal of the
-        quadric.
+        rest are reduced.  Raises ValueError when a row has not n = 2d + 1
+        entries, and ActionEscape, with ``index`` the first offending
+        matrix, when a matrix does not span a maximal of the quadric.
         """
         d = self.d
-        stack = np.asarray(stack, dtype=np.uint8)
+        stack = _v_rows(stack, self.dim)
         if stack.shape[1] < d:
             raise ActionEscape(f"matrix 0 has fewer than {d} rows", index=0)
         ids = np.zeros(len(stack), dtype=np.int64)

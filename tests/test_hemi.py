@@ -15,7 +15,6 @@ from hemisystems.hemi import (
     MaskLength,
     TooManyOrbits,
     UnknownMaximalId,
-    _degrees_by_index,
     ab_check,
     assemble,
     enumerate_all_hemisystems,
@@ -258,16 +257,19 @@ def test_verify_slow_path_matches_fast_path():
 
 
 def test_index_recount_over_several_chunks_matches_one_bincount():
-    # half the maximals at (5,3), 9,828 of 19,656, take ten recount chunks;
-    # a random half gives every point some degree, not only t + 1 / 2
-    qm = qmodel(5, 1, 3)
-    ids = np.random.default_rng(53).permutation(qm.num_maximals)[: qm.num_maximals // 2]
-    assert ids.size == 9828
-    whole = np.bincount(qm.maximal_points[ids].ravel(), minlength=qm.num_points)
-    assert len(np.unique(whole)) > 1
-    assert np.array_equal(_degrees_by_index(qm, ids), whole)
-    values, counts = np.unique(whole, return_counts=True)
-    assert verify_hemisystem(qm, ids).histogram == tuple(zip(values.tolist(), counts.tolist()))
+    # half the maximals, 9,828 of 19,656 at (5,3), take ten recount chunks;
+    # a random half gives every point some degree, not only t + 1 / 2.  At
+    # q = 41, d = 2, P = 70,644 points, so the index holds int32 ids
+    for (p, k, d), half, dtype in (((5, 1, 3), 9828, np.uint16), ((41, 1, 2), 35322, np.int32)):
+        qm = qmodel(p, k, d)
+        ids = np.random.default_rng(53).permutation(qm.num_maximals)[: qm.num_maximals // 2]
+        assert ids.size == half and qm.maximal_points.dtype == dtype
+        whole = np.bincount(qm.maximal_points[ids].ravel(), minlength=qm.num_points)
+        assert len(np.unique(whole)) > 1
+        assert np.array_equal(qm.degrees(ids), whole)
+        values, counts = np.unique(whole, return_counts=True)
+        histogram = tuple(zip(values.tolist(), counts.tolist()))
+        assert verify_hemisystem(qm, ids).histogram == histogram
 
 
 def test_an_index_recount_holds_one_chunk_of_rows():
@@ -319,6 +321,16 @@ def test_verify_rejects_alien_ids():
         verify_hemisystem(pr.qm, [-1, 0])
     with pytest.raises(UnknownMaximalId):
         verify_hemisystem(pr.qm, [3, 3, 4])
+    # a cast to int64 would verify the fractions and the strings of a
+    # hemisystem's ids, and read its member mask as a duplicate id
+    ids = assemble(pr.report.split, 0)
+    mask = np.zeros(pr.qm.num_maximals, dtype=bool)
+    mask[ids] = True
+    for alien in (ids + 0.5, [str(i) for i in ids], mask):
+        with pytest.raises(UnknownMaximalId, match="integers"):
+            verify_hemisystem(pr.qm, alien)
+    empty = verify_hemisystem(pr.qm, [])
+    assert not empty.ok and empty.size == 0
 
 
 def test_members_are_b_invariant():

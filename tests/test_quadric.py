@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -590,6 +591,16 @@ def test_a_full_matrix_is_refused_by_the_actions_and_membership():
                 qm.maximal_permutation(g)
             with pytest.raises(ValueError, match="3x3"):
                 qm.point_permutation(g)
+    # a leading zero digit leaves a code unchanged, so a row with a zero
+    # put before it, or dropped from its front, would resolve to a point or
+    # maximal by its code; every width but 2d + 1 is refused
+    basis = qm.maximal_bases[7]
+    for rows in (np.pad(basis, ((0, 0), (1, 0)))[None], basis[None, :, 1:]):
+        with pytest.raises(ValueError, match=re.escape(str(rows.shape))):
+            qm.maximal_ids(rows)
+    for rows in (np.pad(qm.points[5:6], ((0, 0), (1, 0))), qm.points[5:6, 1:]):
+        with pytest.raises(ValueError, match=re.escape(str(rows.shape))):
+            qm.point_ids(rows)
 
 
 def reference_index(qm):

@@ -8,8 +8,9 @@ point lookups by table, not by binary search, a prepare that builds no incidence
 index, reduces only the enumerated maximals, searches no maximal codes and leaves
 numpy.ma unimported, canonical certificate members resolved without reading the
 bases, line layouts and element strings built once per stream, one writer of
-the member block, the certificate format in the certificate module alone, and
-no module-level function or class that only the tests use."""
+the member block, the certificate format in the certificate module alone, the
+incidence index read by ``QuadricModel.degrees`` alone, and no module-level
+function or class that only the tests use."""
 
 import argparse
 import ast
@@ -69,6 +70,18 @@ def test_only_mat_mul_branches_on_the_extension_degree():
     assert found == ["linform.py:mat_mul"]
 
 
+def qualified_owners(tree):
+    """The dotted name of the function or class around each node of a module."""
+    owner = {}
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner[child] = ".".join(filter(None, (owner.get(node), node.name)))
+            else:
+                owner[child] = owner.get(node)
+    return owner
+
+
 def test_only_the_field_and_mat_mul_gather_from_the_flat_tables():
     # elementwise arithmetic on arrays is Field.add_arrays/mul_arrays, and
     # only mat_mul's extension loop fuses its own gathers into preallocated
@@ -76,13 +89,7 @@ def test_only_the_field_and_mat_mul_gather_from_the_flat_tables():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        owner = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    owner[child] = ".".join(filter(None, (owner.get(node), node.name)))
-                else:
-                    owner[child] = owner.get(node)
+        owner = qualified_owners(tree)
         found += [
             f"{path.name}:{owner[node]}"
             for node in ast.walk(tree)
@@ -416,6 +423,21 @@ def test_only_the_certificate_module_knows_the_format():
                 if re.search("certificate|matrix_block", node.name, flags=re.I):
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_only_the_degree_count_reads_the_incidence_index():
+    # the index holds uint16 or int32 point ids by P; QuadricModel.degrees is
+    # its one reader, so no other module depends on that format
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = qualified_owners(tree)
+        found += [
+            f"{path.name}:{owner[node]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "maximal_points"
+        ]
+    assert found == ["quadric.py:QuadricModel.degrees"]
 
 
 def test_every_module_level_definition_is_used_in_the_package():
