@@ -80,7 +80,7 @@ def cmd_stats(ns: argparse.Namespace) -> int:
         ("t_plus_1", "t+1", qm.t1),
         ("target_degree", "(t+1)/2", qm.target_degree),
         ("b_order", "|B|", prep.b.order),
-        ("a_order", "|A|", rep.a_order),
+        ("a_order", "|A|", prep.a.order),
         ("m", "m", rep.m),
         ("n_b", "n_b", rep.n_b_maximal_orbits),
     ]
@@ -320,9 +320,14 @@ def _selftest_checks(ns: argparse.Namespace):
         return f"two orbits of size {half} on nonzero singular W-vectors"
 
     def group_orders() -> str:
-        q = F.q
-        b, a = prep().b.order, prep().a.order
+        # the closure counts B and A; every element it lists must agree with the predicates
+        q, pr = F.q, prep()
+        b, a = pr.b.order, pr.a.order
         _require(b == q * (q**2 - 1) // 2 and a == q * (q**2 - 1), f"|B| = {b}, |A| = {a}")
+        _require(pr.b.contains(pr.b.elements).all(), "an element of B fails B's predicate")
+        coset = mat_mul(F, pr.tau_elt, pr.b.elements)
+        _require(pr.a.contains(coset).all(), "an element of tau B fails A's predicate")
+        _require(not pr.b.contains(coset).any(), "an element of tau B passes B's predicate")
         return f"|B| = {b}, |A| = {a}"
 
     def tau_properties() -> str:

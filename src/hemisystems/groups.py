@@ -9,20 +9,26 @@ reflection in z extends it to an index-two overgroup.
 Both groups fix U = W-perp pointwise, so they are held as uint8 stacks of
 3x3 blocks on W, and the block is the only form in which an element
 enters the pipeline: the membership test, tau, the actions on points and
-maximals all take 3x3 blocks.  B is closed once, a whole frontier of
-products at a time, from a pair of words in its listed generators, since
-PSL2(q) is 2-generated; its actions are resolved from the same pair.  A
-is not closed but built as the union of B and the coset tau B, once
-``extension_order`` finds B of index two in it.  A block is embedded into
-the model's dimension 2d + 1 only to write the generator lines of a
-certificate.
+maximals all take 3x3 blocks.  The pipeline lists no element of either
+group.  B is its generators and a closed-form membership predicate: an
+isometry of J_W with determinant 1 and square spinor norm, the norm read
+off a trace.  Its actions are resolved from a pair of words in its
+generators, since PSL2(q) is 2-generated.  A is B's generators with tau,
+and h lies in A when h or tau^-1 h lies in B, once ``extension_order``
+finds B of index two in A.  Both lists are computed only when read, as
+the counted reference of ``stats``, ``selftest`` and the tests: B is closed
+from the pair a whole frontier of products at a time, and A is the union
+of B and the coset tau B.  A block is embedded into the model's dimension
+2d + 1 only to write the generator lines of a certificate.
 
 All matrices act on row vectors from the right, so g @ h means "g first".
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,14 +62,23 @@ class NoIsometry(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MatrixGroup:
-    """A finite matrix group held as uint8 stacks of its generators and elements.
+    """A finite matrix group: a uint8 stack of its generators, a batched
+    membership predicate, and the list of its elements as a counted reference.
 
-    ``elements`` is sorted by the bytes of each matrix, which makes
-    membership a binary search over the whole stack at once.
+    ``member`` maps an (N, n, n) stack to N booleans and is the one
+    membership test.  ``listing`` lists the elements, sorted by the bytes of
+    each matrix; it runs on the first read of ``elements`` or ``order``.
     """
 
     generators: np.ndarray  # (g, n, n)
-    elements: np.ndarray  # (N, n, n)
+    member: Callable[[np.ndarray], np.ndarray]
+    listing: Callable[[], np.ndarray]
+
+    @cached_property
+    def elements(self) -> np.ndarray:
+        elements = self.listing()
+        elements.setflags(write=False)
+        return elements
 
     @property
     def order(self) -> int:
@@ -75,11 +90,10 @@ class MatrixGroup:
         Raises ValueError when the matrices are not n x n.
         """
         M = np.asarray(mats, dtype=np.uint8)
-        n = self.elements.shape[-1]
+        n = self.generators.shape[-1]
         if M.shape[-2:] != (n, n):
             raise ValueError(f"the elements are {n}x{n} matrices, not of shape {M.shape}")
-        _, found = search_keys(byte_keys(self.elements), byte_keys(M.reshape(-1, n, n)))
-        return found.reshape(M.shape[:-2])
+        return self.member(M.reshape(-1, n, n)).reshape(M.shape[:-2])
 
 
 def close(field: Field, gens, limit: int) -> MatrixGroup:
@@ -87,7 +101,8 @@ def close(field: Field, gens, limit: int) -> MatrixGroup:
 
     Each round multiplies the newest elements by every generator on the
     right and keeps the products not met before.  Raises GenerationFailure
-    once a round has found more than ``limit`` elements.
+    once a round has found more than ``limit`` elements.  Membership is a
+    binary search of the sorted element keys.
     """
     gens = np.array(gens, dtype=np.uint8)
     n = gens.shape[-1]
@@ -103,8 +118,9 @@ def close(field: Field, gens, limit: int) -> MatrixGroup:
             raise GenerationFailure(f"closure exceeded {limit} elements")
     elements = known.view(np.uint8).reshape(-1, n, n)
     gens.setflags(write=False)
-    elements.setflags(write=False)
-    return MatrixGroup(gens, elements)
+    return MatrixGroup(
+        gens, lambda mats: search_keys(known, byte_keys(mats))[1], lambda: elements
+    )
 
 
 def sl2_generators(field: Field) -> np.ndarray:
@@ -260,21 +276,73 @@ def generating_pair(field: Field, gens: np.ndarray) -> np.ndarray:
     With the generators listed as ``sl2_generators`` lists them, these are
     a, the upper transvection by 1, and b, the lower transvection by
     x^(k - 1) followed by the Weyl rotation.  PSL2(q) is 2-generated
-    (Steinberg, "Generators for simple groups", Canad. J. Math. 1962), and
-    ``omega_w`` closes B from this pair and checks that it contains every
-    listed generator.
+    (Steinberg, "Generators for simple groups", Canad. J. Math. 1962): the
+    orbits of B are resolved from this pair, and B's counted reference is
+    closed from it.
     """
     return np.stack([gens[0], mat_mul(field, gens[-2], gens[-1])])
+
+
+# the six terms h[0, s0] h[1, s1] h[2, s2] of a 3x3 determinant, as positions
+# in the flattened matrix: the even permutations s, then the odd ones
+_DET_TERMS = np.array([[0, 1, 2, 0, 1, 2], [4, 5, 3, 5, 3, 4], [8, 6, 7, 7, 8, 6]])
+
+
+def _invariant_reader(field: Field, gens: np.ndarray) -> np.ndarray:
+    """The (15, 2g + 3) matrix that reads tr(h s) for s = I, each generator
+    of B and the pair's second word, then det h, off the nine entries of h
+    followed by the six terms of its determinant."""
+    F = field
+    words = np.concatenate([identity(3)[None], gens, generating_pair(F, gens)[1:]])
+    reader = np.zeros((15, len(words) + 1), dtype=np.uint8)
+    reader[:9, :-1] = np.swapaxes(words, 1, 2).reshape(-1, 9).T  # tr(h s) = vec(h).vec(s^T)
+    reader[9:, -1] = [1, 1, 1, F.neg(1), F.neg(1), F.neg(1)]
+    return reader
+
+
+def _in_omega(space: QuadraticSpace, reader: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Membership of each 3x3 block of an (N, 3, 3) stack in Omega(W).
+
+    Omega(W) is the common kernel of det and the spinor norm theta on O(W)
+    (Zassenhaus, "On the spinor norm", Arch. Math. 13, 1962; Taylor, The
+    Geometry of the Classical Groups, 1992, ch. 11).  SO(W) is PGL2(q)
+    through the adjoint action, with tr Ad(g) = tr(g)^2 / det g - 1, and
+    Omega(W) is the image of PSL2(q); so 1 + tr h is theta(h) modulo
+    squares whenever it is not 0.  Where it is 0, h s with s in B has the
+    same class, and the first word s of ``_invariant_reader`` with
+    1 + tr(h s) nonzero is read: a trace-free g in PGL2 has an off-diagonal
+    entry, which a transvection by 1 reads, or is diag(1, -1) up to
+    scalars, which the pair's second word reads.  One product reads every
+    trace and the determinant.
+    """
+    F = space.field
+    flat = h.reshape(-1, 9)
+    x = flat[:, _DET_TERMS]
+    terms = F.mul_arrays(F.mul_arrays(x[:, 0], x[:, 1]), x[:, 2])
+    read = mat_mul(F, np.concatenate([flat, terms], axis=1), reader)
+    iso = (space.restrict_gram(h) == space.gram).all(axis=(1, 2))
+    special = iso & (read[:, -1] == 1)
+    moved = F.add_table[1, read[:, :-1]]
+    theta = moved[np.arange(len(h)), np.argmax(moved != 0, axis=1)]
+    if (special & (theta == 0)).any():
+        raise RuntimeError("no listed word of B moves an element of SO(W) off trace -1")
+    return special & F.square_mask[theta]
+
+
+def _b_order(field: Field) -> int:
+    return field.q * (field.q**2 - 1) // 2
 
 
 def omega_w(model: StandardModel) -> MatrixGroup:
     """Omega(W) as 3x3 blocks on W: the symmetric-square image of SL2.
 
     The generators of SL2 are carried through the symmetric square onto the
-    W block; the group is closed there from their ``generating_pair`` and
-    keeps them all as its generators.  The kernel {I, -I} halves the order,
-    so the result has q(q^2 - 1)/2 elements.  Raises GenerationFailure when
-    the pair closes short of that or misses a listed generator.
+    W block and kept as the group's generators.  Membership is the closed
+    form of ``_in_omega``: an isometry of J_W with det 1 and square spinor
+    norm.  The elements are listed only when read, as the counted
+    reference: closed from the ``generating_pair``, q(q^2 - 1)/2 of them as
+    the kernel {I, -I} halves SL2.  That read raises GenerationFailure when
+    the pair closes short of that order or misses a listed generator.
     """
     F = model.field
     disc = QuadraticSpace(F, discriminant_gram(F))
@@ -282,14 +350,19 @@ def omega_w(model: StandardModel) -> MatrixGroup:
     Tinv = mat_inv(F, T)
     squares = np.stack([sym_square(F, g) for g in sl2_generators(F)])
     gens = mat_mul(F, mat_mul(F, T, squares), Tinv)
-    expected = F.q * (F.q**2 - 1) // 2
-    group = close(F, generating_pair(F, gens), limit=expected)
-    if group.order != expected:
-        raise GenerationFailure(f"Omega(W) closed at {group.order}, expected {expected}")
-    if not group.contains(gens).all():
-        raise GenerationFailure("the generating pair misses a generator of Omega(W)")
     gens.setflags(write=False)
-    return MatrixGroup(gens, group.elements)
+
+    def listing() -> np.ndarray:
+        expected = _b_order(F)
+        group = close(F, generating_pair(F, gens), limit=expected)
+        if group.order != expected:
+            raise GenerationFailure(f"Omega(W) closed at {group.order}, expected {expected}")
+        if not group.contains(gens).all():
+            raise GenerationFailure("the generating pair misses a generator of Omega(W)")
+        return group.elements
+
+    reader = _invariant_reader(F, gens)
+    return MatrixGroup(gens, lambda h: _in_omega(model.w_space, reader, h), listing)
 
 
 def tau(model: StandardModel) -> np.ndarray:
@@ -300,42 +373,51 @@ def tau(model: StandardModel) -> np.ndarray:
 
 
 def extension_order(field: Field, b: MatrixGroup, t: np.ndarray) -> tuple[int, str | None]:
-    """|<B, tau>| and the witness of the first failed check; tau is a 3x3 block on W.
+    """|<B, tau>| and the witness of the first failed check; B is Omega(W)
+    and tau a 3x3 block on W.
 
     The checks, in order: tau is outside B, normalizes B (on B's generators,
     as tau B tau^-1 inside B is an equality for finite B), and squares into
     B.  Then B and tau B are closed under products, so they are <B, tau>,
     with B of index two and no witness.  The order is 2|B| then, |B| when
-    tau lies in B, and -1 otherwise.
+    tau lies in B, and -1 otherwise, with |B| = q(q^2 - 1)/2.
     """
     conj = mat_mul(field, mat_mul(field, t, b.generators), mat_inv(field, t))
     found = b.contains(np.concatenate([t[None], conj, mat_mul(field, t, t)[None]]))
     if found[0]:
-        return b.order, "tau lies in B"
+        return _b_order(field), "tau lies in B"
     left = np.flatnonzero(~found[1:-1])
     if left.size:
         i = int(left[0])
         return -1, f"conjugate of B generator {i} left B: {b.generators[i].tolist()}"
     if not found[-1]:
         return -1, "tau^2 is not in B"
-    return 2 * b.order, None
+    return 2 * _b_order(field), None
 
 
 def group_a(model: StandardModel, b: MatrixGroup, t: np.ndarray) -> MatrixGroup:
     """<B, tau> as B and the coset tau B, which meets B nowhere as tau is outside B.
 
+    h lies in A when h or tau^-1 h lies in B.  The elements are listed
+    only when read, as the sorted union of B's list and tau times it.
     Raises GenerationFailure with the witness of ``extension_order``.
     """
     F = model.field
     _, witness = extension_order(F, b, t)
     if witness is not None:
         raise GenerationFailure(witness)
-    keys = np.sort(byte_keys(np.concatenate([b.elements, mat_mul(F, t, b.elements)])))
     gens = np.concatenate([b.generators, t[None]])
-    elements = keys.view(np.uint8).reshape(-1, 3, 3)
     gens.setflags(write=False)
-    elements.setflags(write=False)
-    return MatrixGroup(gens, elements)
+
+    def member(h: np.ndarray) -> np.ndarray:
+        inside = b.contains(np.concatenate([h, mat_mul(F, mat_inv(F, t), h)]))
+        return inside[: len(h)] | inside[len(h):]
+
+    def listing() -> np.ndarray:
+        keys = np.sort(byte_keys(np.concatenate([b.elements, mat_mul(F, t, b.elements)])))
+        return keys.view(np.uint8).reshape(-1, 3, 3)
+
+    return MatrixGroup(gens, member, listing)
 
 
 def w_singular_vectors(model: StandardModel) -> np.ndarray:

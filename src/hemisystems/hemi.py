@@ -9,7 +9,8 @@ coset tau B, its orbits are B's orbits joined by tau (the AB-Lemma of
 Bamberg, Giudici and Royle, Bull. LMS 2010), so the hypotheses are decided
 from B's orbits and tau's permutations alone; A's orbits are never built.
 Index two is decided by ``groups.extension_order``, as ``group_a`` decides
-it, and the report holds the witness of the first hypothesis that fails.
+it, from B's membership predicate, so no element of B or A is listed; the
+report holds the witness of the first hypothesis that fails.
 
 Verification is independent of the construction: it recounts the degree of
 every point against the chosen maximals, by ``QuadricModel.degrees`` on the
@@ -250,7 +251,11 @@ class Prepared:
 
 
 def prepare(field: Field, d: int) -> Prepared:
-    """Build the model, both groups, their actions, and the AB report."""
+    """Build the model, both groups, their actions, and the AB report.
+
+    The groups enter as generators and membership predicates; reading
+    ``b.order`` or ``a.order`` of the result lists them.
+    """
     require_memory(field.q, d)
     m = standard_model(field, d)
     qm = QuadricModel(m)

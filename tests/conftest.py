@@ -1,6 +1,8 @@
 """Shared, session-cached geometry builders, matrix-stack helpers and oracles for the tests."""
 
 import functools
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -8,6 +10,15 @@ from hemisystems.gf import field_make
 from hemisystems.linform import StandardModel, mat_mul, rref, standard_model
 from hemisystems.orbits import OrbitPartition, check_permutation
 from hemisystems.quadric import QuadricModel, enumerate_points
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict:
+    """The environment with ``src`` first on PYTHONPATH, for subprocesses of the package."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), path] if path else [str(SRC)]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -31,6 +42,12 @@ def element_orders(F, X):
         if n > F.q ** X.shape[-1]:
             raise RuntimeError("element order runaway")
     return orders
+
+
+def one_plus_trace(F, h):
+    """1 + tr h for every matrix of a (..., 3, 3) stack."""
+    diag = np.diagonal(h, axis1=-2, axis2=-1)
+    return F.add_table[1, F.add_table[F.add_table[diag[..., 0], diag[..., 1]], diag[..., 2]]]
 
 
 def normal_form_cases(qm: QuadricModel) -> np.ndarray:

@@ -4,11 +4,9 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,12 +21,12 @@ from hemisystems.certificate import (
     resolve_members,
 )
 from hemisystems.cli import main
-from hemisystems import cli, hemi
+from hemisystems import cli, groups, hemi
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block
 from hemisystems.hemi import assemble, prepare
 from hemisystems.linform import format_matrix, identity, mat_mul, parse_matrices, rref
-from conftest import model, qmodel  # noqa: F401 - shared cached fixtures
+from conftest import model, one_plus_trace, qmodel, src_env  # noqa: F401 - shared fixtures
 from test_linform import reference_format
 
 
@@ -223,9 +221,8 @@ def test_an_absurd_rank_is_refused_before_the_standard_model_is_built():
         "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         "print(run.stderr)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     run = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=300
     )
     assert run.returncode == 0, run.stderr
     status, err = run.stdout.split("\n", 1)
@@ -246,10 +243,9 @@ def test_a_wrong_shape_at_an_absurd_rank_is_refused_in_little_memory(tmp_path):
         "print(run.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
         "print(run.stderr)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     run = subprocess.run(
         [sys.executable, "-c", code, str(cert)],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=src_env(), timeout=300,
     )
     assert run.returncode == 0, run.stderr
     status, err = run.stdout.split("\n", 1)
@@ -274,10 +270,9 @@ def test_out_of_range_fields_and_ranks_exit_2_at_once(tmp_path, argv, limit):
     cert = tmp_path / "cert.txt"
     cert.write_text(f"{CERT_MAGIC} 1\nfield {2**61 - 1} 1 0,1\nrank 2\n")
     argv = [str(cert) if a == "CERT" else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     run = subprocess.run(
         [sys.executable, "-m", "hemisystems.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=10,
+        capture_output=True, text=True, env=src_env(), timeout=10,
     )
     assert run.returncode == 2
     assert limit in run.stderr
@@ -888,6 +883,23 @@ def test_selftest_checks_the_pairing_against_the_orbits_of_a(capsys, monkeypatch
     assert "FAIL ab-conditions: AssertionError: n_b != 2 n_a" in out.splitlines()
 
 
+def test_selftest_checks_the_predicates_against_the_closure(capsys, monkeypatch):
+    # a predicate that also took every isometry of trace -1 still decides
+    # prepare's few memberships right; only the listed tau B exposes it
+    real = groups._in_omega
+
+    def loose(space, reader, h):
+        iso = (space.restrict_gram(h) == space.gram).all(axis=(1, 2))
+        return real(space, reader, h) | (iso & (one_plus_trace(space.field, h) == 0))
+
+    monkeypatch.setattr(groups, "_in_omega", loose)
+    rc, out, _ = run(capsys, "selftest")
+    assert rc == 1
+    lines = out.splitlines()
+    assert "FAIL group-orders: AssertionError: an element of tau B passes B's predicate" in lines
+    assert [ln.split(":")[0] for ln in lines if ln.startswith("FAIL")] == ["FAIL group-orders"]
+
+
 def test_selftest_checks_tau_squared_on_the_models_tau(capsys, monkeypatch):
     # tau g with g in B passes the AB check, which does not need tau^2 = 1;
     # selftest claims tau^2 = 1 of the model's tau and checks it there
@@ -913,9 +925,9 @@ def test_selftest_reports_a_corrupt_field_under_optimize():
         "field_make(3).add_table[1, 1] = 0\n"
         "sys.exit(cli.main(['selftest']))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     run = subprocess.run(
-        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-O", "-c", code],
+        capture_output=True, text=True, env=src_env(), timeout=300,
     )
     assert run.returncode == 1, run.stderr
     assert run.stdout.splitlines()[0].startswith("FAIL field-axioms: AssertionError: ")
@@ -931,12 +943,14 @@ def test_subprocess_construct_then_verify(tmp_path):
         [sys.executable, "-m", "hemisystems.cli", "construct", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert build.returncode == 0, build.stderr
     check = subprocess.run(
         [sys.executable, "-m", "hemisystems.cli", "verify", str(out)],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert check.returncode == 0, check.stderr
     assert "verified" in check.stdout
@@ -944,6 +958,7 @@ def test_subprocess_construct_then_verify(tmp_path):
         [sys.executable, "-m", "hemisystems.cli", "stats", "--p", "2"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert bad.returncode == 2
 

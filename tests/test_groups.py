@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import element_orders, model
+from conftest import element_orders, model, one_plus_trace
 from hemisystems.gf import field_make
 from hemisystems import groups
 from hemisystems.groups import (
@@ -23,7 +23,16 @@ from hemisystems.groups import (
     w_vector_orbits,
     witt_isometry,
 )
-from hemisystems.linform import QuadraticSpace, identity, mat_det, mat_inv, mat_mul
+from hemisystems.linform import (
+    QuadraticSpace,
+    all_vectors,
+    byte_keys,
+    identity,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    search_keys,
+)
 from hemisystems.quadric import QuadricModel
 
 CONFIGS = [(3, 1), (5, 1), (7, 1), (3, 2)]
@@ -334,11 +343,12 @@ def test_generating_pair_closes_to_b(p, k):
 
 
 def test_omega_w_refuses_a_pair_that_does_not_generate_b(monkeypatch):
+    # the pair is checked where B is listed, by the counted reference
     m = model(5, 1, 2)
     real = groups.generating_pair
     monkeypatch.setattr(groups, "generating_pair", lambda F, gens: real(F, gens)[:1])
     with pytest.raises(GenerationFailure, match="closed at"):
-        omega_w(m)
+        omega_w(m).elements
     # a conjugate of B by a map that is no similitude has B's order but
     # misses B's generators
     shear = identity(3)
@@ -349,7 +359,56 @@ def test_omega_w_refuses_a_pair_that_does_not_generate_b(monkeypatch):
 
     monkeypatch.setattr(groups, "generating_pair", conjugated)
     with pytest.raises(GenerationFailure, match="misses a generator"):
-        omega_w(m)
+        omega_w(m).elements
+
+
+def reflection(F, space, v):
+    """The reflection of W in the anisotropic vector v: x -> x - 2 beta(x, v)/beta(v, v) v."""
+    coef = F.div(F.add(1, 1), space.beta(v, v))
+    vj = mat_mul(F, v[None], space.gram)[0]
+    outer = F.mul_table[F.mul_table[coef, vj][:, None], v[None, :]]
+    return F.add_table[identity(3), F.neg_table[outer]]
+
+
+# every odd prime power q <= 27, as (p, k)
+ODD_Q_TO_27 = [
+    (3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3),
+]
+
+
+@pytest.mark.parametrize("p,k", ODD_Q_TO_27)
+def test_membership_predicates_match_the_closure(p, k):
+    # g = r_a r_c with beta(a, a) a square and beta(c, c) not has det 1 and
+    # a nonsquare spinor norm, so gB is a coset of SO(W) outside Omega(W)
+    m = model(p, k, 2)
+    F, space = m.field, m.w_space
+    b, t = omega_w(m), tau(m)
+    vecs = all_vectors(F.q, 3)[1:]
+    norms = space.restrict_gram(vecs[:, None, :])[:, 0, 0]
+    a_vec = vecs[np.flatnonzero((norms != 0) & F.square_mask[norms])[0]]
+    c_vec = vecs[np.flatnonzero(~F.square_mask[norms])[0]]
+    g = mat_mul(F, reflection(F, space, a_vec), reflection(F, space, c_vec))
+    assert np.array_equal(space.restrict_gram(g), space.gram) and mat_det(F, g) == 1
+    cosets = [b.elements, mat_mul(F, g, b.elements), mat_mul(F, t, b.elements)]
+    cosets.append(mat_mul(F, t, cosets[1]))
+    # the predicate's fallback is reached in B and in gB
+    assert (one_plus_trace(F, cosets[0]) == 0).any()
+    assert (one_plus_trace(F, cosets[1]) == 0).any()
+    stack = np.concatenate(cosets)
+    n = b.order
+    assert np.array_equal(b.contains(stack[: 3 * n]), np.arange(3 * n) < n)
+    a = group_a(m, b, t)
+    listed = search_keys(byte_keys(a.elements), byte_keys(stack))[1]
+    assert listed.sum() == a.order == 2 * n
+    assert np.array_equal(a.contains(stack), listed)
+    rng = np.random.default_rng(F.q)
+    noise = rng.integers(0, F.q, size=(200, 3, 3), dtype=np.uint8)
+    for group in (b, a):
+        listed = search_keys(byte_keys(group.elements), byte_keys(noise))[1]
+        assert np.array_equal(group.contains(noise), listed)
+        assert group.contains(stack[:6].reshape(2, 3, 3, 3)).shape == (2, 3)
+        with pytest.raises(ValueError):
+            group.contains(embed_w_block(F, b.elements[:2], 5))
 
 
 @pytest.mark.parametrize("p,k", CONFIGS)

@@ -164,8 +164,9 @@ def test_ab_check_accepts_tau_times_an_element_of_b():
     assert np.array_equal(groups.group_a(pr.model, pr.b, tg).elements, pr.a.elements)
 
 
-def test_prepare_closes_b_once_and_a_never(monkeypatch):
-    # A is built as B and the coset tau B, so only B is closed
+def test_prepare_closes_nothing(monkeypatch):
+    # B and A are membership predicates in prepare; reading |A| lists A as
+    # B and the coset tau B, so the reference closes B once and A never
     limits = []
     close = groups.close
 
@@ -175,8 +176,10 @@ def test_prepare_closes_b_once_and_a_never(monkeypatch):
 
     monkeypatch.setattr(groups, "close", counted)
     pr = prepare(field_make(3), 2)
+    assert limits == []
+    assert pr.report.ok and pr.report.a_order == 24
+    assert pr.a.order == 24 and pr.b.order == 12
     assert limits == [12]
-    assert pr.report.ok and pr.report.a_order == pr.a.order == 24
 
 
 @pytest.mark.parametrize("p,k,d", CONFIGS)

@@ -1,18 +1,23 @@
 """Point and maximal enumeration, incidence, lookups and actions."""
 
 import itertools
-import os
 import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import model, normal_form_cases, qmodel, rref_maximal_permutation, search_maximals
+from conftest import (
+    model,
+    normal_form_cases,
+    qmodel,
+    rref_maximal_permutation,
+    search_maximals,
+    src_env,
+)
 from hemisystems import quadric
 from hemisystems.cli import main
 from hemisystems.gf import field_make
@@ -453,8 +458,9 @@ def test_maximal_ids_rank_check_survives_optimize():
         "except ActionEscape as exc:\n"
         "    print('raised', exc.index)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=src_env()
+    )
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["raised", "1"]
 

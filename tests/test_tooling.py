@@ -3,7 +3,8 @@ product, flat-table gathers in the field and that product alone, one memory guar
 the CLI, subcommands that define only the flags they read, a README library
 snippet that runs, the calls the benchmark traces, an AB check that reads B's
 orbits and tau without building A again, index two decided by one function and
-an AB report without flags beside its witness, a standard model that scans no vectors,
+an AB report without flags beside its witness, a pipeline that lists no group
+element, index two at q = 251 from B's predicate, a standard model that scans no vectors,
 point lookups by table, not by binary search, a prepare that builds no incidence
 index, reduces only the enumerated maximals, searches no maximal codes and leaves
 numpy.ma unimported, canonical certificate members resolved without reading the
@@ -15,18 +16,19 @@ function or class that only the tests use."""
 import argparse
 import ast
 import dataclasses
-import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import src_env
 from hemisystems import certificate, groups, hemi, linform, quadric
-from hemisystems.cli import build_parser
+from hemisystems.cli import build_parser, main
 from hemisystems.gf import field_make
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hemisystems"
@@ -225,6 +227,7 @@ def test_the_ab_check_partitions_only_b_and_builds_no_group(monkeypatch):
     monkeypatch.setattr(hemi, "partition", counted)
     pr = hemi.prepare(field_make(3), 2)
     assert parts == [pr.qm.num_points, pr.qm.num_maximals]
+    a_order = pr.a.order  # the counted reference, listed before close is refused
 
     def refused(*args, **kwargs):
         pytest.fail("ab_check built a group")
@@ -232,14 +235,14 @@ def test_the_ab_check_partitions_only_b_and_builds_no_group(monkeypatch):
     for owner, name in ((groups, "group_a"), (hemi, "group_a"), (groups, "close")):
         monkeypatch.setattr(owner, name, refused)
     rep = hemi.ab_check(pr.qm, pr.b, pr.tau_elt, pr.actions)
-    assert rep.ok and rep.a_order == pr.a.order
+    assert rep.ok and rep.a_order == a_order
 
 
 def test_index_two_is_decided_once_and_the_ab_report_holds_no_flags(monkeypatch):
-    # extension_order alone tests tau, its conjugates and tau^2 against B,
-    # for group_a and ab_check alike; the only other membership test of
-    # prepare is omega_w's check that B holds its listed generators.  The
-    # verdict is the witness, so the report keeps no boolean beside it
+    # extension_order alone tests tau, its conjugates and tau^2 against B's
+    # predicate, for group_a and ab_check alike, and prepare makes no other
+    # membership test.  The verdict is the witness, so the report keeps no
+    # boolean beside it
     callers = []
     real = groups.MatrixGroup.contains
 
@@ -249,8 +252,37 @@ def test_index_two_is_decided_once_and_the_ab_report_holds_no_flags(monkeypatch)
 
     monkeypatch.setattr(groups.MatrixGroup, "contains", recorded)
     assert hemi.prepare(field_make(3), 2).report.ok
-    assert sorted(set(callers)) == ["extension_order", "omega_w"]
+    assert sorted(set(callers)) == ["extension_order"]
     assert [f.name for f in dataclasses.fields(hemi.ABReport) if f.type in ("bool", bool)] == []
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_the_pipeline_lists_no_group_element(monkeypatch, capsys, tmp_path, p, k, d):
+    # B and A enter prepare, orbits, construct and verify only through their
+    # generators and membership predicates; their lists are read by stats,
+    # selftest and the tests alone, and only the closure makes one
+    def refused(*args, **kwargs):
+        pytest.fail("the pipeline listed a group")
+
+    monkeypatch.setattr(groups, "close", refused)
+    assert hemi.prepare(field_make(p, k), d).report.ok
+    field = ["--p", str(p), "--k", str(k), "--d", str(d)]
+    out = tmp_path / "cert.txt"
+    assert main(["orbits", *field, "--cap", "1"]) == 0
+    assert main(["construct", *field, "--mask", "1", "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    assert "verified" in capsys.readouterr().out
+
+
+def test_index_two_at_q251_is_decided_from_the_predicate():
+    # |B| = 7,906,500 at q = 251, which no list reaches in a second
+    F = field_make(251)
+    m = linform.standard_model(F, 2)
+    start = time.perf_counter()
+    b, t = groups.omega_w(m), groups.tau(m)
+    assert groups.group_a(m, b, t).contains(t)
+    assert groups.extension_order(F, b, t) == (251 * (251**2 - 1), None)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_building_a_standard_model_scans_no_vectors(monkeypatch):
@@ -313,9 +345,8 @@ def test_prepare_leaves_numpy_ma_unimported():
         "hemi.prepare(field_make(3), 3)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), check=True
     )
     assert out.stdout.split() == ["False"]
 
