@@ -79,8 +79,9 @@ def cmd_stats(ns: argparse.Namespace) -> int:
         ("s_plus_1", "s+1", qm.s1),
         ("t_plus_1", "t+1", qm.t1),
         ("target_degree", "(t+1)/2", qm.target_degree),
-        ("b_order", "|B|", prep.b.order),
-        ("a_order", "|A|", prep.a.order),
+        # prepare has refused any witness, so |A| = 2|B| as extension_order found
+        ("b_order", "|B|", rep.a_order // 2),
+        ("a_order", "|A|", rep.a_order),
         ("m", "m", rep.m),
         ("n_b", "n_b", rep.n_b_maximal_orbits),
     ]

@@ -27,7 +27,12 @@ Enumeration follows the rank recursion.  The standard space is the conic
 and the points and maximals of V + <e, f> are built in closed form from
 those of V (``enumerate_points``, ``enumerate_maximals``), which gives the
 counts (q^(2r) - 1)/(q - 1) and N(r) = (1 + q^r) N(r - 1) without search.
-One RREF and one sort at the end put them in canonical order.
+Each level of maximals is built in RREF from the RREF of its parents: the
+one new row is zero on the parent's pivots, so scaling it at its leading
+column, clearing that column from the rows above and inserting it in pivot
+order is the child's RREF, and no reduction of the whole stack follows.
+The levels are written a bounded chunk at a time, every basis is checked to
+be RREF of full rank, and one sort of each puts them in canonical order.
 
 The incidence index between points and maximals, ``maximal_points``, is
 built on its first read, from the s + 1 = (q^d - 1)/(q - 1) combinations of
@@ -80,6 +85,11 @@ from .orbits import ActionEscape
 
 # maximals per step of the incidence index build, which bounds its transient
 _INDEX_CHUNK = 256
+# children per step of each level of the maximal enumeration, likewise; a
+# step takes at least one parent, with its q^r children at rank r
+_MAXIMAL_CHUNK = 8192
+# matrices per step of the lookup in maximal_ids, likewise
+_LOOKUP_CHUNK = 4096
 
 
 def point_count(q: int, d: int) -> int:
@@ -106,14 +116,13 @@ def maximals_per_point(q: int, d: int) -> int:
 
 def _kappa(F: Field, pairing, V: np.ndarray) -> np.ndarray:
     """kappa of every row of a (..., n) stack through ``StandardModel.pairing``,
-    one table lookup per coordinate."""
+    one flat-table gather per coordinate."""
     partner, g, _ = pairing
-    ADD, MUL = F.add_table, F.mul_table
-    terms = MUL[MUL[V, g], V[..., partner]]
+    terms = F.mul_arrays(F.mul_arrays(V, g), V[..., partner])
     acc = terms[..., 0]
     for c in range(1, V.shape[-1]):
-        acc = ADD[acc, terms[..., c]]
-    return MUL[F.inv(F.add(1, 1)), acc]
+        acc = F.add_arrays(acc, terms[..., c])
+    return F.mul_table[F.inv(F.add(1, 1))][acc]
 
 
 def _dual(F: Field, pairing, Y: np.ndarray) -> np.ndarray:
@@ -158,6 +167,20 @@ def enumerate_points(model: StandardModel) -> np.ndarray:
     return _lex_sorted(_units(F, pts))
 
 
+def _rref_pivots(stack: np.ndarray) -> np.ndarray:
+    """The pivot columns of an (N, r, n) stack of RREF bases of rank r.
+
+    Raises RuntimeError unless, in every matrix, the first nonzero columns
+    of the rows strictly increase and hold the identity I_r, which is
+    exactly an RREF basis of rank r.
+    """
+    piv = np.argmax(stack != 0, axis=2)
+    at_piv = np.take_along_axis(stack, piv[:, None, :], axis=2)
+    if not ((np.diff(piv, axis=1) > 0).all() and (at_piv == np.eye(stack.shape[1])).all()):
+        raise RuntimeError("an enumerated basis is not an RREF basis of full rank")
+    return piv
+
+
 def enumerate_maximals(model: StandardModel) -> np.ndarray:
     """All totally singular d-subspaces as an (N, d, n) stack of RREF bases.
 
@@ -166,60 +189,90 @@ def enumerate_maximals(model: StandardModel) -> np.ndarray:
     {k + lam(k) e : k in K} + <f + w - kappa(w) e> for a maximal K of V, a
     functional lam on K and w in V with beta(w, k) = -lam(k) on K; w is
     fixed modulo K up to t u, where u is any vector of K-perp outside K.
-    That is N(r) = (1 + q^r) N(r - 1) maximals at rank r.  Every basis
-    carries columns where its rows are the identity, from which the duals
-    of K and u follow in closed form; one RREF and one sort at the end give
-    the canonical order.
+    That is N(r) = (1 + q^r) N(r - 1) maximals at rank r.
+
+    Every level is built in RREF.  K is the identity on its pivot columns,
+    from which the duals of K and u follow in closed form.  <e> + K is K's
+    rows and e, already RREF, as e lies past K's pivots: every column of V
+    but z's follows e0, and z is the one pivot at rank 1.  The new row of
+    the child (lam, t) is zero on K's pivots; scaled at its leading column
+    j and cleared from the rows above by one rank-one update, it is
+    inserted in pivot order.  No row gains an entry left of its pivot, as
+    a row of K is nonzero at j only past its pivot.  Each level is written
+    into its preallocated stack ``_MAXIMAL_CHUNK`` children at a time, and
+    ``_rref_pivots`` checks every basis once; one sort gives the canonical
+    order.
     """
-    F, n, d, pairing = model.field, model.dim, model.d, model.pairing
-    q = F.q
-    ADD, NEG = F.add_table, F.neg_table
+    F, n = model.field, model.dim
     cols = list(model.conic)
-    bases = _conic_points(F, pairing, cols, n)[:, None, :]
-    piv = np.full((len(bases), 1), cols[0])
+    bases = _conic_points(F, model.pairing, cols, n)[:, None, :]
     for e, f in model.pairs:
-        N, r, L = bases.shape[0], bases.shape[1] + 1, len(cols)
-        parent = np.arange(N)[:, None]
-        # K is the identity on its pivot columns p_i, so dual(unit(p_i)) is
-        # dual to K, and y_j = unit(j) - sum_i K[i, j] unit(p_i) over the
-        # columns j of V are orthogonal to K: their duals span K-perp in V
-        W = np.zeros((N, r - 1, n), dtype=np.uint8)
-        W[parent, np.arange(r - 1), piv] = 1
-        Y = np.zeros((N, L, n), dtype=np.uint8)
-        Y[parent[:, :, None], np.arange(L)[:, None], piv[:, None, :]] = NEG[
-            bases[:, :, cols].transpose(0, 2, 1)
-        ]
-        Y[:, np.arange(L), cols] = ADD[Y[:, np.arange(L), cols], 1]
-        perp = _dual(F, pairing, Y)
-        outside = _kappa(F, pairing, perp) != 0
-        if not outside.any(axis=1).all():
-            raise RuntimeError("a maximal has no anisotropic vector in its perp")
-        u = perp[np.arange(N), np.argmax(outside, axis=1)]
-        D = np.concatenate([_dual(F, pairing, W), u[:, None]], axis=1)
-        # reduce modulo K, so that every child has the identity on K's pivots
-        at_piv = np.take_along_axis(D, piv[:, None, :], axis=2)
-        D = ADD[D, mat_mul(F, NEG[at_piv], bases)]
-        # child (lam, t): rows k_i + lam_i e and f + w - kappa(w) e,
-        # where w = -sum_i lam_i w_i + t u
-        coef = all_vectors(q, r)
-        lam = coef[:, :-1]
-        w = mat_mul(F, np.concatenate([NEG[lam], coef[:, -1:]], axis=1), D)
-        w[..., e] = NEG[_kappa(F, pairing, w)]
-        w[..., f] = 1
-        top = np.repeat(bases[:, None], len(coef), axis=1)
-        top[..., e] = lam
-        lifted = np.concatenate([top, w[:, :, None]], axis=2).reshape(-1, r, n)
-        e_row = np.broadcast_to(np.eye(1, n, e, dtype=np.uint8), (N, 1, n))
-        bases = np.concatenate([np.concatenate([bases, e_row], axis=1), lifted])
-        piv = np.concatenate([
-            np.concatenate([piv, np.full((N, 1), e)], axis=1),
-            np.repeat(np.concatenate([piv, np.full((N, 1), f)], axis=1), len(coef), axis=0),
-        ])
+        N, r, Q = bases.shape[0], bases.shape[1] + 1, F.q ** (bases.shape[1] + 1)
+        out = np.empty((N * (1 + Q), r, n), dtype=np.uint8)
+        # the children <e> + K first, then the Q = q^r children of each K in turn
+        out[:N, :-1] = bases
+        out[:N, -1] = np.eye(1, n, e, dtype=np.uint8)
+        lifted = out[N:].reshape(N, Q, r, n)
+        step = max(1, _MAXIMAL_CHUNK // Q)
+        for start in range(0, N, step):
+            _write_children(model, cols, e, f, bases[start:start + step], lifted[start:start + step])
+        bases = out
         cols += [e, f]
-    red, ranks = rref_batch(F, bases)
-    if (ranks != d).any():
-        raise RuntimeError("an enumerated maximal does not have rank d")
-    return _lex_sorted(red)
+    for start in range(0, len(bases), _MAXIMAL_CHUNK):
+        _rref_pivots(bases[start:start + _MAXIMAL_CHUNK])
+    return _lex_sorted(bases)
+
+
+def _write_children(model: StandardModel, cols: list[int], e: int, f: int, K, out) -> None:
+    """Write the RREF bases of the children (lam, t) of a chunk of maximals
+    K of V = <cols>, in RREF, into a (len(K), q^r, r, n) array, in the order
+    of ``all_vectors(q, r)`` for (lam, t), r - 1 being the rank of K."""
+    F, pairing = model.field, model.pairing
+    ADD, NEG = F.add_table, F.neg_table
+    c, r, n = K.shape[0], K.shape[1] + 1, K.shape[2]
+    L = len(cols)
+    coef = all_vectors(F.q, r)
+    piv = _rref_pivots(K)
+    parent = np.arange(c)[:, None]
+    # K is the identity on its pivot columns p_i, so dual(unit(p_i)) is
+    # dual to K, and y_j = unit(j) - sum_i K[i, j] unit(p_i) over the
+    # columns j of V are orthogonal to K: their duals span K-perp in V
+    W = np.zeros((c, r - 1, n), dtype=np.uint8)
+    W[parent, np.arange(r - 1), piv] = 1
+    Y = np.zeros((c, L, n), dtype=np.uint8)
+    Y[parent[:, :, None], np.arange(L)[:, None], piv[:, None, :]] = NEG[
+        K[:, :, cols].transpose(0, 2, 1)
+    ]
+    Y[:, np.arange(L), cols] = ADD[Y[:, np.arange(L), cols], 1]
+    perp = _dual(F, pairing, Y)
+    outside = _kappa(F, pairing, perp) != 0
+    if not outside.any(axis=1).all():
+        raise RuntimeError("a maximal has no anisotropic vector in its perp")
+    u = perp[np.arange(c), np.argmax(outside, axis=1)]
+    D = np.concatenate([_dual(F, pairing, W), u[:, None]], axis=1)
+    # reduce modulo K, so that every new row is zero on K's pivots
+    at_piv = np.take_along_axis(D, piv[:, None, :], axis=2)
+    D = ADD[D, mat_mul(F, NEG[at_piv], K)]
+    # child (lam, t): rows k_i + lam_i e and g = f + w - kappa(w) e,
+    # where w = -sum_i lam_i w_i + t u
+    lam = coef[:, :-1]
+    g = mat_mul(F, np.concatenate([NEG[lam], coef[:, -1:]], axis=1), D)
+    g[..., e] = NEG[_kappa(F, pairing, g)]
+    g[..., f] = 1
+    # scale g at its leading column j, f at the latest, and clear column j
+    # from the rows above: k -= k[j] g
+    j = np.argmax(g != 0, axis=2)[..., None]
+    g = F.mul_arrays(F.inv_table[np.take_along_axis(g, j, axis=2)], g)
+    top = np.repeat(K[:, None], len(coef), axis=1)
+    top[..., e] = lam
+    a = np.take_along_axis(top, j[..., None], axis=3)
+    top = F.add_arrays(top, F.mul_arrays(NEG[a], g[:, :, None]))
+    # g goes in at the number of K's pivots before j
+    at = (piv[:, None] < j).sum(axis=2)[..., None]
+    for s in range(r):
+        keep = top[:, :, s] if s < r - 1 else g
+        shifted = top[:, :, s - 1] if s else g
+        out[:, :, s] = np.where(at > s, keep, np.where(at == s, g, shifted))
 
 
 def _units(F: Field, vecs: np.ndarray) -> np.ndarray:
@@ -462,10 +515,11 @@ class QuadricModel:
         Any spanning set of a maximal resolves, whatever its row order or
         scaling.  A matrix that is already a maximal's RREF basis, in that
         its rows are its points' unit vectors, by code, and those points
-        spell a maximal code, is resolved by that lookup alone; only the
-        rest are reduced.  Raises ValueError when a row has not n = 2d + 1
-        entries, and ActionEscape, with ``index`` the first offending
-        matrix, when a matrix does not span a maximal of the quadric.
+        spell a maximal code, is resolved by that lookup alone, made
+        ``_LOOKUP_CHUNK`` matrices at a time; only the rest are reduced.
+        Raises ValueError when a row has not n = 2d + 1 entries, and
+        ActionEscape, with ``index`` the first offending matrix, when a
+        matrix does not span a maximal of the quadric.
         """
         d = self.d
         stack = _v_rows(stack, self.dim)
@@ -474,7 +528,9 @@ class QuadricModel:
         ids = np.zeros(len(stack), dtype=np.int64)
         canonical = np.zeros(len(stack), dtype=bool)
         if stack.shape[1] == d:
-            ids, canonical = self._search_bases(stack)
+            for start in range(0, len(stack), _LOOKUP_CHUNK):
+                part = slice(start, start + _LOOKUP_CHUNK)
+                ids[part], canonical[part] = self._search_bases(stack[part])
         rest = np.flatnonzero(~canonical)
         if rest.size:
             red, ranks = rref_batch(self.field, stack[rest])

@@ -18,7 +18,7 @@ from conftest import (
     search_maximals,
     src_env,
 )
-from hemisystems import quadric
+from hemisystems import linform, quadric
 from hemisystems.cli import main
 from hemisystems.gf import field_make
 from hemisystems.groups import embed_w_block, omega_w, tau
@@ -146,6 +146,66 @@ def test_canonical_order_and_determinism(p, k, d):
     assert np.array_equal(maxs, enumerate_maximals(m))
     blobs = [maxs[i].tobytes() for i in range(maxs.shape[0])]
     assert all(a < b for a, b in zip(blobs, blobs[1:]))
+
+
+@pytest.mark.parametrize("p,k,d", ALL_DESK)
+def test_the_enumerated_bases_are_a_fixed_point_of_the_reduction(p, k, d):
+    # every level is built in RREF, so reducing the stack again changes no
+    # basis and finds every rank full
+    m = model(p, k, d)
+    bases = enumerate_maximals(m)
+    red, ranks = linform.rref_batch(m.field, bases)
+    assert np.array_equal(red, bases)
+    assert (ranks == d).all()
+
+
+@pytest.mark.parametrize("p,k,d", [(5, 1, 3), (3, 1, 4)])
+def test_enumerating_maximals_holds_a_bounded_transient(p, k, d):
+    # the levels are written a bounded chunk at a time and nothing reduces
+    # the whole stack: a final rref_batch alone peaks above this bound (7.8
+    # and 5.7 times the bases here), and the enumeration that ended in one
+    # peaked at 15.9 and 9.8 times them
+    m = model(p, k, d)
+    bases = enumerate_maximals(m)
+    bound = 4 * bases.nbytes + (1 << 20)
+    peaks = []
+    for run in (lambda: enumerate_maximals(m), lambda: linform.rref_batch(m.field, bases)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < bound < peaks[1], [peak / bases.nbytes for peak in peaks]
+
+
+def test_the_structural_check_refuses_what_is_not_rref():
+    # the check that replaced the final rank test: pivots strictly increase
+    # and the pivot columns are the identity
+    bases = enumerate_maximals(model(3, 1, 3))
+    assert np.array_equal(quadric._rref_pivots(bases), np.argmax(bases != 0, axis=2))
+    uncleared = bases.copy()  # the first row nonzero above the second pivot
+    uncleared[5, 0, np.argmax(bases[5, 1] != 0)] = 1
+    swapped = bases.copy()
+    swapped[7] = swapped[7, ::-1]  # the first and last rows swapped
+    for bad in (uncleared, swapped):
+        with pytest.raises(RuntimeError, match="not an RREF basis"):
+            quadric._rref_pivots(bad)
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (3, 3)])
+def test_kappa_by_flat_gathers_matches_the_two_dimensional_tables(p, k):
+    m = model(p, k, 3)
+    F = m.field
+    partner, g, _ = m.pairing
+    V = np.random.default_rng(p + k).integers(0, F.q, (2000, m.dim), dtype=np.uint8)
+    MUL, ADD = F.mul_table, F.add_table
+    terms = MUL[MUL[V, g], V[:, partner]]
+    acc = terms[:, 0]
+    for c in range(1, m.dim):
+        acc = ADD[acc, terms[:, c]]
+    assert np.array_equal(quadric._kappa(F, m.pairing, V), MUL[F.inv(F.add(1, 1)), acc])
+    assert np.array_equal(quadric._kappa(F, m.pairing, V), m.space.kappa_batch(V))
 
 
 def test_frozen_first_points_3_2():
@@ -302,6 +362,28 @@ def test_maximal_ids_reduces_only_the_bases_that_are_not_canonical(monkeypatch, 
         with pytest.raises(ActionEscape) as exc:
             qm.maximal_ids(bad)
         assert exc.value.index == at
+
+
+def test_maximal_ids_looks_the_bases_up_a_bounded_chunk_at_a_time():
+    # all 19,656 bases at (5,3) are five lookup chunks; resolved in one, the
+    # lookup peaked at 2.0 MB, with int64 codes of every row held at once,
+    # and a bad matrix in a later chunk is still named by its own index
+    qm = qmodel(5, 1, 3)
+    bases = qm.maximal_bases
+    qm.maximal_ids(bases[:10])
+    tracemalloc.start()
+    try:
+        ids = qm.maximal_ids(bases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ids, np.arange(qm.num_maximals))
+    assert peak < 1 << 20, peak
+    bad = bases.copy()
+    bad[9000, -1] = bad[9000, 0]
+    with pytest.raises(ActionEscape) as exc:
+        qm.maximal_ids(bad)
+    assert exc.value.index == 9000
 
 
 def reference_ids(qm, stack):

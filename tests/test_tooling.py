@@ -6,7 +6,7 @@ orbits and tau without building A again, index two decided by one function and
 an AB report without flags beside its witness, a pipeline that lists no group
 element, index two at q = 251 from B's predicate, a standard model that scans no vectors,
 point lookups by table, not by binary search, a prepare that builds no incidence
-index, reduces only the enumerated maximals, searches no maximal codes and leaves
+index, reduces nothing, searches no maximal codes and leaves
 numpy.ma unimported, canonical certificate members resolved without reading the
 bases, line layouts and element strings built once per stream, one writer of
 the member block, the certificate format in the certificate module alone, the
@@ -258,8 +258,8 @@ def test_index_two_is_decided_once_and_the_ab_report_holds_no_flags(monkeypatch)
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
 def test_the_pipeline_lists_no_group_element(monkeypatch, capsys, tmp_path, p, k, d):
-    # B and A enter prepare, orbits, construct and verify only through their
-    # generators and membership predicates; their lists are read by stats,
+    # B and A enter prepare, stats, orbits, construct and verify only through
+    # their generators and membership predicates; their lists are read by
     # selftest and the tests alone, and only the closure makes one
     def refused(*args, **kwargs):
         pytest.fail("the pipeline listed a group")
@@ -268,6 +268,7 @@ def test_the_pipeline_lists_no_group_element(monkeypatch, capsys, tmp_path, p, k
     assert hemi.prepare(field_make(p, k), d).report.ok
     field = ["--p", str(p), "--k", str(k), "--d", str(d)]
     out = tmp_path / "cert.txt"
+    assert main(["stats", *field]) == 0
     assert main(["orbits", *field, "--cap", "1"]) == 0
     assert main(["construct", *field, "--mask", "1", "--out", str(out)]) == 0
     assert main(["verify", str(out)]) == 0
@@ -352,10 +353,11 @@ def test_prepare_leaves_numpy_ma_unimported():
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
-def test_prepare_reduces_once_and_the_actions_never(monkeypatch, p, k, d):
-    # the enumeration's final RREF is the one reduction of prepare; the
-    # actions write each image basis in closed form, and a silent fallback
-    # to reducing them would keep every other test green
+def test_prepare_and_the_actions_reduce_nothing(monkeypatch, p, k, d):
+    # the enumeration builds every level in RREF and the actions write each
+    # image basis in closed form, so only maximal_ids, on a certificate's
+    # members, calls rref_batch; a silent fallback to reducing would keep
+    # every other test green
     calls = []
     real = quadric.rref_batch
 
@@ -366,10 +368,18 @@ def test_prepare_reduces_once_and_the_actions_never(monkeypatch, p, k, d):
     monkeypatch.setattr(quadric, "rref_batch", counted)
     monkeypatch.setattr(linform, "rref_batch", counted)
     pr = hemi.prepare(field_make(p, k), d)
-    assert calls == [pr.qm.num_maximals]
-    calls.clear()
     hemi.resolve_actions(pr.qm, pr.b, pr.tau_elt)
     assert calls == []
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = qualified_owners(tree)
+        found += [
+            f"{path.name}:{owner[node]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "rref_batch"
+        ]
+    assert found == ["quadric.py:QuadricModel.maximal_ids"]
 
 
 @pytest.mark.parametrize("d", [2, 3])
