@@ -7,20 +7,56 @@ half the maximals covering each point exactly (t + 1)/2 times -- for every
 one of the 2^m choices, where m is the number of pairs.  As A is B and the
 coset tau B, its orbits are B's orbits joined by tau (the AB-Lemma of
 Bamberg, Giudici and Royle, Bull. LMS 2010), so the hypotheses are decided
-from B's orbits and tau's permutations alone; A's orbits are never built.
+from B's orbits and tau's image of each; A's orbits are never built.
 Index two is decided by ``groups.extension_order``, as ``group_a`` decides
 it, from B's membership predicate, so no element of B or A is listed; the
 report holds the witness of the first hypothesis that fails.
+
+B's orbits on points are read off a closed-form label (``b_point_orbits``).
+Write a point as (w | u), with w on W = <z, e0, f0> and u on U = W-perp.
+B acts as h (+) I_U, so it fixes u, and two points with u != 0, each scaled
+so that u leads with 1, share a B-orbit exactly when they have the same u
+and w's lie in one B-orbit of vectors of W, all of norm kappa(w) =
+-kappa(u).  Omega_3(q) is PSL2(q) acting on the symmetric square of its
+natural module, carried onto W with its form scaled by a constant; there
+the singular vectors are the l v^2, with l defined up to squares, and
+beta(l v^2, l' v'^2) is a fixed constant times l l' det(v, v')^2.
+
+- u = 0: the point lies on the conic of W, the <v^2>, on which PSL2(q) is
+  transitive as on the projective line: one orbit.
+- kappa(u) != 0: O(W) is transitive on the vectors of each nonzero norm
+  (Witt).  The stabilizer of w holds the reflections in the anisotropic
+  vectors of the nondegenerate plane w-perp, which represents both square
+  classes; so its products of at most two reflections reach every class of
+  (det, spinor norm), and it meets every coset of Omega in O(W).  Hence
+  Omega is transitive on each norm too: one orbit for each u, class 0.
+- kappa(u) = 0, w = 0: one point for each u, class 1.
+- kappa(u) = 0, w != 0: w is l v^2.  SL2(q) is transitive on the nonzero
+  v, and the stabilizer of the singular line <v^2> scales v^2 by the
+  squares a^2 only, so the class of l modulo squares splits the nonzero
+  singular vectors into two orbits.  For a singular r outside <w>, the
+  class of beta(w, r) is that of l times a constant, so it labels the two
+  orbits: with r = f0, beta(w, f0) is w's e0 coordinate, and where that is
+  0, w lies in <f0> and r = e0 gives its f0 coordinate.  The two
+  references agree once the latter is multiplied by -2, as (t, 1, -t^2/2)
+  shows: class 2 + [s is a square], where s is e0, or -2 f0 when e0 = 0.
+
+So the label is u's code with the class, and one label for the conic; the
+count is 1 + (non-singular points of U) + 3 (singular points of U).  B's
+orbits on maximals come from union-find over the maximal permutations of
+its ``generating_pair``.  tau enters only through the representatives:
+an isometry of W normalizes Omega(W), so it carries each B-orbit onto the
+B-orbit of the image of its representative.
 
 Verification is independent of the construction: it recounts the degree of
 every point against the chosen maximals, by ``QuadricModel.degrees`` on the
 incidence index or, on the slow path, by an orthogonality test of every
 point against every chosen basis, a chunked product that reads no index.  The
-construction never reads the index either: B is resolved from a generating
-pair, and each element, tau included, enters as its 3x3 block on W and acts
-through it alone: on points through their W columns, and on maximals by
-rewriting every RREF basis in closed form.  So ``prepare`` does not build
-the index, and the index recount builds it on its first read.
+construction never reads the index either: each element of B, and tau,
+enters as its 3x3 block on W and acts through it alone: on points through
+their W columns, and on maximals by rewriting RREF bases in closed form.  So
+``prepare`` does not build the index, and the index recount builds it on
+its first read.
 """
 
 from __future__ import annotations
@@ -31,9 +67,9 @@ import numpy as np
 
 from .gf import Field
 from .groups import MatrixGroup, extension_order, generating_pair, group_a, omega_w, tau
-from .linform import StandardModel, mat_mul, standard_model
-from .orbits import OrbitPartition, orbit_image, partition
-from .quadric import QuadricModel, require_memory
+from .linform import StandardModel, mat_mul, standard_model, vector_codes
+from .orbits import ActionEscape, OrbitPartition, labelled, partition
+from .quadric import QuadricModel, _kappa, require_memory
 
 
 class MaskLength(ValueError):
@@ -62,26 +98,58 @@ class OrbitSplit:
 
 @dataclass(frozen=True)
 class ActionBundle:
-    """tau's point and maximal permutations, and the orbits of B."""
+    """The orbits of B on points and on maximals, and the orbit tau carries
+    each one onto."""
 
-    tau_maximal_perm: np.ndarray
-    tau_point_perm: np.ndarray
+    tau_point_image: np.ndarray
+    tau_maximal_image: np.ndarray
     b_point_part: OrbitPartition
     b_maximal_part: OrbitPartition
 
 
+def b_point_orbits(qm: QuadricModel) -> OrbitPartition:
+    """The orbits of B = Omega(W) on points, from the closed-form label of
+    the module docstring: u's code times 4 plus the class, and -1 on the
+    conic."""
+    F, model = qm.field, qm.model
+    e0, f0 = model.pairs[0]
+    u = qm.points[:, 3:]
+    # the first nonzero entry of u, or 0 on the conic
+    lead = u[:, -1]
+    for c in range(u.shape[1] - 2, -1, -1):
+        lead = np.where(u[:, c] != 0, u[:, c], lead)
+    scaled = F.mul_arrays(F.inv_table[lead][:, None], qm.points)
+    w = scaled[:, :3]
+    # W = <z, e0, f0> pairs within itself, so its pairing is the first three entries
+    anisotropic = _kappa(F, tuple(a[:3] for a in model.pairing), w) != 0
+    s = np.where(w[:, e0] != 0, w[:, e0], F.mul_table[F.neg(F.add(1, 1)), w[:, f0]])
+    nonzero = (w[:, 0] | w[:, 1] | w[:, 2]) != 0
+    cls = np.where(anisotropic, 0, np.where(nonzero, 2 + F.square_mask[s], 1))
+    labels = 4 * vector_codes(F.q, scaled[:, 3:]) + cls
+    return labelled(np.where(lead == 0, -1, labels))
+
+
 def resolve_actions(qm: QuadricModel, b: MatrixGroup, t: np.ndarray) -> ActionBundle:
-    """Point and maximal permutations of tau, a 3x3 block on W, and the
-    orbits of B, by union-find over the permutations of B's
-    ``generating_pair``."""
+    """The orbits of B = Omega(W) and tau's image of each; tau is a 3x3
+    block on W.
+
+    The point orbits are ``b_point_orbits``, and the maximal orbits the
+    union-find over the maximal permutations of B's ``generating_pair``.
+    tau must be an isometry of J_W, or ActionEscape is raised: then it
+    normalizes Omega(W), so the image of an orbit is the orbit of the
+    image of its representative, and only the representatives are moved.
+    """
+    w_space = qm.model.w_space
+    if not np.array_equal(w_space.restrict_gram(t), w_space.gram):
+        raise ActionEscape("tau is not an isometry of J_W")
     pair = generating_pair(qm.field, b.generators)
-    bp = [qm.point_permutation(g) for g in pair]
-    bm = [qm.maximal_permutation(g) for g in pair]
+    points = b_point_orbits(qm)
+    maximals = partition(qm.num_maximals, [qm.maximal_permutation(g) for g in pair])
     return ActionBundle(
-        tau_maximal_perm=qm.maximal_permutation(t),
-        tau_point_perm=qm.point_permutation(t),
-        b_point_part=partition(qm.num_points, bp),
-        b_maximal_part=partition(qm.num_maximals, bm),
+        tau_point_image=points.orbit_of[qm.point_images(t, points.reps)],
+        tau_maximal_image=maximals.orbit_of[qm.maximal_images(t, maximals.reps)],
+        b_point_part=points,
+        b_maximal_part=maximals,
     )
 
 
@@ -109,45 +177,37 @@ def ab_check(
 ) -> ABReport:
     """Test the hypotheses of the two-group construction in order; tau is a 3x3 block on W.
 
-    B has index two in A = <B, tau> (``extension_order``).  A and B share
-    point orbits exactly when tau carries each point orbit of B onto
-    itself.  The maximal orbits pair up when tau carries each onto one
-    other orbit and that one back: tau is a bijection, so the two have
-    equal sizes, and their union, closed under B and tau, is one A-orbit,
-    so neither needs a check of its own.  The report keeps the witness of
-    the first hypothesis that fails, and the pairs only when all hold.
+    B has index two in A = <B, tau> (``extension_order``); when it has not,
+    the report holds that witness at once, and tau's images are not read.
+    Otherwise A and B share point orbits exactly when tau carries each
+    point orbit of B onto itself.  The maximal orbits pair up when tau
+    carries each onto one other orbit and that one back: tau is a
+    bijection, so the two have equal sizes, and their union, closed under B
+    and tau, is one A-orbit, so neither needs a check of its own.  The
+    report keeps the witness of the first hypothesis that fails, and the
+    pairs only when all hold.
     """
     a_order, witness = extension_order(qm.field, b, t)
+    ppart, bpart = actions.b_point_part, actions.b_maximal_part
 
-    ppart = actions.b_point_part
-    moved = np.flatnonzero(orbit_image(ppart, actions.tau_point_perm) != np.arange(ppart.n_orbits))
-    if moved.size and witness is None:
-        witness = f"tau moves point orbit {int(moved[0])} of B"
+    def report(witness: str | None, split: OrbitSplit | None = None) -> ABReport:
+        return ABReport(a_order, ppart.n_orbits, bpart.n_orbits, witness, split)
 
-    bpart = actions.b_maximal_part
-    img = orbit_image(bpart, actions.tau_maximal_perm)
+    if witness is not None:
+        return report(witness)
+    moved = np.flatnonzero(actions.tau_point_image != np.arange(ppart.n_orbits))
+    if moved.size:
+        return report(f"tau moves point orbit {int(moved[0])} of B")
+    img = actions.tau_maximal_image
     own = np.arange(bpart.n_orbits)
-    bad = np.flatnonzero((img == -1) | (img == own) | (img[img] != own))
-    if bad.size and witness is None:
+    bad = np.flatnonzero((img == own) | (img[img] != own))
+    if bad.size:
         o = int(bad[0])
-        if img[o] == -1:
-            witness = f"tau splits maximal orbit {o} between B-orbits"
-        elif img[o] == o:
-            witness = f"maximal orbit {o} is fixed by tau"
-        else:
-            witness = f"tau does not involute maximal orbit {o}"
-
-    split = None
-    if witness is None:
-        low = np.flatnonzero(own < img)
-        split = OrbitSplit(bpart, tuple(zip(low.tolist(), img[low].tolist())))
-    return ABReport(
-        a_order=a_order,
-        n_point_orbits=ppart.n_orbits,
-        n_b_maximal_orbits=bpart.n_orbits,
-        witness=witness,
-        split=split,
-    )
+        if img[o] == o:
+            return report(f"maximal orbit {o} is fixed by tau")
+        return report(f"tau does not involute maximal orbit {o}")
+    low = np.flatnonzero(own < img)
+    return report(None, OrbitSplit(bpart, tuple(zip(low.tolist(), img[low].tolist()))))
 
 
 def assemble(split: OrbitSplit, mask: int) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Orbit partitions of an id-indexed universe under integer permutations.
+"""Orbit partitions of an id-indexed universe.
 
-Group actions are resolved to permutations of object ids once, so orbits
-are the connected components of the generators' edges (i, p[i]), found by a
-vectorised union-find over int arrays that never touches matrices.  Orbit
-ids are deterministic: orbits are numbered by their least member.
+Orbits come either from a label that is constant exactly on each orbit
+(``labelled``), or from a group action resolved to permutations of object
+ids, as the connected components of the generators' edges (i, p[i]), found
+by a vectorised union-find over int arrays that never touches matrices
+(``partition``).  Orbit ids are deterministic: either way, ``labelled``
+numbers the orbits by their least member.
 """
 
 from __future__ import annotations
@@ -76,23 +78,26 @@ def partition(n: int, perms) -> OrbitPartition:
                 if np.array_equal(up, label):
                     break
                 label = up
-    reps, orbit_of = np.unique(label, return_inverse=True)
-    sizes = np.bincount(orbit_of, minlength=reps.size)
-    order = np.argsort(orbit_of, kind="stable")
-    ends = np.cumsum(sizes).tolist()
-    members = tuple(order[s:e] for s, e in zip([0] + ends[:-1], ends))
-    return OrbitPartition(n, orbit_of, members, reps, sizes)
+    return labelled(label)
 
 
-def orbit_image(part: OrbitPartition, perm: np.ndarray) -> np.ndarray:
-    """The orbit each orbit is carried onto by an extra permutation, or -1.
+def labelled(labels: np.ndarray) -> OrbitPartition:
+    """The partition of ids 0..n-1 into the classes of equal labels, each
+    class an orbit, numbered by its least member.
 
-    Entry o is the orbit holding the images of all of orbit o's members, or
-    -1 when they land in more than one orbit.  When the permutation
-    normalizes the acting group no entry is -1.
+    One stable sort of the labels lists every class in a run of ascending
+    ids, so each run's first id is its least member.
     """
-    target = part.orbit_of[check_permutation(part.n, perm)]
-    image = target[part.reps]
-    split = np.zeros(part.n_orbits, dtype=bool)
-    split[part.orbit_of[target != image[part.orbit_of]]] = True
-    return np.where(split, -1, image)
+    order = np.argsort(labels, kind="stable")
+    ranked = labels[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(order))
+    by_least = np.argsort(order[starts])
+    number = np.empty_like(by_least)
+    number[by_least] = np.arange(by_least.size)
+    orbit_of = np.empty_like(order)
+    orbit_of[order] = number[np.cumsum(new) - 1]
+    members = tuple(order[starts[c]:ends[c]] for c in by_least.tolist())
+    return OrbitPartition(len(order), orbit_of, members, order[starts[by_least]], (ends - starts)[by_least])

@@ -33,6 +33,10 @@ column, clearing that column from the rows above and inserting it in pivot
 order is the child's RREF, and no reduction of the whole stack follows.
 The levels are written a bounded chunk at a time, every basis is checked to
 be RREF of full rank, and one sort of each puts them in canonical order.
+``QuadricModel`` checks that every basis is totally singular without a
+Gram product: its rows are singular points, as their lookup in the point
+table shows, and beta of every pair of rows i < j is 0, all pairs at once
+through ``StandardModel.pairing``.
 
 The incidence index between points and maximals, ``maximal_points``, is
 built on its first read, from the s + 1 = (q^d - 1)/(q - 1) combinations of
@@ -52,12 +56,15 @@ maximal's RREF basis have their pivots in W, where w is 2 or 3, and the
 rest are zero there, so h leaves them fixed; the image of the top rows is
 reduced in closed form, by h^-1 when w = 3 and by the inverse of a 2x2
 block when w = 2, which gives the exact RREF of the image without a
-general reduction.  Its rows are looked up as points.  An invertible h
-maps the N maximals to N distinct subspaces, so the images are all
-maximals exactly when their codes, sorted, are the maximal codes, and then
-that one sort is the permutation.  Only otherwise are the image codes
-searched, to raise ActionEscape at the first maximal whose image is not a
-maximal of the quadric; a singular h escapes at once.  ``maximal_ids``,
+general reduction.  Its rows are looked up as points.  The images of any
+list of points or maximals are taken this way (``point_images``,
+``maximal_images``, whose image codes are searched), so an isometry can
+move orbit representatives alone.  For the whole permutation, an
+invertible h maps the N maximals to N distinct subspaces, so the images
+are all maximals exactly when their codes, sorted, are the maximal codes,
+and then that one sort is the permutation.  Only otherwise are the image
+codes searched, to raise ActionEscape at the first maximal whose image is
+not a maximal of the quadric; a singular h escapes at once.  ``maximal_ids``,
 which resolves the members of a certificate, searches the codes of every
 matrix whose rows are its points' unit vectors, by code, and reduces only
 the matrices that are not already a maximal's RREF basis.
@@ -114,15 +121,22 @@ def maximals_per_point(q: int, d: int) -> int:
     return out
 
 
-def _kappa(F: Field, pairing, V: np.ndarray) -> np.ndarray:
-    """kappa of every row of a (..., n) stack through ``StandardModel.pairing``,
-    one flat-table gather per coordinate."""
+def _beta(F: Field, pairing, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """beta(u, v) of matching vectors of two broadcastable (n, ...) arrays,
+    coordinates first, through ``StandardModel.pairing``: one flat-table
+    gather per coordinate, along its values."""
     partner, g, _ = pairing
-    terms = F.mul_arrays(F.mul_arrays(V, g), V[..., partner])
-    acc = terms[..., 0]
-    for c in range(1, V.shape[-1]):
-        acc = F.add_arrays(acc, terms[..., c])
-    return F.mul_table[F.inv(F.add(1, 1))][acc]
+    terms = F.mul_arrays(F.mul_arrays(U, g.reshape((-1,) + (1,) * (U.ndim - 1))), V[partner])
+    acc = terms[0]
+    for c in range(1, len(terms)):
+        acc = F.add_arrays(acc, terms[c])
+    return acc
+
+
+def _kappa(F: Field, pairing, V: np.ndarray) -> np.ndarray:
+    """kappa of every row of a (..., n) stack: half of beta(v, v)."""
+    V = np.moveaxis(V, -1, 0)
+    return F.mul_table[F.inv(F.add(1, 1))][_beta(F, pairing, V, V)]
 
 
 def _dual(F: Field, pairing, Y: np.ndarray) -> np.ndarray:
@@ -414,16 +428,20 @@ class QuadricModel:
             raise RuntimeError(
                 f"enumerated {self.num_maximals} maximals, expected {maximal_count(q, model.d)}"
             )
-        # the restricted Gram matrix B J B^T must vanish, chunked to bound memory
-        for start in range(0, self.num_maximals, 8192):
-            if model.space.restrict_gram(self.maximal_bases[start:start + 8192]).any():
-                raise RuntimeError("an enumerated maximal is not totally singular")
         rows = self.maximal_bases.reshape(-1, self.dim)
         if (rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] != 1).any():
             raise RuntimeError("an enumerated basis row does not lead with 1")
         self.basis_points = self._lookup_units(rows).reshape(self.num_maximals, self.d)
         if (self.basis_points < 0).any():
             raise RuntimeError("an enumerated basis row is not a singular point")
+        # the rows are singular points, so a basis is totally singular exactly
+        # when they are pairwise orthogonal: beta of every pair i < j at once,
+        # on a coordinate-first (n, d, chunk) copy of a bounded chunk of bases
+        first, second = np.triu_indices(self.d, 1)
+        for start in range(0, self.num_maximals, _MAXIMAL_CHUNK):
+            chunk = self.maximal_bases[start:start + _MAXIMAL_CHUNK].transpose(2, 1, 0).copy()
+            if _beta(F, model.pairing, chunk[:, first], chunk[:, second]).any():
+                raise RuntimeError("an enumerated maximal is not totally singular")
         self.maximal_codes = vector_codes(self.num_points, self.basis_points)
         if not (np.diff(self.maximal_codes) > 0).all():
             raise RuntimeError("enumerated maximals are not strictly sorted")
@@ -546,37 +564,49 @@ class QuadricModel:
                 )
         return ids
 
-    # -- permutations induced by isometries
+    # -- images under isometries
 
-    def point_permutation(self, h: np.ndarray) -> np.ndarray:
-        """Ids of the images of every point under h (+) I_U, for a 3x3 block h
-        on W; only the W columns of the points change.
+    def point_images(self, h: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Ids of the images of the points ``ids`` under h (+) I_U, for a 3x3
+        block h on W; only the W columns of the points change.
 
         Raises ValueError when h is not 3x3, and ActionEscape when an image
         is not a point of the quadric.
         """
         h = _w_block(h)
-        images = self.points.copy()
-        images[:, :3] = mat_mul(self.field, self.points[:, :3], h)
+        images = self.points[ids]
+        images[:, :3] = mat_mul(self.field, images[:, :3], h)
         return self.point_ids(images)
 
-    @functools.cached_property
-    def _w_split(self) -> tuple[np.ndarray, int]:
-        """The maximal ids ordered by w = dim pi_W(M), as int32, and the
-        number with w = 2.
+    def point_permutation(self, h: np.ndarray) -> np.ndarray:
+        """``point_images`` of every point."""
+        return self.point_images(h, np.arange(self.num_points))
+
+    @staticmethod
+    def _w_order(bases: np.ndarray) -> tuple[np.ndarray, int]:
+        """The positions of a stack of maximal bases ordered by
+        w = dim pi_W(M), and the number with w = 2.
 
         The first w rows of an RREF basis have their pivots in W and the
         rest are zero there.  M meets U in a totally singular space, of
         dimension at most d - 2, so w is 2 or 3; at d = 2 it is always 2.
         """
-        w = (self.maximal_bases[:, :, :3] != 0).any(axis=2).sum(axis=1)
-        if not np.isin(w, (2, 3)).all():
+        w = np.count_nonzero(bases[:, :, 0] | bases[:, :, 1] | bases[:, :, 2], axis=1)
+        if not ((w == 2) | (w == 3)).all():
             raise RuntimeError("a maximal does not project onto a 2- or 3-space of W")
-        return np.argsort(w, kind="stable").astype(np.int32), int((w == 2).sum())
+        return np.argsort(w, kind="stable"), int((w == 2).sum())
 
-    def maximal_permutation(self, h: np.ndarray) -> np.ndarray:
-        """Ids of the images of every maximal under h (+) I_U, for a 3x3
-        block h on W.
+    @functools.cached_property
+    def _w_split(self) -> tuple[np.ndarray, int]:
+        """``_w_order`` of every maximal, the ids as int32."""
+        order, n2 = self._w_order(self.maximal_bases)
+        return order.astype(np.int32), n2
+
+    def _image_points(self, h: np.ndarray, ids: np.ndarray, n2: int) -> np.ndarray:
+        """Point ids of the rows of the RREF bases of the images under
+        h (+) I_U of the maximals ``ids``, as an (len(ids), d) array with -1
+        where a row is not a point; the first n2 maximals have w = 2 and
+        the rest w = 3.
 
         The image of each RREF basis is written in closed form, which is its
         exact RREF: the rows that are zero on W are fixed, and only the top
@@ -591,11 +621,8 @@ class QuadricModel:
           maximal has a vector outside it and a pivot there.
 
         E mixes only the top rows, which are zero on the pivot columns of
-        the rows below.  The ids are read off one argsort of the image
-        codes, checked against the maximal codes.  Raises ValueError when h
-        is not 3x3, and ActionEscape when h is singular or, with ``index``
-        the first offending maximal, when an image is not a maximal of the
-        quadric.
+        the rows below.  Raises ValueError when h is not 3x3, and
+        ActionEscape when h is singular.
         """
         F = self.field
         h = _w_block(h)
@@ -603,27 +630,55 @@ class QuadricModel:
             hinv = mat_inv(F, h)
         except ValueError:
             raise ActionEscape("the block on W is singular") from None
-        # the bases in w order as a (d, n, N) array, so that the arithmetic
+        # the bases as a (d, n, len(ids)) array, so that the arithmetic
         # below runs along the maximals
-        order, n2 = self._w_split
-        red = np.ascontiguousarray(np.take(self.maximal_bases, order, axis=0).transpose(1, 2, 0))
+        red = np.ascontiguousarray(np.take(self.maximal_bases, ids, axis=0).transpose(1, 2, 0))
         U = red[:3, 3:, n2:]
         U[...] = mat_mul(F, hinv, U.reshape(3, -1)).reshape(U.shape)
         # the rows of each top pair are the columns of Y^T = h^T R_W^T
         top = red[:2, :, :n2]
         top[:, :3] = mat_mul(F, h.T, top[:, :3])
         top[...] = _top_rows_rref(F, top)
-        # h is invertible, so the images are distinct, and they are all
-        # maximals exactly when their sorted codes are the maximal codes
-        pids = self._lookup_units(red.transpose(0, 2, 1)).T
+        return self._lookup_units(red.transpose(0, 2, 1)).T
+
+    def maximal_images(self, h: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Ids of the images of the maximals ``ids`` under h (+) I_U, for a
+        3x3 block h on W, by ``_image_points`` and a search of their codes.
+
+        Raises ValueError when h is not 3x3, and ActionEscape when h is
+        singular or, with ``index`` its position in ``ids``, at the first
+        maximal whose image is not a maximal of the quadric.
+        """
+        ids = np.asarray(ids, dtype=np.intp)
+        order, n2 = self._w_order(self.maximal_bases[ids])
+        pids = np.empty((len(ids), self.d), dtype=np.int32)
+        pids[order] = self._image_points(h, ids[order], n2)
+        out, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids))
+        bad = ~found | (pids < 0).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ActionEscape(
+                f"the image of maximal {ids[i]} is not a maximal of the quadric", index=i
+            )
+        return out
+
+    def maximal_permutation(self, h: np.ndarray) -> np.ndarray:
+        """Ids of the images of every maximal under h (+) I_U, for a 3x3
+        block h on W, by ``_image_points``.
+
+        h is invertible, so the images are distinct, and they are all
+        maximals exactly when their codes, sorted, are the maximal codes;
+        then the ids are read off that one argsort, and only otherwise are
+        the codes searched.  Raises as ``maximal_images`` does.
+        """
+        order, n2 = self._w_split
+        pids = self._image_points(h, order, n2)
         codes = vector_codes(self.num_points, pids)
         by_code = np.argsort(codes)
         if not ((pids >= 0).all() and np.array_equal(codes[by_code], self.maximal_codes)):
-            _, found = search_keys(self.maximal_codes, codes)
-            bad = np.zeros(self.num_maximals, dtype=bool)
-            bad[order] = ~found | (pids < 0).any(axis=1)
-            i = int(np.argmax(bad))
-            raise ActionEscape(f"the image of maximal {i} is not a maximal of the quadric", index=i)
+            # some image is not a maximal, and the search names the first
+            self.maximal_images(h, np.arange(self.num_maximals))
+            raise RuntimeError("an invertible block carried two maximals onto one")
         out = np.empty(self.num_maximals, dtype=np.intp)
         out[order[by_code]] = np.arange(self.num_maximals)
         return out

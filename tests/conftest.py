@@ -159,3 +159,17 @@ def bfs_partition(n: int, perms) -> OrbitPartition:
     reps = np.array([m[0] for m in members], dtype=np.int64)
     sizes = np.array([m.size for m in members], dtype=np.int64)
     return OrbitPartition(n, orbit_of, tuple(members), reps, sizes)
+
+
+def orbit_image(part: OrbitPartition, perm: np.ndarray) -> np.ndarray:
+    """Reference for tau's image of each orbit: read off its whole permutation.
+
+    Entry o is the orbit holding the images of all of orbit o's members, or
+    -1 when they land in more than one orbit.  When the permutation
+    normalizes the acting group no entry is -1.
+    """
+    target = part.orbit_of[check_permutation(part.n, perm)]
+    image = target[part.reps]
+    split = np.zeros(part.n_orbits, dtype=bool)
+    split[part.orbit_of[target != image[part.orbit_of]]] = True
+    return np.where(split, -1, image)

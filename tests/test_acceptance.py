@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import element_orders, normal_form_cases
+from conftest import element_orders, normal_form_cases, orbit_image
 from hemisystems.certificate import (
     certificate_text,
     check_certificate_header,
@@ -26,7 +26,7 @@ from hemisystems.hemi import (
     verify_hemisystem,
 )
 from hemisystems.linform import all_vectors, format_matrix, mat_mul, rref, standard_model
-from hemisystems.orbits import orbit_image, partition
+from hemisystems.orbits import partition
 from hemisystems.quadric import (
     maximal_count,
     maximals_per_point,
@@ -184,11 +184,19 @@ def test_05_point_partitions_coincide():
 
 
 def test_06_tau_pairs_all_maximal_orbits():
-    """No tau-stable B-orbit on maximals; partner sizes equal; n_b = 2m."""
+    """No tau-stable B-orbit on maximals; partner sizes equal; n_b = 2m.
+
+    tau moves only the orbit representatives; its image of each orbit must
+    be what its whole point and maximal permutations give.
+    """
     for p, k, d in DESK_CONFIGS:
         pr = _prep(p, k, d)
-        part = pr.actions.b_maximal_part
-        image = orbit_image(part, pr.actions.tau_maximal_perm)
+        acts, qm, t = pr.actions, pr.qm, pr.tau_elt
+        part = acts.b_maximal_part
+        image = orbit_image(part, qm.maximal_permutation(t))
+        assert np.array_equal(acts.tau_maximal_image, image), (p, k, d)
+        points = orbit_image(acts.b_point_part, qm.point_permutation(t))
+        assert np.array_equal(acts.tau_point_image, points), (p, k, d)
         for o in range(part.n_orbits):
             assert image[o] not in (-1, o), f"({p},{k},{d}): orbit {o} is tau-stable"
             assert part.sizes[image[o]] == part.sizes[o]

@@ -17,12 +17,14 @@ from hemisystems.hemi import (
     UnknownMaximalId,
     ab_check,
     assemble,
+    b_point_orbits,
     enumerate_all_hemisystems,
     prepare,
     resolve_actions,
     verify_hemisystem,
 )
-from hemisystems.linform import identity, mat_mul
+from hemisystems.linform import identity, mat_mul, standard_model
+from hemisystems.orbits import ActionEscape, partition
 from hemisystems.quadric import QuadricModel
 
 CONFIGS = [(3, 1, 2), (5, 1, 2), (3, 1, 3)]
@@ -36,20 +38,59 @@ def prep(p, k, d):
     return _prepared[(p, k, d)]
 
 
-def test_prepare_makes_each_point_permutation_once(monkeypatch):
-    # resolve_actions makes one point permutation for each element of B's
-    # generating pair and one for tau, and none for the other generators
-    made = []
-    real = QuadricModel.point_permutation
+def test_prepare_makes_no_point_permutation(monkeypatch):
+    # B's point orbits come from their closed-form labels and tau moves only
+    # their representatives, so prepare moves one point per orbit of B
+    # (point_permutation moves every point through point_images), and the
+    # only maximal permutations are those of B's generating pair
+    moved, permuted = [], []
+    images, permutation = QuadricModel.point_images, QuadricModel.maximal_permutation
 
-    def counted(self, mat):
-        made.append(mat)
-        return real(self, mat)
+    def counted(self, mat, ids):
+        moved.append(len(ids))
+        return images(self, mat, ids)
 
-    monkeypatch.setattr(QuadricModel, "point_permutation", counted)
+    def recorded(self, mat):
+        permuted.append(mat)
+        return permutation(self, mat)
+
+    monkeypatch.setattr(QuadricModel, "point_images", counted)
+    monkeypatch.setattr(QuadricModel, "maximal_permutation", recorded)
     pr = prepare(field_make(3), 2)
-    assert len(made) == 3
+    assert moved == [pr.report.n_point_orbits] == [5]
+    pair = groups.generating_pair(pr.field, pr.b.generators)
+    assert len(permuted) == 2 and np.array_equal(np.stack(permuted), pair)
     assert pr.report.ok
+
+
+# the rungs of the ladder, and (9,3) and q = 81 beyond it
+LABEL_RUNGS = [
+    (3, 1, 2), (3, 1, 3), (5, 1, 3), (3, 1, 4), (5, 2, 2),
+    (3, 3, 2), (7, 1, 3), (7, 2, 2), (3, 4, 2), (3, 2, 3),
+]
+
+
+@pytest.mark.parametrize("p,k,d", LABEL_RUNGS)
+def test_point_labels_give_the_orbits_of_b(p, k, d):
+    # the reference is union-find under the point permutations of B's
+    # generating pair; a private model, so the large rungs are not cached
+    F = field_make(p, k)
+    m = standard_model(F, d)
+    qm = QuadricModel(m)
+    pair = groups.generating_pair(F, groups.omega_w(m).generators)
+    want = partition(qm.num_points, [qm.point_permutation(g) for g in pair])
+    got = b_point_orbits(qm)
+    assert np.array_equal(got.orbit_of, want.orbit_of)
+    assert np.array_equal(got.reps, want.reps)
+    assert np.array_equal(got.sizes, want.sizes)
+    assert len(got.members) == len(want.members)
+    assert all(np.array_equal(a, b) for a, b in zip(got.members, want.members))
+    # 1 + (non-singular points of U) + 3 (singular points of U), U elliptic
+    # of dimension 2d - 2
+    q = F.q
+    u_points = (q ** (2 * d - 2) - 1) // (q - 1)
+    u_singular = (q ** (d - 1) + 1) * (q ** (d - 2) - 1) // (q - 1)
+    assert got.n_orbits == 1 + (u_points - u_singular) + 3 * u_singular
 
 
 @pytest.mark.parametrize("p,k,d", CONFIGS)
@@ -133,6 +174,15 @@ def test_group_a_refuses_with_the_witness_of_ab_check(kind):
     with pytest.raises(groups.GenerationFailure) as info:
         groups.group_a(pr.model, pr.b, t)
     assert str(info.value) == r.witness
+
+
+def test_resolve_actions_refuses_a_tau_that_is_no_isometry():
+    # tau moves only orbit representatives, so a block that is no isometry
+    # of J_W is refused up front, before any image of it escapes the
+    # quadric; the flip does not even normalize B
+    pr = prep(3, 1, 2)
+    with pytest.raises(ActionEscape, match="tau is not an isometry of J_W"):
+        resolve_actions(pr.qm, pr.b, _e0_flip(pr))
 
 
 def test_ab_check_agrees_with_group_a_on_the_order_of_a():

@@ -5,13 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bfs_partition
+from conftest import bfs_partition, orbit_image
 from hemisystems.gf import field_make
 from hemisystems.linform import identity, standard_model
 from hemisystems.orbits import (
     ActionEscape,
     check_permutation,
-    orbit_image,
+    labelled,
     partition,
 )
 from hemisystems.quadric import QuadricModel
@@ -120,6 +120,27 @@ def test_bad_permutations_rejected():
 
 def test_action_escape_is_lookup_error():
     assert issubclass(ActionEscape, KeyError)
+
+
+def test_labelled_numbers_classes_by_least_member():
+    # the classes of equal labels, whatever the labels' order or dtype
+    part = labelled(np.array([7, -1, 7, 3, -1, 9], dtype=np.int64))
+    assert part.orbit_of.tolist() == [0, 1, 0, 2, 1, 3]
+    assert part.reps.tolist() == [0, 1, 3, 5]
+    assert part.sizes.tolist() == [2, 2, 1, 1]
+    assert [m.tolist() for m in part.members] == [[0, 2], [1, 4], [3], [5]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_labelled_matches_a_loop_over_labels(seed):
+    labels = np.random.default_rng(seed).integers(-5, 12, 200)
+    part = labelled(labels)
+    firsts = list(dict.fromkeys(labels.tolist()))  # each label at its least id
+    assert part.reps.tolist() == [labels.tolist().index(v) for v in firsts]
+    for o, v in enumerate(firsts):
+        assert part.members[o].tolist() == np.flatnonzero(labels == v).tolist()
+        assert part.sizes[o] == (labels == v).sum()
+    assert np.array_equal(part.orbit_of, [firsts.index(v) for v in labels.tolist()])
 
 
 def test_orbit_image_toy():

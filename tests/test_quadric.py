@@ -525,6 +525,54 @@ def test_a_basis_row_that_does_not_lead_with_one_is_refused(monkeypatch, p, k, d
         QuadricModel(model(p, k, d))
 
 
+def _break_one_pair(qm, i, j):
+    """A copy of the bases in which one basis, still RREF and in sorted
+    order, has row j replaced by a singular point that is orthogonal to
+    every row but row i."""
+    F, P, B, d = qm.field, qm.points, qm.maximal_bases, qm.d
+    # beta(x, row r of maximal m) for every point x, as (P, N, d)
+    rows = B.reshape(-1, qm.dim)
+    beta = mat_mul(F, mat_mul(F, P, qm.model.space.gram), rows.T).reshape(len(P), len(B), d)
+    piv = np.argmax(rows != 0, axis=1).reshape(len(B), d)
+    ok = np.argmax(P != 0, axis=1)[:, None] == piv[None, :, j]
+    for r in range(d):
+        if r != j:
+            # zero on the other pivots, so the basis stays RREF
+            ok &= P[:, piv[:, r]] == 0
+        if r not in (i, j):
+            ok &= beta[:, :, r] == 0
+    ok &= beta[:, :, i] != 0
+    # the new code must stay strictly between the neighbours' codes
+    codes = qm.maximal_codes
+    new = codes[None, :] + (np.arange(len(P))[:, None] - qm.basis_points[:, j]) * (
+        qm.num_points ** (d - 1 - j)
+    )
+    below, above = np.append(-1, codes[:-1]), np.append(codes[1:], np.iinfo(np.int64).max)
+    ok &= (new > below) & (new < above)
+    x, m = np.argwhere(ok)[0]
+    bases = B.copy()
+    bases[m, j] = P[x]
+    return bases, m
+
+
+@pytest.mark.parametrize("d,i,j", [(2, 0, 1), (3, 0, 1), (3, 0, 2), (3, 1, 2)])
+def test_a_maximal_whose_singular_rows_are_not_orthogonal_is_refused(monkeypatch, d, i, j):
+    # each row is a singular point and the bases stay RREF and sorted, so
+    # only the pairwise check of the guard sees that rows i and j of one
+    # basis are not orthogonal; a guard that skipped that pair would not
+    qm = qmodel(3, 1, d)
+    bases, m = _break_one_pair(qm, i, j)
+    F = qm.field
+    assert np.array_equal(rref(F, bases[m])[0], bases[m])
+    ids = qm.point_ids(bases.reshape(-1, qm.dim)).reshape(len(bases), d)
+    assert (np.diff(linform.vector_codes(qm.num_points, ids)) > 0).all()
+    gram = qm.model.space.restrict_gram(bases[m])
+    assert [(a, b) for a, b in zip(*np.nonzero(gram)) if a < b] == [(i, j)]
+    monkeypatch.setattr(quadric, "enumerate_maximals", lambda model: bases)
+    with pytest.raises(RuntimeError, match="an enumerated maximal is not totally singular"):
+        QuadricModel(model(3, 1, d))
+
+
 def test_maximal_ids_rank_check_survives_optimize():
     code = (
         "import numpy as np\n"
@@ -581,6 +629,29 @@ def test_maximal_permutation_matches_rref_oracle(p, k, d):
         assert np.array_equal(perm, rref_maximal_permutation(qm, h))
         full = qm.point_ids(mat_mul(qm.field, qm.points, embed_w_block(qm.field, h, qm.dim)))
         assert np.array_equal(qm.point_permutation(h), full)
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)])
+def test_images_of_any_ids_are_the_permutations_read_there(p, k, d):
+    # ids in any order, with repeats and both values of w = dim pi_W(M)
+    qm = qmodel(p, k, d)
+    rng = np.random.default_rng(29)
+    mids = rng.integers(0, qm.num_maximals, 40)
+    pids = rng.integers(0, qm.num_points, 40)
+    for h in action_matrices(qm):
+        assert np.array_equal(qm.maximal_images(h, mids), qm.maximal_permutation(h)[mids])
+        assert np.array_equal(qm.point_images(h, pids), qm.point_permutation(h)[pids])
+    # a shear that is no isometry escapes at the first id, in the given
+    # order, whose image maximal_permutation rejects
+    shear = identity(3)
+    shear[0, 2] = 1
+    with pytest.raises(ActionEscape) as whole:
+        qm.maximal_permutation(shear)
+    bad = int(whole.value.index)
+    ids = np.array([0, bad, bad, 0])
+    with pytest.raises(ActionEscape, match=f"maximal {bad} is not") as some:
+        qm.maximal_images(shear, ids)
+    assert some.value.index == 1
 
 
 @pytest.mark.parametrize(

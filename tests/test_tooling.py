@@ -6,8 +6,8 @@ orbits and tau without building A again, index two decided by one function and
 an AB report without flags beside its witness, a pipeline that lists no group
 element, index two at q = 251 from B's predicate, a standard model that scans no vectors,
 point lookups by table, not by binary search, a prepare that builds no incidence
-index, reduces nothing, searches no maximal codes and leaves
-numpy.ma unimported, canonical certificate members resolved without reading the
+index, reduces nothing, searches the maximal codes for tau's orbit
+representatives alone and leaves numpy.ma unimported, canonical certificate members resolved without reading the
 bases, line layouts and element strings built once per stream, one writer of
 the member block, the certificate format in the certificate module alone, the
 incidence index read by ``QuadricModel.degrees`` alone, and no module-level
@@ -215,8 +215,9 @@ def test_prepare_makes_every_call_the_benchmark_traces(monkeypatch):
 
 def test_the_ab_check_partitions_only_b_and_builds_no_group(monkeypatch):
     # A's orbits are B's orbits joined by tau, so prepare partitions B's
-    # points and maximals once each, and ab_check reads them with tau's
-    # permutations; it neither closes a group nor builds A again
+    # maximals once, reads B's point orbits off their labels, and ab_check
+    # reads both with tau's image of each orbit; it neither closes a group
+    # nor builds A again
     parts = []
     real = hemi.partition
 
@@ -226,7 +227,7 @@ def test_the_ab_check_partitions_only_b_and_builds_no_group(monkeypatch):
 
     monkeypatch.setattr(hemi, "partition", counted)
     pr = hemi.prepare(field_make(3), 2)
-    assert parts == [pr.qm.num_points, pr.qm.num_maximals]
+    assert parts == [pr.qm.num_maximals]
     a_order = pr.a.order  # the counted reference, listed before close is refused
 
     def refused(*args, **kwargs):
@@ -321,19 +322,22 @@ def test_point_lookups_make_no_binary_search(monkeypatch):
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
 def test_prepare_searches_no_maximal_codes(monkeypatch, p, k, d):
-    # each action reads its maximal ids off one sort of the image codes, and
-    # only an escape searches; a silent fallback to the search would keep
-    # every other test green
+    # each permutation of B's pair reads its maximal ids off one sort of the
+    # image codes, and only an escape searches; tau moves the n_b orbit
+    # representatives alone and searches their codes.  A silent fallback to
+    # a search over all N maximals would keep every other test green
     searched = []
     real = quadric.search_keys
 
     def recorded(sorted_keys, keys):
-        searched.append(sorted_keys)
+        searched.append((sorted_keys, len(keys)))
         return real(sorted_keys, keys)
 
     monkeypatch.setattr(quadric, "search_keys", recorded)
-    qm = hemi.prepare(field_make(p, k), d).qm
-    assert not any(np.array_equal(keys, qm.maximal_codes) for keys in searched)
+    pr = hemi.prepare(field_make(p, k), d)
+    qm, n_b = pr.qm, pr.report.n_b_maximal_orbits
+    sizes = [n for keys, n in searched if np.array_equal(keys, qm.maximal_codes)]
+    assert sizes == [n_b] and n_b < qm.num_maximals
 
 
 def test_prepare_leaves_numpy_ma_unimported():
