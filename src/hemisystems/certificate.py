@@ -98,7 +98,8 @@ def certificate_chunks(prep: Prepared, mask: int, member_ids: np.ndarray) -> Ite
     yield "\n".join(lines) + "\n"
     ids = np.asarray(member_ids, dtype=np.int64)
     for start in range(0, ids.size, _CHUNK_LINES):
-        yield format_matrix_block(F, prep.qm.maximal_bases[ids[start:start + _CHUNK_LINES]])
+        chunk = np.take(prep.qm.maximal_bases, ids[start:start + _CHUNK_LINES], axis=0)
+        yield format_matrix_block(F, chunk)
     yield f"mask {mask:x} {len(split.pairs)}\nend\n"
 
 
@@ -320,7 +321,10 @@ def format_matrix_block(F: Field, stack: np.ndarray) -> str:
     """One ``maximal`` line per basis of an (N, d, 2d+1) stack, in
     ``format_matrices``' spelling.  When p < 10 they are written into one
     byte array from ``_line_layout``, coefficient i of element a being
-    floor(a / p^i) mod p; otherwise they are joined from ``format_matrices``.
+    floor(a / p^i) mod p: coefficient 0 is a mod p and the top one
+    floor(a / p^(k-1)), so at k = 1 the digit is the element itself; the
+    text is decoded from the array's own buffer, with no bytes copy.
+    Otherwise they are joined from ``format_matrices``.
     """
     stack = np.asarray(stack, dtype=np.uint8)
     N, d, _ = stack.shape
@@ -332,10 +336,12 @@ def format_matrix_block(F: Field, stack: np.ndarray) -> str:
     out[:] = line
     flat = stack.reshape(N, -1)
     for i in range(k):
-        c = flat // p**i
-        # c mod p; NumPy's uint8 % by a scalar is some 20x slower than //
-        out[:, len(_MEMBER) + 2 * i::2 * k] = c - c // p * p + ord("0")
-    return out.tobytes().decode("ascii")
+        c = flat // p**i if i else flat
+        if i < k - 1:
+            # c mod p; NumPy's uint8 % by a scalar is some 20x slower than //
+            c = c - c // p * p
+        np.add(c, ord("0"), out=out[:, len(_MEMBER) + 2 * i::2 * k])
+    return str(out, "ascii")
 
 
 def parse_matrix_block(F: Field, buf: np.ndarray, d: int) -> np.ndarray | None:

@@ -217,7 +217,7 @@ def assemble(split: OrbitSplit, mask: int) -> np.ndarray:
     chosen = np.zeros(split.partition.n_orbits, dtype=bool)
     for i, (low, high) in enumerate(split.pairs):
         chosen[high if (mask >> i) & 1 else low] = True
-    return np.flatnonzero(chosen[split.partition.orbit_of])
+    return np.flatnonzero(np.take(chosen, split.partition.orbit_of))
 
 
 def enumerate_all_hemisystems(split: OrbitSplit, cap: int = 2**16):
@@ -254,7 +254,7 @@ def _degrees_by_orthogonality(qm: QuadricModel, ids: np.ndarray) -> np.ndarray:
     # small chunks bound the product's memory: over GF(p^k) each entry takes
     # 12 bytes while it is formed (index, its intp copy in np.take, term, sum)
     for start in range(0, ids.size, 16):
-        bases = qm.maximal_bases[ids[start:start + 16]]
+        bases = np.take(qm.maximal_bases, ids[start:start + 16], axis=0)
         rows = bases.reshape(-1, qm.dim)
         prods = mat_mul(F, pj, rows.T).reshape(qm.num_points, len(bases), qm.d)
         degrees += (prods == 0).all(axis=2).sum(axis=1)

@@ -58,7 +58,8 @@ def partition(n: int, perms) -> OrbitPartition:
     pointer jumping; repeat until every edge joins equal labels.  A root is
     never hooked under a larger id, so each label ends as the least member
     of its orbit.  Taking one generator at a time keeps the work arrays at n
-    entries.
+    entries.  The roots, numbered in ascending order, are the labels handed
+    to ``labelled``, so they span the orbit count, not n.
     """
     perms = [check_permutation(n, p) for p in perms]
     label = np.arange(n, dtype=np.int64)
@@ -78,7 +79,8 @@ def partition(n: int, perms) -> OrbitPartition:
                 if np.array_equal(up, label):
                     break
                 label = up
-    return labelled(label)
+    root_number = np.cumsum(label == np.arange(n)) - 1
+    return labelled(root_number[label])
 
 
 def labelled(labels: np.ndarray) -> OrbitPartition:
@@ -86,10 +88,17 @@ def labelled(labels: np.ndarray) -> OrbitPartition:
     class an orbit, numbered by its least member.
 
     One stable sort of the labels lists every class in a run of ascending
-    ids, so each run's first id is its least member.
+    ids, so each run's first id is its least member.  When the labels span
+    fewer than 2^16 values they are sorted as uint16 offsets from the
+    least, for which NumPy's stable sort is a radix sort.
     """
-    order = np.argsort(labels, kind="stable")
-    ranked = labels[order]
+    keys = np.asarray(labels)
+    if keys.size:
+        low = keys.min()
+        if keys.max() - low < 2**16:
+            keys = (keys - low).astype(np.uint16)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = ranked[1:] != ranked[:-1]
     starts = np.flatnonzero(new)

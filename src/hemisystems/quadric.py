@@ -124,19 +124,41 @@ def maximals_per_point(q: int, d: int) -> int:
 def _beta(F: Field, pairing, U: np.ndarray, V: np.ndarray) -> np.ndarray:
     """beta(u, v) of matching vectors of two broadcastable (n, ...) arrays,
     coordinates first, through ``StandardModel.pairing``: one flat-table
-    gather per coordinate, along its values."""
+    product u[c] v[partner[c]] per coordinate, so one for each self-paired
+    coordinate and two for each hyperbolic pair, scaled by the Gram entry
+    only where that entry is not 1."""
     partner, g, _ = pairing
-    terms = F.mul_arrays(F.mul_arrays(U, g.reshape((-1,) + (1,) * (U.ndim - 1))), V[partner])
-    acc = terms[0]
-    for c in range(1, len(terms)):
-        acc = F.add_arrays(acc, terms[c])
+    acc = None
+    for c in range(len(partner)):
+        term = F.mul_arrays(U[c], V[partner[c]])
+        if g[c] != 1:
+            term = F.mul_table[g[c]][term]
+        acc = term if acc is None else F.add_arrays(acc, term)
     return acc
 
 
 def _kappa(F: Field, pairing, V: np.ndarray) -> np.ndarray:
-    """kappa of every row of a (..., n) stack: half of beta(v, v)."""
+    """kappa of every row of a (..., n) stack: half of beta(v, v), which is
+    the sum of (g/2) v[c]^2 over the self-paired coordinates c, each one
+    gather from a table of q entries, and of g v[e] v[f] over the hyperbolic
+    pairs (e, f), one product each, scaled only where g is not 1."""
+    partner, g, _ = pairing
     V = np.moveaxis(V, -1, 0)
-    return F.mul_table[F.inv(F.add(1, 1))][_beta(F, pairing, V, V)]
+    half_g = F.mul_table[F.inv(F.add(1, 1)), g]
+    squares = np.diagonal(F.mul_table)
+    acc = None
+    for c in range(len(partner)):
+        if partner[c] == c:
+            # the table x -> (g/2) x^2, read at the coordinate
+            term = F.mul_table[half_g[c]][squares][V[c]]
+        elif partner[c] > c:
+            term = F.mul_arrays(V[c], V[partner[c]])
+            if g[c] != 1:
+                term = F.mul_table[g[c]][term]
+        else:
+            continue
+        acc = term if acc is None else F.add_arrays(acc, term)
+    return acc
 
 
 def _dual(F: Field, pairing, Y: np.ndarray) -> np.ndarray:
@@ -186,11 +208,23 @@ def _rref_pivots(stack: np.ndarray) -> np.ndarray:
 
     Raises RuntimeError unless, in every matrix, the first nonzero columns
     of the rows strictly increase and hold the identity I_r, which is
-    exactly an RREF basis of rank r.
+    exactly an RREF basis of rank r.  Once the pivots strictly increase,
+    a row is zero at every pivot column left of its own, so only the r
+    pivots and the r(r - 1)/2 entries above them are read, by flat index,
+    one row's pivot column at a time.
     """
+    N, r, n = stack.shape
     piv = np.argmax(stack != 0, axis=2)
-    at_piv = np.take_along_axis(stack, piv[:, None, :], axis=2)
-    if not ((np.diff(piv, axis=1) > 0).all() and (at_piv == np.eye(stack.shape[1])).all()):
+    flat = stack.reshape(-1)
+    # the flat index of column 0 of each matrix's first row
+    first = np.arange(0, N * r * n, r * n)
+    ok = (np.diff(piv, axis=1) > 0).all()
+    for j in range(r):
+        col = first + piv[:, j]
+        ok = ok and (np.take(flat, col + j * n) == 1).all()
+        for i in range(j):
+            ok = ok and not np.take(flat, col + i * n).any()
+    if not ok:
         raise RuntimeError("an enumerated basis is not an RREF basis of full rank")
     return piv
 
@@ -332,11 +366,13 @@ def _v_rows(stack, n: int) -> np.ndarray:
 
 def _degrees(index: np.ndarray, ids: np.ndarray, num_points: int) -> np.ndarray:
     """How many of the maximals ``ids`` hold each point, from their index rows,
-    gathered 1,024 at a time to bound them and their intp copy in bincount."""
+    gathered 1,024 at a time to bound them, each chunk counted in place into
+    the one int64 array by ``np.add.at``; with a narrower accumulator the
+    scatter leaves its fast path and runs some 30 times slower."""
     degrees = np.zeros(num_points, dtype=np.int64)
     for start in range(0, len(ids), 1024):
         rows = np.take(index, ids[start:start + 1024], axis=0)
-        degrees += np.bincount(rows.ravel(), minlength=num_points)
+        np.add.at(degrees, rows.ravel(), 1)
     return degrees
 
 
@@ -650,7 +686,7 @@ class QuadricModel:
         maximal whose image is not a maximal of the quadric.
         """
         ids = np.asarray(ids, dtype=np.intp)
-        order, n2 = self._w_order(self.maximal_bases[ids])
+        order, n2 = self._w_order(np.take(self.maximal_bases, ids, axis=0))
         pids = np.empty((len(ids), self.d), dtype=np.int32)
         pids[order] = self._image_points(h, ids[order], n2)
         out, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids))

@@ -1,4 +1,5 @@
-"""Shared, session-cached geometry builders, matrix-stack helpers and oracles for the tests."""
+"""Shared, session-cached geometry builders, matrix-stack helpers, oracles, and the
+earlier forms of the hot-path kernels as references, for the tests."""
 
 import functools
 import os
@@ -173,3 +174,70 @@ def orbit_image(part: OrbitPartition, perm: np.ndarray) -> np.ndarray:
     split = np.zeros(part.n_orbits, dtype=bool)
     split[part.orbit_of[target != image[part.orbit_of]]] = True
     return np.where(split, -1, image)
+
+
+# ---------------------------------------------------------------------------
+# the earlier forms of the hot-path kernels, kept as references
+
+
+def along_axis_rref_pivots(stack: np.ndarray) -> np.ndarray:
+    """Reference for ``quadric._rref_pivots``: gather every row's entries at
+    all r pivot columns by ``take_along_axis`` and compare them with I_r."""
+    piv = np.argmax(stack != 0, axis=2)
+    at_piv = np.take_along_axis(stack, piv[:, None, :], axis=2)
+    if not ((np.diff(piv, axis=1) > 0).all() and (at_piv == np.eye(stack.shape[1])).all()):
+        raise RuntimeError("an enumerated basis is not an RREF basis of full rank")
+    return piv
+
+
+def int64_labelled(labels: np.ndarray) -> OrbitPartition:
+    """Reference for ``orbits.labelled``: one stable sort of the labels as
+    int64, whatever their span."""
+    order = np.argsort(np.asarray(labels, dtype=np.int64), kind="stable")
+    ranked = np.asarray(labels)[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(order))
+    by_least = np.argsort(order[starts])
+    number = np.empty_like(by_least)
+    number[by_least] = np.arange(by_least.size)
+    orbit_of = np.empty_like(order)
+    orbit_of[order] = number[np.cumsum(new) - 1]
+    members = tuple(order[starts[c]:ends[c]] for c in by_least.tolist())
+    return OrbitPartition(len(order), orbit_of, members, order[starts[by_least]], (ends - starts)[by_least])
+
+
+def same_partition(a: OrbitPartition, b: OrbitPartition) -> bool:
+    """Whether two partitions agree in every field, dtypes of the id arrays included."""
+    arrays = ("orbit_of", "reps", "sizes")
+    return (
+        a.n == b.n
+        and all(np.array_equal(getattr(a, f), getattr(b, f)) for f in arrays)
+        and all(getattr(a, f).dtype == getattr(b, f).dtype for f in arrays)
+        and len(a.members) == len(b.members)
+        and all(np.array_equal(x, y) for x, y in zip(a.members, b.members))
+    )
+
+
+def bincount_degrees(index: np.ndarray, ids: np.ndarray, num_points: int) -> np.ndarray:
+    """Reference for ``quadric._degrees``: one P-long ``bincount`` per
+    1,024-member chunk of index rows, added up."""
+    degrees = np.zeros(num_points, dtype=np.int64)
+    for start in range(0, len(ids), 1024):
+        rows = index[ids[start:start + 1024]]
+        degrees += np.bincount(rows.ravel(), minlength=num_points)
+    return degrees
+
+
+def gram_scaled_beta(F, pairing, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Reference for ``quadric._beta``: every coordinate of U scaled by its
+    Gram entry, times V at the partner coordinates, summed over the
+    coordinates (the first axis)."""
+    partner, g, _ = pairing
+    terms = F.mul_arrays(F.mul_arrays(U, g.reshape((-1,) + (1,) * (U.ndim - 1))), V[partner])
+    acc = terms[0]
+    for c in range(1, len(terms)):
+        acc = F.add_arrays(acc, terms[c])
+    return acc
+

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import model, qmodel
-from hemisystems import groups
+from conftest import int64_labelled, model, qmodel, same_partition
+from hemisystems import groups, hemi, orbits
 from hemisystems.gf import field_make
 from hemisystems.hemi import (
     ABReport,
@@ -24,8 +24,9 @@ from hemisystems.hemi import (
     verify_hemisystem,
 )
 from hemisystems.linform import identity, mat_mul, standard_model
-from hemisystems.orbits import ActionEscape, partition
+from hemisystems.orbits import ActionEscape, labelled, partition
 from hemisystems.quadric import QuadricModel
+from test_acceptance import DESK_CONFIGS
 
 CONFIGS = [(3, 1, 2), (5, 1, 2), (3, 1, 3)]
 
@@ -91,6 +92,30 @@ def test_point_labels_give_the_orbits_of_b(p, k, d):
     u_points = (q ** (2 * d - 2) - 1) // (q - 1)
     u_singular = (q ** (d - 1) + 1) * (q ** (d - 2) - 1) // (q - 1)
     assert got.n_orbits == 1 + (u_points - u_singular) + 3 * u_singular
+
+
+@pytest.mark.parametrize("p,k,d", DESK_CONFIGS)
+def test_prepare_numbers_its_orbits_as_one_int64_sort_would(monkeypatch, p, k, d):
+    # the labels prepare hands labelled: B's point labels, with -1 on the
+    # conic, and the union-find roots of the maximals numbered in ascending
+    # order; both span fewer than 2^16 values here, so they sort as uint16
+    seen = []
+
+    def recorded(labels):
+        seen.append(np.array(labels))
+        return labelled(labels)
+
+    monkeypatch.setattr(hemi, "labelled", recorded)
+    monkeypatch.setattr(orbits, "labelled", recorded)
+    pr = prepare(field_make(p, k), d)
+    points, maximals = seen
+    assert points.min() == -1 and maximals.min() == 0
+    assert maximals.max() == pr.report.n_b_maximal_orbits - 1
+    assert same_partition(pr.actions.b_point_part, int64_labelled(points))
+    assert same_partition(pr.actions.b_maximal_part, int64_labelled(maximals))
+    # the least member of each orbit, the roots partition passed before
+    roots = pr.actions.b_maximal_part.reps[maximals]
+    assert same_partition(labelled(roots), int64_labelled(roots))
 
 
 @pytest.mark.parametrize("p,k,d", CONFIGS)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bfs_partition, orbit_image
+from conftest import bfs_partition, int64_labelled, orbit_image, same_partition
 from hemisystems.gf import field_make
 from hemisystems.linform import identity, standard_model
 from hemisystems.orbits import (
@@ -141,6 +141,20 @@ def test_labelled_matches_a_loop_over_labels(seed):
         assert part.members[o].tolist() == np.flatnonzero(labels == v).tolist()
         assert part.sizes[o] == (labels == v).sum()
     assert np.array_equal(part.orbit_of, [firsts.index(v) for v in labels.tolist()])
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(0, 2**16 - 1), (-1, 2**16 - 2), (-1, 2**16 - 1), (0, 2**16), (-1, 2**20), (-(2**40), 5)],
+)
+def test_labelled_matches_one_int64_sort_on_either_side_of_two_to_the_sixteen(low, high):
+    # labels spanning fewer than 2^16 values are sorted as uint16 offsets,
+    # the rest as they are; both ends of the span occur in every draw
+    labels = np.random.default_rng(high % 97).integers(low, high + 1, 3000)
+    labels[[17, 2001]] = low, high
+    labels[::7] = labels[5]  # classes of more than one id
+    assert same_partition(labelled(labels), int64_labelled(labels))
+    assert same_partition(labelled(labels[:0]), int64_labelled(labels[:0]))
 
 
 def test_orbit_image_toy():

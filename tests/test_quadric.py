@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 from conftest import (
+    along_axis_rref_pivots,
+    bincount_degrees,
+    gram_scaled_beta,
     model,
     normal_form_cases,
     qmodel,
@@ -181,16 +184,101 @@ def test_enumerating_maximals_holds_a_bounded_transient(p, k, d):
 
 def test_the_structural_check_refuses_what_is_not_rref():
     # the check that replaced the final rank test: pivots strictly increase
-    # and the pivot columns are the identity
+    # and the pivot columns are the identity; the take_along_axis form of
+    # the check refuses the same matrices with the same message
     bases = enumerate_maximals(model(3, 1, 3))
     assert np.array_equal(quadric._rref_pivots(bases), np.argmax(bases != 0, axis=2))
     uncleared = bases.copy()  # the first row nonzero above the second pivot
     uncleared[5, 0, np.argmax(bases[5, 1] != 0)] = 1
     swapped = bases.copy()
     swapped[7] = swapped[7, ::-1]  # the first and last rows swapped
-    for bad in (uncleared, swapped):
-        with pytest.raises(RuntimeError, match="not an RREF basis"):
-            quadric._rref_pivots(bad)
+    led_by_two = bases.copy()
+    led_by_two[9, 1, np.argmax(bases[9, 1] != 0)] = 2
+    for bad in (uncleared, swapped, led_by_two):
+        for check in (quadric._rref_pivots, along_axis_rref_pivots):
+            with pytest.raises(RuntimeError, match="^an enumerated basis is not an RREF basis of full rank$"):
+                check(bad)
+
+
+@pytest.mark.parametrize("p,k,d", ALL_DESK)
+def test_the_structural_check_agrees_with_take_along_axis_on_single_entry_edits(p, k, d):
+    # every basis of the rung passes both checks with the same pivots; then
+    # one entry of one basis at a time is set to another element, and the
+    # two checks pass or refuse it alike
+    bases = enumerate_maximals(model(p, k, d))
+    assert np.array_equal(quadric._rref_pivots(bases), along_axis_rref_pivots(bases))
+    rng = np.random.default_rng(p * 100 + k * 10 + d)
+    passed = 0
+    for _ in range(300):
+        i, r, c = (int(rng.integers(s)) for s in bases.shape)
+        edited = bases[i:i + 1].copy()
+        edited[0, r, c] = (edited[0, r, c] + rng.integers(1, p**k)) % p**k
+        try:
+            want = along_axis_rref_pivots(edited)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="not an RREF basis"):
+                quadric._rref_pivots(edited)
+        else:
+            assert np.array_equal(quadric._rref_pivots(edited), want)
+            passed += 1
+    assert 0 < passed < 300
+
+
+@pytest.mark.parametrize("p,k,d", [(5, 1, 3), (3, 1, 4)])
+def test_the_structural_check_holds_no_more_than_take_along_axis(p, k, d):
+    # one chunk of the enumeration's check, the most it ever reads at once
+    chunk = enumerate_maximals(model(p, k, d))[: quadric._MAXIMAL_CHUNK]
+    assert len(chunk) == quadric._MAXIMAL_CHUNK
+    peaks = []
+    for check in (quadric._rref_pivots, along_axis_rref_pivots):
+        tracemalloc.start()
+        try:
+            check(chunk)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], peaks
+
+
+@pytest.mark.parametrize("p,k,d", ALL_DESK)
+def test_the_degree_count_matches_one_bincount_per_chunk(p, k, d):
+    # no ids, every maximal once, and 2,500 ids with repeats, which cross two
+    # of the count's 1,024-id chunk boundaries at every rung
+    qm = qmodel(p, k, d)
+    index = qm.maximal_points
+    rng = np.random.default_rng(p + k + d)
+    for ids in (
+        np.empty(0, dtype=np.int64),
+        np.arange(qm.num_maximals),
+        rng.integers(0, qm.num_maximals, 2500),
+    ):
+        got = quadric._degrees(index, ids, qm.num_points)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, bincount_degrees(index, ids, qm.num_points))
+    assert not quadric._degrees(index, ids[:0], qm.num_points).any()
+
+
+@pytest.mark.parametrize("p,k,d", ALL_DESK)
+def test_beta_and_kappa_match_the_gram_product(p, k, d):
+    # beta(u, v) is the off-diagonal entry of [u; v] J [u; v]^T, at k = 1 and
+    # k > 1, and on W's pairing alone as b_point_orbits reads it; the Gram-
+    # scaled form the pairwise kernel replaced agrees too
+    m = model(p, k, d)
+    F, sp = m.field, m.space
+    rng = np.random.default_rng(p * k * d)
+    U, V = rng.integers(0, F.q, (2, 500, m.dim), dtype=np.uint8)
+    beta = quadric._beta(F, m.pairing, U.T, V.T)
+    assert np.array_equal(beta, sp.restrict_gram(np.stack([U, V], axis=1))[:, 0, 1])
+    assert np.array_equal(beta, gram_scaled_beta(F, m.pairing, U.T, V.T))
+    assert np.array_equal(quadric._kappa(F, m.pairing, U), sp.kappa_batch(U))
+    # an (n, ...) stack of more than one axis, as the guard passes
+    stack = rng.integers(0, F.q, (m.dim, 3, 40), dtype=np.uint8)
+    assert np.array_equal(
+        quadric._beta(F, m.pairing, stack, stack[:, ::-1]),
+        gram_scaled_beta(F, m.pairing, stack, stack[:, ::-1]),
+    )
+    w_pairing = tuple(a[:3] for a in m.pairing)
+    assert np.array_equal(quadric._kappa(F, w_pairing, U[:, :3]), m.w_space.kappa_batch(U[:, :3]))
 
 
 @pytest.mark.parametrize("p,k", [(5, 1), (5, 2), (3, 3)])

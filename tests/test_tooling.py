@@ -10,7 +10,8 @@ index, reduces nothing, searches the maximal codes for tau's orbit
 representatives alone and leaves numpy.ma unimported, canonical certificate members resolved without reading the
 bases, line layouts and element strings built once per stream, one writer of
 the member block, the certificate format in the certificate module alone, the
-incidence index read by ``QuadricModel.degrees`` alone, and no module-level
+incidence index read by ``QuadricModel.degrees`` alone, the maximal bases
+gathered by ``np.take``, not by a fancy index, and no module-level
 function or class that only the tests use."""
 
 import argparse
@@ -483,6 +484,25 @@ def test_only_the_degree_count_reads_the_incidence_index():
             if isinstance(node, ast.Attribute) and node.attr == "maximal_points"
         ]
     assert found == ["quadric.py:QuadricModel.degrees"]
+
+
+def test_the_maximal_bases_are_gathered_by_take():
+    # a fancy index on the (N, d, 2d + 1) bases is some four times slower
+    # than np.take along axis 0, so rows are gathered by take and the
+    # bases are subscripted with slices alone
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = qualified_owners(tree)
+        found += [
+            f"{path.name}:{owner[node]}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "maximal_bases"
+            and not isinstance(node.slice, ast.Slice)
+        ]
+    assert found == []
 
 
 def test_every_module_level_definition_is_used_in_the_package():
