@@ -4,12 +4,14 @@ Orbits come either from a label that is constant exactly on each orbit
 (``labelled``), or from a group action resolved to permutations of object
 ids, as the connected components of the generators' edges (i, p[i]), found
 by a vectorised union-find over int arrays that never touches matrices
-(``partition``).  Orbit ids are deterministic: either way, ``labelled``
-numbers the orbits by their least member.
+(``partition``).  Either way, a partition holds labels alone: each id's
+orbit, numbered by its least member, and each orbit's least member and
+size; the members of an orbit are listed only when read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +31,29 @@ class ActionEscape(KeyError):
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Orbits of a universe of n objects; orbit i has representative reps[i],
-    the least id in members[i] (which is sorted ascending)."""
+    """Orbits of a universe of ids 0..n-1: orbit_of[i] is the orbit of id i,
+    and orbit o has representative reps[o], its least member, and sizes[o]
+    members."""
 
-    n: int
     orbit_of: np.ndarray
-    members: tuple
     reps: np.ndarray
     sizes: np.ndarray
 
     @property
+    def n(self) -> int:
+        return len(self.orbit_of)
+
+    @property
     def n_orbits(self) -> int:
-        return len(self.members)
+        return len(self.reps)
+
+    @functools.cached_property
+    def members(self) -> tuple:
+        """The ids of each orbit, ascending, listed on first read by one
+        stable argsort of ``orbit_of``."""
+        order = np.argsort(self.orbit_of, kind="stable")
+        starts = np.cumsum(self.sizes) - self.sizes
+        return tuple(order[a:a + k] for a, k in zip(starts.tolist(), self.sizes.tolist()))
 
 
 def check_permutation(n: int, perm: np.ndarray) -> np.ndarray:
@@ -58,8 +71,8 @@ def partition(n: int, perms) -> OrbitPartition:
     pointer jumping; repeat until every edge joins equal labels.  A root is
     never hooked under a larger id, so each label ends as the least member
     of its orbit.  Taking one generator at a time keeps the work arrays at n
-    entries.  The roots, numbered in ascending order, are the labels handed
-    to ``labelled``, so they span the orbit count, not n.
+    entries.  The roots, numbered in ascending order, are the orbit ids, so
+    the orbits are numbered by their least member without a sort.
     """
     perms = [check_permutation(n, p) for p in perms]
     label = np.arange(n, dtype=np.int64)
@@ -79,8 +92,9 @@ def partition(n: int, perms) -> OrbitPartition:
                 if np.array_equal(up, label):
                     break
                 label = up
-    root_number = np.cumsum(label == np.arange(n)) - 1
-    return labelled(root_number[label])
+    is_root = label == np.arange(n)
+    orbit_of = (np.cumsum(is_root) - 1)[label]
+    return OrbitPartition(orbit_of, np.flatnonzero(is_root), np.bincount(orbit_of))
 
 
 def labelled(labels: np.ndarray) -> OrbitPartition:
@@ -102,11 +116,10 @@ def labelled(labels: np.ndarray) -> OrbitPartition:
     new = np.ones(len(order), dtype=bool)
     new[1:] = ranked[1:] != ranked[:-1]
     starts = np.flatnonzero(new)
-    ends = np.append(starts[1:], len(order))
+    sizes = np.diff(np.append(starts, len(order)))
     by_least = np.argsort(order[starts])
     number = np.empty_like(by_least)
     number[by_least] = np.arange(by_least.size)
     orbit_of = np.empty_like(order)
     orbit_of[order] = number[np.cumsum(new) - 1]
-    members = tuple(order[starts[c]:ends[c]] for c in by_least.tolist())
-    return OrbitPartition(len(order), orbit_of, members, order[starts[by_least]], (ends - starts)[by_least])
+    return OrbitPartition(orbit_of, order[starts[by_least]], sizes[by_least])

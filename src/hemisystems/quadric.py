@@ -8,18 +8,17 @@ Maximals (totally singular d-subspaces) are kept as RREF bases and ordered
 row-major lexicographically.  The rows of an RREF basis are unit vectors,
 so that order is the order of the tuples of their point ids, read as
 base-P digits for P points: the maximal codes, strictly increasing with
-the maximal id.  A point is looked up by table: a vector is scaled to its
-unit multiple, whose code c, with q^j <= c < q^(j + 1), gives its rank
-c - q^j + (q^j - 1)/(q - 1) among the (q^n - 1)/(q - 1) unit vectors, and
-``point_table`` maps that rank to the point id, or to -1 when the vector is
-not singular; the zero vector ranks at a -1 after the last.  The
-enumerated basis rows are unit vectors already, so they are looked up
-unscaled, once each is checked to lead with 1.  A spanning set of a
-maximal is reduced to its RREF basis, whose rows are looked up as points
-and whose code is binary-searched among the maximal codes.  The codes fit
-in int64: ``require_memory`` keeps the point count below 2^31, which for
-q <= 255 leaves q^(2d + 1) < 2^47, and refuses ranks where P^d reaches
-2^63.
+the maximal id.  A point is looked up by table, by an exact key: the code
+c of a unit vector, with q^j <= c < 2 q^j, gives its rank c - q^j +
+(q^j - 1)/(q - 1) among the (q^n - 1)/(q - 1) unit vectors, and
+``point_table`` maps that rank to the point id, or to -1 when the vector
+is not singular; any other code reads the table's closing -1, so a row
+reads an id exactly when it is that point's unit vector, and ``point_ids``
+scales each vector to one first.  A spanning set of a maximal is reduced
+to its RREF basis, whose rows are looked up as points and whose code is
+binary-searched among the maximal codes.  The codes fit in int64:
+``require_memory`` keeps the point count below 2^31, which for q <= 255
+leaves q^(2d + 1) < 2^47, and refuses ranks where P^d reaches 2^63.
 
 Enumeration follows the rank recursion.  The standard space is the conic
 <z, x, y> with the hyperbolic pairs (e0, f0), (e1, f1), ... added in order
@@ -47,7 +46,7 @@ P <= 65,536 and int32 otherwise.  ``QuadricModel.degrees``, the one count
 of point degrees, is its one reader; the build checks regularity by the
 same count over all N maximals, as each point lies on t + 1 =
 prod_{i<d} (q^i + 1) maximals, and the index recount of a hemisystem and
-the self-checks call it.  The point ids of the basis rows are int32.
+the self-checks call it.
 
 The groups act as h (+) I_U, with h a 3x3 block on W = <z, e0, f0>, and
 the actions take h alone: a matrix of any other shape is refused.  On
@@ -65,9 +64,9 @@ are all maximals exactly when their codes, sorted, are the maximal codes,
 and then that one sort is the permutation.  Only otherwise are the image
 codes searched, to raise ActionEscape at the first maximal whose image is
 not a maximal of the quadric; a singular h escapes at once.  ``maximal_ids``,
-which resolves the members of a certificate, searches the codes of every
-matrix whose rows are its points' unit vectors, by code, and reduces only
-the matrices that are not already a maximal's RREF basis.
+which resolves the members of a certificate, looks up the rows of every
+matrix and searches the code they spell, and reduces only the matrices
+that are not already a maximal's RREF basis.
 """
 
 from __future__ import annotations
@@ -444,19 +443,19 @@ class QuadricModel:
             raise RuntimeError(
                 f"enumerated {self.num_points} points, expected {point_count(q, model.d)}"
             )
-        self.point_codes = vector_codes(q, self.points)
-        if not (np.diff(self.point_codes) > 0).all():
+        point_codes = vector_codes(q, self.points)
+        if not (np.diff(point_codes) > 0).all():
             raise RuntimeError("enumerated points are not strictly sorted")
-        # the unit vectors with leading coordinate n - 1 - j have the codes
-        # q^j .. 2 q^j - 1 and rank after the (q^j - 1)/(q - 1) with later
-        # leading coordinates; the zero code ranks at a -1 after the last
-        powers = self._rank_bounds = q ** np.arange(self.dim, dtype=np.int64)
+        # the codes q^j .. 2 q^j - 1 are the unit vectors led at coordinate
+        # n - 1 - j, ranked after the (q^j - 1)/(q - 1) led later; the zero code
+        # and the other codes up to q^(j + 1) - 1 rank at the closing -1 or past it
+        powers = q ** np.arange(self.dim, dtype=np.int64)
+        self._rank_bounds = np.stack([powers, 2 * powers], axis=1).ravel()
         units = (q**self.dim - 1) // (q - 1)
-        self._rank_offsets = np.concatenate([[units], (powers - 1) // (q - 1) - powers])
+        self._rank_offsets = np.full(2 * self.dim + 1, units, dtype=np.int64)
+        self._rank_offsets[1::2] = (powers - 1) // (q - 1) - powers
         self.point_table = np.full(units + 1, -1, dtype=np.int32)
-        self.point_table[self._unit_ranks(self.point_codes)] = np.arange(
-            self.num_points, dtype=np.int32
-        )
+        self.point_table[self._unit_ranks(point_codes)] = np.arange(self.num_points)
 
         self.maximal_bases = enumerate_maximals(model)
         self.num_maximals = self.maximal_bases.shape[0]
@@ -464,12 +463,9 @@ class QuadricModel:
             raise RuntimeError(
                 f"enumerated {self.num_maximals} maximals, expected {maximal_count(q, model.d)}"
             )
-        rows = self.maximal_bases.reshape(-1, self.dim)
-        if (rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)] != 1).any():
-            raise RuntimeError("an enumerated basis row does not lead with 1")
-        self.basis_points = self._lookup_units(rows).reshape(self.num_maximals, self.d)
-        if (self.basis_points < 0).any():
-            raise RuntimeError("an enumerated basis row is not a singular point")
+        basis_points = self._lookup_units(self.maximal_bases)
+        if (basis_points < 0).any():
+            raise RuntimeError("an enumerated basis row is not a singular point's unit vector")
         # the rows are singular points, so a basis is totally singular exactly
         # when they are pairwise orthogonal: beta of every pair i < j at once,
         # on a coordinate-first (n, d, chunk) copy of a bounded chunk of bases
@@ -478,7 +474,7 @@ class QuadricModel:
             chunk = self.maximal_bases[start:start + _MAXIMAL_CHUNK].transpose(2, 1, 0).copy()
             if _beta(F, model.pairing, chunk[:, first], chunk[:, second]).any():
                 raise RuntimeError("an enumerated maximal is not totally singular")
-        self.maximal_codes = vector_codes(self.num_points, self.basis_points)
+        self.maximal_codes = vector_codes(self.num_points, basis_points)
         if not (np.diff(self.maximal_codes) > 0).all():
             raise RuntimeError("enumerated maximals are not strictly sorted")
 
@@ -517,24 +513,18 @@ class QuadricModel:
     # -- lookups
 
     def _unit_ranks(self, codes: np.ndarray) -> np.ndarray:
-        """The rank of each unit-vector code in ``point_table``; the zero code
-        ranks at the table's last entry, -1."""
-        # j + 1 for q^j <= code < q^(j + 1), and 0 for the zero code
+        """The rank of each unit-vector code in ``point_table``; the code of
+        any other vector ranks at the table's closing -1 or past it."""
+        # 2j + 1 for q^j <= code < 2 q^j, 2j + 2 up to q^(j + 1), 0 for zero
         band = np.searchsorted(self._rank_bounds, codes, side="right")
         return codes + np.take(self._rank_offsets, band)
 
-    def _code_ids(self, codes: np.ndarray) -> np.ndarray:
-        """Int32 point id of each unit-vector code, or -1 where the vector is
-        zero or not singular.
-
-        The code of any other vector reads some entry of the table, or,
-        ranked past its end and clipped, the closing -1.
-        """
+    def _lookup_units(self, vecs: np.ndarray) -> np.ndarray:
+        """Int32 point id of each row of a (..., n) stack that is the unit
+        vector of a singular point, and -1 for every other row: a rank past
+        the table's end is clipped to its closing -1."""
+        codes = vector_codes(self.field.q, vecs)
         return np.take(self.point_table, self._unit_ranks(codes), mode="clip")
-
-    def _lookup_units(self, units: np.ndarray) -> np.ndarray:
-        """``_code_ids`` of the rows of a (..., n) stack."""
-        return self._code_ids(vector_codes(self.field.q, units))
 
     def point_ids(self, vecs: np.ndarray) -> np.ndarray:
         """Int32 ids of the points spanned by the rows of an (N, n) stack.
@@ -551,26 +541,23 @@ class QuadricModel:
         """Ids of the maximals whose RREF bases are the matrices of an
         (N, d, n) stack, and whether each matrix is that basis.
 
-        Codes are injective on vectors, so a row is its point's unit vector
-        exactly when it has that point's code; a -1 reads the last point's
-        code, which only that point's own vector has.  So a matrix is a
-        maximal's RREF basis exactly when every row passes and the points'
-        maximal code is found.
+        The point key is exact, so a matrix is a maximal's RREF basis
+        exactly when every row reads a point id, which makes it that
+        point's unit vector, and the ids spell a maximal code.
         """
-        # (d, N), so that the checks run along the matrices
-        codes = vector_codes(self.field.q, rows.transpose(1, 0, 2))
-        pids = self._code_ids(codes)
+        # (d, N), so that the check runs along the matrices
+        pids = self._lookup_units(rows.transpose(1, 0, 2))
         ids, found = search_keys(self.maximal_codes, vector_codes(self.num_points, pids.T))
-        return ids, found & (np.take(self.point_codes, pids) == codes).all(axis=0)
+        return ids, found & (pids >= 0).all(axis=0)
 
     def maximal_ids(self, stack: np.ndarray) -> np.ndarray:
         """Ids of the maximals spanned by the matrices of an (N, r, n) stack.
 
         Any spanning set of a maximal resolves, whatever its row order or
         scaling.  A matrix that is already a maximal's RREF basis, in that
-        its rows are its points' unit vectors, by code, and those points
-        spell a maximal code, is resolved by that lookup alone, made
-        ``_LOOKUP_CHUNK`` matrices at a time; only the rest are reduced.
+        every row reads a point id and those ids spell a maximal code, is
+        resolved by that lookup alone, made ``_LOOKUP_CHUNK`` matrices at a
+        time; only the rest are reduced.
         Raises ValueError when a row has not n = 2d + 1 entries, and
         ActionEscape, with ``index`` the first offending matrix, when a
         matrix does not span a maximal of the quadric.

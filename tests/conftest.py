@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from hemisystems.gf import field_make
-from hemisystems.linform import StandardModel, mat_mul, rref, standard_model
+from hemisystems.linform import StandardModel, mat_mul, rref, standard_model, vector_codes
 from hemisystems.orbits import OrbitPartition, check_permutation
 from hemisystems.quadric import QuadricModel, enumerate_points
 
@@ -30,6 +30,25 @@ def model(p: int, k: int, d: int) -> StandardModel:
 @functools.lru_cache(maxsize=None)
 def qmodel(p: int, k: int, d: int) -> QuadricModel:
     return QuadricModel(model(p, k, d))
+
+
+def point_codes(qm: QuadricModel) -> np.ndarray:
+    """The code of every point, which the model does not keep."""
+    return vector_codes(qm.field.q, qm.points)
+
+
+def basis_points(qm: QuadricModel) -> np.ndarray:
+    """The (N, d) point ids of the basis rows, which the model does not
+    keep, each row read by ``point_ids``."""
+    return qm.point_ids(qm.maximal_bases.reshape(-1, qm.dim)).reshape(qm.num_maximals, qm.d)
+
+
+def listed(part: OrbitPartition, members) -> OrbitPartition:
+    """A reference partition with its own listing of the members in place of
+    the one ``OrbitPartition.members`` lists on first read, so that
+    ``same_partition`` compares two listings made apart."""
+    vars(part)["members"] = tuple(members)
+    return part
 
 
 def element_orders(F, X):
@@ -159,7 +178,7 @@ def bfs_partition(n: int, perms) -> OrbitPartition:
         members.append(np.sort(np.concatenate(acc)))
     reps = np.array([m[0] for m in members], dtype=np.int64)
     sizes = np.array([m.size for m in members], dtype=np.int64)
-    return OrbitPartition(n, orbit_of, tuple(members), reps, sizes)
+    return listed(OrbitPartition(orbit_of, reps, sizes), members)
 
 
 def orbit_image(part: OrbitPartition, perm: np.ndarray) -> np.ndarray:
@@ -204,8 +223,8 @@ def int64_labelled(labels: np.ndarray) -> OrbitPartition:
     number[by_least] = np.arange(by_least.size)
     orbit_of = np.empty_like(order)
     orbit_of[order] = number[np.cumsum(new) - 1]
-    members = tuple(order[starts[c]:ends[c]] for c in by_least.tolist())
-    return OrbitPartition(len(order), orbit_of, members, order[starts[by_least]], (ends - starts)[by_least])
+    members = [order[starts[c]:ends[c]] for c in by_least.tolist()]
+    return listed(OrbitPartition(orbit_of, order[starts[by_least]], (ends - starts)[by_least]), members)
 
 
 def same_partition(a: OrbitPartition, b: OrbitPartition) -> bool:

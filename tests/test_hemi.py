@@ -96,9 +96,10 @@ def test_point_labels_give_the_orbits_of_b(p, k, d):
 
 @pytest.mark.parametrize("p,k,d", DESK_CONFIGS)
 def test_prepare_numbers_its_orbits_as_one_int64_sort_would(monkeypatch, p, k, d):
-    # the labels prepare hands labelled: B's point labels, with -1 on the
-    # conic, and the union-find roots of the maximals numbered in ascending
-    # order; both span fewer than 2^16 values here, so they sort as uint16
+    # the labels prepare hands labelled are B's point labels, with -1 on the
+    # conic, which span fewer than 2^16 values here, so they sort as uint16;
+    # the maximal orbits are numbered by their union-find roots, as one
+    # int64 sort of their own orbit ids numbers them
     seen = []
 
     def recorded(labels):
@@ -108,12 +109,13 @@ def test_prepare_numbers_its_orbits_as_one_int64_sort_would(monkeypatch, p, k, d
     monkeypatch.setattr(hemi, "labelled", recorded)
     monkeypatch.setattr(orbits, "labelled", recorded)
     pr = prepare(field_make(p, k), d)
-    points, maximals = seen
+    (points,) = seen
+    maximals = pr.actions.b_maximal_part.orbit_of
     assert points.min() == -1 and maximals.min() == 0
     assert maximals.max() == pr.report.n_b_maximal_orbits - 1
     assert same_partition(pr.actions.b_point_part, int64_labelled(points))
     assert same_partition(pr.actions.b_maximal_part, int64_labelled(maximals))
-    # the least member of each orbit, the roots partition passed before
+    # the least member of each orbit, the roots the union-find ends with
     roots = pr.actions.b_maximal_part.reps[maximals]
     assert same_partition(labelled(roots), int64_labelled(roots))
 

@@ -72,6 +72,8 @@ def test_partition_matches_breadth_first_oracle():
         for name in ("orbit_of", "reps", "sizes"):
             x, y = getattr(got, name), getattr(want, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), name
+        # the members, listed on first read, against the search's own lists
+        assert "members" not in vars(got)
         assert len(got.members) == len(want.members)
         for x, y in zip(got.members, want.members):
             assert x.dtype == y.dtype and np.array_equal(x, y)

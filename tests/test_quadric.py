@@ -12,10 +12,12 @@ import pytest
 
 from conftest import (
     along_axis_rref_pivots,
+    basis_points,
     bincount_degrees,
     gram_scaled_beta,
     model,
     normal_form_cases,
+    point_codes,
     qmodel,
     rref_maximal_permutation,
     search_maximals,
@@ -144,7 +146,7 @@ def test_canonical_order_and_determinism(p, k, d):
     assert (np.diff(codes) > 0).all()
     # a point's code is its lex rank among all q^n coordinate tuples
     assert np.array_equal(all_vectors(q, m.dim)[codes], pts)
-    assert np.array_equal(qmodel(p, k, d).point_codes, codes)
+    assert np.array_equal(point_codes(qmodel(p, k, d)), codes)
     maxs = enumerate_maximals(m)
     assert np.array_equal(maxs, enumerate_maximals(m))
     blobs = [maxs[i].tobytes() for i in range(maxs.shape[0])]
@@ -485,18 +487,32 @@ def reference_ids(qm, stack):
     return out
 
 
+def unit_only_ids(qm, vecs):
+    """The point ids read by a key that is right for unit vectors only: each
+    code c, with q^j <= c < q^(j + 1), ranked c - q^j + (q^j - 1)/(q - 1)
+    in ``point_table`` as if it led with 1, so that a row scaled by 2 can
+    read another point's id."""
+    q = qm.field.q
+    codes = linform.vector_codes(q, vecs)
+    powers = q ** np.arange(qm.dim, dtype=np.int64)
+    offsets = np.concatenate([[len(qm.point_table) - 1], (powers - 1) // (q - 1) - powers])
+    ranks = codes + offsets[np.searchsorted(powers, codes, side="right")]
+    return np.take(qm.point_table, ranks, mode="clip")
+
+
 def aliased_basis(qm):
-    """A maximal and d rows, none of them a unit vector, whose table lookups
-    read that maximal's basis points, found by search over every vector."""
+    """A maximal and d rows, none of them a unit vector, whose lookups by
+    ``unit_only_ids`` read that maximal's basis points, found by search over
+    every vector."""
     F = qm.field
     vecs = all_vectors(F.q, qm.dim)[1:]
     lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
     others = vecs[lead != 1]
-    pids = qm._lookup_units(others)
+    pids = unit_only_ids(qm, others)
     alias = {}
     for v, pid in zip(others, pids.tolist()):
         alias.setdefault(pid, v)
-    for j, points in enumerate(qm.basis_points.tolist()):
+    for j, points in enumerate(basis_points(qm).tolist()):
         if all(pid in alias for pid in points):
             return j, np.stack([alias[pid] for pid in points])
     raise AssertionError("no maximal has an aliased basis")
@@ -504,14 +520,18 @@ def aliased_basis(qm):
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 1, 3), (3, 2, 2)])
 def test_maximal_ids_by_codes_agree_with_a_scalar_reduction(p, k, d):
-    # a matrix is taken as a maximal's RREF basis by its rows' codes and the
-    # maximal code they spell; every other spelling is reduced, and both
-    # must agree with the scalar rref of each matrix looked up among the bases
+    # a matrix is taken as a maximal's RREF basis by its rows' point ids and
+    # the maximal code they spell; every other spelling is reduced, and both
+    # must agree with the scalar rref of each matrix looked up among the
+    # bases.  The aliased rows would read a maximal's basis points under a
+    # key right for unit vectors only; the exact key reads -1 for them
     qm = qmodel(p, k, d)
     F = qm.field
     rng = np.random.default_rng(11)
     j, aliased = aliased_basis(qm)
-    assert (qm._lookup_units(aliased) == qm.basis_points[j]).all()
+    rows = basis_points(qm)
+    assert (unit_only_ids(qm, aliased) == rows[j]).all()
+    assert (qm._lookup_units(aliased) == -1).all()
     assert (aliased != qm.maximal_bases[j]).any(axis=1).all()
     units = all_vectors(F.q, qm.dim)[1:]
     units = units[units[np.arange(len(units)), np.argmax(units != 0, axis=1)] == 1]
@@ -523,7 +543,7 @@ def test_maximal_ids_by_codes_agree_with_a_scalar_reduction(p, k, d):
         swapped = B[np.roll(np.arange(d), 1)]
         scaled = B.copy()
         scaled[r] = F.mul_table[int(rng.integers(2, F.q)), B[r]]
-        others = np.setdiff1d(qm.maximal_points[i], qm.basis_points[i])
+        others = np.setdiff1d(qm.maximal_points[i], rows[i])
         replaced = B.copy()
         replaced[r] = qm.points[rng.choice(others)]
         zero_row = B.copy()
@@ -558,8 +578,9 @@ def test_point_table_matches_a_binary_search_oracle(p, k, d):
     lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
     units = F.mul_table[F.inv_table[lead][:, None], vecs]
     codes = units.astype(np.int64) @ (F.q ** np.arange(n - 1, -1, -1, dtype=np.int64))
-    pos = np.minimum(np.searchsorted(qm.point_codes, codes), qm.num_points - 1)
-    found = qm.point_codes[pos] == codes
+    sorted_codes = point_codes(qm)
+    pos = np.minimum(np.searchsorted(sorted_codes, codes), qm.num_points - 1)
+    found = sorted_codes[pos] == codes
     assert found.sum() == (F.q - 1) * qm.num_points
     assert np.array_equal(qm.point_ids(vecs[found]), pos[found])
     assert np.array_equal(qm.point_ids(qm.points), np.arange(qm.num_points))
@@ -585,6 +606,26 @@ def test_point_table_matches_a_binary_search_oracle(p, k, d):
         assert exc.value.index == i
 
 
+@pytest.mark.parametrize(
+    "p,k,d,aliases",
+    [(3, 1, 2, 14), (5, 1, 2, 94), (7, 1, 2, 286), (3, 2, 2, 638), (3, 1, 3, 123),
+     (5, 1, 3, 2345), (11, 1, 2, 1198)],
+)
+def test_the_point_key_is_exact(p, k, d, aliases):
+    # over every vector, the lookup reads a point's id exactly at that
+    # point's unit vector and -1 everywhere else; a key right for unit
+    # vectors only reads some other point's id at ``aliases`` vectors
+    qm = qmodel(p, k, d)
+    q = qm.field.q
+    vecs = all_vectors(q, qm.dim)
+    want = np.full(len(vecs), -1)
+    # a vector's code is its position among all q^n vectors
+    want[point_codes(qm)] = np.arange(qm.num_points)
+    assert np.array_equal(qm._lookup_units(vecs), want)
+    unit_only = unit_only_ids(qm, vecs)
+    assert ((unit_only >= 0) & (unit_only != want)).sum() == aliases
+
+
 @pytest.mark.parametrize("p,k,d", SMALL)
 def test_maximal_codes_are_the_basis_point_ids_as_digits(p, k, d):
     qm = qmodel(p, k, d)
@@ -599,17 +640,19 @@ def test_maximal_codes_are_the_basis_point_ids_as_digits(p, k, d):
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (5, 1, 2), (3, 1, 3)])
 def test_a_basis_row_that_does_not_lead_with_one_is_refused(monkeypatch, p, k, d):
-    # the basis rows are looked up as they stand, which is right for unit
-    # vectors only: a row scaled by 2 can read another point's id
+    # the basis rows are looked up as they stand: a row scaled by 2 that a
+    # key right for unit vectors only would read as another point's id
+    # reads -1 under the exact key, and the build refuses it
     qm = qmodel(p, k, d)
     F = qm.field
     scaled = F.mul_table[2, qm.maximal_bases]
-    looked_up = qm._lookup_units(scaled)
-    i, r = np.argwhere((looked_up >= 0) & (looked_up != qm.basis_points))[0]
+    looked_up = unit_only_ids(qm, scaled)
+    i, r = np.argwhere((looked_up >= 0) & (looked_up != basis_points(qm)))[0]
+    assert qm._lookup_units(scaled[i, r]) == -1
     bases = qm.maximal_bases.copy()
     bases[i, r] = scaled[i, r]
     monkeypatch.setattr(quadric, "enumerate_maximals", lambda model: bases)
-    with pytest.raises(RuntimeError, match="does not lead with 1"):
+    with pytest.raises(RuntimeError, match="is not a singular point's unit vector"):
         QuadricModel(model(p, k, d))
 
 
@@ -632,7 +675,7 @@ def _break_one_pair(qm, i, j):
     ok &= beta[:, :, i] != 0
     # the new code must stay strictly between the neighbours' codes
     codes = qm.maximal_codes
-    new = codes[None, :] + (np.arange(len(P))[:, None] - qm.basis_points[:, j]) * (
+    new = codes[None, :] + (np.arange(len(P))[:, None] - basis_points(qm)[:, j]) * (
         qm.num_points ** (d - 1 - j)
     )
     below, above = np.append(-1, codes[:-1]), np.append(codes[1:], np.iinfo(np.int64).max)
@@ -776,11 +819,12 @@ def test_a_corrupted_index_never_yields_a_wrong_permutation(p, k, d):
     for h in [identity(3), *action_matrices(qm)]:
         perm = qm.maximal_permutation(h)
         assert np.array_equal(perm, rref_maximal_permutation(qm, h))
-    pid = qm.basis_points[-1, -1]
+    rows = basis_points(qm)
+    pid = rows[-1, -1]
     qm.point_table[qm.point_table == pid] = -1
     with pytest.raises(ActionEscape) as exc:
         qm.maximal_permutation(identity(3))
-    assert exc.value.index == np.flatnonzero((qm.basis_points == pid).any(axis=1))[0]
+    assert exc.value.index == np.flatnonzero((rows == pid).any(axis=1))[0]
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 1, 3)])
@@ -870,10 +914,15 @@ def test_index_ids_take_the_narrowest_exact_type(p, k, d):
     assert (qm.num_points <= 2**16) == ((p, k, d) in SMALL)
     assert qm.maximal_points.dtype == (np.uint16 if qm.num_points <= 2**16 else np.int32)
     assert np.array_equal(qm.maximal_points, reference_index(qm))
-    assert qm.basis_points.dtype == np.int32
-    assert qm.basis_points.shape == (qm.num_maximals, qm.d)
+    # the point ids of the basis rows are int32 and read from the bases on
+    # demand; the model keeps only their maximal codes
+    assert not hasattr(qm, "basis_points") and not hasattr(qm, "point_codes")
+    pids = basis_points(qm)
+    assert pids.dtype == np.int32
+    assert pids.shape == (qm.num_maximals, qm.d)
+    assert np.array_equal(linform.vector_codes(qm.num_points, pids), qm.maximal_codes)
     rows = qm.maximal_bases.reshape(-1, qm.dim)
-    assert np.array_equal(qm.basis_points.ravel(), [int(qm.point_ids(v[None])[0]) for v in rows])
+    assert np.array_equal(pids.ravel(), [int(qm.point_ids(v[None])[0]) for v in rows])
 
 
 def test_require_memory_counts_four_bytes_per_index_id(monkeypatch):

@@ -7,9 +7,10 @@ an AB report without flags beside its witness, a pipeline that lists no group
 element, index two at q = 251 from B's predicate, a standard model that scans no vectors,
 point lookups by table, not by binary search, a prepare that builds no incidence
 index, reduces nothing, searches the maximal codes for tau's orbit
-representatives alone and leaves numpy.ma unimported, canonical certificate members resolved without reading the
-bases, line layouts and element strings built once per stream, one writer of
-the member block, the certificate format in the certificate module alone, the
+representatives alone and leaves numpy.ma unimported, a prepare that lists
+no orbit's members and sorts no maximal orbit ids, canonical certificate
+members resolved without reading the bases, line layouts and element
+strings built once per stream, one writer of the member block, the certificate format in the certificate module alone, the
 incidence index read by ``QuadricModel.degrees`` alone, the maximal bases
 gathered by ``np.take``, not by a fancy index, and no module-level
 function or class that only the tests use."""
@@ -27,8 +28,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import src_env
-from hemisystems import certificate, groups, hemi, linform, quadric
+from conftest import basis_points, int64_labelled, same_partition, src_env
+from hemisystems import certificate, groups, hemi, linform, orbits, quadric
 from hemisystems.cli import build_parser, main
 from hemisystems.gf import field_make
 
@@ -318,7 +319,7 @@ def test_point_lookups_make_no_binary_search(monkeypatch):
     again = F.mul_table[2, qm.maximal_bases[:, ::-1]]
     assert np.array_equal(qm.maximal_ids(again), np.arange(qm.num_maximals))
     assert searched and set(searched) == {qm.num_maximals}
-    assert np.array_equal(qm.point_ids(again[:, 0]), qm.basis_points[:, -1])
+    assert np.array_equal(qm.point_ids(again[:, 0]), basis_points(qm)[:, -1])
 
 
 @pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
@@ -397,9 +398,26 @@ def test_prepare_builds_no_incidence_index(d):
     assert pr.qm.__dict__["maximal_points"] is pr.qm.maximal_points
 
 
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3)])
+def test_prepare_lists_no_members_and_sorts_no_maximal_orbit_ids(monkeypatch, p, k, d):
+    # the partitions hold their labels; the union-find roots number the
+    # maximal orbits without a sort, and the members are listed on first
+    # read, as one int64 sort of the orbit ids lists them
+    def refused(labels):
+        pytest.fail("partition sorted its orbit ids through labelled")
+
+    monkeypatch.setattr(orbits, "labelled", refused)
+    actions = hemi.prepare(field_make(p, k), d).actions
+    parts = (actions.b_point_part, actions.b_maximal_part)
+    assert not any("members" in vars(part) for part in parts)
+    for part in parts:
+        assert same_partition(part, int64_labelled(part.orbit_of))
+
+
 def test_canonical_members_are_resolved_without_reading_the_bases(monkeypatch):
-    # a canonical member is its maximal's RREF basis exactly when its rows'
-    # codes are its points' codes, so resolving one gathers no basis
+    # a canonical member is its maximal's RREF basis exactly when every row
+    # reads a point id under the exact key and the ids spell a maximal code,
+    # so resolving one gathers no basis
     pr = hemi.prepare(field_make(5), 3)
     ids = hemi.assemble(pr.report.split, 1)
     cert = certificate.parse_certificate(certificate.certificate_text(pr, 1, ids))
