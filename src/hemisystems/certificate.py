@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import re
 import warnings
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -36,6 +37,9 @@ CERT_VERSION = 1
 _MEMBER = "maximal "
 # member lines per chunk, for the writer and both block readers alike
 _CHUNK_LINES = 4096
+# the header text of each preparation, written on its first certificate; a
+# preparation equals only itself, and its entry goes when it does
+_HEADERS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class ParseError(ValueError):
@@ -80,10 +84,13 @@ def parse_modulus(text: str) -> tuple:
 # the text
 
 
-def certificate_chunks(prep: Prepared, mask: int, member_ids: np.ndarray) -> Iterator[str]:
-    """Serialize one verified hemisystem as a line-oriented certificate, in
-    consecutive pieces: the header, the member block ``_CHUNK_LINES`` lines
-    at a time, then the mask and ``end``."""
+def _header(prep: Prepared) -> str:
+    """The header lines of every certificate of a preparation, from the
+    magic line to the generators; a pure function of the preparation, so
+    written once for each and kept in ``_HEADERS``."""
+    text = _HEADERS.get(prep)
+    if text is not None:
+        return text
     F = prep.field
     split = prep.report.split
     lines = [f"{CERT_MAGIC} {CERT_VERSION}"]
@@ -95,12 +102,23 @@ def certificate_chunks(prep: Prepared, mask: int, member_ids: np.ndarray) -> Ite
     lines.append(f"orbits {len(split.pairs)} {split.partition.n_orbits}")
     gens = embed_w_block(F, prep.b.generators, prep.model.dim)
     lines += [f"generator {s}" for s in format_matrices(F, gens)]
-    yield "\n".join(lines) + "\n"
+    text = _HEADERS[prep] = "\n".join(lines) + "\n"
+    return text
+
+
+def certificate_chunks(prep: Prepared, mask: int, member_ids: np.ndarray) -> Iterator[str]:
+    """Serialize one verified hemisystem as a line-oriented certificate, in
+    consecutive pieces: the header, the member block ``_CHUNK_LINES`` lines
+    at a time, then the mask and ``end``.  The header is written on a
+    preparation's first certificate and reused for the rest (``_header``),
+    so a mask costs only its members."""
+    F = prep.field
+    yield _header(prep)
     ids = np.asarray(member_ids, dtype=np.int64)
     for start in range(0, ids.size, _CHUNK_LINES):
         chunk = np.take(prep.qm.maximal_bases, ids[start:start + _CHUNK_LINES], axis=0)
         yield format_matrix_block(F, chunk)
-    yield f"mask {mask:x} {len(split.pairs)}\nend\n"
+    yield f"mask {mask:x} {prep.report.split.m}\nend\n"
 
 
 def certificate_text(prep: Prepared, mask: int, member_ids: np.ndarray) -> str:
@@ -283,13 +301,16 @@ def resolve_members(cert: Certificate, qm: QuadricModel):
     """Re-derive member ids from the subspaces their matrices span.
 
     Returns (ids, None) on success or (None, reason) when some claimed
-    member is not a maximal of the quadric or appears twice.
+    member is not a maximal of the quadric or appears twice.  Ids that
+    strictly increase, as a canonical certificate lists them, hold no
+    duplicate; only others are counted for one.
     """
     try:
         ids = qm.maximal_ids(cert.members)
     except ActionEscape as exc:
         return None, f"member {exc.index} is not a maximal of the quadric"
-    if np.bincount(ids, minlength=qm.num_maximals).max() > 1:
+    increasing = (ids[1:] > ids[:-1]).all()
+    if not increasing and np.bincount(ids, minlength=qm.num_maximals).max() > 1:
         return None, "duplicate members"
     return ids, None
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from hemisystems.gf import field_make
+from hemisystems.hemi import MaskLength, OrbitSplit
 from hemisystems.linform import StandardModel, mat_mul, rref, standard_model, vector_codes
 from hemisystems.orbits import OrbitPartition, check_permutation
 from hemisystems.quadric import QuadricModel, enumerate_points
@@ -260,3 +261,20 @@ def gram_scaled_beta(F, pairing, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         acc = F.add_arrays(acc, terms[c])
     return acc
 
+
+def loop_assemble(split: OrbitSplit, mask: int) -> np.ndarray:
+    """Reference for ``hemi.assemble``: one Python step per orbit pair, bit
+    i of the mask read by a shift."""
+    if not 0 <= mask < (1 << split.m):
+        raise MaskLength(f"mask needs {split.m} bits")
+    chosen = np.zeros(split.partition.n_orbits, dtype=bool)
+    for i, (low, high) in enumerate(split.pairs):
+        chosen[high if (mask >> i) & 1 else low] = True
+    return np.flatnonzero(np.take(chosen, split.partition.orbit_of))
+
+
+def unique_histogram(degrees: np.ndarray) -> tuple:
+    """Reference for ``VerificationReport.histogram``: ``np.unique`` of every
+    point degree, whatever the verdict."""
+    values, counts = np.unique(degrees, return_counts=True)
+    return tuple(zip(values.tolist(), counts.tolist()))

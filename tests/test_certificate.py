@@ -180,3 +180,20 @@ def test_writing_a_certificate_holds_the_text_and_its_chunks():
         tracemalloc.stop()
     assert again == text
     assert peak < 2.5 * len(text), peak / len(text)
+
+
+def test_members_out_of_order_resolve_and_a_repeat_among_them_is_refused():
+    # a canonical certificate lists its members ascending, which skips the
+    # duplicate count; lines in any other order are counted for a repeat
+    pr = prepare(field_make(3), 3)
+    ids = assemble(pr.report.split, 6)
+    lines = certificate_text(pr, 6, ids).splitlines(keepends=True)
+    at = [i for i, ln in enumerate(lines) if ln.startswith("maximal ")]
+    head, members, tail = lines[:at[0]], lines[at[0]:at[-1] + 1], lines[at[-1] + 1:]
+    reversed_ids, reason = cf.resolve_members(
+        parse_certificate("".join(head + members[::-1] + tail)), pr.qm
+    )
+    assert reason is None and np.array_equal(reversed_ids, ids[::-1])
+    for repeated in (members[::-1] + members[3:4], members[:3] + members[2:]):
+        cert = parse_certificate("".join(head + repeated + tail))
+        assert cf.resolve_members(cert, pr.qm) == (None, "duplicate members")

@@ -7,7 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import int64_labelled, model, qmodel, same_partition
+from conftest import (
+    int64_labelled,
+    loop_assemble,
+    model,
+    qmodel,
+    same_partition,
+    unique_histogram,
+)
 from hemisystems import groups, hemi, orbits
 from hemisystems.gf import field_make
 from hemisystems.hemi import (
@@ -295,6 +302,23 @@ def test_assemble_reads_the_orbit_labels(p, k, d):
         assert got.dtype == want.dtype and np.array_equal(got, want), mask
 
 
+@pytest.mark.parametrize("p,k,d", [(3, 1, 2), (3, 2, 2), (3, 1, 3), (5, 1, 3)])
+def test_assemble_matches_the_per_pair_loop(p, k, d):
+    # m = 3, 6, 60 and 234: the bits read at once by unpackbits pick what a
+    # shift per pair picks, across byte boundaries and at the top bit
+    split = prep(p, k, d).report.split
+    m = split.m
+    rng = random.Random(m)
+    masks = [0, (1 << m) - 1] + [1 << i for i in (0, 7, 8, m - 1) if i < m]
+    masks += [rng.getrandbits(m) for _ in range(8)]
+    for mask in masks + [np.int64(masks[-1] % 2**63)]:
+        got, want = assemble(split, mask), loop_assemble(split, mask)
+        assert got.dtype == want.dtype and np.array_equal(got, want), mask
+    for bad in (-1, 1 << m):
+        with pytest.raises(MaskLength):
+            assemble(split, bad)
+
+
 def test_mask_bounds():
     pr = prep(3, 1, 2)
     split = pr.report.split
@@ -391,6 +415,39 @@ def test_verify_rejects_wrong_sets():
     assert any(v != qm.target_degree for v, _ in rep.histogram)
     slow = verify_hemisystem(qm, tampered, slow=True)
     assert not slow.ok and slow.histogram == rep.histogram
+
+
+@pytest.mark.parametrize("p,k,d", [(3, 1, 3), (5, 2, 2)])
+def test_a_set_off_target_reports_the_histogram_of_np_unique(p, k, d):
+    # one member swapped across a pair takes the fallback histogram; a
+    # hemisystem's, ((target, P),), is the one np.unique gives too
+    pr = prep(p, k, d)
+    qm, split = pr.qm, pr.report.split
+    ids = assemble(split, 1)
+    swapped = np.sort(np.append(np.delete(ids, 0), split.partition.members[split.pairs[0][0]][0]))
+    for members in (ids, swapped):
+        want = unique_histogram(qm.degrees(members))
+        rep = verify_hemisystem(qm, members)
+        assert rep.histogram == want and rep.ok == (members is ids)
+        if qm.num_maximals < 2000:
+            assert verify_hemisystem(qm, members, slow=True).histogram == want
+    assert len(unique_histogram(qm.degrees(swapped))) > 1
+
+
+def test_ids_in_any_order_verify_and_a_repeat_in_any_order_is_refused():
+    # increasing ids skip the duplicate count; any other order is counted
+    pr = prep(3, 1, 3)
+    ids = assemble(pr.report.split, 5)
+    shuffled = np.random.default_rng(5).permutation(ids)
+    assert verify_hemisystem(pr.qm, shuffled) == verify_hemisystem(pr.qm, ids)
+    repeated = np.sort(np.append(ids, ids[7]))
+    for members in (repeated, np.random.default_rng(6).permutation(repeated)):
+        with pytest.raises(UnknownMaximalId, match="duplicate member id"):
+            verify_hemisystem(pr.qm, members)
+    # increasing ids are bounded by their ends, and others by their extremes
+    for alien in ([3, pr.qm.num_maximals, 4], [3, -1, 4], [3, 3, -1], [-1, 3, 4]):
+        with pytest.raises(UnknownMaximalId, match="outside the model"):
+            verify_hemisystem(pr.qm, alien)
 
 
 def test_verify_rejects_alien_ids():

@@ -10,7 +10,8 @@ index, reduces nothing, searches the maximal codes for tau's orbit
 representatives alone and leaves numpy.ma unimported, a prepare that lists
 no orbit's members and sorts no maximal orbit ids, canonical certificate
 members resolved without reading the bases, line layouts and element
-strings built once per stream, one writer of the member block, the certificate format in the certificate module alone, the
+strings built once per stream, a certificate header written once per
+preparation, one writer of the member block, the certificate format in the certificate module alone, the
 incidence index read by ``QuadricModel.degrees`` alone, the maximal bases
 gathered by ``np.take``, not by a fancy index, and no module-level
 function or class that only the tests use."""
@@ -18,6 +19,7 @@ function or class that only the tests use."""
 import argparse
 import ast
 import dataclasses
+import gc
 import re
 import subprocess
 import sys
@@ -444,6 +446,35 @@ def test_a_stream_of_certificates_builds_each_layout_once():
         assert np.array_equal(certificate.resolve_members(cert, pr.qm)[0], ids)
     assert certificate._line_layout.cache_info().misses == 1
     assert linform._element_strings.cache_info().misses == 1
+
+
+def test_a_stream_of_certificates_writes_the_header_once(monkeypatch):
+    # the header is a pure function of the preparation, so three
+    # certificates of one preparation embed and format B's generators
+    # once; a fresh preparation of the same field and rank writes it
+    # again, byte for byte, and a preparation's header goes with it
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("embed_w_block", "format_matrices"):
+        monkeypatch.setattr(certificate, name, counted(name, getattr(certificate, name)))
+    heads = []
+    for _ in range(2):
+        pr = hemi.prepare(field_make(5), 3)
+        for mask in (0, 1, 2):
+            text = certificate.certificate_text(pr, mask, hemi.assemble(pr.report.split, mask))
+            heads.append(text[:text.index("\nmaximal ") + 1])
+        assert calls == {"embed_w_block": len(heads) // 3, "format_matrices": len(heads) // 3}
+    assert len(set(heads)) == 1
+    held = len(certificate._HEADERS)
+    del pr
+    gc.collect()
+    assert len(certificate._HEADERS) == held - 1
 
 
 def test_only_the_chunk_sequence_writes_the_member_block():
